@@ -4,17 +4,27 @@ Maclaurin coefficients of products of binomial factors and of the
 square-root generating functions, all computed by explicit finite sums or
 terminating hypergeometric forms.  The generating functions themselves are
 never differentiated here, so they stay available as independent oracles.
+
+The families that are Cauchy products of other families (script_G and
+script_G_hat over gauss_hyper_poly, frak_N over frak_D and omega_pm) are
+sequences: `<family>_seq(params)` yields the coefficients of z^0, z^1, ...
+and computes each inner element once, so its first N coefficients cost
+O(N^2).  The scalar `<family>(n, params)` is the n-th element of that
+sequence.  Callers that need many indices at one parameter point, such as
+the registry's term streams, iterate the sequence instead.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import DuplicateNodeError, NodeMismatchError, PoleError
 from .hypergeom import KahanSum, is_nonpos_int, pfq_terminating, pochhammer
-from .polys import gauss_hyper_poly, gegenbauer
+from .polys import _nth, gauss_hyper_poly_seq, gegenbauer
 
 __all__ = [
     "FactorList",
@@ -23,12 +33,15 @@ __all__ = [
     "frak_C",
     "frak_C_scaled",
     "script_G",
+    "script_G_seq",
     "script_G_hat",
+    "script_G_hat_seq",
     "frak_p",
     "omega_pm",
     "omega_pm_direct",
     "frak_D",
     "frak_N",
+    "frak_N_seq",
 ]
 
 NODE_TOL = 1e-12
@@ -131,44 +144,55 @@ def frak_C_scaled(n: int, alpha: float, tau: complex) -> complex:
     return pre * geg
 
 
-def script_G(n: int, tau: complex, rho: complex, w: complex) -> complex:
-    """Coefficient of z^n in (1-wz)^tau (1+z/w)^(-tau) (1+z^2)^(-rho)."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
+def _three_factor_seq(tau: complex, rho: complex, node: complex, s: complex,
+                      alternate: bool) -> Iterator[complex]:
+    """Sums over k of a_k g_{n-2k} node^(n-2k), n = 0, 1, ..., where g is
+    gauss_hyper_poly(., tau, 0, s) and a_k = (rho)_k / k!, times (-1)^k when
+    alternate."""
+    hyper = gauss_hyper_poly_seq(tau, 0.0, s)
+    g = []
+    coef = complex(1.0)
+    a = [coef]
+    for n in itertools.count():
+        g.append(next(hyper))
+        k = n // 2
+        if k == len(a):
+            coef *= (rho + k - 1) / k
+            a.append((-1.0 if k % 2 else 1.0) * coef if alternate else coef)
+        acc = KahanSum()
+        npow = node**n  # node^(n-2k)
+        for k in range(n // 2 + 1):
+            if k:
+                npow /= node * node
+            acc.add(a[k] * g[n - 2 * k] * npow)
+        yield acc.value()
+
+
+def script_G_seq(tau: complex, rho: complex, w: complex) -> Iterator[complex]:
+    """Coefficients of z^0, z^1, ... in (1-wz)^tau (1+z/w)^(-tau) (1+z^2)^(-rho)."""
     tau, rho, w = complex(tau), complex(rho), complex(w)
     if w == 0:
         raise ValueError("w must be nonzero")
-    acc = KahanSum()
-    s = (w * w + 1.0) / (w * w)
-    coef = complex(1.0)  # (rho)_k / k!
-    wpow = w**n  # w^(n-2k)
-    for k in range(n // 2 + 1):
-        if k:
-            coef *= (rho + k - 1) / k
-            wpow /= w * w
-        g = gauss_hyper_poly(n - 2 * k, tau, 0.0, s)
-        acc.add((-1.0 if k % 2 else 1.0) * coef * g * wpow)
-    return acc.value()
+    return _three_factor_seq(tau, rho, w, (w * w + 1.0) / (w * w), True)
+
+
+def script_G(n: int, tau: complex, rho: complex, w: complex) -> complex:
+    """Coefficient of z^n in (1-wz)^tau (1+z/w)^(-tau) (1+z^2)^(-rho)."""
+    return _nth(script_G_seq(tau, rho, w), n)
+
+
+def script_G_hat_seq(tau: complex, rho: complex, eta: complex) -> Iterator[complex]:
+    """Coefficients of z^0, z^1, ... in (1+eta z)^tau (1+z/eta)^(-tau) (1-z^2)^(-rho)."""
+    tau, rho, eta = complex(tau), complex(rho), complex(eta)
+    if eta == 0:
+        raise ValueError("eta must be nonzero")
+    vals = _three_factor_seq(tau, rho, eta, (eta * eta - 1.0) / (eta * eta), False)
+    return (-v if n % 2 else v for n, v in enumerate(vals))
 
 
 def script_G_hat(n: int, tau: complex, rho: complex, eta: complex) -> complex:
     """Coefficient of z^n in (1+eta z)^tau (1+z/eta)^(-tau) (1-z^2)^(-rho)."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    tau, rho, eta = complex(tau), complex(rho), complex(eta)
-    if eta == 0:
-        raise ValueError("eta must be nonzero")
-    acc = KahanSum()
-    s = (eta * eta - 1.0) / (eta * eta)
-    coef = complex(1.0)
-    epow = eta**n
-    for k in range(n // 2 + 1):
-        if k:
-            coef *= (rho + k - 1) / k
-            epow /= eta * eta
-        acc.add(coef * gauss_hyper_poly(n - 2 * k, tau, 0.0, s) * epow)
-    val = acc.value()
-    return -val if n % 2 else val
+    return _nth(script_G_hat_seq(tau, rho, eta), n)
 
 
 def _sqrt_factor_coeffs(tau: complex, n: int) -> list:
@@ -329,21 +353,30 @@ def frak_D(n: int, tau: complex, xarg: float, inverted: bool) -> complex:
         return pre * pj
 
 
-def frak_N(n: int, nu: complex, mu: complex, x: float, sign: int) -> complex:
-    """Cauchy-product coefficients tying the square-root families together."""
+def frak_N_seq(nu: complex, mu: complex, x: float, sign: int) -> Iterator[complex]:
+    """Cauchy-product coefficients tying the square-root families together:
+    frak_N(n) = sum over k of (-sign)^k 2^-k frak_D(k) omega_pm(n - 2k), for
+    n = 0, 1, ...  Each frak_D and omega_pm element is computed once."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if n < 0:
-        raise ValueError("index must be nonnegative")
     if not (0.0 < x < 1.0):
         raise ValueError("x must lie in (0, 1)")
     nu, mu = complex(nu), complex(mu)
     inverted = sign < 0
     ratio = abs(x ** (-2.0 if sign > 0 else 2.0) - 1.0)
     t = ratio**-0.5
-    acc = KahanSum()
-    for k in range(n // 2 + 1):
-        dk = frak_D(k, -nu, x, inverted)
-        om = omega_pm(n - 2 * k, nu, mu, t, sign)
-        acc.add((-sign) ** k * 2.0**-k * dk * om)
-    return acc.value()
+    d = []
+    om = []
+    for n in itertools.count():
+        om.append(omega_pm(n, nu, mu, t, sign))
+        if n % 2 == 0:
+            d.append(frak_D(n // 2, -nu, x, inverted))
+        acc = KahanSum()
+        for k in range(n // 2 + 1):
+            acc.add((-sign) ** k * 2.0**-k * d[k] * om[n - 2 * k])
+        yield acc.value()
+
+
+def frak_N(n: int, nu: complex, mu: complex, x: float, sign: int) -> complex:
+    """Cauchy-product coefficients tying the square-root families together."""
+    return _nth(frak_N_seq(nu, mu, x, sign), n)

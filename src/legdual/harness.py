@@ -10,6 +10,7 @@ routine with the library evaluators.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import struct
@@ -35,6 +36,7 @@ from .registry import (
     IdentityReport,
     Kind,
     _get_impl,
+    _running_sums,
     evaluate_identity,
     list_identities,
     sweep_identity,
@@ -382,7 +384,8 @@ def asymptotic_checks() -> dict:
 
 def run_suite(cfg: HarnessConfig = HarnessConfig()) -> SuiteResult:
     """Sweep every registered identity per the configured sample counts and
-    run the asymptotic checks.  Failures are collected, never raised."""
+    run the asymptotic checks.  Failed points are collected, not raised;
+    errors that are not the library's own propagate (see sweep_identity)."""
     t0 = time.perf_counter()
     pass_counts = {}
     failures = []
@@ -417,25 +420,14 @@ def run_suite(cfg: HarnessConfig = HarnessConfig()) -> SuiteResult:
 def convergence_table(identity_id: str, params: dict, x: float,
                       n_max: int, policy: TruncationPolicy = DEFAULT_POLICY) -> list:
     """Rows (n, |term|, |partial sum - reference|) for n = 0..n_max, where
-    the reference is the identity's closed-form left-hand side.  Terms past
-    a termination index are exactly zero by definition of the sum."""
+    the reference is the identity's closed-form left-hand side and the
+    partial sums are the ones evaluate_identity sums.  Terms past a
+    termination index are exactly zero by definition of the sum."""
     impl = _get_impl(identity_id)
     p = dict(params)
     x = float(x)
     impl.check_domain(p, x)
     reference = complex(impl.lhs(p, x, policy))
-    n_top = impl.n_top(p)
-    rows = []
-    acc = 0j
-    comp = 0j
-    for n in range(n_max + 1):
-        if n_top is not None and n > n_top:
-            t = 0j
-        else:
-            t = complex(impl.term(p, x, n, policy))
-        y = t - comp
-        tmp = acc + y
-        comp = (tmp - acc) - y
-        acc = tmp
-        rows.append((n, abs(t), abs(acc - reference)))
-    return rows
+    sums = itertools.islice(_running_sums(impl, p, x, policy), n_max + 1)
+    return [(n, abs(t), abs(partial - reference))
+            for n, (t, partial) in enumerate(sums)]

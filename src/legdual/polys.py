@@ -4,11 +4,18 @@ Gegenbauer, Jacobi, associated Legendre, Mittag-Leffler, Bateman, and Gauss
 hypergeometric polynomials.  Gegenbauer uses the explicit sum rather than the
 three-term recurrence because its parameter depends on the degree in every
 use downstream, which breaks fixed-parameter recurrences.
+
+The Mittag-Leffler, Gauss hypergeometric and Bateman coefficients are
+sequences in the degree (`<family>_seq`), whose degrees above
+_RECURRENCE_DEGREE come from one pass of the contiguous recurrence; the
+scalar `<family>(n, ...)` is the n-th element.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 
 from .errors import PoleError
 from .hypergeom import (
@@ -24,8 +31,11 @@ __all__ = [
     "jacobi",
     "assoc_legendre_poly",
     "mittag_leffler_g",
+    "mittag_leffler_g_seq",
     "bateman_g",
+    "bateman_g_seq",
     "gauss_hyper_poly",
+    "gauss_hyper_poly_seq",
 ]
 
 
@@ -142,50 +152,76 @@ def assoc_legendre_poly(k: int, m: int, x: float) -> float:
 _RECURRENCE_DEGREE = 12
 
 
-def mittag_leffler_g(n: int, sigma: complex) -> complex:
-    """Coefficient of z^n in ((1+z)/(1-z))^sigma."""
+def _nth(seq: Iterator[complex], n: int) -> complex:
+    """Element n of a coefficient sequence."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n == 0:
-        return complex(1.0)
+    return next(itertools.islice(seq, n, None))
+
+
+def mittag_leffler_g_seq(sigma: complex) -> Iterator[complex]:
+    """Coefficients of z^0, z^1, ... in ((1+z)/(1-z))^sigma, the degrees
+    above _RECURRENCE_DEGREE from one pass of the recurrence."""
     sigma = complex(sigma)
-    if n <= _RECURRENCE_DEGREE:
-        return 2.0 * sigma * pfq_terminating([1 - n, 1 - sigma], [2], 2.0, n - 1)
+    yield complex(1.0)
+    for n in range(1, _RECURRENCE_DEGREE + 1):
+        yield 2.0 * sigma * pfq_terminating([1 - n, 1 - sigma], [2], 2.0, n - 1)
     # (m+1) g_{m+1} = 2 sigma g_m + (m-1) g_{m-1}
     gm1, gm = complex(1.0), 2.0 * sigma
-    for m in range(1, n):
+    for m in itertools.count(1):
         gm1, gm = gm, (2.0 * sigma * gm + (m - 1) * gm1) / (m + 1)
-    return gm
+        if m >= _RECURRENCE_DEGREE:
+            yield gm
+
+
+def mittag_leffler_g(n: int, sigma: complex) -> complex:
+    """Coefficient of z^n in ((1+z)/(1-z))^sigma."""
+    return _nth(mittag_leffler_g_seq(sigma), n)
+
+
+def gauss_hyper_poly_seq(tau: complex, rho: complex, s: complex) -> Iterator[complex]:
+    """Coefficients of z^0, z^1, ... in (1-z)^{tau-rho} (1-(1-s)z)^{-tau},
+    the degrees above _RECURRENCE_DEGREE from one pass of the recurrence.
+    A nonpositive integer rho = -k raises PoleError at degree k + 1."""
+    tau, rho, s = complex(tau), complex(rho), complex(s)
+    rho_is_zero = abs(rho) <= INT_TOL
+    pole = None if rho_is_zero else terminating_index(rho)
+
+    def check_pole(n: int) -> None:
+        if pole is not None and pole < n:
+            raise PoleError(f"gauss_hyper_poly pole: rho = {rho} with degree {n}")
+
+    yield complex(1.0)
+    for n in range(1, _RECURRENCE_DEGREE + 1):
+        check_pole(n)
+        if rho_is_zero:
+            # limiting form at rho = 0
+            yield -s * tau * pfq_terminating([1 - n, 1 + tau], [2], s, n - 1)
+        else:
+            pre = pochhammer(rho, n) / math.factorial(n)
+            yield pre * pfq_terminating([-n, tau], [rho], s, n)
+    # (m+1) g_{m+1} = ((2-s) m + rho - tau s) g_m - (1-s)(m-1+rho) g_{m-1}
+    gm1, gm = complex(1.0), rho - tau * s
+    for m in itertools.count(1):
+        nxt = (((2.0 - s) * m + rho - tau * s) * gm
+               - (1.0 - s) * (m - 1 + rho) * gm1) / (m + 1)
+        gm1, gm = gm, nxt
+        if m >= _RECURRENCE_DEGREE:
+            check_pole(m + 1)
+            yield gm
 
 
 def gauss_hyper_poly(n: int, tau: complex, rho: complex, s: complex) -> complex:
     """Coefficient of z^n in (1-z)^{tau-rho} (1-(1-s)z)^{-tau}."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if n == 0:
-        return complex(1.0)
-    tau, rho, s = complex(tau), complex(rho), complex(s)
-    rho_is_zero = abs(rho) <= INT_TOL
-    if not rho_is_zero:
-        k = terminating_index(rho)
-        if k is not None and k < n:
-            raise PoleError(f"gauss_hyper_poly pole: rho = {rho} with degree {n}")
-    if n <= _RECURRENCE_DEGREE:
-        if rho_is_zero:
-            # limiting form at rho = 0
-            return -s * tau * pfq_terminating([1 - n, 1 + tau], [2], s, n - 1)
-        pre = pochhammer(rho, n) / math.factorial(n)
-        return pre * pfq_terminating([-n, tau], [rho], s, n)
-    # (m+1) g_{m+1} = ((2-s) m + rho - tau s) g_m - (1-s)(m-1+rho) g_{m-1}
-    gm1, gm = complex(1.0), rho - tau * s
-    for m in range(1, n):
-        nxt = (((2.0 - s) * m + rho - tau * s) * gm
-               - (1.0 - s) * (m - 1 + rho) * gm1) / (m + 1)
-        gm1, gm = gm, nxt
-    return gm
+    return _nth(gauss_hyper_poly_seq(tau, rho, s), n)
+
+
+def bateman_g_seq(tau: complex, r: complex) -> Iterator[complex]:
+    """Coefficients of u^0, u^1, ... in (1+u)^{tau+r} (1-u)^{-tau}."""
+    for n, g in enumerate(gauss_hyper_poly_seq(tau, -complex(r), 2.0)):
+        yield (-1.0 if n % 2 else 1.0) * g
 
 
 def bateman_g(n: int, tau: complex, r: complex) -> complex:
     """Coefficient of u^n in (1+u)^{tau+r} (1-u)^{-tau}."""
-    sign = -1.0 if n % 2 else 1.0
-    return sign * gauss_hyper_poly(n, tau, -complex(r), 2.0)
+    return _nth(bateman_g_seq(tau, r), n)

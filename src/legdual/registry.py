@@ -1,30 +1,46 @@
 """Catalog of argument-inversion identities.
 
-Each entry pairs a closed-form left-hand side with an indexed right-hand-side
-term generator.  Infinite series are summed directly under the truncation
-policy; series with slow algebraic tails are finished with Wynn epsilon
-extrapolation on the partial sums.  All identities are stated for x in a
-subinterval of (0,1); reciprocal arguments are formed inside the term
-generators.
+Each entry pairs a closed-form left-hand side with a right-hand-side term
+stream: `terms(p, x, pol)` is created once per identity point and yields the
+terms n = 0, 1, ... in order.  A stream holds the point's coefficient
+sequences (the generating-coefficient families of `coeffs` and `polys`, and
+the running (mu - nu)_n product), so every coefficient is built once per
+point; entries whose n-th term is a closed expression in n are adapted by
+`_indexed`.  Terms past an entry's termination index are never requested.
+
+`_sum_terms` is the one summation loop: infinite series are summed directly
+under the truncation policy, and series whose tails have not passed the
+direct test at the term cap are finished with Wynn epsilon extrapolation on
+the partial sums.  Each sum reports how it stopped.  All identities are
+stated for x in a subinterval of (0,1); reciprocal arguments are formed
+inside the streams.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
 from .coeffs import (
     FactorList,
-    frak_N,
+    frak_N_seq,
     frak_p,
     lauricella_G,
-    script_G,
-    script_G_hat,
+    script_G_hat_seq,
+    script_G_seq,
 )
-from .errors import ConvergenceError, DomainError, PoleError, UnknownIdentityError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    LegdualError,
+    PoleError,
+    UnknownIdentityError,
+)
 from .hypergeom import (
     DEFAULT_POLICY,
     KahanSum,
@@ -35,7 +51,7 @@ from .hypergeom import (
     terminating_index,
 )
 from .legendre import Argument, Domain, ParameterPoint, ferrers_p, legendre_p
-from .polys import bateman_g, gegenbauer, mittag_leffler_g
+from .polys import bateman_g_seq, gegenbauer, mittag_leffler_g_seq
 
 __all__ = [
     "Kind",
@@ -74,7 +90,7 @@ class IdentityDescriptor:
     param_domain: str
     x_domain: str
     lhs: object
-    rhs_term: object
+    rhs_terms: object
     termination_rule: "str | None"
 
 
@@ -91,6 +107,9 @@ class IdentityReport:
     passed: bool
     tolerance_used: float
     error: "str | None" = None
+    # how the right-hand side stopped: "terminated", "direct" or "wynn"
+    stop_reason: "str | None" = None
+    extrap_err: "float | None" = None
 
     def to_dict(self) -> dict:
         out = {
@@ -107,6 +126,8 @@ class IdentityReport:
             "terms_used": self.terms_used,
             "passed": self.passed,
             "tolerance": self.tolerance_used,
+            "stop_reason": self.stop_reason,
+            "extrap_err": self.extrap_err,
         }
         if self.error is not None:
             out["error"] = self.error
@@ -177,14 +198,40 @@ def _P(nu: complex, mu: complex, x: float,
     return legendre_p(pt, arg, policy).value
 
 
-def _bateman(n: int, tau: complex, r: complex) -> complex:
-    """Coefficient of z^n in (1+z)^(tau+r) (1-z)^(-tau); falls back to the
-    two-factor product form when the polynomial form hits a removable pole."""
+def _bateman_seq(tau: complex, r: complex) -> Iterator[complex]:
+    """Coefficients of z^0, z^1, ... in (1+z)^(tau+r) (1-z)^(-tau); from the
+    degree where the polynomial form hits a removable pole on, the two-factor
+    product form."""
+    n = 0
     try:
-        return bateman_g(n, tau, r)
+        for g in bateman_g_seq(tau, r):
+            yield g
+            n += 1
     except PoleError:
         f = FactorList((-(complex(tau) + complex(r)), complex(tau)), (-1.0, 1.0))
-        return lauricella_G(n, f)
+        for m in itertools.count(n):
+            yield lauricella_G(m, f)
+
+
+def _poch_run(p: dict, coeffs: Iterator[complex]) -> Iterator[tuple]:
+    """(n, (mu - nu)_n, c_n) for n = 0, 1, ... and a coefficient sequence c;
+    each (mu - nu)_n is the one before times (mu - nu + n - 1), the product
+    pochhammer forms."""
+    a = complex(p["mu"] - p["nu"])
+    poch = complex(1.0)
+    for n, c in enumerate(coeffs):
+        yield n, poch, c
+        poch *= a + n
+
+
+def _indexed(term):
+    """Term stream of an entry whose n-th term term(p, x, n, pol) is a
+    closed expression in n."""
+
+    def terms(p, x, pol):
+        return (term(p, x, n, pol) for n in itertools.count())
+
+    return terms
 
 
 def _poch_signed(a: complex, n: int) -> complex:
@@ -228,14 +275,14 @@ def _wynn_accelerate(partials: list) -> tuple:
 
 
 class _Impl:
-    def __init__(self, ident, kind, lhs, term, n_top=None, sampler=None,
+    def __init__(self, ident, kind, lhs, terms, n_top=None, sampler=None,
                  x_grid=(0.35, 0.6, 0.8), x_window=None, boundary_ok=None,
                  param_check=None, param_domain="", x_domain="(0,1)",
                  termination_rule=None, direct_cap=None):
         self.id = ident
         self.kind = kind
         self.lhs = lhs
-        self.term = term
+        self.terms = terms
         self._n_top = n_top
         self.sampler = sampler
         self.x_grid = tuple(x_grid)
@@ -279,7 +326,7 @@ class _Impl:
             param_domain=self.param_domain,
             x_domain=self.x_domain,
             lhs=self.lhs,
-            rhs_term=self.term,
+            rhs_terms=self.terms,
             termination_rule=self.termination_rule,
         )
 
@@ -300,32 +347,55 @@ def _get_impl(identity_id: str) -> _Impl:
         raise UnknownIdentityError(f"unknown identity id '{identity_id}'") from None
 
 
-def _sum_terms(impl: _Impl, p, x: float, policy: TruncationPolicy):
-    """Sum the right-hand side; returns (value, terms_used, max |term|)."""
+@dataclass(frozen=True)
+class _SeriesSum:
+    value: complex
+    terms_used: int
+    max_mag: float
+    stop_reason: str
+    extrap_err: float
+
+
+def _running_sums(impl: _Impl, p, x: float, policy: TruncationPolicy) -> Iterator[tuple]:
+    """(term, compensated partial sum) for n = 0, 1, ...: the entry's term
+    stream, followed by exact zeros past its termination index."""
+    stream = impl.terms(p, x, policy)
     n_top = impl.n_top(p)
+    if n_top is not None:
+        stream = itertools.chain(itertools.islice(stream, n_top + 1),
+                                 itertools.repeat(0j))
     acc = KahanSum()
+    for t in stream:
+        acc.add(t)
+        yield t, acc.value()
+
+
+def _sum_terms(impl: _Impl, p, x: float, policy: TruncationPolicy) -> _SeriesSum:
+    """Sum the right-hand side and say how the sum stopped: "terminated" at
+    the termination index, "direct" when the tolerance test on the terms
+    passed, or "wynn" when extrapolated at the term cap (with its error
+    estimate as extrap_err)."""
+    n_top = impl.n_top(p)
+    sums = _running_sums(impl, p, x, policy)
+    max_mag = 0.0
+    if n_top is not None:
+        value = 0j
+        for t, value in itertools.islice(sums, n_top + 1):
+            max_mag = max(max_mag, abs(t))
+        return _SeriesSum(value, n_top + 1, max_mag, "terminated", 0.0)
     partials = []
     mags = []
     small = 0
-    max_mag = 0.0
     cap = min(impl.direct_cap, policy.max_terms)
-    n = 0
-    while True:
-        if n_top is not None and n > n_top:
-            return acc.value(), n, max_mag
-        t = impl.term(p, x, n, policy)
-        acc.add(t)
+    for n, (t, partial) in enumerate(sums, 1):
         m = abs(t)
         max_mag = max(max_mag, m)
         mags.append(m)
-        partials.append(acc.value())
-        n += 1
-        if n_top is not None:
-            continue
-        if m <= policy.rel_tol * max(abs(acc.value()), policy.abs_floor):
+        partials.append(partial)
+        if m <= policy.rel_tol * max(abs(partial), policy.abs_floor):
             small += 1
             if small >= policy.consecutive_small:
-                return acc.value(), n, max_mag
+                return _SeriesSum(partial, n, max_mag, "direct", 0.0)
         else:
             small = 0
         if n >= cap:
@@ -346,8 +416,8 @@ def _sum_terms(impl: _Impl, p, x: float, policy: TruncationPolicy):
             raise ConvergenceError(
                 f"{impl.id}: series terms do not decay at x = {x}"
             )
-    value, _ = _wynn_accelerate(partials)
-    return value, n, max_mag
+    value, err = _wynn_accelerate(partials)
+    return _SeriesSum(value, n, max_mag, "wynn", err)
 
 
 def evaluate_identity(identity_id: str, params: dict, x: float,
@@ -357,7 +427,8 @@ def evaluate_identity(identity_id: str, params: dict, x: float,
     x = float(x)
     impl.check_domain(p, x)
     lhs = complex(impl.lhs(p, x, policy))
-    rhs, terms_used, max_mag = _sum_terms(impl, p, x, policy)
+    rhs_sum = _sum_terms(impl, p, x, policy)
+    rhs, max_mag = rhs_sum.value, rhs_sum.max_mag
     abs_err = abs(lhs - rhs)
     if impl.kind is Kind.VANISHING_SUM:
         tol = TOL_FINITE
@@ -381,8 +452,9 @@ def evaluate_identity(identity_id: str, params: dict, x: float,
             passed = abs_err <= tol * max(max_mag, _TINY)
     return IdentityReport(
         id=identity_id, params=p, x=x, lhs=lhs, rhs=rhs,
-        abs_err=abs_err, rel_err=rel_err, terms_used=terms_used,
+        abs_err=abs_err, rel_err=rel_err, terms_used=rhs_sum.terms_used,
         passed=passed, tolerance_used=tol,
+        stop_reason=rhs_sum.stop_reason, extrap_err=rhs_sum.extrap_err,
     )
 
 
@@ -393,7 +465,8 @@ def sweep_identity(identity_id: str, param_sampler=None, x_grid=None,
 
     `param_sampler` may be an explicit list of parameter dicts or a callable
     taking a random.Random; by default the identity's own sampler is used.
-    Per-point errors are collected into failed reports, never raised.
+    Library errors and floating-point faults at a point are collected into
+    failed reports; any other exception is a bug and propagates.
     """
     impl = _get_impl(identity_id)
     rng = random.Random(seed)
@@ -409,7 +482,7 @@ def sweep_identity(identity_id: str, param_sampler=None, x_grid=None,
         for x in grid:
             try:
                 reports.append(evaluate_identity(identity_id, p, x, policy))
-            except Exception as exc:  # collected, not thrown
+            except (LegdualError, ArithmeticError) as exc:
                 reports.append(IdentityReport(
                     id=identity_id, params=dict(p), x=float(x),
                     lhs=0j, rhs=0j, abs_err=float("nan"),
@@ -502,7 +575,9 @@ def _build_catalog() -> None:
     _register(_Impl(
         "intro.1", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: _P(p["nu"], 2.0 * p["nu"] + 1.0, (1.0 + x) / (1.0 - x), pol),
-        term=lambda p, x, n, pol: math.sqrt(1.0 - x) * _P(p["nu"], 2.0 * p["nu"] + 1.0, 1.0 - 2.0 * x, pol),
+        terms=_indexed(lambda p, x, n, pol: (
+            math.sqrt(1.0 - x) * _P(p["nu"], 2.0 * p["nu"] + 1.0, 1.0 - 2.0 * x, pol)
+        )),
         n_top=lambda p: 0,
         sampler=lambda rng: {"nu": _offaxis(rng)},
         x_grid=(0.15, 0.3, 0.45),
@@ -515,10 +590,10 @@ def _build_catalog() -> None:
     _register(_Impl(
         "intro.2", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: _P(2.0 * p["mu"] - 0.5, p["mu"], (1.0 + x) / (2.0 * math.sqrt(x)), pol),
-        term=lambda p, x, n, pol: (
+        terms=_indexed(lambda p, x, n, pol: (
             gamma(p["mu"] + 0.5) / SQRT_PI * x ** 0.25
             * _P(p["mu"] - 0.5, 2.0 * p["mu"], 2.0 * x - 1.0, pol)
-        ),
+        )),
         n_top=lambda p: 0,
         sampler=lambda rng: {"mu": _offaxis(rng)},
         x_grid=(0.55, 0.7, 0.9),
@@ -529,10 +604,10 @@ def _build_catalog() -> None:
     _register(_Impl(
         "intro.3", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: _P(p["mu"] - 0.5, p["mu"], 1.0 / math.sqrt(1.0 - x), pol),
-        term=lambda p, x, n, pol: (
+        terms=_indexed(lambda p, x, n, pol: (
             _cpow(2.0, -p["mu"]) * (1.0 - x) ** 0.25
             * _P(-0.25, p["mu"], 1.0 - 2.0 * x, pol)
-        ),
+        )),
         n_top=lambda p: 0,
         sampler=lambda rng: {"mu": _offaxis(rng)},
         x_grid=(0.15, 0.3, 0.45),
@@ -559,10 +634,10 @@ def _build_catalog() -> None:
     _register(_Impl(
         "thm4.fwd", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol),
-        term=lambda p, x, n, pol: (
+        terms=_indexed(lambda p, x, n, pol: (
             t4_coeff(p, x, n) / _cpow(x, p["nu"] + n + 1.0)
             * _P(p["nu"] + n, p["mu"] + n, 1.0 / x, pol)
-        ),
+        )),
         n_top=t4_ntop,
         sampler=_guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu]),
         x_grid=(0.75, 0.8, 0.9),
@@ -574,12 +649,12 @@ def _build_catalog() -> None:
     _register(_Impl(
         "thm4.inv", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], 1.0 / x, pol) / _cpow(x, p["nu"] + 1.0),
-        term=lambda p, x, n, pol: (
+        terms=_indexed(lambda p, x, n, pol: (
             pochhammer(0.5 * (p["mu"] + p["nu"] + 1.0), n)
             * pochhammer(p["nu"] + 1.0, n) * 2.0 ** n
             * (1.0 - x * x) ** (0.5 * n) / _fact(n)
             * _P(p["nu"] + n, p["mu"] + n, x, pol)
-        ),
+        )),
         n_top=t4_ntop,
         sampler=_guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu]),
         # below x ~ 0.6 the tail outlives the accurate-term window in doubles
@@ -603,7 +678,7 @@ def _build_catalog() -> None:
             _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, x)
             / (2.0 ** (2 * p["k"]) * _fact(p["k"]) * (1.0 - x * x) ** p["k"])
         ),
-        term=lambda p, x, r, pol: cor2_term(p, x, r, True),
+        terms=_indexed(lambda p, x, r, pol: cor2_term(p, x, r, True)),
         n_top=lambda p: p["k"],
         sampler=_int_sampler(k=(0, 8), mu="complex"),
         param_domain="k in N0, mu complex", termination_rule="r <= k",
@@ -614,7 +689,7 @@ def _build_catalog() -> None:
             _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, 1.0 / x)
             / (2.0 ** (2 * p["k"]) * _fact(p["k"]) * (1.0 - 1.0 / (x * x)) ** p["k"])
         ),
-        term=lambda p, x, r, pol: cor2_term(p, x, r, False),
+        terms=_indexed(lambda p, x, r, pol: cor2_term(p, x, r, False)),
         n_top=lambda p: p["k"],
         sampler=_int_sampler(k=(0, 8), mu="complex"),
         param_domain="k in N0, mu complex", termination_rule="r <= k",
@@ -627,10 +702,10 @@ def _build_catalog() -> None:
     _register(_Impl(
         "cor3.a", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: _P(p["k"], p["k"] - 2 * p["m"], x, pol),
-        term=lambda p, x, n, pol: (
+        terms=_indexed(lambda p, x, n, pol: (
             cor3_coeff(p, n) * (-2.0) ** n * (1.0 - x * x) ** (0.5 * n)
             * x ** (p["k"] - n) * _P(p["k"] - n, p["k"] + n - 2 * p["m"], 1.0 / x, pol)
-        ),
+        )),
         n_top=lambda p: p["m"],
         sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
         param_domain="0 <= m <= k integers", termination_rule="n <= m",
@@ -638,10 +713,10 @@ def _build_catalog() -> None:
     _register(_Impl(
         "cor3.b", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: x ** p["k"] * _P(p["k"], p["k"] - 2 * p["m"], 1.0 / x, pol),
-        term=lambda p, x, n, pol: (
+        terms=_indexed(lambda p, x, n, pol: (
             cor3_coeff(p, n) * 2.0 ** n * (1.0 - x * x) ** (0.5 * n)
             * _P(p["k"] - n, p["k"] + n - 2 * p["m"], x, pol)
-        ),
+        )),
         n_top=lambda p: p["m"],
         sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
         param_domain="0 <= m <= k integers", termination_rule="n <= m",
@@ -653,9 +728,9 @@ def _build_catalog() -> None:
     _register(_Impl(
         "thm5.fwd", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol) / _cpow(x, p["nu"]),
-        term=lambda p, x, n, pol: (
-            pochhammer(p["mu"] - p["nu"], n) * mittag_leffler_g(n, p["nu"])
-            * _u(x) ** (0.5 * n) * _P(p["nu"], n + p["mu"], 1.0 / x, pol)
+        terms=lambda p, x, pol: (
+            poch * g * _u(x) ** (0.5 * n) * _P(p["nu"], n + p["mu"], 1.0 / x, pol)
+            for n, poch, g in _poch_run(p, mittag_leffler_g_seq(p["nu"]))
         ),
         n_top=t5_ntop, sampler=t5_sampler,
         param_domain="nu, mu complex",
@@ -663,29 +738,31 @@ def _build_catalog() -> None:
     _register(_Impl(
         "thm5.inv", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], 1.0 / x, pol),
-        term=lambda p, x, n, pol: (
-            pochhammer(p["mu"] - p["nu"], n) * mittag_leffler_g(n, -p["nu"])
-            * _u(x) ** (0.5 * n) * _P(p["nu"], n + p["mu"], x, pol) / _cpow(x, p["nu"])
+        terms=lambda p, x, pol: (
+            poch * g * _u(x) ** (0.5 * n) * _P(p["nu"], n + p["mu"], x, pol) / _cpow(x, p["nu"])
+            for n, poch, g in _poch_run(p, mittag_leffler_g_seq(-p["nu"]))
         ),
         n_top=t5_ntop, sampler=t5_sampler,
         param_domain="nu, mu complex",
     ))
 
-    def cor4_term(p, x, m, at_recip):
+    def cor4_terms(p, x, at_recip):
         k, lam = p["k"], p["lam"]
         y = 1.0 / x if at_recip else x
         base = (1.0 - 1.0 / x) if at_recip else (x - 1.0)
         sig = k + lam - 0.5 if at_recip else 0.5 - k - lam
-        return (
-            mittag_leffler_g(k - m, sig) * pochhammer(lam, k - m)
-            / pochhammer(k + 2.0 * lam, k - m)
-            * gegenbauer(m, k - m + lam, y) / (2.0 ** m * base ** m)
-        )
+        g = list(itertools.islice(mittag_leffler_g_seq(sig), k + 1))
+        for m in range(k + 1):
+            yield (
+                g[k - m] * pochhammer(lam, k - m)
+                / pochhammer(k + 2.0 * lam, k - m)
+                * gegenbauer(m, k - m + lam, y) / (2.0 ** m * base ** m)
+            )
 
     _register(_Impl(
         "cor4.a", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: gegenbauer(p["k"], p["lam"], x) / (2.0 ** p["k"] * (x - 1.0) ** p["k"]),
-        term=lambda p, x, m, pol: cor4_term(p, x, m, True),
+        terms=lambda p, x, pol: cor4_terms(p, x, True),
         n_top=lambda p: p["k"],
         sampler=_int_sampler(k=(0, 8), lam="complex"),
         param_domain="k in N0, lambda complex", termination_rule="m <= k",
@@ -696,7 +773,7 @@ def _build_catalog() -> None:
             gegenbauer(p["k"], p["lam"], 1.0 / x)
             / (2.0 ** p["k"] * (1.0 - 1.0 / x) ** p["k"])
         ),
-        term=lambda p, x, m, pol: cor4_term(p, x, m, False),
+        terms=lambda p, x, pol: cor4_terms(p, x, False),
         n_top=lambda p: p["k"],
         sampler=_int_sampler(k=(0, 8), lam="complex"),
         param_domain="k in N0, lambda complex", termination_rule="m <= k",
@@ -710,13 +787,13 @@ def _build_catalog() -> None:
     _register(_Impl(
         "thm6.p1a", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol) / _cpow(1.0 + x, p["mu"]),
-        term=lambda p, x, n, pol: (
+        terms=_indexed(lambda p, x, n, pol: (
             (-1.0) ** n * pochhammer(p["mu"] - p["nu"], n)
             * frak_p(n, -0.5 * p["nu"], 2.0 * p["mu"], 1.0, form="second")
             * _cpow(2.0, n - p["mu"]) * (1.0 - x * x) ** (0.5 * n)
             / _cpow(x, n + p["mu"] - p["nu"])
             * _P(p["nu"] - p["mu"] - n, p["mu"] + n, 1.0 / x, pol)
-        ),
+        )),
         n_top=t6_ntop,
         sampler=_guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu,
                                       lambda nu, mu: nu - mu],
@@ -735,11 +812,11 @@ def _build_catalog() -> None:
             _P(p["nu"] - p["mu"], p["mu"], 1.0 / x, pol)
             / (_cpow(2.0, p["mu"]) * _cpow(x, p["mu"] - p["nu"]))
         ),
-        term=lambda p, x, n, pol: (
-            (-1.0) ** n * pochhammer(p["mu"] - p["nu"], n)
-            * _bateman(n, p["nu"], -2.0 * p["mu"])
+        terms=lambda p, x, pol: (
+            (-1.0) ** n * poch * b
             * (1.0 - x) ** (0.5 * n) * _P(p["nu"], p["mu"] + n, x, pol)
             / _cpow(1.0 + x, 0.5 * n + p["mu"])
+            for n, poch, b in _poch_run(p, _bateman_seq(p["nu"], -2.0 * p["mu"]))
         ),
         n_top=t6_ntop, sampler=t6_sampler,
         param_domain="nu, mu complex",
@@ -750,12 +827,12 @@ def _build_catalog() -> None:
             _cpow(x, p["nu"]) * _P(p["nu"], p["mu"], 1.0 / x, pol)
             / _cpow(1.0 + x, p["mu"])
         ),
-        term=lambda p, x, n, pol: (
+        terms=_indexed(lambda p, x, n, pol: (
             pochhammer(p["mu"] - p["nu"], n)
             * frak_p(n, -0.5 * p["nu"], 2.0 * p["mu"], 1.0, form="second")
             * _cpow(2.0, n - p["mu"]) * (1.0 - x * x) ** (0.5 * n)
             * _P(p["nu"] - p["mu"] - n, n + p["mu"], x, pol)
-        ),
+        )),
         n_top=t6_ntop, sampler=t6_sampler,
         x_grid=(0.5, 0.65, 0.8),
         param_domain="nu, mu complex",
@@ -766,35 +843,37 @@ def _build_catalog() -> None:
             _P(p["nu"] - p["mu"], p["mu"], x, pol)
             / (_cpow(2.0, p["mu"]) * _cpow(x, p["nu"]))
         ),
-        term=lambda p, x, n, pol: (
-            pochhammer(p["mu"] - p["nu"], n) * _bateman(n, p["nu"], -2.0 * p["mu"])
+        terms=lambda p, x, pol: (
+            poch * b
             * (1.0 - x) ** (0.5 * n) * _P(p["nu"], n + p["mu"], 1.0 / x, pol)
             / _cpow(1.0 + x, 0.5 * n + p["mu"])
+            for n, poch, b in _poch_run(p, _bateman_seq(p["nu"], -2.0 * p["mu"]))
         ),
         n_top=t6_ntop, sampler=t6_sampler,
         param_domain="nu, mu complex",
     ))
 
-    def cor5_term(p, x, n, signed, upper, at_recip):
+    def cor5_terms(p, x, signed, upper, at_recip):
         k, m = p["k"], p["m"]
         tau = k + m if upper else k - m
         r = -2.0 * m if upper else 2.0 * m
-        morder = (n + m) if upper else (n - m)
         deg = (k + m) if upper else (k - m)
-        sgn = (-1.0) ** n if signed else 1.0
         y = 1.0 / x if at_recip else x
-        return (
-            sgn * _bateman(n, tau, r) / _fact(k - n)
-            * (1.0 - x) ** (0.5 * n) * _P(deg, morder, y)
-            / _cpow(1.0 + x, 0.5 * n + (m if upper else -m))
-        )
+        for n, b in zip(range(k + 1), _bateman_seq(tau, r)):
+            morder = (n + m) if upper else (n - m)
+            sgn = (-1.0) ** n if signed else 1.0
+            yield (
+                sgn * b / _fact(k - n)
+                * (1.0 - x) ** (0.5 * n) * _P(deg, morder, y)
+                / _cpow(1.0 + x, 0.5 * n + (m if upper else -m))
+            )
 
     _register(_Impl(
         "cor5.a", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: (
             _P(p["k"], p["m"], x, pol) / (2.0 ** p["m"] * _fact(p["k"]) * x ** (p["k"] + p["m"]))
         ),
-        term=lambda p, x, n, pol: cor5_term(p, x, n, True, True, True),
+        terms=lambda p, x, pol: cor5_terms(p, x, True, True, True),
         n_top=lambda p: p["k"],
         sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
         param_domain="0 <= m <= k integers", termination_rule="n <= k",
@@ -804,7 +883,7 @@ def _build_catalog() -> None:
         lhs=lambda p, x, pol: (
             _P(p["k"], p["m"], 1.0 / x, pol) * x ** p["k"] / (2.0 ** p["m"] * _fact(p["k"]))
         ),
-        term=lambda p, x, n, pol: cor5_term(p, x, n, False, True, False),
+        terms=lambda p, x, pol: cor5_terms(p, x, False, True, False),
         n_top=lambda p: p["k"],
         sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
         param_domain="0 <= m <= k integers", termination_rule="n <= k",
@@ -815,7 +894,7 @@ def _build_catalog() -> None:
             _P(p["k"], -p["m"], x, pol) * 2.0 ** p["m"]
             / (_fact(p["k"]) * x ** (p["k"] - p["m"]))
         ),
-        term=lambda p, x, n, pol: cor5_term(p, x, n, True, False, True),
+        terms=lambda p, x, pol: cor5_terms(p, x, True, False, True),
         n_top=lambda p: p["k"],
         sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
         param_domain="0 <= m <= k integers", termination_rule="n <= k",
@@ -825,7 +904,7 @@ def _build_catalog() -> None:
         lhs=lambda p, x, pol: (
             _P(p["k"], -p["m"], 1.0 / x, pol) * 2.0 ** p["m"] * x ** p["k"] / _fact(p["k"])
         ),
-        term=lambda p, x, n, pol: cor5_term(p, x, n, False, False, False),
+        terms=lambda p, x, pol: cor5_terms(p, x, False, False, False),
         n_top=lambda p: p["k"],
         sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
         param_domain="0 <= m <= k integers", termination_rule="n <= k",
@@ -834,12 +913,12 @@ def _build_catalog() -> None:
     _register(_Impl(
         "cor6", Kind.VANISHING_SUM,
         lhs=lambda p, x, pol: 0j,
-        term=lambda p, x, n, pol: (
+        terms=_indexed(lambda p, x, n, pol: (
             2.0 ** n * frak_p(n, 0.5 * (p["m"] - p["k"]), -2.0 * p["m"], 1.0, form="second")
             / _fact(p["k"] - n) * (x - 1.0) ** n
             * abs((1.0 + x) / (1.0 - x)) ** (0.5 * n)
             * _P(p["k"] - n, n - p["m"], x, pol)
-        ),
+        )),
         n_top=lambda p: p["k"],
         sampler=_int_sampler(k=(1, 8), m=(lambda p: p["k"] // 2 + 1, lambda p: p["k"])),
         param_domain="k/2 < m <= k integers", termination_rule="n <= k",
@@ -865,12 +944,13 @@ def _build_catalog() -> None:
             _P(p["nu"], p["mu"], 1.0 / x, pol) * _cpow(x, p["nu"])
             / (SQRT_PI * _cpow(2.0, p["nu"] - p["mu"]))
         ),
-        term=lambda p, x, n, pol: (
-            pochhammer(p["mu"] - p["nu"], n)
-            * script_G(n, p["nu"], p["nu"], math.sqrt(_u(x)))
+        terms=lambda p, x, pol: (
+            poch * g
             * 2.0 ** -n * recip_gamma(0.5 * (n + p["mu"] - p["nu"] + 1.0))
             * _cpow(_u(x), 0.25 * (n + p["mu"] - p["nu"]))
             * _P(p["nu"], 0.5 * (p["mu"] + p["nu"] + n), x, pol)
+            for n, poch, g in _poch_run(
+                p, script_G_seq(p["nu"], p["nu"], math.sqrt(_u(x))))
         ),
         n_top=t7_ntop, sampler=t7_sampler,
         param_domain="nu, mu complex",
@@ -882,11 +962,12 @@ def _build_catalog() -> None:
             * _P(p["nu"], 0.5 * (p["mu"] + p["nu"]), x, pol)
             * recip_gamma(0.5 * (p["mu"] - p["nu"] + 1.0))
         ),
-        term=lambda p, x, n, pol: (
-            pochhammer(p["mu"] - p["nu"], n)
-            * script_G(n, -p["nu"], -p["nu"], math.sqrt(_u(x)))
+        terms=lambda p, x, pol: (
+            poch * g
             * _cpow(x, p["nu"]) / (SQRT_PI * _cpow(2.0, p["nu"] - p["mu"]))
             * _P(p["nu"], p["mu"] + n, 1.0 / x, pol)
+            for n, poch, g in _poch_run(
+                p, script_G_seq(-p["nu"], -p["nu"], math.sqrt(_u(x))))
         ),
         n_top=t7_ntop, sampler=t7_sampler_cond, param_check=q_cond_check,
         param_domain="Re nu > -1 or nu - mu in N0",
@@ -897,12 +978,13 @@ def _build_catalog() -> None:
             _P(p["nu"], p["mu"], x, pol)
             / (SQRT_PI * _cpow(2.0, p["nu"] - p["mu"]) * _cpow(x, p["nu"]))
         ),
-        term=lambda p, x, n, pol: (
-            pochhammer(p["mu"] - p["nu"], n)
-            * script_G_hat(n, p["nu"], p["nu"], math.sqrt(_u(x)))
+        terms=lambda p, x, pol: (
+            poch * g
             * 2.0 ** -n * recip_gamma(0.5 * (n + p["mu"] - p["nu"] + 1.0))
             * _cpow(_u(x), 0.25 * (n + p["mu"] - p["nu"]))
             * _P(p["nu"], 0.5 * (p["mu"] + p["nu"] + n), 1.0 / x, pol)
+            for n, poch, g in _poch_run(
+                p, script_G_hat_seq(p["nu"], p["nu"], math.sqrt(_u(x))))
         ),
         n_top=t7_ntop, sampler=t7_sampler,
         param_domain="nu, mu complex",
@@ -914,11 +996,12 @@ def _build_catalog() -> None:
             * _P(p["nu"], 0.5 * (p["mu"] + p["nu"]), 1.0 / x, pol)
             * recip_gamma(0.5 * (p["mu"] - p["nu"] + 1.0))
         ),
-        term=lambda p, x, n, pol: (
-            pochhammer(p["mu"] - p["nu"], n)
-            * script_G_hat(n, -p["nu"], -p["nu"], math.sqrt(_u(x)))
+        terms=lambda p, x, pol: (
+            poch * g
             / (SQRT_PI * _cpow(2.0, p["nu"] - p["mu"]) * _cpow(x, p["nu"]))
             * _P(p["nu"], p["mu"] + n, x, pol)
+            for n, poch, g in _poch_run(
+                p, script_G_hat_seq(-p["nu"], -p["nu"], math.sqrt(_u(x))))
         ),
         n_top=t7_ntop, sampler=t7_sampler_cond, param_check=q_cond_check,
         param_domain="Re nu > -1 or nu - mu in N0",
@@ -930,29 +1013,34 @@ def _build_catalog() -> None:
             / (gamma(lam + 2 * k - r) * gamma(2.0 * lam + 3 * k))
         )
 
-    def cor7_narrow(p, x, r, hatted):
+    def cor7_narrow(p, x, hatted):
         k, lam = p["k"], p["lam"]
         w = math.sqrt(_u(x))
-        fam = script_G_hat if hatted else script_G
-        g = fam(k - 2 * r, k + lam - 0.5, k + lam - 0.5, w)
-        val = (
-            pochhammer(lam, k - r) * g
-            / ((-2.0) ** (r - k) * pochhammer(2.0 * lam + k, k - r) * (1.0 - x) ** r)
-        )
-        if hatted:
-            val *= x ** r
-            return val * gegenbauer(r, k - r + lam, 1.0 / x)
-        return val * gegenbauer(r, k - r + lam, x)
+        fam = script_G_hat_seq if hatted else script_G_seq
+        gs = list(itertools.islice(fam(k + lam - 0.5, k + lam - 0.5, w), k + 1))
+        for r in range(k // 2 + 1):
+            val = (
+                pochhammer(lam, k - r) * gs[k - 2 * r]
+                / ((-2.0) ** (r - k) * pochhammer(2.0 * lam + k, k - r) * (1.0 - x) ** r)
+            )
+            if hatted:
+                val *= x ** r
+                yield val * gegenbauer(r, k - r + lam, 1.0 / x)
+            else:
+                yield val * gegenbauer(r, k - r + lam, x)
 
-    def cor7_wide(p, x, r, hatted):
+    def cor7_wide(p, x, hatted):
         k, lam = p["k"], p["lam"]
         w = math.sqrt(_u(x))
-        fam = script_G_hat if hatted else script_G
-        g = fam(2 * k - r, 0.5 - 2 * k - lam, 0.5 - 2 * k - lam, w)
-        val = g / ((-2.0) ** (r - k) * cor7_Y(lam, k, r) * (1.0 - x * x) ** (0.5 * r))
-        if hatted:
-            return val * gegenbauer(r, 2 * k - r + lam, x)
-        return val * x ** r * gegenbauer(r, 2 * k - r + lam, 1.0 / x)
+        fam = script_G_hat_seq if hatted else script_G_seq
+        gs = list(itertools.islice(fam(0.5 - 2 * k - lam, 0.5 - 2 * k - lam, w), 2 * k + 1))
+        for r in range(2 * k + 1):
+            val = gs[2 * k - r] / ((-2.0) ** (r - k) * cor7_Y(lam, k, r)
+                                   * (1.0 - x * x) ** (0.5 * r))
+            if hatted:
+                yield val * gegenbauer(r, 2 * k - r + lam, x)
+            else:
+                yield val * x ** r * gegenbauer(r, 2 * k - r + lam, 1.0 / x)
 
     _register(_Impl(
         "cor7.a", Kind.FINITE_SUM,
@@ -960,7 +1048,7 @@ def _build_catalog() -> None:
             gegenbauer(p["k"], p["lam"], 1.0 / x) * x ** p["k"]
             / (1.0 - x * x) ** (0.5 * p["k"])
         ),
-        term=lambda p, x, r, pol: cor7_narrow(p, x, r, False),
+        terms=lambda p, x, pol: cor7_narrow(p, x, False),
         n_top=lambda p: p["k"] // 2,
         sampler=_int_sampler(k=(0, 8), lam="complex"),
         param_domain="k in N0, lambda complex", termination_rule="r <= floor(k/2)",
@@ -970,7 +1058,7 @@ def _build_catalog() -> None:
         lhs=lambda p, x, pol: (
             gegenbauer(p["k"], p["k"] + p["lam"], x) / (1.0 - x) ** p["k"]
         ),
-        term=lambda p, x, r, pol: cor7_wide(p, x, r, False),
+        terms=lambda p, x, pol: cor7_wide(p, x, False),
         n_top=lambda p: 2 * p["k"],
         sampler=_int_sampler(k=(0, 8), lam="complex"),
         param_domain="k in N0, lambda complex", termination_rule="r <= 2k",
@@ -980,7 +1068,7 @@ def _build_catalog() -> None:
         lhs=lambda p, x, pol: (
             gegenbauer(p["k"], p["lam"], x) / (1.0 - x * x) ** (0.5 * p["k"])
         ),
-        term=lambda p, x, r, pol: cor7_narrow(p, x, r, True),
+        terms=lambda p, x, pol: cor7_narrow(p, x, True),
         n_top=lambda p: p["k"] // 2,
         sampler=_int_sampler(k=(0, 8), lam="complex"),
         param_domain="k in N0, lambda complex", termination_rule="r <= floor(k/2)",
@@ -991,28 +1079,30 @@ def _build_catalog() -> None:
             gegenbauer(p["k"], p["k"] + p["lam"], 1.0 / x) * x ** p["k"]
             / (1.0 - x) ** p["k"]
         ),
-        term=lambda p, x, r, pol: cor7_wide(p, x, r, True),
+        terms=lambda p, x, pol: cor7_wide(p, x, True),
         n_top=lambda p: 2 * p["k"],
         sampler=_int_sampler(k=(0, 8), lam="complex"),
         param_domain="k in N0, lambda complex", termination_rule="r <= 2k",
     ))
 
-    def cor89_term(p, x, n, hatted, inner_tau2):
+    def cor89_terms(p, x, hatted, inner_tau2):
         k, lam = p["k"], p["lam"]
         w = math.sqrt(_u(x))
-        fam = script_G_hat if hatted else script_G
-        g = fam(n, -2 * k - lam - 0.5, inner_tau2(k, lam), w)
-        den = pochhammer(2.0 * lam + 2 * k + 1.0, n)
-        val = pochhammer(lam, n) * g * (-2.0) ** n * (1.0 - x * x) ** (0.5 * n) / den
-        if hatted:
-            return val * gegenbauer(2 * k - n + 1, lam + n, x)
-        return val * x ** -n * gegenbauer(2 * k - n + 1, lam + n, 1.0 / x)
+        fam = script_G_hat_seq if hatted else script_G_seq
+        gs = fam(-2 * k - lam - 0.5, inner_tau2(k, lam), w)
+        for n, g in zip(range(2 * k + 2), gs):
+            den = pochhammer(2.0 * lam + 2 * k + 1.0, n)
+            val = pochhammer(lam, n) * g * (-2.0) ** n * (1.0 - x * x) ** (0.5 * n) / den
+            if hatted:
+                yield val * gegenbauer(2 * k - n + 1, lam + n, x)
+            else:
+                yield val * x ** -n * gegenbauer(2 * k - n + 1, lam + n, 1.0 / x)
 
     _register(_Impl(
         "cor8.a", Kind.VANISHING_SUM,
         lhs=lambda p, x, pol: 0j,
-        term=lambda p, x, n, pol: cor89_term(
-            p, x, n, False, lambda k, lam: -2 * k - lam - 0.5),
+        terms=lambda p, x, pol: cor89_terms(
+            p, x, False, lambda k, lam: -2 * k - lam - 0.5),
         n_top=lambda p: 2 * p["k"] + 1,
         sampler=_int_sampler(k=(0, 8), lam="complex"),
         param_domain="k in N0, lambda complex", termination_rule="n <= 2k+1",
@@ -1020,8 +1110,8 @@ def _build_catalog() -> None:
     _register(_Impl(
         "cor8.b", Kind.VANISHING_SUM,
         lhs=lambda p, x, pol: 0j,
-        term=lambda p, x, n, pol: cor89_term(
-            p, x, n, True, lambda k, lam: -2 * k - lam - 0.5),
+        terms=lambda p, x, pol: cor89_terms(
+            p, x, True, lambda k, lam: -2 * k - lam - 0.5),
         n_top=lambda p: 2 * p["k"] + 1,
         sampler=_int_sampler(k=(0, 8), lam="complex"),
         param_domain="k in N0, lambda complex", termination_rule="n <= 2k+1",
@@ -1029,8 +1119,8 @@ def _build_catalog() -> None:
     _register(_Impl(
         "cor9.a", Kind.VANISHING_SUM,
         lhs=lambda p, x, pol: 0j,
-        term=lambda p, x, n, pol: cor89_term(
-            p, x, n, False, lambda k, lam: lam - 0.5),
+        terms=lambda p, x, pol: cor89_terms(
+            p, x, False, lambda k, lam: lam - 0.5),
         n_top=lambda p: 2 * p["k"] + 1,
         sampler=_int_sampler(k=(0, 8), lam="complex"),
         param_domain="k in N0, lambda complex", termination_rule="n <= 2k+1",
@@ -1038,8 +1128,8 @@ def _build_catalog() -> None:
     _register(_Impl(
         "cor9.b", Kind.VANISHING_SUM,
         lhs=lambda p, x, pol: 0j,
-        term=lambda p, x, n, pol: cor89_term(
-            p, x, n, True, lambda k, lam: lam - 0.5),
+        terms=lambda p, x, pol: cor89_terms(
+            p, x, True, lambda k, lam: lam - 0.5),
         n_top=lambda p: 2 * p["k"] + 1,
         sampler=_int_sampler(k=(0, 8), lam="complex"),
         param_domain="k in N0, lambda complex", termination_rule="n <= 2k+1",
@@ -1063,10 +1153,11 @@ def _build_catalog() -> None:
             * recip_gamma(0.5 * (p["mu"] - p["nu"] + 1.0))
             / (_cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"])) * _cpow(x, p["nu"]))
         ),
-        term=lambda p, x, n, pol: (
-            pochhammer(p["mu"] - p["nu"], n)
-            * script_G(n, -p["nu"], p["mu"], math.sqrt(_u(x))) / SQRT_PI
+        terms=lambda p, x, pol: (
+            poch * g / SQRT_PI
             * _cpow(_u(x), 0.5 * p["nu"]) * _P(p["nu"], p["mu"] + n, 1.0 / x, pol)
+            for n, poch, g in _poch_run(
+                p, script_G_seq(-p["nu"], p["mu"], math.sqrt(_u(x))))
         ),
         n_top=t8_ntop, sampler=t8_sampler_cond, param_check=q_cond_check,
         param_domain="Re nu > -1 or nu - mu in N0",
@@ -1074,12 +1165,13 @@ def _build_catalog() -> None:
     _register(_Impl(
         "thm8.r1", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], 1.0 / x, pol) / SQRT_PI,
-        term=lambda p, x, n, pol: (
-            pochhammer(p["mu"] - p["nu"], n) * frak_N(n, p["nu"], p["mu"], x, -1)
+        terms=lambda p, x, pol: (
+            poch * c
             * _cpow(1.0 - x * x, 0.25 * (p["mu"] - p["nu"] + n))
             * _P(0.5 * (p["mu"] - p["nu"] - 2.0 + n), 0.5 * (p["mu"] + p["nu"] + n), x, pol)
             * recip_gamma(0.5 * (p["mu"] - p["nu"] + n + 1.0))
             / _cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"] + n))
+            for n, poch, c in _poch_run(p, frak_N_seq(p["nu"], p["mu"], x, -1))
         ),
         n_top=t8_ntop, sampler=t8_sampler,
         # algebraic tail: extrapolation needs a long run of partial sums
@@ -1090,13 +1182,14 @@ def _build_catalog() -> None:
     _register(_Impl(
         "thm8.r2", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol) / SQRT_PI,
-        term=lambda p, x, n, pol: (
-            pochhammer(p["mu"] - p["nu"], n) * frak_N(n, p["nu"], p["mu"], x, 1)
+        terms=lambda p, x, pol: (
+            poch * c
             * _cpow(1.0 - x * x, 0.25 * (p["mu"] - p["nu"] + n))
             * _P(0.5 * (p["mu"] - p["nu"] + n - 2.0), 0.5 * (p["mu"] + p["nu"] + n), 1.0 / x, pol)
             * recip_gamma(0.5 * (p["mu"] - p["nu"] + n + 1.0))
             / (_cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"] + n))
                * _cpow(x, 0.5 * (p["mu"] - p["nu"] + n)))
+            for n, poch, c in _poch_run(p, frak_N_seq(p["nu"], p["mu"], x, 1))
         ),
         n_top=t8_ntop, sampler=t8_sampler,
         x_grid=(0.75, 0.8, 0.9),
@@ -1116,35 +1209,37 @@ def _build_catalog() -> None:
             / (_cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"]))
                * _cpow(x, 0.5 * (p["mu"] - p["nu"])))
         ),
-        term=lambda p, x, n, pol: (
-            pochhammer(p["mu"] - p["nu"], n)
-            * script_G_hat(n, -p["nu"], p["mu"], math.sqrt(_u(x))) / SQRT_PI
+        terms=lambda p, x, pol: (
+            poch * g / SQRT_PI
             * _cpow(_u(x), 0.5 * p["nu"]) * _P(p["nu"], p["mu"] + n, x, pol)
+            for n, poch, g in _poch_run(
+                p, script_G_hat_seq(-p["nu"], p["mu"], math.sqrt(_u(x))))
         ),
         n_top=t8_ntop, sampler=t8_sampler_cond, param_check=g_cond_check,
         param_domain="Re nu > -1",
     ))
 
-    def cor10_term(p, x, n, hatted, upper):
+    def cor10_terms(p, x, hatted, upper):
         k, m = p["k"], p["m"]
         w = math.sqrt(_u(x))
-        fam = script_G_hat if hatted else script_G
+        fam = script_G_hat_seq if hatted else script_G_seq
         tau1 = (-k - m) if upper else (-k + m)
         tau2 = (-k + m) if upper else (-k - m)
-        g = fam(n, tau1, tau2, w)
         pre = _fact(k) * (1.0 - x) ** (0.5 * k) \
             / _cpow(1.0 + x, 0.5 * k + (m if upper else -m))
         deg = (k + m) if upper else (k - m)
-        morder = (n + m - k) if upper else (n - k - m)
-        val = pre * g / ((-1.0) ** (n + k) * _fact(2 * k - n))
-        if hatted:
-            return val * _P(deg, morder, x)
-        return val * x ** deg * _P(deg, morder, 1.0 / x)
+        for n, g in zip(range(2 * k + 1), fam(tau1, tau2, w)):
+            morder = (n + m - k) if upper else (n - k - m)
+            val = pre * g / ((-1.0) ** (n + k) * _fact(2 * k - n))
+            if hatted:
+                yield val * _P(deg, morder, x)
+            else:
+                yield val * x ** deg * _P(deg, morder, 1.0 / x)
 
     _register(_Impl(
         "cor10.a", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: _P(p["k"], p["m"], x, pol) / 2.0 ** p["m"],
-        term=lambda p, x, n, pol: cor10_term(p, x, n, False, True),
+        terms=lambda p, x, pol: cor10_terms(p, x, False, True),
         n_top=lambda p: 2 * p["k"],
         sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
         param_domain="0 <= m <= k integers", termination_rule="n <= 2k",
@@ -1152,7 +1247,7 @@ def _build_catalog() -> None:
     _register(_Impl(
         "cor10.b", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: _P(p["k"], p["m"], 1.0 / x, pol) * x ** p["k"] / 2.0 ** p["m"],
-        term=lambda p, x, n, pol: cor10_term(p, x, n, True, True),
+        terms=lambda p, x, pol: cor10_terms(p, x, True, True),
         n_top=lambda p: 2 * p["k"],
         sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
         param_domain="0 <= m <= k integers", termination_rule="n <= 2k",
@@ -1160,7 +1255,7 @@ def _build_catalog() -> None:
     _register(_Impl(
         "cor10.c", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: _P(p["k"], -p["m"], x, pol) * 2.0 ** p["m"],
-        term=lambda p, x, n, pol: cor10_term(p, x, n, False, False),
+        terms=lambda p, x, pol: cor10_terms(p, x, False, False),
         n_top=lambda p: 2 * p["k"],
         sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
         param_domain="0 <= m <= k integers", termination_rule="n <= 2k",
@@ -1168,7 +1263,7 @@ def _build_catalog() -> None:
     _register(_Impl(
         "cor10.d", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: _P(p["k"], -p["m"], 1.0 / x, pol) * 2.0 ** p["m"] * x ** p["k"],
-        term=lambda p, x, n, pol: cor10_term(p, x, n, True, False),
+        terms=lambda p, x, pol: cor10_terms(p, x, True, False),
         n_top=lambda p: 2 * p["k"],
         sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
         param_domain="0 <= m <= k integers", termination_rule="n <= 2k",
@@ -1187,7 +1282,7 @@ def _build_catalog() -> None:
     _register(_Impl(
         "thm9.fwd", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol),
-        term=lambda p, x, n, pol: (
+        terms=_indexed(lambda p, x, n, pol: (
             SQRT_PI * _cpow(2.0, 2.0 * p["nu"] - p["mu"])
             * pochhammer(2.0 * p["nu"], n) * pochhammer(p["mu"] - p["nu"], n)
             * gegenbauer(n, 0.5 - p["nu"] - n, x)
@@ -1195,7 +1290,7 @@ def _build_catalog() -> None:
             * recip_gamma(0.5 * (p["mu"] - p["nu"] + n + 1.0)) * _cpow(x, p["nu"])
             / (2.0 ** (2 * n) * pochhammer(p["nu"] + 0.5, n)
                * _cpow(1.0 - x * x, 0.5 * (n + p["nu"])))
-        ),
+        )),
         n_top=t9_ntop, sampler=t9_sampler,
         param_domain="nu, mu complex",
     ))
@@ -1206,13 +1301,13 @@ def _build_catalog() -> None:
             * _cpow(x, p["nu"]) * recip_gamma(0.5 * (p["mu"] - p["nu"] + 1.0))
             / _cpow(2.0, p["mu"] - 2.0 * p["nu"])
         ),
-        term=lambda p, x, n, pol: (
+        terms=_indexed(lambda p, x, n, pol: (
             pochhammer(-2.0 * p["nu"], n) * pochhammer(p["mu"] - p["nu"], n)
             / (2.0 ** n * pochhammer(0.5 - p["nu"], n))
             * gegenbauer(n, 0.5 + p["nu"] - n, x)
             / _cpow(1.0 - x * x, 0.5 * (n - p["nu"]))
             * _P(p["nu"], p["mu"] + n, x, pol)
-        ),
+        )),
         n_top=lambda p: _min_term(
             terminating_index(-2.0 * p["nu"]), terminating_index(p["mu"] - p["nu"])),
         sampler=t9_sampler,
@@ -1247,11 +1342,11 @@ def _build_catalog() -> None:
     _register(_Impl(
         "cor11.a", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: gegenbauer(p["k"], p["mu"] + 0.5, x),
-        term=lambda p, x, m, pol: (
+        terms=_indexed(lambda p, x, m, pol: (
             lam1(p["k"], m, p["mu"]) * x ** m
             * gegenbauer(p["k"] - 2 * m, 0.5 - 2 * p["k"] + 2 * m - p["mu"], x)
             * gegenbauer(m, p["k"] - m + p["mu"] + 0.5, x2arg(x))
-        ),
+        )),
         n_top=lambda p: p["k"] // 2,
         sampler=_int_sampler(k=(0, 8), mu="complex"),
         param_domain="k in N0, mu complex", termination_rule="m <= floor(k/2)",
@@ -1259,11 +1354,11 @@ def _build_catalog() -> None:
     _register(_Impl(
         "cor11.b", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: x ** p["l"] * gegenbauer(p["l"], p["mu"] + p["l"] + 0.5, x2arg(x)),
-        term=lambda p, x, n, pol: (
+        terms=_indexed(lambda p, x, n, pol: (
             lam2(p["l"], n, p["mu"])
             * gegenbauer(n, 0.5 + 2 * p["l"] + p["mu"] - n, x)
             * gegenbauer(2 * p["l"] - n, p["mu"] + n + 0.5, x)
-        ),
+        )),
         n_top=lambda p: 2 * p["l"],
         sampler=_int_sampler(l=(0, 8), mu="complex"),
         param_domain="l in N0, mu complex", termination_rule="n <= 2l",
@@ -1271,11 +1366,11 @@ def _build_catalog() -> None:
     _register(_Impl(
         "lambda3", Kind.VANISHING_SUM,
         lhs=lambda p, x, pol: 0j,
-        term=lambda p, x, n, pol: (
+        terms=_indexed(lambda p, x, n, pol: (
             lam3(p["l"], n, p["mu"])
             * gegenbauer(n, 1.5 + 2 * p["l"] + p["mu"] - n, x)
             * gegenbauer(2 * p["l"] - n + 1, p["mu"] + n + 0.5, x)
-        ),
+        )),
         n_top=lambda p: 2 * p["l"] + 1,
         sampler=_int_sampler(l=(0, 8), mu="complex"),
         param_domain="l in N0, mu complex", termination_rule="n <= 2l+1",

@@ -4,7 +4,7 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from legdual.errors import DomainError, EntireLimitUnsupported, PoleError
@@ -92,10 +92,17 @@ class TestFerrersP:
         st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
         st.floats(0.05, 0.95),
     )
+    @example(1j, -1, 0.5)
     @settings(max_examples=60, deadline=None)
     def test_degree_symmetry(self, nu, mu, x):
-        # the series depends on nu only through nu(nu+1)
-        a = ferrers_p(ParameterPoint(nu, mu), x).value
+        # the series depends on nu only through nu(nu+1), so a nonterminating
+        # series at 1 + mu in -N0 is refused on both sides alike
+        try:
+            a = ferrers_p(ParameterPoint(nu, mu), x).value
+        except EntireLimitUnsupported:
+            with pytest.raises(EntireLimitUnsupported):
+                ferrers_p(ParameterPoint(-1.0 - nu, mu), x)
+            return
         b = ferrers_p(ParameterPoint(-1.0 - nu, mu), x).value
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-30)
 

@@ -1,5 +1,6 @@
 """Polynomial-family tests: explicit sums, recurrences, generating functions."""
 
+import itertools
 import math
 
 import mpmath as mp
@@ -13,9 +14,11 @@ from legdual.polys import (
     assoc_legendre_poly,
     bateman_g,
     gauss_hyper_poly,
+    gauss_hyper_poly_seq,
     gegenbauer,
     jacobi,
     mittag_leffler_g,
+    mittag_leffler_g_seq,
 )
 
 mp.mp.dps = 30
@@ -116,6 +119,16 @@ class TestMittagLeffler:
             direct = 2.0 * sigma * pfq_terminating([1 - n, 1 - sigma], [2], 2.0, n - 1)
             _close(mittag_leffler_g(n, sigma), direct, rel=1e-11)
 
+    def test_sequence_is_one_recurrence_pass(self):
+        # each degree past the switch equals the recurrence rerun from degree 1
+        sigma = complex(0.8 - 0.4j)
+        seq = list(itertools.islice(mittag_leffler_g_seq(sigma), 40))
+        for n in range(13, 40):
+            gm1, gm = complex(1.0), 2.0 * sigma
+            for m in range(1, n):
+                gm1, gm = gm, (2.0 * sigma * gm + (m - 1) * gm1) / (m + 1)
+            assert seq[n] == gm
+
 
 class TestGaussHyperPoly:
     def test_generating_function(self):
@@ -134,6 +147,21 @@ class TestGaussHyperPoly:
     def test_pole_guard(self):
         with pytest.raises(PoleError):
             gauss_hyper_poly(6, 0.5, -3.0, 1.2)
+        seq = gauss_hyper_poly_seq(0.5, -3.0, 1.2)
+        assert len(list(itertools.islice(seq, 4))) == 4  # degrees 0..3
+        with pytest.raises(PoleError):
+            next(seq)
+
+    def test_sequence_is_one_recurrence_pass(self):
+        # each degree past the switch equals the recurrence rerun from degree 1
+        tau, rho, s = complex(0.7 + 0.2j), complex(-0.4 + 0.1j), complex(1.3)
+        seq = list(itertools.islice(gauss_hyper_poly_seq(tau, rho, s), 40))
+        for n in range(13, 40):
+            gm1, gm = complex(1.0), rho - tau * s
+            for m in range(1, n):
+                gm1, gm = gm, (((2.0 - s) * m + rho - tau * s) * gm
+                               - (1.0 - s) * (m - 1 + rho) * gm1) / (m + 1)
+            assert seq[n] == gm
 
 
 class TestBateman:

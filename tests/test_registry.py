@@ -1,17 +1,24 @@
 """Identity catalog behavior: descriptors, evaluation, sweeps, domain gates."""
 
+import itertools
 import json
 import math
 
 import pytest
 
+import legdual.coeffs
 from legdual.errors import DomainError, UnknownIdentityError
+from legdual.harness import convergence_table
+from legdual.hypergeom import DEFAULT_POLICY
 from legdual.registry import (
     INV_SQRT2,
     Kind,
     TOL_BOUNDARY,
     TOL_FINITE,
     TOL_SERIES,
+    _get_impl,
+    _running_sums,
+    _sum_terms,
     evaluate_identity,
     get_descriptor,
     list_identities,
@@ -40,7 +47,7 @@ class TestCatalog:
     def test_descriptor_fields(self):
         d = get_descriptor("thm4.fwd")
         assert d.kind is Kind.INFINITE_SERIES
-        assert callable(d.lhs) and callable(d.rhs_term)
+        assert callable(d.lhs) and callable(d.rhs_terms)
         assert d.x_domain
         assert d.param_domain
 
@@ -95,6 +102,22 @@ class TestEvaluate:
         for key in ("abs_err", "rel_err", "terms_used", "tolerance", "x"):
             assert key in doc
 
+    @pytest.mark.parametrize("ident,params,x,reason", [
+        ("thm4.fwd", {"nu": -2.0, "mu": 0.7}, 0.4, "terminated"),
+        ("thm5.fwd", {"nu": 0.3 + 0.2j, "mu": 1.1}, 0.6, "direct"),
+        ("thm8.r1", {"nu": -0.3726486224011847 + 0.5116084083144479j,
+                     "mu": 0.9734759867013265 - 0.4989873172751189j}, 0.55, "wynn"),
+    ])
+    def test_stop_reason_reported(self, ident, params, x, reason):
+        r = evaluate_identity(ident, params, x)
+        assert r.passed and r.stop_reason == reason
+        if reason == "wynn":
+            assert r.terms_used == 144 and 0.0 < r.extrap_err < 1e-9
+        else:
+            assert r.extrap_err == 0.0
+        doc = json.loads(json.dumps(r.to_dict()))
+        assert doc["stop_reason"] == reason and doc["extrap_err"] == r.extrap_err
+
 
 class TestSweep:
     def test_reports_shape(self):
@@ -115,6 +138,17 @@ class TestSweep:
         assert reps and all(not r.passed for r in reps)
         assert all(r.error is not None for r in reps)
 
+    def test_programming_error_propagates(self, monkeypatch):
+        # only library errors become failed points; a bug in a term stream
+        # must surface
+        def broken(p, x, pol):
+            yield 1.0 + 0j
+            raise TypeError("bug in a term stream")
+
+        monkeypatch.setattr(_get_impl("cor6"), "terms", broken)
+        with pytest.raises(TypeError):
+            sweep_identity("cor6", param_sampler=[{"k": 3, "m": 2}])
+
     def test_explicit_grid(self):
         reps = sweep_identity("cor6", param_sampler=[{"k": 3, "m": 2}],
                               x_grid=(0.4, 0.8))
@@ -126,3 +160,44 @@ class TestSweep:
         reps = sweep_identity(ident, n_samples=2, seed=11)
         bad = [r for r in reps if not r.passed]
         assert not bad, f"{ident}: {[(r.x, r.rel_err, r.error) for r in bad]}"
+
+
+class TestTermStreams:
+    # a non-terminating point where thm8.r1 runs to its 144-term cap
+    R1 = {"nu": -0.3726486224011847 + 0.5116084083144479j,
+          "mu": 0.9734759867013265 - 0.4989873172751189j}
+
+    def test_coefficients_built_once_per_point(self, monkeypatch):
+        # frak_N(n) is a Cauchy product of frak_D and omega_pm elements; built
+        # once per point they cost one terminating pFq each, O(cap) in all,
+        # where rebuilding them for every term costs O(cap^2)
+        calls = [0]
+        pfq = legdual.coeffs.pfq_terminating
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return pfq(*args, **kwargs)
+
+        monkeypatch.setattr(legdual.coeffs, "pfq_terminating", counted)
+        r = evaluate_identity("thm8.r1", self.R1, 0.55)
+        assert r.passed and r.terms_used == 144
+        assert 0 < calls[0] <= 3 * 144
+
+    @pytest.mark.parametrize("ident,params,x", [
+        ("thm4.inv", {"nu": -3.0, "mu": 0.4}, 0.7),
+        ("thm5.fwd", {"nu": 0.3 + 0.2j, "mu": 1.1}, 0.6),
+        ("thm8.r1", R1, 0.55),
+        ("cor7.b", {"k": 4, "lam": 0.3 - 0.6j}, 0.6),
+    ])
+    def test_convergence_table_sums_the_summed_stream(self, ident, params, x):
+        impl = _get_impl(ident)
+        n_max = 50
+        reference = complex(impl.lhs(params, x, DEFAULT_POLICY))
+        sums = list(itertools.islice(
+            _running_sums(impl, params, x, DEFAULT_POLICY), n_max + 1))
+        rows = convergence_table(ident, params, x, n_max)
+        assert [(t, e) for _, t, e in rows] == [
+            (abs(t), abs(partial - reference)) for t, partial in sums]
+        total = _sum_terms(impl, params, x, DEFAULT_POLICY)
+        if total.stop_reason != "wynn":
+            assert total.value == sums[total.terms_used - 1][1]
