@@ -12,7 +12,7 @@ import os
 import re
 import sys
 
-from .errors import LegdualError, UnknownIdentityError
+from .errors import ConvergenceError, LegdualError, UnknownIdentityError
 from .harness import asymptotic_checks, convergence_table
 from .hypergeom import DEFAULT_POLICY, TruncationPolicy
 from .legendre import ParameterPoint, ferrers_p, legendre_p, legendre_q
@@ -243,13 +243,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_convergence(args: argparse.Namespace) -> int:
     _require_known(args.id)
     params = _collect_params(args)
-    rows = convergence_table(args.id, params, args.x, args.n_max,
-                             _policy_from(args))
-    doc = {"id": args.id, "x": args.x,
+    policy = _policy_from(args)
+    rows = convergence_table(args.id, params, args.x, args.n_max, policy)
+    # how the summed right-hand side stops; a sum that fails says why instead
+    try:
+        report = evaluate_identity(args.id, params, args.x, policy)
+        stop = {"stop_reason": report.stop_reason,
+                "extrap_err": report.extrap_err,
+                "terms_used": report.terms_used}
+        stop_text = (f"stop_reason={report.stop_reason} "
+                     f"extrap_err={report.extrap_err:.6e} "
+                     f"terms_used={report.terms_used}")
+    except ConvergenceError as exc:
+        stop = {"stop_reason": None, "extrap_err": None, "terms_used": None,
+                "error": f"{type(exc).__name__}: {exc}"}
+        stop_text = f"error={stop['error']}"
+    doc = {"id": args.id, "x": args.x, **stop,
            "rows": [{"n": n, "term_mag": t, "error": e} for n, t, e in rows]}
-    csv_rows = [["n", "term_mag", "error"]]
-    csv_rows += [[str(n), _sig17(t), _sig17(e)] for n, t, e in rows]
-    text = [f"{n:4d}  {t:.6e}  {e:.6e}" for n, t, e in rows]
+    sr = "" if stop["stop_reason"] is None else stop["stop_reason"]
+    ee = "" if stop["extrap_err"] is None else _sig17(stop["extrap_err"])
+    csv_rows = [["n", "term_mag", "error", "stop_reason", "extrap_err"]]
+    csv_rows += [[str(n), _sig17(t), _sig17(e), sr, ee] for n, t, e in rows]
+    text = [f"{n:4d}  {t:.6e}  {e:.6e}" for n, t, e in rows] + [stop_text]
     _emit(args, doc, csv_rows, text)
     return 0
 

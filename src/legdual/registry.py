@@ -8,6 +8,13 @@ the running (mu - nu)_n product), so every coefficient is built once per
 point; entries whose n-th term is a closed expression in n are adapted by
 `_indexed`.  Terms past an entry's termination index are never requested.
 
+The inverse series of thm4-thm9 take P at shifted order, some also at
+shifted degree.  Their streams hold P chains (`_P_chain`, `_P_half_chain`
+for half-step orders): one direct evaluation per chain, the other values by
+Miller's backward recurrence.  The diagonal chains at arguments above 1
+(thm4.fwd, thm6.p1a, thm8.r2) have no stable recurrence direction and keep
+one direct P per term.
+
 `_sum_terms` is the one summation loop: infinite series are summed directly
 under the truncation policy, and series whose tails have not passed the
 direct test at the term cap are finished with Wynn epsilon extrapolation on
@@ -23,7 +30,7 @@ import itertools
 import math
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .coeffs import (
@@ -75,6 +82,12 @@ TOL_BOUNDARY = 1e-6
 
 _DIRECT_CAP = 48
 _TINY = 1e-300
+_EPS = 2.0**-52
+
+# P chains: first verified block, agreement between Miller starts, deepest start
+_CHAIN_BLOCK = 16
+_CHAIN_TOL = 1e-13
+_CHAIN_MAX_DEPTH = 4096
 
 
 class Kind(Enum):
@@ -143,15 +156,13 @@ def _cpow(base: float, expo: complex) -> complex:
 
 
 def _P_int(k: int, m: int, x: float) -> float:
-    """P of integer degree k >= 0 and signed integer order m, both argument
+    """P of integer degree k >= 0 and integer order m >= -k, both argument
     ranges, via the degree recurrence.
 
     The recurrence is forward-stable where the terminating hypergeometric
     series cancels catastrophically (large degree, moderate x)."""
     if m < 0:
         mm = -m
-        if mm > k:
-            return 0.0
         ratio = math.factorial(k - mm) / math.factorial(k + mm)
         if x < 1.0 and mm % 2:
             ratio = -ratio
@@ -189,13 +200,107 @@ def _P(nu: complex, mu: complex, x: float,
     the argument interval."""
     k = _as_int(nu)
     m = _as_int(mu)
-    if k is not None and m is not None and k >= 0:
+    # negative order -m below -k is not a polynomial case: series path
+    if k is not None and m is not None and 0 <= k and m <= k:
         return complex(_P_int(k, -m, x))
     arg = Argument(x)
     pt = ParameterPoint(nu, mu)
     if arg.domain is Domain.FERRERS:
         return ferrers_p(pt, arg, policy).value
     return legendre_p(pt, arg, policy).value
+
+
+def _miller_ratios(a: list, b: list, depth: int) -> list:
+    """f_k / f_0 for k < depth, where f is the minimal solution of
+    f_k = a_k f_{k+1} + b_k f_{k+2}: Miller's backward recurrence from
+    f_depth = 1, f_{depth+1} = 0, rescaled against overflow.  Empty when the
+    recurrence gives f_0 = 0."""
+    out = [0j] * depth
+    f1, f2 = 1.0 + 0j, 0j
+    for k in range(depth - 1, -1, -1):
+        f1, f2 = a[k] * f1 + b[k] * f2, f1
+        if abs(f1) > 1e200:
+            f1 *= 1e-200
+            f2 *= 1e-200
+            for j in range(k + 1, depth):
+                out[j] *= 1e-200
+        out[k] = f1
+    f0 = out[0]
+    if f0 == 0 or not cmath.isfinite(f0):
+        return []
+    return [v / f0 for v in out]
+
+
+def _P_chain(nu: complex, mu: complex, y: float, diag: int,
+             policy: TruncationPolicy = DEFAULT_POLICY) -> Iterator[complex]:
+    """P(nu + k*diag, mu + k, y) for k = 0, 1, ... with diag 0 (fixed degree)
+    or 1 (degree and order shifted together; y < 1 only).
+
+    One direct value at k = 0; the rest from Miller's backward recurrence in
+    the order (DLMF 14.10.1/14.10.6; 14.10.1-14.10.3 for the diagonal),
+    normalized by it.  Against the other solution the error of a start `lag`
+    steps past k decays like q^lag, with q = |1-y|/(1+y) at fixed degree and
+    1 - y^2 on the diagonal; the first lag makes that 1e-16.  The values
+    below `need` are yielded once the tables started at need + lag and at
+    need + 2*lag agree there to _CHAIN_TOL (Gautschi's test); otherwise the
+    lag doubles.  `need` doubles each time the consumer passes it.  A chain
+    whose k = 0 value is zero, where P is not the minimal solution (q >= 1,
+    or the diagonal above 1), or that does not settle within
+    _CHAIN_MAX_DEPTH, falls back to direct values."""
+    # the head scales every value of the chain, so its series is summed to
+    # the last bit rather than to the policy's tolerance
+    head = _P(nu, mu, y, replace(policy, rel_tol=min(policy.rel_tol, _EPS)))
+    yield head
+    nu, mu = complex(nu), complex(mu)
+    k = 1
+    s = math.sqrt(abs(1.0 - y * y))
+    q = s * s if diag else abs(1.0 - y) / (1.0 + y)
+    if head != 0 and q < 1.0 and not (diag and y > 1.0):
+        sigma = 1.0 if y < 1.0 else -1.0
+        lag = max(_CHAIN_BLOCK, math.ceil(math.log(1e-16) / math.log(q)))
+        a, b = [], []
+
+        def table(depth):
+            for j in range(len(a), depth):
+                if diag:
+                    nk, mk = nu + (j + 1), -(mu + (j + 1))
+                    a.append(((2.0 * nk + 1.0) * (1.0 - y * y) - 2.0 * mk) / s)
+                    b.append(-sigma * (mk - nk - 2.0) * (mk - nk - 1.0))
+                else:
+                    a.append(2.0 * (mu + j + 1.0) * y / s)
+                    b.append(-sigma * (nu + mu + j + 2.0) * (nu - mu - j - 1.0))
+            return _miller_ratios(a, b, depth)
+
+        need = _CHAIN_BLOCK
+        ref = []
+        while need + 2 * lag <= _CHAIN_MAX_DEPTH:
+            if len(ref) < need + lag:
+                ref = table(need + lag)
+            cur = table(need + 2 * lag)
+            if not (ref and cur):
+                break
+            if all(abs(u - v) <= _CHAIN_TOL * abs(v)
+                   for u, v in zip(ref[:need], cur[:need])):
+                for k in range(k, need):
+                    yield head * cur[k]
+                k = need
+                need *= 2
+            else:
+                lag *= 2
+            ref = cur
+    for k in itertools.count(k):
+        yield _P(nu + k * diag, mu + k, y, policy)
+
+
+def _P_half_chain(nu: complex, mu: complex, y: float, diag: int,
+                  policy: TruncationPolicy = DEFAULT_POLICY) -> Iterator[complex]:
+    """P(nu + n*diag/2, mu + n/2, y) for n = 0, 1, ...: the even and the odd
+    n are two chains, interleaved."""
+    even = _P_chain(nu, mu, y, diag, policy)
+    odd = _P_chain(complex(nu) + 0.5 * diag, complex(mu) + 0.5, y, diag, policy)
+    for e, o in zip(even, odd):
+        yield e
+        yield o
 
 
 def _bateman_seq(tau: complex, r: complex) -> Iterator[complex]:
@@ -247,7 +352,11 @@ def _away_from_ints(z: complex, margin: float = 0.15) -> bool:
 
 
 def _wynn_accelerate(partials: list) -> tuple:
-    """Wynn epsilon extrapolation; returns (value, error estimate)."""
+    """Wynn epsilon extrapolation; returns (value, error estimate).  The
+    estimate is the smallest difference between the last two entries of an
+    even column, never below one rounding unit of the value; it is positive
+    also when two entries of a column agree to the last bit and the
+    extrapolation stops there."""
     if len(partials) < 4:
         return partials[-1], float("inf")
     e_prev = [0j] * (len(partials) + 1)
@@ -261,7 +370,7 @@ def _wynn_accelerate(partials: list) -> tuple:
             for i in range(len(e_cur) - 1):
                 d = e_cur[i + 1] - e_cur[i]
                 if d == 0:
-                    return e_cur[i + 1], 0.0
+                    return e_cur[i + 1], max(best_err, _EPS * abs(e_cur[i + 1]))
                 e_next.append(e_prev[i + 1] + 1.0 / d)
             e_prev, e_cur = e_cur, e_next
             col += 1
@@ -271,7 +380,7 @@ def _wynn_accelerate(partials: list) -> tuple:
                     best, best_err = e_cur[-1], err
     except (OverflowError, ZeroDivisionError):
         pass
-    return best, best_err
+    return best, max(best_err, _EPS * abs(best))
 
 
 class _Impl:
@@ -649,12 +758,13 @@ def _build_catalog() -> None:
     _register(_Impl(
         "thm4.inv", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], 1.0 / x, pol) / _cpow(x, p["nu"] + 1.0),
-        terms=_indexed(lambda p, x, n, pol: (
+        terms=lambda p, x, pol: (
             pochhammer(0.5 * (p["mu"] + p["nu"] + 1.0), n)
             * pochhammer(p["nu"] + 1.0, n) * 2.0 ** n
             * (1.0 - x * x) ** (0.5 * n) / _fact(n)
-            * _P(p["nu"] + n, p["mu"] + n, x, pol)
-        )),
+            * f
+            for n, f in enumerate(_P_chain(p["nu"], p["mu"], x, 1, pol))
+        ),
         n_top=t4_ntop,
         sampler=_guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu]),
         # below x ~ 0.6 the tail outlives the accurate-term window in doubles
@@ -729,8 +839,9 @@ def _build_catalog() -> None:
         "thm5.fwd", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol) / _cpow(x, p["nu"]),
         terms=lambda p, x, pol: (
-            poch * g * _u(x) ** (0.5 * n) * _P(p["nu"], n + p["mu"], 1.0 / x, pol)
-            for n, poch, g in _poch_run(p, mittag_leffler_g_seq(p["nu"]))
+            poch * g * _u(x) ** (0.5 * n) * f
+            for (n, poch, g), f in zip(_poch_run(p, mittag_leffler_g_seq(p["nu"])),
+                                       _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol))
         ),
         n_top=t5_ntop, sampler=t5_sampler,
         param_domain="nu, mu complex",
@@ -739,8 +850,9 @@ def _build_catalog() -> None:
         "thm5.inv", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], 1.0 / x, pol),
         terms=lambda p, x, pol: (
-            poch * g * _u(x) ** (0.5 * n) * _P(p["nu"], n + p["mu"], x, pol) / _cpow(x, p["nu"])
-            for n, poch, g in _poch_run(p, mittag_leffler_g_seq(-p["nu"]))
+            poch * g * _u(x) ** (0.5 * n) * f / _cpow(x, p["nu"])
+            for (n, poch, g), f in zip(_poch_run(p, mittag_leffler_g_seq(-p["nu"])),
+                                       _P_chain(p["nu"], p["mu"], x, 0, pol))
         ),
         n_top=t5_ntop, sampler=t5_sampler,
         param_domain="nu, mu complex",
@@ -814,9 +926,10 @@ def _build_catalog() -> None:
         ),
         terms=lambda p, x, pol: (
             (-1.0) ** n * poch * b
-            * (1.0 - x) ** (0.5 * n) * _P(p["nu"], p["mu"] + n, x, pol)
+            * (1.0 - x) ** (0.5 * n) * f
             / _cpow(1.0 + x, 0.5 * n + p["mu"])
-            for n, poch, b in _poch_run(p, _bateman_seq(p["nu"], -2.0 * p["mu"]))
+            for (n, poch, b), f in zip(_poch_run(p, _bateman_seq(p["nu"], -2.0 * p["mu"])),
+                                       _P_chain(p["nu"], p["mu"], x, 0, pol))
         ),
         n_top=t6_ntop, sampler=t6_sampler,
         param_domain="nu, mu complex",
@@ -827,12 +940,14 @@ def _build_catalog() -> None:
             _cpow(x, p["nu"]) * _P(p["nu"], p["mu"], 1.0 / x, pol)
             / _cpow(1.0 + x, p["mu"])
         ),
-        terms=_indexed(lambda p, x, n, pol: (
+        # P of degree nu - mu - n is P of degree mu - nu - 1 + n
+        terms=lambda p, x, pol: (
             pochhammer(p["mu"] - p["nu"], n)
             * frak_p(n, -0.5 * p["nu"], 2.0 * p["mu"], 1.0, form="second")
             * _cpow(2.0, n - p["mu"]) * (1.0 - x * x) ** (0.5 * n)
-            * _P(p["nu"] - p["mu"] - n, n + p["mu"], x, pol)
-        )),
+            * f
+            for n, f in enumerate(_P_chain(p["mu"] - p["nu"] - 1.0, p["mu"], x, 1, pol))
+        ),
         n_top=t6_ntop, sampler=t6_sampler,
         x_grid=(0.5, 0.65, 0.8),
         param_domain="nu, mu complex",
@@ -845,9 +960,10 @@ def _build_catalog() -> None:
         ),
         terms=lambda p, x, pol: (
             poch * b
-            * (1.0 - x) ** (0.5 * n) * _P(p["nu"], n + p["mu"], 1.0 / x, pol)
+            * (1.0 - x) ** (0.5 * n) * f
             / _cpow(1.0 + x, 0.5 * n + p["mu"])
-            for n, poch, b in _poch_run(p, _bateman_seq(p["nu"], -2.0 * p["mu"]))
+            for (n, poch, b), f in zip(_poch_run(p, _bateman_seq(p["nu"], -2.0 * p["mu"])),
+                                       _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol))
         ),
         n_top=t6_ntop, sampler=t6_sampler,
         param_domain="nu, mu complex",
@@ -948,9 +1064,10 @@ def _build_catalog() -> None:
             poch * g
             * 2.0 ** -n * recip_gamma(0.5 * (n + p["mu"] - p["nu"] + 1.0))
             * _cpow(_u(x), 0.25 * (n + p["mu"] - p["nu"]))
-            * _P(p["nu"], 0.5 * (p["mu"] + p["nu"] + n), x, pol)
-            for n, poch, g in _poch_run(
-                p, script_G_seq(p["nu"], p["nu"], math.sqrt(_u(x))))
+            * f
+            for (n, poch, g), f in zip(
+                _poch_run(p, script_G_seq(p["nu"], p["nu"], math.sqrt(_u(x)))),
+                _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), x, 0, pol))
         ),
         n_top=t7_ntop, sampler=t7_sampler,
         param_domain="nu, mu complex",
@@ -965,9 +1082,10 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: (
             poch * g
             * _cpow(x, p["nu"]) / (SQRT_PI * _cpow(2.0, p["nu"] - p["mu"]))
-            * _P(p["nu"], p["mu"] + n, 1.0 / x, pol)
-            for n, poch, g in _poch_run(
-                p, script_G_seq(-p["nu"], -p["nu"], math.sqrt(_u(x))))
+            * f
+            for (n, poch, g), f in zip(
+                _poch_run(p, script_G_seq(-p["nu"], -p["nu"], math.sqrt(_u(x)))),
+                _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol))
         ),
         n_top=t7_ntop, sampler=t7_sampler_cond, param_check=q_cond_check,
         param_domain="Re nu > -1 or nu - mu in N0",
@@ -982,9 +1100,10 @@ def _build_catalog() -> None:
             poch * g
             * 2.0 ** -n * recip_gamma(0.5 * (n + p["mu"] - p["nu"] + 1.0))
             * _cpow(_u(x), 0.25 * (n + p["mu"] - p["nu"]))
-            * _P(p["nu"], 0.5 * (p["mu"] + p["nu"] + n), 1.0 / x, pol)
-            for n, poch, g in _poch_run(
-                p, script_G_hat_seq(p["nu"], p["nu"], math.sqrt(_u(x))))
+            * f
+            for (n, poch, g), f in zip(
+                _poch_run(p, script_G_hat_seq(p["nu"], p["nu"], math.sqrt(_u(x)))),
+                _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), 1.0 / x, 0, pol))
         ),
         n_top=t7_ntop, sampler=t7_sampler,
         param_domain="nu, mu complex",
@@ -999,9 +1118,10 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: (
             poch * g
             / (SQRT_PI * _cpow(2.0, p["nu"] - p["mu"]) * _cpow(x, p["nu"]))
-            * _P(p["nu"], p["mu"] + n, x, pol)
-            for n, poch, g in _poch_run(
-                p, script_G_hat_seq(-p["nu"], -p["nu"], math.sqrt(_u(x))))
+            * f
+            for (n, poch, g), f in zip(
+                _poch_run(p, script_G_hat_seq(-p["nu"], -p["nu"], math.sqrt(_u(x)))),
+                _P_chain(p["nu"], p["mu"], x, 0, pol))
         ),
         n_top=t7_ntop, sampler=t7_sampler_cond, param_check=q_cond_check,
         param_domain="Re nu > -1 or nu - mu in N0",
@@ -1155,9 +1275,10 @@ def _build_catalog() -> None:
         ),
         terms=lambda p, x, pol: (
             poch * g / SQRT_PI
-            * _cpow(_u(x), 0.5 * p["nu"]) * _P(p["nu"], p["mu"] + n, 1.0 / x, pol)
-            for n, poch, g in _poch_run(
-                p, script_G_seq(-p["nu"], p["mu"], math.sqrt(_u(x))))
+            * _cpow(_u(x), 0.5 * p["nu"]) * f
+            for (n, poch, g), f in zip(
+                _poch_run(p, script_G_seq(-p["nu"], p["mu"], math.sqrt(_u(x)))),
+                _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol))
         ),
         n_top=t8_ntop, sampler=t8_sampler_cond, param_check=q_cond_check,
         param_domain="Re nu > -1 or nu - mu in N0",
@@ -1168,10 +1289,13 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: (
             poch * c
             * _cpow(1.0 - x * x, 0.25 * (p["mu"] - p["nu"] + n))
-            * _P(0.5 * (p["mu"] - p["nu"] - 2.0 + n), 0.5 * (p["mu"] + p["nu"] + n), x, pol)
+            * f
             * recip_gamma(0.5 * (p["mu"] - p["nu"] + n + 1.0))
             / _cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"] + n))
-            for n, poch, c in _poch_run(p, frak_N_seq(p["nu"], p["mu"], x, -1))
+            for (n, poch, c), f in zip(
+                _poch_run(p, frak_N_seq(p["nu"], p["mu"], x, -1)),
+                _P_half_chain(0.5 * (p["mu"] - p["nu"] - 2.0), 0.5 * (p["mu"] + p["nu"]),
+                              x, 1, pol))
         ),
         n_top=t8_ntop, sampler=t8_sampler,
         # algebraic tail: extrapolation needs a long run of partial sums
@@ -1211,9 +1335,10 @@ def _build_catalog() -> None:
         ),
         terms=lambda p, x, pol: (
             poch * g / SQRT_PI
-            * _cpow(_u(x), 0.5 * p["nu"]) * _P(p["nu"], p["mu"] + n, x, pol)
-            for n, poch, g in _poch_run(
-                p, script_G_hat_seq(-p["nu"], p["mu"], math.sqrt(_u(x))))
+            * _cpow(_u(x), 0.5 * p["nu"]) * f
+            for (n, poch, g), f in zip(
+                _poch_run(p, script_G_hat_seq(-p["nu"], p["mu"], math.sqrt(_u(x)))),
+                _P_chain(p["nu"], p["mu"], x, 0, pol))
         ),
         n_top=t8_ntop, sampler=t8_sampler_cond, param_check=g_cond_check,
         param_domain="Re nu > -1",
@@ -1282,15 +1407,17 @@ def _build_catalog() -> None:
     _register(_Impl(
         "thm9.fwd", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol),
-        terms=_indexed(lambda p, x, n, pol: (
+        terms=lambda p, x, pol: (
             SQRT_PI * _cpow(2.0, 2.0 * p["nu"] - p["mu"])
             * pochhammer(2.0 * p["nu"], n) * pochhammer(p["mu"] - p["nu"], n)
             * gegenbauer(n, 0.5 - p["nu"] - n, x)
-            * _P(p["nu"], 0.5 * (n + p["mu"] + p["nu"]), x2arg(x), pol)
+            * f
             * recip_gamma(0.5 * (p["mu"] - p["nu"] + n + 1.0)) * _cpow(x, p["nu"])
             / (2.0 ** (2 * n) * pochhammer(p["nu"] + 0.5, n)
                * _cpow(1.0 - x * x, 0.5 * (n + p["nu"])))
-        )),
+            for n, f in enumerate(_P_half_chain(
+                p["nu"], 0.5 * (p["mu"] + p["nu"]), x2arg(x), 0, pol))
+        ),
         n_top=t9_ntop, sampler=t9_sampler,
         param_domain="nu, mu complex",
     ))
@@ -1301,13 +1428,14 @@ def _build_catalog() -> None:
             * _cpow(x, p["nu"]) * recip_gamma(0.5 * (p["mu"] - p["nu"] + 1.0))
             / _cpow(2.0, p["mu"] - 2.0 * p["nu"])
         ),
-        terms=_indexed(lambda p, x, n, pol: (
+        terms=lambda p, x, pol: (
             pochhammer(-2.0 * p["nu"], n) * pochhammer(p["mu"] - p["nu"], n)
             / (2.0 ** n * pochhammer(0.5 - p["nu"], n))
             * gegenbauer(n, 0.5 + p["nu"] - n, x)
             / _cpow(1.0 - x * x, 0.5 * (n - p["nu"]))
-            * _P(p["nu"], p["mu"] + n, x, pol)
-        )),
+            * f
+            for n, f in enumerate(_P_chain(p["nu"], p["mu"], x, 0, pol))
+        ),
         n_top=lambda p: _min_term(
             terminating_index(-2.0 * p["nu"]), terminating_index(p["mu"] - p["nu"])),
         sampler=t9_sampler,

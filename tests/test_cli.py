@@ -99,6 +99,30 @@ class TestConvergenceCommand:
             assert f"{v:.17g}" == row["term_mag"]
 
 
+    def test_reports_how_the_sum_stopped(self, capsys):
+        argv = ["convergence", "thm4.inv", "--nu", "0.3", "--mu", "1.2",
+                "--x", "0.65", "--n-max", "4"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["stop_reason"] == "wynn" and doc["terms_used"] == 48
+        assert doc["extrap_err"] > 0.0
+        assert main(argv + ["--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 5
+        assert all(r["stop_reason"] == "wynn" for r in rows)
+        assert float(rows[0]["extrap_err"]) == doc["extrap_err"]
+        assert main(argv + ["--format", "text"]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last.startswith("stop_reason=wynn extrap_err=")
+
+    def test_terminated_sum(self, capsys):
+        rc = main(["convergence", "thm4.fwd", "--nu=-2", "--mu", "0.7",
+                   "--x", "0.4", "--n-max", "3"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["stop_reason"] == "terminated" and doc["extrap_err"] == 0.0
+
+
 class TestListCommand:
     def test_enumerates_catalog(self, capsys):
         rc = main(["list"])

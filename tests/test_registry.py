@@ -4,9 +4,11 @@ import itertools
 import json
 import math
 
+import mpmath as mp
 import pytest
 
 import legdual.coeffs
+import legdual.legendre
 from legdual.errors import DomainError, UnknownIdentityError
 from legdual.harness import convergence_table
 from legdual.hypergeom import DEFAULT_POLICY
@@ -16,9 +18,13 @@ from legdual.registry import (
     TOL_BOUNDARY,
     TOL_FINITE,
     TOL_SERIES,
+    _P,
+    _P_chain,
+    _P_half_chain,
     _get_impl,
     _running_sums,
     _sum_terms,
+    _wynn_accelerate,
     evaluate_identity,
     get_descriptor,
     list_identities,
@@ -119,6 +125,33 @@ class TestEvaluate:
         assert doc["stop_reason"] == reason and doc["extrap_err"] == r.extrap_err
 
 
+    def test_wynn_error_is_positive(self):
+        # the epsilon table settles here (two entries of a column agree to
+        # the last bit); the estimate must still be positive
+        r = evaluate_identity("thm4.inv", {"nu": 0.3, "mu": 1.2}, 0.65)
+        assert r.passed and r.stop_reason == "wynn"
+        assert r.extrap_err > 0.0
+
+    def test_wynn_error_positive_on_stagnant_sums(self):
+        value, err = _wynn_accelerate([1.0, 1.5, 1.75, 1.75, 1.75])
+        assert value == 1.75 and err > 0.0
+
+
+class TestIntegerP:
+    @pytest.mark.parametrize("k,m,x", [
+        (2, 3, 0.5), (2, 3, 1.7), (0, 1, 0.3), (3, 5, 2.5), (1, 4, 0.8),
+    ])
+    def test_negative_order_below_degree(self, k, m, x):
+        # P^{-m}_k with m > k is not a polynomial case and is nonzero
+        ref = mp.legenp(k, -m, x, type=2 if x < 1.0 else 3)
+        v = _P(k, m, x)
+        assert ref != 0 and abs(v - complex(ref)) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("x", [0.5, 1.7])
+    def test_positive_order_above_degree_vanishes(self, x):
+        assert _P(2, -3, x) == 0
+
+
 class TestSweep:
     def test_reports_shape(self):
         reps = sweep_identity("thm9.fwd", n_samples=2, seed=1)
@@ -201,3 +234,74 @@ class TestTermStreams:
         total = _sum_terms(impl, params, x, DEFAULT_POLICY)
         if total.stop_reason != "wynn":
             assert total.value == sums[total.terms_used - 1][1]
+
+    def test_one_direct_2f1_per_chain(self, monkeypatch):
+        # thm8.r1's order advances by 1/2: two P chains, one direct 2F1 each,
+        # and one more for the left-hand side
+        calls = [0]
+        f = legdual.legendre.gauss_2f1
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(legdual.legendre, "gauss_2f1", counted)
+        r = evaluate_identity("thm8.r1", self.R1, 0.55)
+        assert r.passed and r.terms_used == 144
+        assert 0 < calls[0] <= 4
+
+
+def _mp_P(nu, mu, y):
+    return mp.legenp(nu, -mu, y, type=2 if y < 1.0 else 3)
+
+
+class TestPChains:
+    """Chains of P at shifted order (and degree) against mpmath, k <= 144."""
+
+    NU, MU = 0.3 + 0.2j, 1.1 - 0.4j
+    K = 145
+
+    @staticmethod
+    def _check(values, refs):
+        for k, (v, ref) in enumerate(zip(values, refs)):
+            if abs(ref) > 1e-290:
+                assert abs(v - complex(ref)) <= 1e-12 * abs(ref), k
+            else:
+                # below the normal range of doubles: absolute agreement
+                assert abs(v - complex(ref)) <= 1e-300, k
+
+    @pytest.mark.parametrize("x", [0.55, 0.7, 0.85])
+    def test_fixed_degree_below_one(self, x):
+        vals = list(itertools.islice(_P_chain(self.NU, self.MU, x, 0), self.K))
+        self._check(vals, [_mp_P(self.NU, self.MU + k, x) for k in range(self.K)])
+
+    @pytest.mark.parametrize("x", [0.55, 0.7, 0.85])
+    @pytest.mark.parametrize("arg", ["recip", "quadratic"])
+    def test_fixed_degree_above_one(self, x, arg):
+        y = 1.0 / x if arg == "recip" else (1.0 + x * x) / (2.0 * x)
+        vals = list(itertools.islice(_P_chain(self.NU, self.MU, y, 0), self.K))
+        self._check(vals, [_mp_P(self.NU, self.MU + k, y) for k in range(self.K)])
+
+    @pytest.mark.parametrize("x", [0.55, 0.7, 0.85])
+    def test_diagonal_below_one(self, x):
+        vals = list(itertools.islice(_P_chain(self.NU, self.MU, x, 1), self.K))
+        self._check(vals, [_mp_P(self.NU + k, self.MU + k, x) for k in range(self.K)])
+
+    @pytest.mark.parametrize("x", [0.55, 0.7, 0.85])
+    def test_parity_interleaved(self, x):
+        vals = list(itertools.islice(_P_half_chain(self.NU, self.MU, x, 1), self.K))
+        self._check(vals, [_mp_P(self.NU + 0.5 * n, self.MU + 0.5 * n, x)
+                           for n in range(self.K)])
+
+    def test_zero_head_falls_back_to_direct(self):
+        # P^3_2 = 0 heads the chain P^{3-k}_2; every value is then direct
+        vals = list(itertools.islice(_P_chain(2, -3, 0.5, 0), 8))
+        assert vals == [_P(2, -3 + k, 0.5) for k in range(8)]
+        assert vals[0] == 0 and all(v != 0 for v in vals[1:])
+
+    def test_diagonal_above_one_uses_direct_values(self):
+        # no stable recurrence direction there: every value past the head is
+        # a direct evaluation
+        y = 1.0 / 0.8
+        vals = list(itertools.islice(_P_chain(self.NU, self.MU, y, 1), 6))
+        assert vals[1:] == [_P(self.NU + k, self.MU + k, y) for k in range(1, 6)]
