@@ -34,9 +34,7 @@ from .harness import (
     HarnessConfig,
     SuiteResult,
     asymptotic_checks,
-    build_oracle_tables,
     convergence_table,
-    load_oracle_tables,
     run_suite,
 )
 

@@ -12,11 +12,11 @@ import os
 import re
 import sys
 
-from .errors import ConvergenceError, LegdualError, UnknownIdentityError
+from .errors import ConvergenceError, LegdualError
 from .harness import asymptotic_checks, convergence_table
 from .hypergeom import DEFAULT_POLICY, TruncationPolicy
 from .legendre import ParameterPoint, ferrers_p, legendre_p, legendre_q
-from .registry import evaluate_identity, list_identities, sweep_identity
+from .registry import evaluate_identity, get_descriptor, list_identities, sweep_identity
 
 __all__ = ["main", "entry", "parse_complex", "format_complex"]
 
@@ -157,12 +157,6 @@ def _collect_params(args: argparse.Namespace) -> dict:
     return params
 
 
-def _require_known(identity_id: str) -> None:
-    known = {d.id for d in list_identities()}
-    if identity_id not in known:
-        raise UnknownIdentityError(f"unknown identity id '{identity_id}'")
-
-
 def _emit(args: argparse.Namespace, doc, csv_rows=None, text_lines=None) -> None:
     fmt = args.format
     if fmt == "json":
@@ -218,7 +212,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _require_known(args.id)
+    get_descriptor(args.id)
     params = _collect_params(args)
     report = evaluate_identity(args.id, params, args.x, _policy_from(args))
     _emit(args, report.to_dict(), _report_csv([report]),
@@ -228,7 +222,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _require_known(args.id)
+    get_descriptor(args.id)
     reports = sweep_identity(args.id, n_samples=args.samples, seed=args.seed,
                              policy=_policy_from(args))
     n_fail = sum(1 for r in reports if not r.passed)
@@ -241,7 +235,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
-    _require_known(args.id)
+    get_descriptor(args.id)
     params = _collect_params(args)
     policy = _policy_from(args)
     rows = convergence_table(args.id, params, args.x, args.n_max, policy)

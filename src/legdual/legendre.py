@@ -5,6 +5,10 @@ All fractional powers have positive real bases on the supported windows and
 are taken as principal values.  The reciprocal-gamma prefactor makes the
 values entire in the order parameter wherever the underlying series
 terminates; the nonterminating pole limit is surfaced as a typed error.
+
+`_P(nu, mu, x)` is the one first-kind dispatcher over both intervals; it
+takes integer degree k >= 0 and order -m with m <= k to the degree
+recurrence (`_P_int`), the library's one integer-degree evaluator.
 """
 
 from __future__ import annotations
@@ -199,3 +203,58 @@ def ferrers_p_large_x_form(p: ParameterPoint, x: "Argument | float",
         + (nu - mu) * math.log(arg.x)
     )
     return _scaled(prefactor, sv)
+
+
+def _P_int(k: int, m: int, x: float) -> float:
+    """P of integer degree k >= 0 and integer order m >= -k, both argument
+    ranges, via the degree recurrence.
+
+    The recurrence is forward-stable where the terminating hypergeometric
+    series cancels catastrophically (large degree, moderate x)."""
+    if m < 0:
+        mm = -m
+        ratio = math.factorial(k - mm) / math.factorial(k + mm)
+        if x < 1.0 and mm % 2:
+            ratio = -ratio
+        return ratio * _P_int(k, mm, x)
+    if m > k:
+        return 0.0
+    # seed P_m^m, then raise the degree
+    if x < 1.0:
+        base = math.sqrt(1.0 - x * x)
+        pmm = (-base) ** m
+    else:
+        base = math.sqrt(x * x - 1.0)
+        pmm = base ** m
+    for i in range(1, 2 * m, 2):
+        pmm *= i
+    if k == m:
+        return pmm
+    prev, cur = pmm, (2.0 * m + 1.0) * x * pmm
+    for deg in range(m + 1, k):
+        prev, cur = cur, ((2.0 * deg + 1.0) * x * cur - (deg + m) * prev) / (deg - m + 1.0)
+    return cur
+
+
+def _as_int(z: complex) -> "int | None":
+    z = complex(z)
+    n = round(z.real)
+    if abs(z.imag) <= 1e-14 and abs(z.real - n) <= 1e-14:
+        return int(n)
+    return None
+
+
+def _P(nu: complex, mu: complex, x: float,
+       policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """First-kind function of degree nu and order -mu at x, dispatching on
+    the argument interval."""
+    k = _as_int(nu)
+    m = _as_int(mu)
+    # negative order -m below -k is not a polynomial case: series path
+    if k is not None and m is not None and 0 <= k and m <= k:
+        return complex(_P_int(k, -m, x))
+    arg = Argument(x)
+    pt = ParameterPoint(nu, mu)
+    if arg.domain is Domain.FERRERS:
+        return ferrers_p(pt, arg, policy).value
+    return legendre_p(pt, arg, policy).value

@@ -3,28 +3,25 @@
 Gegenbauer, Jacobi, associated Legendre, Mittag-Leffler, Bateman, and Gauss
 hypergeometric polynomials.  Gegenbauer uses the explicit sum rather than the
 three-term recurrence because its parameter depends on the degree in every
-use downstream, which breaks fixed-parameter recurrences.
+use downstream, which breaks fixed-parameter recurrences.  The associated
+Legendre polynomials are the integer-degree case of `legendre._P`.
 
 The Mittag-Leffler, Gauss hypergeometric and Bateman coefficients are
-sequences in the degree (`<family>_seq`), whose degrees above
-_RECURRENCE_DEGREE come from one pass of the contiguous recurrence; the
-scalar `<family>(n, ...)` is the n-th element.
+sequences in the degree (`<family>_seq`): each is a product of two binomial
+factors, and all its degrees come from one pass of their contiguous
+recurrence (`series.two_factor`).  The scalar `<family>(n, ...)` is the n-th
+element.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import sys
 from collections.abc import Iterator
 
-from .errors import PoleError
-from .hypergeom import (
-    INT_TOL,
-    KahanSum,
-    pfq_terminating,
-    pochhammer,
-    terminating_index,
-)
+from .hypergeom import KahanSum, pfq_terminating, pochhammer
+from .legendre import _P
+from .series import nth, two_factor
 
 __all__ = [
     "gegenbauer",
@@ -100,8 +97,9 @@ def gegenbauer(k: int, tau: complex, x: float) -> complex:
     term = _balanced_term(tau, k, j0, two_x)
     if j0 % 2:
         term = -term
-    if term == 0:
-        # underflowed leading term: evaluate each term independently
+    if abs(term) < sys.float_info.min:
+        # underflowed leading term, whose ratios to the next terms would
+        # overflow: evaluate each term independently
         acc = KahanSum()
         for j in range(j0, jmax + 1):
             t = _balanced_term(tau, k, j, two_x)
@@ -127,101 +125,41 @@ def jacobi(n: int, a: complex, b: complex, x: float) -> complex:
 
 
 def assoc_legendre_poly(k: int, m: int, x: float) -> float:
-    """Associated Legendre polynomial on (-1,1), any integer order m."""
+    """Associated Legendre function of integer degree k >= 0 and any integer
+    order m on (-1,1): the Ferrers P of degree k and order m."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    if m < 0:
-        mm = -m
-        if mm > k:
-            return 0.0
-        ratio = math.factorial(k - mm) / math.factorial(k + mm)
-        sign = -1.0 if mm % 2 else 1.0
-        return sign * ratio * assoc_legendre_poly(k, mm, x)
-    if m > k:
-        return 0.0
-    pre = math.factorial(2 * m) / (2.0**m * math.factorial(m))
-    if m % 2:
-        pre = -pre
-    val = gegenbauer(k - m, m + 0.5, x)
-    return pre * abs(1.0 - x * x) ** (m / 2.0) * val.real
-
-
-# Above this degree the explicit terminating sums cancel catastrophically
-# (alternating terms grow like 3^n at argument 2); switch to the exact
-# contiguous three-term recurrence in n, seeded by the n = 0, 1 values.
-_RECURRENCE_DEGREE = 12
-
-
-def _nth(seq: Iterator[complex], n: int) -> complex:
-    """Element n of a coefficient sequence."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    return next(itertools.islice(seq, n, None))
+    return _P(k, -m, x).real
 
 
 def mittag_leffler_g_seq(sigma: complex) -> Iterator[complex]:
-    """Coefficients of z^0, z^1, ... in ((1+z)/(1-z))^sigma, the degrees
-    above _RECURRENCE_DEGREE from one pass of the recurrence."""
+    """Coefficients of z^0, z^1, ... in ((1+z)/(1-z))^sigma."""
     sigma = complex(sigma)
-    yield complex(1.0)
-    for n in range(1, _RECURRENCE_DEGREE + 1):
-        yield 2.0 * sigma * pfq_terminating([1 - n, 1 - sigma], [2], 2.0, n - 1)
-    # (m+1) g_{m+1} = 2 sigma g_m + (m-1) g_{m-1}
-    gm1, gm = complex(1.0), 2.0 * sigma
-    for m in itertools.count(1):
-        gm1, gm = gm, (2.0 * sigma * gm + (m - 1) * gm1) / (m + 1)
-        if m >= _RECURRENCE_DEGREE:
-            yield gm
+    return two_factor(-sigma, -1.0, sigma, 1.0)
 
 
 def mittag_leffler_g(n: int, sigma: complex) -> complex:
     """Coefficient of z^n in ((1+z)/(1-z))^sigma."""
-    return _nth(mittag_leffler_g_seq(sigma), n)
+    return nth(mittag_leffler_g_seq(sigma), n)
 
 
 def gauss_hyper_poly_seq(tau: complex, rho: complex, s: complex) -> Iterator[complex]:
-    """Coefficients of z^0, z^1, ... in (1-z)^{tau-rho} (1-(1-s)z)^{-tau},
-    the degrees above _RECURRENCE_DEGREE from one pass of the recurrence.
-    A nonpositive integer rho = -k raises PoleError at degree k + 1."""
+    """Coefficients of z^0, z^1, ... in (1-z)^{tau-rho} (1-(1-s)z)^{-tau}."""
     tau, rho, s = complex(tau), complex(rho), complex(s)
-    rho_is_zero = abs(rho) <= INT_TOL
-    pole = None if rho_is_zero else terminating_index(rho)
-
-    def check_pole(n: int) -> None:
-        if pole is not None and pole < n:
-            raise PoleError(f"gauss_hyper_poly pole: rho = {rho} with degree {n}")
-
-    yield complex(1.0)
-    for n in range(1, _RECURRENCE_DEGREE + 1):
-        check_pole(n)
-        if rho_is_zero:
-            # limiting form at rho = 0
-            yield -s * tau * pfq_terminating([1 - n, 1 + tau], [2], s, n - 1)
-        else:
-            pre = pochhammer(rho, n) / math.factorial(n)
-            yield pre * pfq_terminating([-n, tau], [rho], s, n)
-    # (m+1) g_{m+1} = ((2-s) m + rho - tau s) g_m - (1-s)(m-1+rho) g_{m-1}
-    gm1, gm = complex(1.0), rho - tau * s
-    for m in itertools.count(1):
-        nxt = (((2.0 - s) * m + rho - tau * s) * gm
-               - (1.0 - s) * (m - 1 + rho) * gm1) / (m + 1)
-        gm1, gm = gm, nxt
-        if m >= _RECURRENCE_DEGREE:
-            check_pole(m + 1)
-            yield gm
+    return two_factor(rho - tau, 1.0, tau, 1.0 - s)
 
 
 def gauss_hyper_poly(n: int, tau: complex, rho: complex, s: complex) -> complex:
     """Coefficient of z^n in (1-z)^{tau-rho} (1-(1-s)z)^{-tau}."""
-    return _nth(gauss_hyper_poly_seq(tau, rho, s), n)
+    return nth(gauss_hyper_poly_seq(tau, rho, s), n)
 
 
 def bateman_g_seq(tau: complex, r: complex) -> Iterator[complex]:
     """Coefficients of u^0, u^1, ... in (1+u)^{tau+r} (1-u)^{-tau}."""
-    for n, g in enumerate(gauss_hyper_poly_seq(tau, -complex(r), 2.0)):
-        yield (-1.0 if n % 2 else 1.0) * g
+    tau, r = complex(tau), complex(r)
+    return two_factor(-(tau + r), -1.0, tau, 1.0)
 
 
 def bateman_g(n: int, tau: complex, r: complex) -> complex:
     """Coefficient of u^n in (1+u)^{tau+r} (1-u)^{-tau}."""
-    return _nth(bateman_g_seq(tau, r), n)
+    return nth(bateman_g_seq(tau, r), n)

@@ -33,21 +33,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .coeffs import (
-    FactorList,
-    frak_N_seq,
-    frak_p,
-    lauricella_G,
-    script_G_hat_seq,
-    script_G_seq,
-)
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    LegdualError,
-    PoleError,
-    UnknownIdentityError,
-)
+from .coeffs import frak_N_seq, frak_p_seq, script_G_hat_seq, script_G_seq
+from .errors import ConvergenceError, DomainError, LegdualError, UnknownIdentityError
 from .hypergeom import (
     DEFAULT_POLICY,
     KahanSum,
@@ -57,7 +44,7 @@ from .hypergeom import (
     recip_gamma,
     terminating_index,
 )
-from .legendre import Argument, Domain, ParameterPoint, ferrers_p, legendre_p
+from .legendre import _P
 from .polys import bateman_g_seq, gegenbauer, mittag_leffler_g_seq
 
 __all__ = [
@@ -155,61 +142,6 @@ def _cpow(base: float, expo: complex) -> complex:
     return cmath.exp(complex(expo) * math.log(base))
 
 
-def _P_int(k: int, m: int, x: float) -> float:
-    """P of integer degree k >= 0 and integer order m >= -k, both argument
-    ranges, via the degree recurrence.
-
-    The recurrence is forward-stable where the terminating hypergeometric
-    series cancels catastrophically (large degree, moderate x)."""
-    if m < 0:
-        mm = -m
-        ratio = math.factorial(k - mm) / math.factorial(k + mm)
-        if x < 1.0 and mm % 2:
-            ratio = -ratio
-        return ratio * _P_int(k, mm, x)
-    if m > k:
-        return 0.0
-    # seed P_m^m, then raise the degree
-    if x < 1.0:
-        base = math.sqrt(1.0 - x * x)
-        pmm = (-base) ** m
-    else:
-        base = math.sqrt(x * x - 1.0)
-        pmm = base ** m
-    for i in range(1, 2 * m, 2):
-        pmm *= i
-    if k == m:
-        return pmm
-    prev, cur = pmm, (2.0 * m + 1.0) * x * pmm
-    for deg in range(m + 1, k):
-        prev, cur = cur, ((2.0 * deg + 1.0) * x * cur - (deg + m) * prev) / (deg - m + 1.0)
-    return cur
-
-
-def _as_int(z: complex) -> "int | None":
-    z = complex(z)
-    n = round(z.real)
-    if abs(z.imag) <= 1e-14 and abs(z.real - n) <= 1e-14:
-        return int(n)
-    return None
-
-
-def _P(nu: complex, mu: complex, x: float,
-       policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """First-kind function of degree nu and order -mu at x, dispatching on
-    the argument interval."""
-    k = _as_int(nu)
-    m = _as_int(mu)
-    # negative order -m below -k is not a polynomial case: series path
-    if k is not None and m is not None and 0 <= k and m <= k:
-        return complex(_P_int(k, -m, x))
-    arg = Argument(x)
-    pt = ParameterPoint(nu, mu)
-    if arg.domain is Domain.FERRERS:
-        return ferrers_p(pt, arg, policy).value
-    return legendre_p(pt, arg, policy).value
-
-
 def _miller_ratios(a: list, b: list, depth: int) -> list:
     """f_k / f_0 for k < depth, where f is the minimal solution of
     f_k = a_k f_{k+1} + b_k f_{k+2}: Miller's backward recurrence from
@@ -301,21 +233,6 @@ def _P_half_chain(nu: complex, mu: complex, y: float, diag: int,
     for e, o in zip(even, odd):
         yield e
         yield o
-
-
-def _bateman_seq(tau: complex, r: complex) -> Iterator[complex]:
-    """Coefficients of z^0, z^1, ... in (1+z)^(tau+r) (1-z)^(-tau); from the
-    degree where the polynomial form hits a removable pole on, the two-factor
-    product form."""
-    n = 0
-    try:
-        for g in bateman_g_seq(tau, r):
-            yield g
-            n += 1
-    except PoleError:
-        f = FactorList((-(complex(tau) + complex(r)), complex(tau)), (-1.0, 1.0))
-        for m in itertools.count(n):
-            yield lauricella_G(m, f)
 
 
 def _poch_run(p: dict, coeffs: Iterator[complex]) -> Iterator[tuple]:
@@ -899,13 +816,13 @@ def _build_catalog() -> None:
     _register(_Impl(
         "thm6.p1a", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol) / _cpow(1.0 + x, p["mu"]),
-        terms=_indexed(lambda p, x, n, pol: (
-            (-1.0) ** n * pochhammer(p["mu"] - p["nu"], n)
-            * frak_p(n, -0.5 * p["nu"], 2.0 * p["mu"], 1.0, form="second")
+        terms=lambda p, x, pol: (
+            (-1.0) ** n * poch * c
             * _cpow(2.0, n - p["mu"]) * (1.0 - x * x) ** (0.5 * n)
             / _cpow(x, n + p["mu"] - p["nu"])
             * _P(p["nu"] - p["mu"] - n, p["mu"] + n, 1.0 / x, pol)
-        )),
+            for n, poch, c in _poch_run(p, frak_p_seq(-0.5 * p["nu"], 2.0 * p["mu"], 1.0))
+        ),
         n_top=t6_ntop,
         sampler=_guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu,
                                       lambda nu, mu: nu - mu],
@@ -928,7 +845,7 @@ def _build_catalog() -> None:
             (-1.0) ** n * poch * b
             * (1.0 - x) ** (0.5 * n) * f
             / _cpow(1.0 + x, 0.5 * n + p["mu"])
-            for (n, poch, b), f in zip(_poch_run(p, _bateman_seq(p["nu"], -2.0 * p["mu"])),
+            for (n, poch, b), f in zip(_poch_run(p, bateman_g_seq(p["nu"], -2.0 * p["mu"])),
                                        _P_chain(p["nu"], p["mu"], x, 0, pol))
         ),
         n_top=t6_ntop, sampler=t6_sampler,
@@ -942,11 +859,12 @@ def _build_catalog() -> None:
         ),
         # P of degree nu - mu - n is P of degree mu - nu - 1 + n
         terms=lambda p, x, pol: (
-            pochhammer(p["mu"] - p["nu"], n)
-            * frak_p(n, -0.5 * p["nu"], 2.0 * p["mu"], 1.0, form="second")
+            poch * c
             * _cpow(2.0, n - p["mu"]) * (1.0 - x * x) ** (0.5 * n)
             * f
-            for n, f in enumerate(_P_chain(p["mu"] - p["nu"] - 1.0, p["mu"], x, 1, pol))
+            for (n, poch, c), f in zip(
+                _poch_run(p, frak_p_seq(-0.5 * p["nu"], 2.0 * p["mu"], 1.0)),
+                _P_chain(p["mu"] - p["nu"] - 1.0, p["mu"], x, 1, pol))
         ),
         n_top=t6_ntop, sampler=t6_sampler,
         x_grid=(0.5, 0.65, 0.8),
@@ -962,7 +880,7 @@ def _build_catalog() -> None:
             poch * b
             * (1.0 - x) ** (0.5 * n) * f
             / _cpow(1.0 + x, 0.5 * n + p["mu"])
-            for (n, poch, b), f in zip(_poch_run(p, _bateman_seq(p["nu"], -2.0 * p["mu"])),
+            for (n, poch, b), f in zip(_poch_run(p, bateman_g_seq(p["nu"], -2.0 * p["mu"])),
                                        _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol))
         ),
         n_top=t6_ntop, sampler=t6_sampler,
@@ -975,7 +893,7 @@ def _build_catalog() -> None:
         r = -2.0 * m if upper else 2.0 * m
         deg = (k + m) if upper else (k - m)
         y = 1.0 / x if at_recip else x
-        for n, b in zip(range(k + 1), _bateman_seq(tau, r)):
+        for n, b in zip(range(k + 1), bateman_g_seq(tau, r)):
             morder = (n + m) if upper else (n - m)
             sgn = (-1.0) ** n if signed else 1.0
             yield (
@@ -1029,12 +947,13 @@ def _build_catalog() -> None:
     _register(_Impl(
         "cor6", Kind.VANISHING_SUM,
         lhs=lambda p, x, pol: 0j,
-        terms=_indexed(lambda p, x, n, pol: (
-            2.0 ** n * frak_p(n, 0.5 * (p["m"] - p["k"]), -2.0 * p["m"], 1.0, form="second")
+        terms=lambda p, x, pol: (
+            2.0 ** n * c
             / _fact(p["k"] - n) * (x - 1.0) ** n
             * abs((1.0 + x) / (1.0 - x)) ** (0.5 * n)
             * _P(p["k"] - n, n - p["m"], x, pol)
-        )),
+            for n, c in enumerate(frak_p_seq(0.5 * (p["m"] - p["k"]), -2.0 * p["m"], 1.0))
+        ),
         n_top=lambda p: p["k"],
         sampler=_int_sampler(k=(1, 8), m=(lambda p: p["k"] // 2 + 1, lambda p: p["k"])),
         param_domain="k/2 < m <= k integers", termination_rule="n <= k",

@@ -2,7 +2,6 @@
 sums of its own generating function at interior points."""
 
 import cmath
-import itertools
 import math
 
 import pytest
@@ -13,7 +12,6 @@ from legdual.coeffs import (
     frak_C_scaled,
     frak_D,
     frak_N,
-    frak_N_seq,
     frak_p,
     lauricella_G,
     lauricella_G_additivity_check,
@@ -21,12 +19,8 @@ from legdual.coeffs import (
     omega_pm_direct,
     script_G,
     script_G_hat,
-    script_G_hat_seq,
-    script_G_seq,
 )
 from legdual.errors import DuplicateNodeError
-from legdual.hypergeom import KahanSum
-from legdual.polys import gauss_hyper_poly
 
 TAU = 0.7 + 0.2j
 RHO = -0.4 + 0.1j
@@ -115,12 +109,6 @@ class TestSqrtFamilies:
         lhs = (1 - z * t) ** (-RHO) * (1 + cmath.sqrt(1 - z)) ** (-TAU)
         _match(lhs, lambda n: 2.0**-TAU * frak_p(n, RHO, TAU, t), z, n_terms=80)
 
-    def test_frak_p_forms_agree(self):
-        for n in (1, 4, 9, 15):
-            a = frak_p(n, RHO, TAU, 0.6, form="first")
-            b = frak_p(n, RHO, TAU, 0.6, form="second")
-            assert abs(a - b) <= 1e-11 * max(abs(a), abs(b))
-
     @pytest.mark.parametrize("z", [0.3, -0.25])
     def test_frak_D_both_branches(self, z):
         x = 0.65
@@ -163,41 +151,3 @@ class TestSqrtFamilies:
                / (2.0**-mu * (1 + z / math.sqrt(ratio)) ** nu))
         rhs = sum(frak_N(n, nu, mu, x, sign) * z**n for n in range(80))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-
-
-class TestSequencesMatchTheirSums:
-    """A sequence builds each inner element once; every coefficient must
-    still equal its defining sum over freshly computed elements, bit for
-    bit."""
-
-    @pytest.mark.parametrize("hatted", [False, True])
-    def test_three_factor(self, hatted):
-        tau, rho, w = complex(TAU), complex(RHO), complex(0.55)
-        fam = script_G_hat_seq if hatted else script_G_seq
-        s = (w * w - 1.0) / (w * w) if hatted else (w * w + 1.0) / (w * w)
-        for n, got in enumerate(itertools.islice(fam(tau, rho, w), 40)):
-            acc = KahanSum()
-            coef = complex(1.0)
-            wpow = w**n
-            for k in range(n // 2 + 1):
-                if k:
-                    coef *= (rho + k - 1) / k
-                    wpow /= w * w
-                g = gauss_hyper_poly(n - 2 * k, tau, 0.0, s)
-                if hatted:
-                    acc.add(coef * g * wpow)
-                else:
-                    acc.add((-1.0 if k % 2 else 1.0) * coef * g * wpow)
-            expect = -acc.value() if hatted and n % 2 else acc.value()
-            assert got == expect
-
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_cauchy_product(self, sign):
-        nu, mu, x = 0.6 + 0.1j, 0.9 - 0.2j, 0.65
-        t = abs(x ** (-2.0 if sign > 0 else 2.0) - 1.0) ** -0.5
-        for n, got in enumerate(itertools.islice(frak_N_seq(nu, mu, x, sign), 40)):
-            acc = KahanSum()
-            for k in range(n // 2 + 1):
-                acc.add((-sign) ** k * 2.0**-k * frak_D(k, -nu, x, sign < 0)
-                        * omega_pm(n - 2 * k, nu, mu, t, sign))
-            assert got == acc.value()

@@ -6,17 +6,14 @@ import mpmath as mp
 import pytest
 
 from legdual.errors import DomainError, OracleUnstableError
-from legdual.harness import (
-    HarnessConfig,
+from legdual.harness import HarnessConfig, asymptotic_checks, convergence_table, run_suite
+from legdual.oracle import (
     OracleTable,
     _naive_2f1_partial,
     _oracle_ferrers_p,
     _stabilize,
-    asymptotic_checks,
     build_oracle_tables,
-    convergence_table,
     load_oracle_tables,
-    run_suite,
 )
 from legdual.asympt import tail_order_predict
 from legdual.registry import INV_SQRT2, Kind

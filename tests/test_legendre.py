@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from legdual.errors import DomainError, EntireLimitUnsupported, PoleError
-from legdual.harness import _oracle_ferrers_p, _oracle_legendre_p
+from legdual.oracle import _oracle_ferrers_p, _oracle_legendre_p
 from legdual.legendre import (
     Argument,
     Domain,

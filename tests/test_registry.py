@@ -201,20 +201,21 @@ class TestTermStreams:
           "mu": 0.9734759867013265 - 0.4989873172751189j}
 
     def test_coefficients_built_once_per_point(self, monkeypatch):
-        # frak_N(n) is a Cauchy product of frak_D and omega_pm elements; built
-        # once per point they cost one terminating pFq each, O(cap) in all,
-        # where rebuilding them for every term costs O(cap^2)
+        # frak_N is one expression of series streams, built once per point,
+        # so the number of streams made does not grow with the terms summed
         calls = [0]
-        pfq = legdual.coeffs.pfq_terminating
+        for name in ("binomial", "mul", "power", "affine", "two_factor"):
+            def counted(*args, _f=getattr(legdual.coeffs, name), **kwargs):
+                calls[0] += 1
+                return _f(*args, **kwargs)
 
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return pfq(*args, **kwargs)
-
-        monkeypatch.setattr(legdual.coeffs, "pfq_terminating", counted)
+            monkeypatch.setattr(legdual.coeffs, name, counted)
         r = evaluate_identity("thm8.r1", self.R1, 0.55)
         assert r.passed and r.terms_used == 144
-        assert 0 < calls[0] <= 3 * 144
+        full, calls[0] = calls[0], 0
+        terms = _get_impl("thm8.r1").terms(self.R1, 0.55, DEFAULT_POLICY)
+        assert len(list(itertools.islice(terms, 8))) == 8
+        assert 0 < calls[0] == full
 
     @pytest.mark.parametrize("ident,params,x", [
         ("thm4.inv", {"nu": -3.0, "mu": 0.4}, 0.7),

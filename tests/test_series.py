@@ -1,0 +1,186 @@
+"""Power-series engine: each primitive and each generating-coefficient family
+against the Maclaurin coefficients of its generating function, computed by
+mpmath at 40 digits."""
+
+import itertools
+import math
+
+import mpmath as mp
+import pytest
+
+from legdual import coeffs, polys, series
+from legdual.coeffs import FactorList, lauricella_G
+
+TAU = 0.7 + 0.2j
+RHO = -0.4 + 0.1j
+NU = 0.6 + 0.1j
+MU = 0.9 - 0.2j
+N = 48
+
+
+def _taylor(f, radius, n=N):
+    """The first n Maclaurin coefficients of f, analytic for |z| < radius:
+    Cauchy's integral on |z| = radius/2 by the m-point trapezoid rule, whose
+    aliasing error is 2^-m relative, in 40 digits plus the n*log10(2) that
+    2^-k c_k loses.  (mpmath.taylor's differences agree, but take seconds
+    per family at 48 terms and minutes at 144.)"""
+    r = mp.mpf(radius) / 2
+    m = max(2 * n, 64)
+    with mp.workdps(50 + int(n * math.log10(2.0))):
+        roots = [mp.expjpi(2 * mp.mpf(j) / m) for j in range(m)]
+        vals = [f(r * w) for w in roots]
+        return [complex(mp.fsum(v * roots[-j * k % m] for j, v in enumerate(vals))
+                        / (m * r**k))
+                for k in range(n)]
+
+
+def _check(stream, ref, rel=1e-13):
+    got = list(itertools.islice(stream, len(ref)))
+    # coefficients that vanish exactly come out of mpmath at round-off level
+    floor = 1e-30 * max(abs(c) for c in ref)
+    for n, (ours, theirs) in enumerate(zip(got, ref)):
+        assert abs(ours - theirs) <= rel * max(abs(theirs), floor), n
+
+
+def _c(v):
+    return mp.mpc(v)
+
+
+def _half_root(z, sign):
+    return (1 + mp.sqrt(1 - sign * z)) / 2
+
+
+class TestPrimitives:
+    def test_binomial(self):
+        _check(series.binomial(TAU, 0.6),
+               _taylor(lambda z: (1 - 0.6 * z) ** -_c(TAU), 1 / 0.6))
+
+    def test_binomial_step(self):
+        _check(series.binomial(RHO, -1.0, 2),
+               _taylor(lambda z: (1 + z * z) ** -_c(RHO), 1.0))
+
+    def test_mul(self):
+        _check(series.mul(series.binomial(RHO, 0.6), series.binomial(TAU, -1.0, 2)),
+               _taylor(lambda z: (1 - 0.6 * z) ** -_c(RHO) * (1 + z * z) ** -_c(TAU), 1.0))
+
+    def test_solve_polynomial(self):
+        # a = (1 - 0.2z)(1 - 0.3z), b = a g'/g for g = 2 (1-0.2z)^-tau (1-0.3z)^-rho
+        a = [1.0, -0.5, 0.06]
+        b = [0.2 * TAU + 0.3 * RHO, -0.06 * (TAU + RHO)]
+        ref = _taylor(lambda z: 2 * (1 - 0.2 * z) ** -_c(TAU) * (1 - 0.3 * z) ** -_c(RHO),
+                      1 / 0.3)
+        _check(series.solve(a, b, 2.0), ref)
+
+    def test_solve_stream(self):
+        # a = 1/(1 - 0.4z), b = tau/(1 - 0.4z)^3: g = exp(tau z / (1 - 0.4z))
+        b = (TAU * v for v in series.binomial(3.0, 0.4))
+        _check(series.solve(series.binomial(1.0, 0.4), b, 1.0),
+               _taylor(lambda z: mp.exp(_c(TAU) * z / (1 - 0.4 * z)), 2.5))
+
+    def test_affine(self):
+        _check(series.affine(3.0, -2.0, series.binomial(TAU, 0.6)),
+               _taylor(lambda z: 3 - 2 * (1 - 0.6 * z) ** -_c(TAU), 1 / 0.6))
+
+    def test_power(self):
+        # the base has no zero in |z| < 0.8
+        alpha = 0.3 - 0.4j
+        f = series.affine(2.0, 0.5, series.binomial(TAU, 0.6))
+        _check(series.power(f, alpha),
+               _taylor(lambda z: (2 + 0.5 * (1 - 0.6 * z) ** -_c(TAU)) ** _c(alpha), 0.8))
+
+    def test_solve_needs_nonzero_lead(self):
+        with pytest.raises(ValueError):
+            next(series.solve([0.0, 1.0], [1.0], 1.0))
+
+
+# name: (sequence, scalar accessor, parameters, generating function, radius)
+FAMILIES = {
+    "gauss_hyper_poly": (
+        polys.gauss_hyper_poly_seq, polys.gauss_hyper_poly, (TAU, RHO, 1.3),
+        lambda z: (1 - z) ** (_c(TAU) - _c(RHO)) * (1 + 0.3 * z) ** -_c(TAU), 1.0),
+    "gauss_hyper_poly_far_node": (
+        polys.gauss_hyper_poly_seq, polys.gauss_hyper_poly, (TAU, RHO, 10.0),
+        lambda z: (1 - z) ** (_c(TAU) - _c(RHO)) * (1 + 9 * z) ** -_c(TAU), 1 / 9),
+    "mittag_leffler_g": (
+        polys.mittag_leffler_g_seq, polys.mittag_leffler_g, (TAU,),
+        lambda z: ((1 + z) / (1 - z)) ** _c(TAU), 1.0),
+    "bateman_g": (
+        polys.bateman_g_seq, polys.bateman_g, (TAU, RHO),
+        lambda z: (1 + z) ** (_c(TAU) + _c(RHO)) * (1 - z) ** -_c(TAU), 1.0),
+    "script_G": (
+        coeffs.script_G_seq, coeffs.script_G, (TAU, RHO, 0.55),
+        lambda z: ((1 - 0.55 * z) ** _c(TAU) * (1 + z / mp.mpf(0.55)) ** -_c(TAU)
+                   * (1 + z * z) ** -_c(RHO)), 0.55),
+    "script_G_hat": (
+        coeffs.script_G_hat_seq, coeffs.script_G_hat, (TAU, RHO, 0.25),
+        lambda z: ((1 + 0.25 * z) ** _c(TAU) * (1 + 4 * z) ** -_c(TAU)
+                   * (1 - z * z) ** -_c(RHO)), 0.25),
+    "frak_p": (
+        coeffs.frak_p_seq, coeffs.frak_p, (RHO, TAU, 0.6),
+        lambda z: (1 - 0.6 * z) ** -_c(RHO) * _half_root(z, 1) ** -_c(TAU), 1.0),
+    "frak_p_unit_t": (
+        coeffs.frak_p_seq, coeffs.frak_p, (-0.5 * NU, 2 * MU, 1.0),
+        lambda z: (1 - z) ** (0.5 * _c(NU)) * _half_root(z, 1) ** (-2 * _c(MU)), 1.0),
+    "omega_plus": (
+        coeffs.omega_pm_seq, coeffs.omega_pm, (NU, MU, 0.7, 1),
+        lambda z: (1 + 0.7 * z) ** -_c(NU) * _half_root(z * z, -1) ** -_c(MU), 1.0),
+    "omega_minus": (
+        coeffs.omega_pm_seq, coeffs.omega_pm, (NU, MU, 0.7, -1),
+        lambda z: (1 + 0.7 * z) ** -_c(NU) * _half_root(z * z, 1) ** -_c(MU), 1.0),
+    "frak_D": (
+        coeffs.frak_D_seq, coeffs.frak_D, (TAU, 0.65, False),
+        lambda u: (1 + 0.65 * mp.sqrt(1 - 2 * u)) ** -_c(TAU), 0.5),
+    "frak_D_inverted": (
+        coeffs.frak_D_seq, coeffs.frak_D, (TAU, 0.65, True),
+        lambda u: (1 + mp.sqrt(1 - 2 * u) / mp.mpf(0.65)) ** -_c(TAU), 0.5),
+}
+
+
+class TestFamilies:
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_matches_mpmath(self, name):
+        seq, _, args, gen, radius = FAMILIES[name]
+        _check(seq(*args), _taylor(gen, radius))
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_element_is_scalar_accessor(self, name):
+        seq, scalar, args, _, _ = FAMILIES[name]
+        elements = list(itertools.islice(seq(*args), 21))
+        for n in (0, 1, 7, 20):
+            assert scalar(n, *args) == elements[n]
+
+    def test_lauricella_product(self):
+        f = FactorList((0.7, 0.4 - 0.2j, -0.3), (1.0, -0.6, 0.35 + 0.1j))
+        ref = _taylor(lambda z: ((1 - z) ** mp.mpf(-0.7) * (1 + 0.6 * z) ** -_c(0.4 - 0.2j)
+                                 * (1 - _c(0.35 + 0.1j) * z) ** mp.mpf(0.3)), 1.0)
+        _check((lauricella_G(n, f) for n in range(N)), ref)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("x", [0.55, 0.65])
+    def test_frak_N(self, x, sign):
+        n = 144
+        t = abs(x ** (-2.0 if sign > 0 else 2.0) - 1.0) ** -0.5
+        y = x if sign > 0 else 1.0 / x
+
+        def gen(z):
+            root = mp.sqrt(1 + sign * z * z)
+            return ((1 + mp.mpf(t) * z) ** -_c(NU) * (1 + mp.mpf(y) * root) ** _c(NU)
+                    * ((1 + root) / 2) ** -_c(MU))
+
+        seq = coeffs.frak_N_seq(NU, MU, x, sign)
+        _check(seq, _taylor(gen, min(1.0, 1.0 / t), n))
+        assert coeffs.frak_N(n - 1, NU, MU, x, sign) == next(
+            itertools.islice(coeffs.frak_N_seq(NU, MU, x, sign), n - 1, None))
+
+
+def test_cancelling_script_G_hat_point():
+    # cor9.b at seed 0, k = 8, x = 0.35: exponent -2k - lambda - 1/2 on the
+    # two linear factors, whose coefficients then cancel against the z^2
+    # factor's
+    k, lam, x = 8, 0.5888605847493189 + 0.670093651340349j, 0.35
+    eta = math.sqrt((1.0 - x) / (1.0 + x))
+    tau, rho = -2 * k - lam - 0.5, lam - 0.5
+    ref = _taylor(lambda z: ((1 + mp.mpf(eta) * z) ** _c(tau)
+                             * (1 + z / mp.mpf(eta)) ** -_c(tau)
+                             * (1 - z * z) ** -_c(rho)), eta, 2 * k + 2)
+    _check(coeffs.script_G_hat_seq(tau, rho, eta), ref)
