@@ -1,5 +1,6 @@
-"""Command-line front end: evaluate functions, verify identities, and emit
-sweep, convergence, and asymptotic tables as JSON, CSV, or text.
+"""Command-line front end: evaluate functions, verify identities, run the
+whole suite, and emit sweep, convergence, and asymptotic tables as JSON, CSV,
+or text.
 
 Exit codes: 0 success, 1 domain or usage error, 2 verification failure.
 """
@@ -13,7 +14,7 @@ import re
 import sys
 
 from .errors import ConvergenceError, LegdualError
-from .harness import asymptotic_checks, convergence_table
+from .harness import HarnessConfig, asymptotic_checks, convergence_table, run_suite
 from .hypergeom import DEFAULT_POLICY, TruncationPolicy
 from .legendre import ParameterPoint, ferrers_p, legendre_p, legendre_q
 from .registry import evaluate_identity, get_descriptor, list_identities, sweep_identity
@@ -108,6 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int,
                          default=int(_env_default("seed", "0")))
     _add_common(p_sweep)
+
+    p_suite = subs.add_parser("suite", help="run the whole identity suite")
+    p_suite.add_argument("--seed", type=int,
+                         default=int(_env_default("seed", "0")))
 
     p_conv = subs.add_parser("convergence",
                              help="per-term convergence diagnostics at a point")
@@ -234,6 +239,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if n_fail == 0 else 2
 
 
+def _cmd_suite(args: argparse.Namespace) -> int:
+    # the report on stdout is byte-identical across runs; the time is not
+    result = run_suite(HarnessConfig(seed=args.seed))
+    print(result.serialize())
+    print(f"wall_time={result.wall_time:.3f} s", file=sys.stderr)
+    return 0 if result.ok else 2
+
+
 def _cmd_convergence(args: argparse.Namespace) -> int:
     get_descriptor(args.id)
     params = _collect_params(args)
@@ -286,6 +299,7 @@ _DISPATCH = {
     "eval": _cmd_eval,
     "verify": _cmd_verify,
     "sweep": _cmd_sweep,
+    "suite": _cmd_suite,
     "convergence": _cmd_convergence,
     "asympt": _cmd_asympt,
     "list": _cmd_list,

@@ -1,11 +1,14 @@
 """Generating-coefficient families.
 
 Maclaurin coefficients of products of powers of short series: binomial
-factors (1 - w z^k)^(-tau), the square roots sqrt(1 -/+ z^k), and affine
-shifts of them.  Each family is one expression over the `series` primitives
-(Cauchy products, binomial factors, and the power recurrence a g' = b g), so
-no parameter value needs a form of its own.  The generating functions are
-never evaluated here, so their values stay independent oracles.
+factors (1 - w z)^(-tau) and (1 -/+ z^2)^(-rho), the square roots
+sqrt(1 -/+ z) and sqrt(1 -/+ z^2), and affine shifts of them.  Each family is
+one expression over the `series` primitives (Cauchy products, binomial
+factors, and the power recurrence a g' = b g), so no parameter value needs a
+form of its own.  A factor F(z^2) that is even in z is built in u = z^2, at
+half the length, and joins the odd factors through the strided product
+`mul(odd, F, 2)`.  The generating functions are never evaluated here, so
+their values stay independent oracles.
 
 `<family>_seq(params)` yields the coefficients of z^0, z^1, ... and computes
 each once, so its first N coefficients cost O(N^2).  The scalar
@@ -129,7 +132,7 @@ def script_G_seq(tau: complex, rho: complex, w: complex) -> Iterator[complex]:
     tau, rho, w = complex(tau), complex(rho), complex(w)
     if w == 0:
         raise ValueError("w must be nonzero")
-    return mul(two_factor(-tau, w, tau, -1.0 / w), binomial(rho, -1.0, 2))
+    return mul(two_factor(-tau, w, tau, -1.0 / w), binomial(rho, -1.0), 2)
 
 
 def script_G(n: int, tau: complex, rho: complex, w: complex) -> complex:
@@ -142,7 +145,7 @@ def script_G_hat_seq(tau: complex, rho: complex, eta: complex) -> Iterator[compl
     tau, rho, eta = complex(tau), complex(rho), complex(eta)
     if eta == 0:
         raise ValueError("eta must be nonzero")
-    return mul(two_factor(-tau, -eta, tau, -1.0 / eta), binomial(rho, 1.0, 2))
+    return mul(two_factor(-tau, -eta, tau, -1.0 / eta), binomial(rho, 1.0), 2)
 
 
 def script_G_hat(n: int, tau: complex, rho: complex, eta: complex) -> complex:
@@ -150,14 +153,14 @@ def script_G_hat(n: int, tau: complex, rho: complex, eta: complex) -> complex:
     return nth(script_G_hat_seq(tau, rho, eta), n)
 
 
-def _half_root(step: int, sign: int) -> Iterator[complex]:
-    """(1 + sqrt(1 - sign z^step)) / 2."""
-    return affine(0.5, 0.5, binomial(-0.5, sign, step))
+def _half_root(sign: int) -> Iterator[complex]:
+    """(1 + sqrt(1 - sign u)) / 2."""
+    return affine(0.5, 0.5, binomial(-0.5, sign))
 
 
 def frak_p_seq(rho: complex, tau: complex, t: complex) -> Iterator[complex]:
     """Coefficients of z^0, z^1, ... in 2^tau (1-zt)^(-rho) (1+sqrt(1-z))^(-tau)."""
-    return mul(binomial(rho, t), power(_half_root(1, 1), -complex(tau)))
+    return mul(binomial(rho, t), power(_half_root(1), -complex(tau)))
 
 
 def frak_p(n: int, rho: complex, tau: complex, t: complex) -> complex:
@@ -173,7 +176,8 @@ def _check_sign(sign: int) -> None:
 def omega_pm_seq(nu: complex, mu: complex, t: complex, sign: int) -> Iterator[complex]:
     """Coefficients of z^0, z^1, ... in (1+tz)^(-nu) ((1+sqrt(1 +/- z^2))/2)^(-mu)."""
     _check_sign(sign)
-    return mul(binomial(nu, -complex(t)), power(_half_root(2, -sign), -complex(mu)))
+    # the even factor in u = z^2
+    return mul(binomial(nu, -complex(t)), power(_half_root(-sign), -complex(mu)), 2)
 
 
 def omega_pm(n: int, nu: complex, mu: complex, t: complex, sign: int) -> complex:
@@ -217,15 +221,17 @@ def frak_N_seq(nu: complex, mu: complex, x: float, sign: int) -> Iterator[comple
     """Coefficients of z^0, z^1, ... in
     (1 + tz)^(-nu) (1 + y r)^nu ((1 + r)/2)^(-mu), r = sqrt(1 +/- z^2),
     with t = |x^(-/+2) - 1|^(-1/2) and y = x or 1/x: the Cauchy product
-    tying frak_D and omega_pm together."""
+    tying frak_D and omega_pm together.  Both powers of r are even in z, so
+    their product is built in u = z^2 and enters through one strided
+    product."""
     _check_sign(sign)
     if not (0.0 < x < 1.0):
         raise ValueError("x must lie in (0, 1)")
     nu, mu = complex(nu), complex(mu)
     t = abs(x ** (-2.0 if sign > 0 else 2.0) - 1.0) ** -0.5
     y = x if sign > 0 else 1.0 / x
-    root = power(affine(1.0, y, binomial(-0.5, -sign, 2)), nu)
-    return mul(omega_pm_seq(nu, mu, t, sign), root)
+    root = power(affine(1.0, y, binomial(-0.5, -sign)), nu)  # in u = z^2
+    return mul(binomial(nu, -t), mul(power(_half_root(-sign), -mu), root), 2)
 
 
 def frak_N(n: int, nu: complex, mu: complex, x: float, sign: int) -> complex:

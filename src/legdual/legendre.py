@@ -138,14 +138,20 @@ def ferrers_p(p: ParameterPoint, x: "Argument | float",
         raise DomainError(f"ferrers_p requires -1 < x < 1, got {arg.x}")
     nu, mu = p.nu, p.mu
     t = (1.0 - arg.x) / 2.0
+    a, b, c = -nu, nu + 1.0, 1.0 + mu
     if arg.x <= 0.0:
-        terminates = (terminating_index(-nu) is not None
-                      or terminating_index(nu + 1) is not None)
-        if not terminates:
+        if terminating_index(a) is None:
+            a, b = b, a
+        k = terminating_index(a)
+        if k is None:
             raise DomainError(
                 "x <= 0 is supported only when the hypergeometric series terminates"
             )
-    sv = _f_over_gamma_c(-nu, nu + 1.0, 1.0 + mu, t, policy)
+        # at t >= 1/2 the terms alternate and cancel; Pfaff's transformation
+        # (1-t)^k 2F1(-k, c-b; c; t/(t-1)) sums terms of one sign
+        sv = _scaled((1.0 - t) ** k, _f_over_gamma_c(a, c - b, c, t / (t - 1.0), policy))
+    else:
+        sv = _f_over_gamma_c(a, b, c, t, policy)
     base = (1.0 - arg.x) / (1.0 + arg.x)
     prefactor = cmath.exp(0.5 * mu * math.log(base))
     return _scaled(prefactor, sv)
@@ -157,13 +163,19 @@ def legendre_p(p: ParameterPoint, x: "Argument | float",
     arg = _as_argument(x)
     if arg.domain is not Domain.LEGENDRE:
         raise DomainError(f"legendre_p requires x > 1, got {arg.x}")
-    nu, mu = p.nu, p.mu
-    t = (arg.x - 1.0) / (arg.x + 1.0)
+    return _legendre_p_series(p.nu, p.mu, (arg.x - 1.0) / (arg.x + 1.0),
+                              math.log(arg.x - 1.0), math.log(arg.x + 1.0), policy)
+
+
+def _legendre_p_series(nu: complex, mu: complex, t: float, log_xm1: float,
+                       log_xp1: float, policy: TruncationPolicy) -> SeriesValue:
+    """legendre_p at the x > 1 given by t = (x-1)/(x+1), log(x-1) and
+    log(x+1), so that a caller who knows x - 1 better than x passes it on."""
     sv = _f_over_gamma_c(-nu, mu - nu, 1.0 + mu, t, policy)
     prefactor = cmath.exp(
         -nu * math.log(2.0)
-        + 0.5 * mu * math.log(arg.x - 1.0)
-        + (nu - 0.5 * mu) * math.log(arg.x + 1.0)
+        + 0.5 * mu * log_xm1
+        + (nu - 0.5 * mu) * log_xp1
     )
     return _scaled(prefactor, sv)
 
@@ -171,18 +183,23 @@ def legendre_p(p: ParameterPoint, x: "Argument | float",
 def legendre_q(p: ParameterPoint, x: "Argument | float",
                policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
     """Second-kind associated Legendre function on (1,inf), via the
-    first-kind function at the reciprocal-like argument x/sqrt(x^2-1)."""
+    first-kind function at the reciprocal-like argument x/s, s = sqrt(x^2-1).
+
+    x/s tends to 1 as x grows, so x/s - 1 is never formed: with x/s - 1 =
+    1/(s (x + s)) and x/s + 1 = (x + s)/s, the series variable is
+    1/(x + s)^2 and the logarithms are sums of log s and log(x + s)."""
     arg = _as_argument(x)
     if arg.domain is not Domain.LEGENDRE:
         raise DomainError(f"legendre_q requires x > 1, got {arg.x}")
     nu, mu = p.nu, p.mu
     if is_nonpos_int(nu - mu + 1.0):
         raise PoleError(f"gamma prefactor pole at nu - mu + 1 = {nu - mu + 1.0}")
-    x2m1 = arg.x * arg.x - 1.0
-    inner = Argument(arg.x / math.sqrt(x2m1))
-    sv = legendre_p(ParameterPoint(mu - 0.5, nu + 0.5), inner, policy)
+    s = math.sqrt((arg.x - 1.0) * (arg.x + 1.0))
+    log_s, log_xs = math.log(s), math.log(arg.x + s)
+    sv = _legendre_p_series(mu - 0.5, nu + 0.5, (arg.x + s) ** -2.0,
+                            -log_s - log_xs, log_xs - log_s, policy)
     prefactor = (math.sqrt(math.pi / 2.0) * cmath.exp(-1j * math.pi * mu)
-                 * gamma(nu - mu + 1.0) * x2m1 ** -0.25)
+                 * gamma(nu - mu + 1.0) / math.sqrt(s))
     return _scaled(prefactor, sv)
 
 

@@ -5,9 +5,11 @@ one function; each coefficient is computed once, when it is first asked for.
 Every generating-coefficient family of `coeffs` and `polys` is one
 expression in four primitives:
 
-- `binomial(tau, w, step)`: (1 - w z^step)^(-tau), by its two-term
-  recurrence;
-- `mul(a, b)`: the Cauchy product, compensated;
+- `binomial(tau, w)`: (1 - w z)^(-tau), by its two-term recurrence;
+- `mul(a, b, k)`: the strided Cauchy product a(z) b(z^k), compensated.  A
+  factor that is even in z, say f(z^2), is built as the stream of f in
+  u = z^2, at half the length and with none of the structural zeros, and
+  enters the product with k = 2;
 - `solve(a, b, g0)`: the g with a g' = b g and g(0) = g0, for a(0) != 0;
   each coefficient costs O(deg) when a and b are polynomials.  `power`
   (a = f, b = alpha f') is J.C.P. Miller's recurrence for f^alpha (Knuth,
@@ -26,6 +28,8 @@ import cmath
 import itertools
 from collections.abc import Iterable, Iterator
 
+from .hypergeom import terminating_index
+
 __all__ = ["binomial", "mul", "solve", "affine", "power", "two_factor", "nth"]
 
 
@@ -36,25 +40,28 @@ def nth(stream: Iterator[complex], n: int) -> complex:
     return next(itertools.islice(stream, n, None))
 
 
-def binomial(tau: complex, w: complex, step: int = 1) -> Iterator[complex]:
-    """(1 - w z^step)^(-tau): (tau)_k w^k / k! at z^(k step), zero between."""
+def binomial(tau: complex, w: complex) -> Iterator[complex]:
+    """(1 - w z)^(-tau): (tau)_k w^k / k!."""
     tau, w = complex(tau), complex(w)
     c = complex(1.0)
     for k in itertools.count():
         yield c
-        for _ in range(step - 1):
-            yield 0j
         c *= (tau + k) * w / (k + 1)
 
 
-def mul(a: Iterable[complex], b: Iterable[complex]) -> Iterator[complex]:
-    """Cauchy product of two streams, each sum Kahan-compensated."""
+def mul(a: Iterable[complex], b: Iterable[complex], k: int = 1) -> Iterator[complex]:
+    """a(z) b(z^k): the coefficient of z^n is the sum of a_i b_j over
+    i + k j = n, in ascending i, Kahan-compensated.  The zeros between the
+    powers of z^k are never formed, and b is read only to index n // k;
+    k = 1 is the plain Cauchy product."""
     xs, ys = [], []
-    for x, y in zip(a, b):
+    b_more = iter(b)
+    for n, x in enumerate(a):
         xs.append(x)
-        ys.append(y)
+        if n % k == 0:
+            ys.append(next(b_more))
         total = carry = 0j
-        for u, v in zip(xs, reversed(ys)):
+        for u, v in zip(xs[n % k::k], reversed(ys)):
             d = u * v - carry
             t = total + d
             carry = (t - total) - d
@@ -115,7 +122,22 @@ def power(f: Iterable[complex], alpha: complex) -> Iterator[complex]:
 
 def two_factor(t1: complex, w1: complex, t2: complex, w2: complex) -> Iterator[complex]:
     """(1 - w1 z)^(-t1) (1 - w2 z)^(-t2) by one solve: a = (1 - w1 z)(1 - w2 z),
-    b = t1 w1 (1 - w2 z) + t2 w2 (1 - w1 z)."""
+    b = t1 w1 (1 - w2 z) + t2 w2 (1 - w1 z).
+
+    Where an exponent t_p is a nonpositive integer, its factor is a
+    polynomial; if also |w_p| > |w_o| (o the other factor), the coefficients
+    are the minimal solution of that recurrence, and a forward run loses
+    digits like |w_p / w_o|^n.  Where the nodes also point apart,
+    Re(w_p conj(w_o)) < 0, the Cauchy product of the two binomials cancels
+    little (not at all for real nodes and real t_o > 0), so it is used
+    there.  Where they point the same way the product cancels too, by up to
+    ((|w_o| + |w_p|) / |w_o - w_p|)^M for degree M, and the recurrence is
+    kept: its loss is damped by n^-(M+1), which holds it at round-off for
+    the n <= 2M the finite sums use."""
     t1, w1, t2, w2 = complex(t1), complex(w1), complex(t2), complex(w2)
+    for tp, wp, wo in ((t1, w1, w2), (t2, w2, w1)):
+        if (terminating_index(tp) is not None and abs(wp) > abs(wo)
+                and (wp * wo.conjugate()).real < 0):
+            return mul(binomial(t1, w1), binomial(t2, w2))
     return solve([1.0, -(w1 + w2), w1 * w2],
                  [t1 * w1 + t2 * w2, -(t1 + t2) * w1 * w2], 1.0)

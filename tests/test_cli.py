@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from legdual import cli
 from legdual.cli import format_complex, main, parse_complex
+from legdual.harness import SuiteResult
 from legdual.registry import list_identities
 
 
@@ -83,6 +85,27 @@ class TestSweepCommand:
         rc = main(["sweep", "thm9.fwd", "--samples", "2", "--format", "text"])
         assert rc == 0
         assert "points pass" in capsys.readouterr().out
+
+
+class TestSuiteCommand:
+    # run_suite is stubbed: the command's contract is the report on stdout,
+    # the time on stderr and the exit code
+    @pytest.mark.parametrize("asymptotic,code", [({"a": True}, 0), ({"a": False}, 2)])
+    def test_prints_the_report(self, capsys, monkeypatch, asymptotic, code):
+        seen = []
+
+        def stub(cfg):
+            seen.append(cfg.seed)
+            return SuiteResult({"thm5.fwd": 30}, [], asymptotic, wall_time=1.25)
+
+        monkeypatch.setattr(cli, "run_suite", stub)
+        expect = stub(cli.HarnessConfig(seed=0)).serialize() + "\n"
+        for _ in range(2):
+            assert main(["suite", "--seed", "0"]) == code
+            out, err = capsys.readouterr()
+            assert out == expect
+            assert err == "wall_time=1.250 s\n"
+        assert seen == [0, 0, 0]
 
 
 class TestConvergenceCommand:

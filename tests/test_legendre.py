@@ -79,6 +79,18 @@ class TestFerrersP:
         x = -0.2
         _close(v, 0.5 * (5 * x**3 - 3 * x), rel=1e-13)
 
+    @pytest.mark.parametrize("k", range(13))
+    def test_terminating_at_nonpositive_x(self, k):
+        # order -mu with mu = -m > k is no polynomial: the series at
+        # t = (1 - x)/2 >= 1/2 alternates; checked for degree k and its
+        # reflection -k - 1, which terminates through the other parameter
+        for m in range(-k - 6, -k):
+            for i in range(1, 20):
+                x = -0.05 * i
+                ref = mp.legenp(k, m, x, type=2)
+                for nu in (k, -k - 1):
+                    _close(ferrers_p(ParameterPoint(nu, -m), x).value, ref, rel=1e-12)
+
     def test_entire_limit_error(self):
         with pytest.raises(EntireLimitUnsupported):
             ferrers_p(ParameterPoint(0.7 + 0.1j, -2.0), 0.5)
@@ -133,6 +145,14 @@ class TestLegendreQ:
         (0.5 + 0.2j, 0.4, 1.3),
     ])
     def test_matches_mpmath(self, nu, mu, x):
+        ours = legendre_q(ParameterPoint(nu, mu), x).value
+        ref = mp.legenq(mp.mpc(nu), mp.mpc(-mu), mp.mpf(x), type=3)
+        _close(ours, ref)
+
+    @pytest.mark.parametrize("x", [50.0, 300.0, 700.0, 1000.0])
+    @pytest.mark.parametrize("nu,mu", [(0.8, 0.3), (1.2, 0.0), (0.5 + 0.2j, 0.4)])
+    def test_large_x(self, nu, mu, x):
+        # x/sqrt(x^2 - 1) - 1 would cost about eps x^2 relative
         ours = legendre_q(ParameterPoint(nu, mu), x).value
         ref = mp.legenq(mp.mpc(nu), mp.mpc(-mu), mp.mpf(x), type=3)
         _close(ours, ref)

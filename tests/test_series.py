@@ -56,12 +56,54 @@ class TestPrimitives:
                _taylor(lambda z: (1 - 0.6 * z) ** -_c(TAU), 1 / 0.6))
 
     def test_binomial_step(self):
-        _check(series.binomial(RHO, -1.0, 2),
+        # (1 + z^2)^-rho: the constant 1 times the binomial in u = z^2
+        _check(series.mul(series.binomial(0.0, 0.0), series.binomial(RHO, -1.0), 2),
                _taylor(lambda z: (1 + z * z) ** -_c(RHO), 1.0))
 
     def test_mul(self):
-        _check(series.mul(series.binomial(RHO, 0.6), series.binomial(TAU, -1.0, 2)),
+        _check(series.mul(series.binomial(RHO, 0.6), series.binomial(TAU, -1.0), 2),
                _taylor(lambda z: (1 - 0.6 * z) ** -_c(RHO) * (1 + z * z) ** -_c(TAU), 1.0))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_strided_mul_is_dense_product_of_spread_stream(self, k):
+        # b(z^k) spelled out with its zeros, multiplied densely
+        def spread(stream):
+            for v in stream:
+                yield v
+                yield from itertools.repeat(0j, k - 1)
+
+        def factors():
+            return (series.binomial(TAU, 0.6),
+                    series.affine(0.5, 0.5, series.binomial(-0.5, -1.0)))
+
+        a, b = factors()
+        got = list(itertools.islice(series.mul(a, b, k), N))
+        a, b = factors()
+        dense = list(itertools.islice(series.mul(a, spread(b)), N))
+        for n, (ours, ref) in enumerate(zip(got, dense)):
+            assert abs(ours - ref) <= 1e-15 * abs(ref), n
+
+    def test_unit_stride_sums_in_the_old_order(self):
+        def dense_mul(a, b):
+            xs, ys = [], []
+            for x, y in zip(a, b):
+                xs.append(x)
+                ys.append(y)
+                total = carry = 0j
+                for u, v in zip(xs, reversed(ys)):
+                    d = u * v - carry
+                    t = total + d
+                    carry = (t - total) - d
+                    total = t
+                yield total
+
+        def factors():
+            return (series.binomial(TAU, 0.6),
+                    series.power(series.affine(2.0, 0.5, series.binomial(RHO, -0.7)),
+                                 0.3 - 0.4j))
+
+        assert (list(itertools.islice(series.mul(*factors()), N))
+                == list(itertools.islice(dense_mul(*factors()), N)))
 
     def test_solve_polynomial(self):
         # a = (1 - 0.2z)(1 - 0.3z), b = a g'/g for g = 2 (1-0.2z)^-tau (1-0.3z)^-rho
@@ -171,6 +213,54 @@ class TestFamilies:
         _check(seq, _taylor(gen, min(1.0, 1.0 / t), n))
         assert coeffs.frak_N(n - 1, NU, MU, x, sign) == next(
             itertools.islice(coeffs.frak_N_seq(NU, MU, x, sign), n - 1, None))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_frak_N_builds_its_even_factors_at_half_length(self, monkeypatch, sign):
+        # the Miller powers of sqrt(1 +/- z^2) run in u = z^2: 144 coefficients
+        # of frak_N need each power only to u^71
+        drawn = []
+
+        def counted_solve(*args, _solve=series.solve):
+            drawn.append(0)
+            slot = len(drawn) - 1
+            for v in _solve(*args):
+                drawn[slot] += 1
+                yield v
+
+        monkeypatch.setattr(series, "solve", counted_solve)
+        assert len(list(itertools.islice(coeffs.frak_N_seq(NU, MU, 0.55, sign), 144))) == 144
+        assert len(drawn) == 2
+        assert max(drawn) <= 73
+
+
+class TestTwoFactorPolynomialFactor:
+    # integer tau makes (1 + z/w)^(-tau) or (1 - w z)^tau a polynomial; the
+    # forward recurrence would then compute a minimal solution
+    @pytest.mark.parametrize("rho", [0.0, -15.0])
+    @pytest.mark.parametrize("tau", [-1.0, -3.0])
+    def test_script_G_integer_tau(self, tau, rho):
+        w = 1.0 / 3.0
+
+        def gen(z):
+            return ((1 - mp.mpf(w) * z) ** tau * (1 + z / mp.mpf(w)) ** -tau
+                    * (1 + z * z) ** -rho)
+
+        # radius 1, not 1/w: on |z| = 1.5 the polynomial factors reach 1e10,
+        # which the trapezoid rule's aliasing would carry into the reference
+        _check(coeffs.script_G_seq(tau, rho, w), _taylor(gen, 1.0))
+
+    @pytest.mark.parametrize("k,m", [(8, 7), (8, 8), (5, 2)])
+    def test_script_G_hat_same_direction_nodes(self, k, m):
+        # cor10.b at x = 0.35: nodes -eta and -1/eta point the same way, so
+        # the binomial product would cancel by ((1 + eta^2) / (1 - eta^2))^(k+m)
+        eta = math.sqrt(0.65 / 1.35)
+        tau, rho = -k - m, m - k
+
+        def gen(z):
+            return ((1 + mp.mpf(eta) * z) ** tau * (1 + z / mp.mpf(eta)) ** -tau
+                    * (1 - z * z) ** -rho)
+
+        _check(coeffs.script_G_hat_seq(tau, rho, eta), _taylor(gen, eta, 2 * k + 1))
 
 
 def test_cancelling_script_G_hat_point():
