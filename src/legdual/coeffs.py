@@ -24,15 +24,14 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import DuplicateNodeError, NodeMismatchError, PoleError
-from .hypergeom import KahanSum, pochhammer
+from .errors import DuplicateNodeError, PoleError
+from .hypergeom import pochhammer
 from .polys import gegenbauer
 from .series import affine, binomial, mul, nth, power, two_factor
 
 __all__ = [
     "FactorList",
     "lauricella_G",
-    "lauricella_G_additivity_check",
     "frak_C",
     "frak_C_scaled",
     "script_G",
@@ -43,7 +42,6 @@ __all__ = [
     "frak_p_seq",
     "omega_pm",
     "omega_pm_seq",
-    "omega_pm_direct",
     "frak_D",
     "frak_D_seq",
     "frak_N",
@@ -83,25 +81,6 @@ def lauricella_G(n: int, f: FactorList) -> complex:
     for j in sorted(range(len(f)), key=lambda j: -abs(f.ws[j])):
         product = mul(product, binomial(f.taus[j], f.ws[j]))
     return nth(product, n)
-
-
-def lauricella_G_additivity_check(n: int, f0: FactorList, f1: FactorList) -> bool:
-    """Convolution identity: the coefficient for summed exponents equals the
-    Cauchy product of the two coefficient sequences."""
-    if len(f0) != len(f1) or any(
-        abs(a - b) > NODE_TOL for a, b in zip(f0.ws, f1.ws)
-    ):
-        raise NodeMismatchError("factor lists must share the same node list")
-    merged = FactorList(
-        tuple(a + b for a, b in zip(f0.taus, f1.taus)), f0.ws
-    )
-    lhs = lauricella_G(n, merged)
-    acc = KahanSum()
-    for m in range(n + 1):
-        acc.add(lauricella_G(m, f0) * lauricella_G(n - m, f1))
-    rhs = acc.value()
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return abs(lhs - rhs) <= 1e-11 * scale
 
 
 def frak_C(n: int, alpha: float, tau: complex) -> complex:
@@ -183,22 +162,6 @@ def omega_pm_seq(nu: complex, mu: complex, t: complex, sign: int) -> Iterator[co
 def omega_pm(n: int, nu: complex, mu: complex, t: complex, sign: int) -> complex:
     """Coefficient of z^n in (1+tz)^(-nu) ((1+sqrt(1 +/- z^2))/2)^(-mu)."""
     return nth(omega_pm_seq(nu, mu, t, sign), n)
-
-
-def omega_pm_direct(n: int, nu: complex, mu: complex, t: complex, sign: int) -> complex:
-    """Explicit double-sum form of omega_pm, used as a cross-check."""
-    _check_sign(sign)
-    nu, mu, t = complex(nu), complex(mu), complex(t)
-    acc = KahanSum()
-    for k in range(n // 2 + 1):
-        num = (
-            pochhammer(0.5 * mu, k)
-            * pochhammer(0.5 * (mu + 1.0), k)
-            * pochhammer(nu, n - 2 * k)
-        )
-        den = math.factorial(k) * pochhammer(mu + 1.0, k) * math.factorial(n - 2 * k)
-        acc.add(num / den * (-sign) ** k * t ** (-2 * k))
-    return (-t) ** n * acc.value()
 
 
 def frak_D_seq(tau: complex, xarg: float, inverted: bool) -> Iterator[complex]:

@@ -16,7 +16,6 @@ from .asympt import (
     frak_p_asymptotic_sum,
     gegenbauer_uniform_asympt,
     large_degree_leading,
-    tail_order_predict,
     watson_mu_leading,
 )
 from .coeffs import FactorList, frak_p, lauricella_G

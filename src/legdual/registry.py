@@ -15,12 +15,14 @@ Miller's backward recurrence.  The diagonal chains at arguments above 1
 (thm4.fwd, thm6.p1a, thm8.r2) have no stable recurrence direction and keep
 one direct P per term.
 
-`_sum_terms` is the one summation loop: infinite series are summed directly
-under the truncation policy, and series whose tails have not passed the
-direct test at the term cap are finished with Wynn epsilon extrapolation on
-the partial sums.  Each sum reports how it stopped.  All identities are
-stated for x in a subinterval of (0,1); reciprocal arguments are formed
-inside the streams.
+`_sum_terms` is the one summation loop.  It runs the direct tolerance test
+on every term and, alongside, Wynn's epsilon algorithm in progressive form:
+each partial sum adds one ascending antidiagonal to the epsilon table, whose
+top even-column entry is the sum's current estimate.  An infinite series
+stops at the direct test or once successive estimates agree, so the term
+streams (and the coefficients and P chains behind them) are drawn only that
+far.  Each sum reports how it stopped.  All identities are stated for x in a
+subinterval of (0,1); reciprocal arguments are formed inside the streams.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ TOL_FINITE = 1e-11
 TOL_SERIES = 1e-9
 TOL_BOUNDARY = 1e-6
 
-_DIRECT_CAP = 48
+_SERIES_CAP = 160
 _TINY = 1e-300
 _EPS = 2.0**-52
 
@@ -75,6 +77,11 @@ _EPS = 2.0**-52
 _CHAIN_BLOCK = 16
 _CHAIN_TOL = 1e-13
 _CHAIN_MAX_DEPTH = 4096
+
+# Wynn stop: estimates W_n, W_{n-2}, W_{n-4} agree to _WYNN_TOL relative,
+# tested from _WYNN_MIN_TERMS terms on
+_WYNN_TOL = 1e-14
+_WYNN_MIN_TERMS = 12
 
 
 class Kind(Enum):
@@ -268,43 +275,38 @@ def _away_from_ints(z: complex, margin: float = 0.15) -> bool:
     return abs(z.imag) >= margin or abs(z.real - round(z.real)) >= margin
 
 
-def _wynn_accelerate(partials: list) -> tuple:
-    """Wynn epsilon extrapolation; returns (value, error estimate).  The
-    estimate is the smallest difference between the last two entries of an
-    even column, never below one rounding unit of the value; it is positive
-    also when two entries of a column agree to the last bit and the
-    extrapolation stops there."""
-    if len(partials) < 4:
-        return partials[-1], float("inf")
-    e_prev = [0j] * (len(partials) + 1)
-    e_cur = list(partials)
-    best = partials[-1]
-    best_err = abs(partials[-1] - partials[-2])
-    col = 0
+def _wynn_diagonal(prev: list, s: complex) -> list:
+    """The next ascending antidiagonal of Wynn's epsilon table: eps_0 = s,
+    then eps_{k+1} = prev[k-1] + 1/(eps_k - prev[k]) from the antidiagonal
+    `prev` before it (prev[-1] read as 0).  It ends where two adjacent
+    entries are equal and before an entry that is not finite."""
+    isfinite = cmath.isfinite
+    new = [s]
+    if not isfinite(s):
+        return new
+    last, before = s, 0.0  # new[k] and prev[k-1]
     try:
-        while len(e_cur) > 2:
-            e_next = []
-            for i in range(len(e_cur) - 1):
-                d = e_cur[i + 1] - e_cur[i]
-                if d == 0:
-                    return e_cur[i + 1], max(best_err, _EPS * abs(e_cur[i + 1]))
-                e_next.append(e_prev[i + 1] + 1.0 / d)
-            e_prev, e_cur = e_cur, e_next
-            col += 1
-            if col % 2 == 0 and len(e_cur) >= 2:
-                err = abs(e_cur[-1] - e_cur[-2])
-                if err < best_err:
-                    best, best_err = e_cur[-1], err
-    except (OverflowError, ZeroDivisionError):
+        for e in prev:
+            last = before + 1.0 / (last - e)
+            if not isfinite(last):
+                break
+            new.append(last)
+            before = e
+    except ZeroDivisionError:  # two adjacent entries are equal
         pass
-    return best, max(best_err, _EPS * abs(best))
+    return new
+
+
+def _terms_grow(mags: list) -> bool:
+    """The last 6 term magnitudes sum to more than 1.5 times the 6 before."""
+    return sum(mags[-6:]) > 1.5 * sum(mags[-12:-6])
 
 
 class _Impl:
     def __init__(self, ident, kind, lhs, terms, n_top=None, sampler=None,
                  x_grid=(0.35, 0.6, 0.8), x_window=None, boundary_ok=None,
                  param_check=None, param_domain="", x_domain="(0,1)",
-                 termination_rule=None, direct_cap=None):
+                 termination_rule=None):
         self.id = ident
         self.kind = kind
         self.lhs = lhs
@@ -318,7 +320,6 @@ class _Impl:
         self.param_domain = param_domain
         self.x_domain = x_domain
         self.termination_rule = termination_rule
-        self.direct_cap = _DIRECT_CAP if direct_cap is None else direct_cap
 
     def n_top(self, p) -> "int | None":
         if self._n_top is None:
@@ -399,8 +400,18 @@ def _running_sums(impl: _Impl, p, x: float, policy: TruncationPolicy) -> Iterato
 def _sum_terms(impl: _Impl, p, x: float, policy: TruncationPolicy) -> _SeriesSum:
     """Sum the right-hand side and say how the sum stopped: "terminated" at
     the termination index, "direct" when the tolerance test on the terms
-    passed, or "wynn" when extrapolated at the term cap (with its error
-    estimate as extrap_err)."""
+    passed, or "wynn" from the epsilon table (with its error estimate as
+    extrap_err).
+
+    Each partial sum extends the table by one antidiagonal (`_wynn_diagonal`)
+    and its top even-column entry is the estimate W_n.  The agreement at n is
+    max(|W_n - W_{n-2}|, |W_{n-2} - W_{n-4}|).  The sum stops at the first
+    n >= _WYNN_MIN_TERMS whose agreement is at most _WYNN_TOL |W_n| while the
+    terms do not grow (a growing series has an antilimit that the table can
+    settle on), reporting that agreement, never below one rounding unit of
+    W_n.  At the term cap, growing terms raise ConvergenceError; otherwise
+    the estimate with the smallest agreement is returned.  Estimates that are
+    not finite neither stop the sum nor are returned."""
     n_top = impl.n_top(p)
     sums = _running_sums(impl, p, x, policy)
     max_mag = 0.0
@@ -409,41 +420,41 @@ def _sum_terms(impl: _Impl, p, x: float, policy: TruncationPolicy) -> _SeriesSum
         for t, value in itertools.islice(sums, n_top + 1):
             max_mag = max(max_mag, abs(t))
         return _SeriesSum(value, n_top + 1, max_mag, "terminated", 0.0)
-    partials = []
     mags = []
+    diag = []
+    estimates = []
+    best = None
     small = 0
-    cap = min(impl.direct_cap, policy.max_terms)
+    cap = min(_SERIES_CAP, policy.max_terms)
     for n, (t, partial) in enumerate(sums, 1):
         m = abs(t)
         max_mag = max(max_mag, m)
         mags.append(m)
-        partials.append(partial)
         if m <= policy.rel_tol * max(abs(partial), policy.abs_floor):
             small += 1
             if small >= policy.consecutive_small:
                 return _SeriesSum(partial, n, max_mag, "direct", 0.0)
         else:
             small = 0
+        diag = _wynn_diagonal(diag, partial)
+        w = diag[(len(diag) - 1) & ~1]
+        estimates.append(w)
+        if n >= 5:
+            agree = max(abs(w - estimates[-3]), abs(estimates[-3] - estimates[-5]))
+            if math.isfinite(agree):
+                err = max(agree, _EPS * abs(w))
+                if (n >= _WYNN_MIN_TERMS and agree <= _WYNN_TOL * abs(w)
+                        and not _terms_grow(mags)):
+                    return _SeriesSum(w, n, max_mag, "wynn", err)
+                if best is None or err < best[1]:
+                    best = (w, err)
         if n >= cap:
             break
-    # tail did not pass the direct test: growing tails are an error,
-    # slowly decaying ones are extrapolated
-    if sum(mags[-6:]) > 1.5 * sum(mags[-12:-6]):
-        grows = True
-        try:
-            from .asympt import tail_order_predict
-
-            lo = tail_order_predict(impl.id, n - 8, dict(p), x)
-            hi = tail_order_predict(impl.id, n, dict(p), x)
-            grows = hi >= lo
-        except UnknownIdentityError:
-            pass
-        if grows:
-            raise ConvergenceError(
-                f"{impl.id}: series terms do not decay at x = {x}"
-            )
-    value, err = _wynn_accelerate(partials)
-    return _SeriesSum(value, n, max_mag, "wynn", err)
+    if _terms_grow(mags):
+        raise ConvergenceError(f"{impl.id}: series terms do not decay at x = {x}")
+    if best is None:
+        raise ConvergenceError(f"{impl.id}: no finite Wynn estimate at x = {x}")
+    return _SeriesSum(best[0], n, max_mag, "wynn", best[1])
 
 
 def evaluate_identity(identity_id: str, params: dict, x: float,
@@ -1217,8 +1228,6 @@ def _build_catalog() -> None:
                               x, 1, pol))
         ),
         n_top=t8_ntop, sampler=t8_sampler,
-        # algebraic tail: extrapolation needs a long run of partial sums
-        direct_cap=144,
         x_grid=(0.55, 0.7, 0.85),
         param_domain="nu, mu complex",
     ))

@@ -4,6 +4,7 @@ sums of its own generating function at interior points."""
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 
 from legdual.coeffs import (
@@ -14,9 +15,7 @@ from legdual.coeffs import (
     frak_N,
     frak_p,
     lauricella_G,
-    lauricella_G_additivity_check,
     omega_pm,
-    omega_pm_direct,
     script_G,
     script_G_hat,
 )
@@ -29,6 +28,18 @@ RHO = -0.4 + 0.1j
 def _match(lhs, coef, z, n_terms=120, rel=1e-12):
     rhs = sum(coef(n) * z**n for n in range(n_terms))
     assert abs(lhs - rhs) <= rel * max(abs(lhs), 1e-300)
+
+
+def _omega_pm_direct(n, nu, mu, t, sign):
+    """Explicit double-sum form of omega_pm in 30-digit arithmetic."""
+    with mp.workdps(30):
+        nu, mu, t = mp.mpc(nu), mp.mpc(mu), mp.mpc(t)
+        acc = mp.mpc(0)
+        for k in range(n // 2 + 1):
+            acc += (mp.rf(0.5 * mu, k) * mp.rf(0.5 * (mu + 1), k) * mp.rf(nu, n - 2 * k)
+                    / (mp.factorial(k) * mp.rf(mu + 1, k) * mp.factorial(n - 2 * k))
+                    * (-sign) ** k * t ** (-2 * k))
+        return complex((-t) ** n * acc)
 
 
 class TestFactorList:
@@ -55,9 +66,16 @@ class TestLauricella:
         assert lauricella_G(0, self.F) == 1.0
 
     def test_additivity(self):
-        f0 = FactorList((0.5 + 0j, 0.2 + 0j), (0.8 + 0j, -0.4 + 0j))
-        f1 = FactorList((0.3 + 0j, -0.1 + 0j), (0.8 + 0j, -0.4 + 0j))
-        assert lauricella_G_additivity_check(7, f0, f1)
+        # summed exponents over one node list: the coefficients are the
+        # Cauchy product of the two coefficient sequences
+        ws = (0.8 + 0j, -0.4 + 0j)
+        f0 = FactorList((0.5 + 0j, 0.2 + 0j), ws)
+        f1 = FactorList((0.3 + 0j, -0.1 + 0j), ws)
+        merged = FactorList(tuple(a + b for a, b in zip(f0.taus, f1.taus)), ws)
+        n = 7
+        lhs = lauricella_G(n, merged)
+        rhs = sum(lauricella_G(m, f0) * lauricella_G(n - m, f1) for m in range(n + 1))
+        assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), abs(rhs), 1.0)
 
 
 class TestSinhFamily:
@@ -138,7 +156,7 @@ class TestSqrtFamilies:
         nu, mu, t = 0.6 + 0.1j, 0.9 - 0.2j, 0.7
         for n in (1, 5, 10):
             a = omega_pm(n, nu, mu, t, sign)
-            b = omega_pm_direct(n, nu, mu, t, sign)
+            b = _omega_pm_direct(n, nu, mu, t, sign)
             assert abs(a - b) <= 1e-11 * max(abs(a), abs(b))
 
     @pytest.mark.parametrize("sign", [1, -1])
