@@ -17,7 +17,6 @@ from .legendre import (
     Domain,
     ParameterPoint,
     ferrers_p,
-    ferrers_p_large_x_form,
     legendre_p,
     legendre_q,
 )

@@ -1,9 +1,8 @@
 """Large-order asymptotic evaluators.
 
 Leading and refined Darboux coefficients for products of binomial factors,
-the uniform Gegenbauer estimate with its explicit remainder bound, leading
-terms of the large-order/large-degree function asymptotics, and per-identity
-tail-magnitude predictions used to budget series truncation.
+the uniform Gegenbauer estimate with its explicit remainder bound, and the
+leading terms of the large-order/large-degree function asymptotics.
 """
 
 from __future__ import annotations
@@ -13,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .coeffs import FactorList, lauricella_G
-from .errors import BoundUnavailableError, DegenerateError, UnknownIdentityError
-from .hypergeom import INT_TOL, gamma, pochhammer, recip_gamma
+from .errors import BoundUnavailableError, DegenerateError
+from .hypergeom import INT_TOL, pochhammer, recip_gamma
 
 __all__ = [
     "AsymptoticEstimate",
@@ -25,7 +24,6 @@ __all__ = [
     "large_degree_leading",
     "frak_p_asymptotic_sum",
     "frak_N_leading",
-    "tail_order_predict",
 ]
 
 
@@ -250,53 +248,3 @@ def frak_N_leading(n: int, nu: complex, mu: complex, x: float, sign: int) -> com
         * cmath.exp((nu - 1.0) * math.log(n))
     )
 
-
-def _tail_model(identity_id: str, params: dict, x: float) -> tuple[float, float]:
-    """(geometric rate, algebraic exponent) of the n-th series term."""
-    nu = complex(params.get("nu", 0.0))
-    u = (1.0 - x) / (1.0 + x)
-    v = (1.0 - x * x) / (x * x)
-    mu = complex(params.get("mu", 0.0))
-    p_thm4 = 0.5 * (3.0 * nu.real - mu.real - 1.0)
-    table = {
-        "thm4.fwd": (v, p_thm4),
-        "thm4.inv": (1.0 - x * x, p_thm4),
-        "thm5.fwd": (u, abs(nu.real) - nu.real - 2.0),
-        "thm5.inv": (u, abs(nu.real) - nu.real - 2.0),
-        "thm6.p1a": (v, -1.5 * nu.real - 2.0),
-        "thm6.p2a": (1.0 - x * x, -1.5 * nu.real - 2.0),
-        "thm6.p1b": (u, -2.0),
-        "thm6.p2b": (u, -2.0),
-        "thm7.q1": (1.0, -1.5),
-        "thm7.q3": (1.0, -1.5),
-        "thm7.q2": (1.0, -2.0 * nu.real - 2.0),
-        "thm7.q4": (1.0, -2.0 * nu.real - 2.0),
-        "thm8.g1": (1.0, -2.0 * nu.real - 2.0),
-        "thm8.g2": (1.0, -2.0 * nu.real - 2.0),
-        "thm8.r1": (1.0, nu.real - 1.5),
-        "thm8.r2": (1.0, nu.real - 1.5),
-        "thm9.fwd": (1.0, -2.0),
-        "thm9.inv": (1.0, -2.0),
-    }
-    if identity_id not in table:
-        raise UnknownIdentityError(f"no tail model for identity '{identity_id}'")
-    return table[identity_id]
-
-
-def tail_order_predict(identity_id: str, n: int, params: dict, x: float) -> float:
-    """Predicted magnitude scale of the n-th right-hand-side term.
-
-    Only the decay (or growth) law matters: the value is rate^n * n^p with
-    no attempt at the constant.  Terminating parameter choices predict an
-    exact zero past the termination index.
-    """
-    from .registry import _get_impl  # late import avoids a module cycle
-
-    impl = _get_impl(identity_id)
-    if n < 1:
-        raise ValueError("prediction needs n >= 1")
-    top = impl.n_top(params)
-    if top is not None and n > top:
-        return 0.0
-    rate, p = _tail_model(identity_id, params, x)
-    return rate ** n * float(n) ** p

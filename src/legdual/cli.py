@@ -106,13 +106,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = subs.add_parser("sweep", help="check one identity over sampled points")
     p_sweep.add_argument("id")
     p_sweep.add_argument("--samples", type=int, default=30)
-    p_sweep.add_argument("--seed", type=int,
-                         default=int(_env_default("seed", "0")))
+    p_sweep.add_argument("--seed", type=int, default=_env_default("seed", "0"))
     _add_common(p_sweep)
 
     p_suite = subs.add_parser("suite", help="run the whole identity suite")
-    p_suite.add_argument("--seed", type=int,
-                         default=int(_env_default("seed", "0")))
+    p_suite.add_argument("--seed", type=int, default=_env_default("seed", "0"))
 
     p_conv = subs.add_parser("convergence",
                              help="per-term convergence diagnostics at a point")

@@ -33,10 +33,6 @@ class DuplicateNodeError(LegdualError):
     """Factor nodes must be pairwise distinct."""
 
 
-class NodeMismatchError(LegdualError):
-    """Two factor lists were expected to share the same node list."""
-
-
 class DegenerateError(LegdualError):
     """A dominant exponent is a nonpositive integer; the leading term vanishes."""
 
@@ -51,7 +47,3 @@ class UnknownIdentityError(LegdualError):
 
 class ConvergenceError(LegdualError):
     """Series tail is not decaying; the policy cannot be satisfied."""
-
-
-class OracleUnstableError(LegdualError):
-    """Doubling the oracle term count did not stabilize the value."""

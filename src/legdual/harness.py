@@ -1,7 +1,5 @@
 """Suite orchestration: seeded identity sweeps, asymptotic ratio checks, and
-per-point convergence diagnostics.  The high-precision oracle tables are in
-`oracle`, which needs mpmath and is imported by the tests only.
-"""
+per-point convergence diagnostics."""
 
 from __future__ import annotations
 
@@ -9,11 +7,10 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .asympt import (
     darboux_G_leading,
-    frak_p_asymptotic_sum,
     gegenbauer_uniform_asympt,
     large_degree_leading,
     watson_mu_leading,
@@ -22,15 +19,7 @@ from .coeffs import FactorList, frak_p, lauricella_G
 from .hypergeom import DEFAULT_POLICY, TruncationPolicy, gamma
 from .legendre import ParameterPoint, ferrers_p, legendre_p
 from .polys import gegenbauer
-from .registry import (
-    IdentityReport,
-    Kind,
-    _get_impl,
-    _running_sums,
-    evaluate_identity,
-    list_identities,
-    sweep_identity,
-)
+from .registry import Kind, _get_impl, _running_sums, list_identities, sweep_identity
 
 __all__ = [
     "HarnessConfig",
@@ -58,7 +47,6 @@ class HarnessConfig:
         Kind.FINITE_SUM: 50,
         Kind.VANISHING_SUM: 50,
     })
-    tolerance_overrides: dict = field(default_factory=dict)
     policy: TruncationPolicy = DEFAULT_POLICY
     output_path: "str | None" = None
 
@@ -191,13 +179,6 @@ def run_suite(cfg: HarnessConfig = HarnessConfig()) -> SuiteResult:
         ran_any = True
         reports = sweep_identity(desc.id, n_samples=n, seed=cfg.seed,
                                  policy=cfg.policy)
-        tol = cfg.tolerance_overrides.get(desc.id)
-        if tol is not None:
-            reports = [
-                replace(r, passed=(r.rel_err <= tol) if r.error is None else False,
-                        tolerance_used=float(tol))
-                for r in reports
-            ]
         pass_counts[desc.id] = sum(1 for r in reports if r.passed)
         failures.extend(r for r in reports if not r.passed)
     asym = asymptotic_checks() if ran_any else {}

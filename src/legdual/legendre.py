@@ -37,7 +37,6 @@ __all__ = [
     "ferrers_p",
     "legendre_p",
     "legendre_q",
-    "ferrers_p_large_x_form",
 ]
 
 
@@ -48,25 +47,18 @@ class Domain(Enum):
 
 @dataclass(frozen=True)
 class Argument:
-    """Evaluation point with its interval tag and hyperbolic coordinate."""
+    """Evaluation point with its interval tag."""
 
     x: float
     domain: Domain = field(init=False)
-    alpha: float = field(init=False)
 
     def __post_init__(self) -> None:
         x = float(self.x)
         if not math.isfinite(x) or x <= -1.0 or x == 1.0:
             raise DomainError(f"argument x = {x} outside (-1,1) union (1,inf)")
-        if x < 1.0:
-            dom = Domain.FERRERS
-            alpha = math.atanh(x) if x > 0.0 else math.nan
-        else:
-            dom = Domain.LEGENDRE
-            alpha = math.atanh(1.0 / x)
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "domain", dom)
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "domain",
+                           Domain.FERRERS if x < 1.0 else Domain.LEGENDRE)
 
 
 @dataclass(frozen=True)
@@ -200,25 +192,6 @@ def legendre_q(p: ParameterPoint, x: "Argument | float",
                             -log_s - log_xs, log_xs - log_s, policy)
     prefactor = (math.sqrt(math.pi / 2.0) * cmath.exp(-1j * math.pi * mu)
                  * gamma(nu - mu + 1.0) / math.sqrt(s))
-    return _scaled(prefactor, sv)
-
-
-def ferrers_p_large_x_form(p: ParameterPoint, x: "Argument | float",
-                           policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
-    """Alternative quadratic-argument evaluation path, valid for x > 1/sqrt(2)."""
-    arg = _as_argument(x)
-    if not (arg.x > 1.0 / math.sqrt(2.0)):
-        raise DomainError(
-            f"quadratic-argument form requires x > 1/sqrt(2), got {arg.x}"
-        )
-    nu, mu = p.nu, p.mu
-    t = 1.0 - 1.0 / (arg.x * arg.x)
-    sv = _f_over_gamma_c(0.5 * (mu - nu), 0.5 * (mu - nu + 1.0), 1.0 + mu, t, policy)
-    prefactor = cmath.exp(
-        -mu * math.log(2.0)
-        + 0.5 * mu * math.log(abs(1.0 - arg.x * arg.x))
-        + (nu - mu) * math.log(arg.x)
-    )
     return _scaled(prefactor, sv)
 
 

@@ -23,6 +23,10 @@ stops at the direct test or once successive estimates agree, so the term
 streams (and the coefficients and P chains behind them) are drawn only that
 far.  Each sum reports how it stopped.  All identities are stated for x in a
 subinterval of (0,1); reciprocal arguments are formed inside the streams.
+
+Each infinite series also states its tail law, `tail(p, x) -> (rate,
+exponent)`: the n-th term decays (or grows) like rate^n n^exponent, which
+`tail_order_predict` evaluates.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ __all__ = [
     "get_descriptor",
     "evaluate_identity",
     "sweep_identity",
+    "tail_order_predict",
     "TOL_FINITE",
     "TOL_SERIES",
     "TOL_BOUNDARY",
@@ -306,7 +311,7 @@ class _Impl:
     def __init__(self, ident, kind, lhs, terms, n_top=None, sampler=None,
                  x_grid=(0.35, 0.6, 0.8), x_window=None, boundary_ok=None,
                  param_check=None, param_domain="", x_domain="(0,1)",
-                 termination_rule=None):
+                 termination_rule=None, tail=None):
         self.id = ident
         self.kind = kind
         self.lhs = lhs
@@ -320,6 +325,7 @@ class _Impl:
         self.param_domain = param_domain
         self.x_domain = x_domain
         self.termination_rule = termination_rule
+        self.tail = tail
 
     def n_top(self, p) -> "int | None":
         if self._n_top is None:
@@ -530,6 +536,25 @@ def sweep_identity(identity_id: str, param_sampler=None, x_grid=None,
     return reports
 
 
+def tail_order_predict(identity_id: str, n: int, params: dict, x: float) -> float:
+    """Predicted magnitude scale of the n-th right-hand-side term.
+
+    Only the decay (or growth) law matters: the value is rate^n * n^p with
+    no attempt at the constant.  Terminating parameter choices predict an
+    exact zero past the termination index.
+    """
+    impl = _get_impl(identity_id)
+    if impl.tail is None:
+        raise ValueError(f"{identity_id} is not an infinite series")
+    if n < 1:
+        raise ValueError("prediction needs n >= 1")
+    top = impl.n_top(params)
+    if top is not None and n > top:
+        return 0.0
+    rate, p = impl.tail(params, x)
+    return rate ** n * float(n) ** p
+
+
 def list_identities() -> list:
     return [impl.descriptor() for impl in _REGISTRY.values()]
 
@@ -668,6 +693,9 @@ def _build_catalog() -> None:
             * (1.0 - x * x) ** (0.5 * n) / _fact(n)
         )
 
+    def t4_expo(p):
+        return 0.5 * (3.0 * p["nu"].real - p["mu"].real - 1.0)
+
     _register(_Impl(
         "thm4.fwd", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol),
@@ -682,6 +710,7 @@ def _build_catalog() -> None:
         boundary_ok=lambda p: (3.0 * p["nu"] - p["mu"]).real < -1.0 or t4_ntop(p) is not None,
         param_domain="nu, mu complex",
         x_domain="(2^-1/2, 1); boundary when Re(3nu-mu) < -1; (0,1) when terminating",
+        tail=lambda p, x: ((1.0 - x * x) / (x * x), t4_expo(p)),
     ))
     _register(_Impl(
         "thm4.inv", Kind.INFINITE_SERIES,
@@ -698,6 +727,7 @@ def _build_catalog() -> None:
         # below x ~ 0.6 the tail outlives the accurate-term window in doubles
         x_grid=(0.6, 0.7, 0.8),
         param_domain="nu, mu complex",
+        tail=lambda p, x: (1.0 - x * x, t4_expo(p)),
     ))
 
     def cor2_term(p, x, r, at_recip):
@@ -763,6 +793,7 @@ def _build_catalog() -> None:
     # ---- Mittag-Leffler family ----------------------------------------
     t5_ntop = lambda p: terminating_index(p["mu"] - p["nu"])
     t5_sampler = _guarded_pair(guards=[lambda nu, mu: mu])
+    t5_tail = lambda p, x: (_u(x), abs(p["nu"].real) - p["nu"].real - 2.0)
     _register(_Impl(
         "thm5.fwd", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol) / _cpow(x, p["nu"]),
@@ -772,7 +803,7 @@ def _build_catalog() -> None:
                                        _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol))
         ),
         n_top=t5_ntop, sampler=t5_sampler,
-        param_domain="nu, mu complex",
+        param_domain="nu, mu complex", tail=t5_tail,
     ))
     _register(_Impl(
         "thm5.inv", Kind.INFINITE_SERIES,
@@ -783,7 +814,7 @@ def _build_catalog() -> None:
                                        _P_chain(p["nu"], p["mu"], x, 0, pol))
         ),
         n_top=t5_ntop, sampler=t5_sampler,
-        param_domain="nu, mu complex",
+        param_domain="nu, mu complex", tail=t5_tail,
     ))
 
     def cor4_terms(p, x, at_recip):
@@ -823,6 +854,8 @@ def _build_catalog() -> None:
     t6_ntop = lambda p: terminating_index(p["mu"] - p["nu"])
     t6_sampler = _guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu,
                                        lambda nu, mu: nu - mu])
+    t6_expo = lambda p: -1.5 * p["nu"].real - 2.0
+    t6_tail_b = lambda p, x: (_u(x), -2.0)
 
     _register(_Impl(
         "thm6.p1a", Kind.INFINITE_SERIES,
@@ -845,6 +878,7 @@ def _build_catalog() -> None:
         or terminating_index(p["nu"] - p["mu"]) is not None,
         param_domain="nu, mu complex",
         x_domain="(2^-1/2, 1); boundary when Re nu > -2/3; (0,1) when nu-mu in N0",
+        tail=lambda p, x: ((1.0 - x * x) / (x * x), t6_expo(p)),
     ))
     _register(_Impl(
         "thm6.p1b", Kind.INFINITE_SERIES,
@@ -860,7 +894,7 @@ def _build_catalog() -> None:
                                        _P_chain(p["nu"], p["mu"], x, 0, pol))
         ),
         n_top=t6_ntop, sampler=t6_sampler,
-        param_domain="nu, mu complex",
+        param_domain="nu, mu complex", tail=t6_tail_b,
     ))
     _register(_Impl(
         "thm6.p2a", Kind.INFINITE_SERIES,
@@ -880,6 +914,7 @@ def _build_catalog() -> None:
         n_top=t6_ntop, sampler=t6_sampler,
         x_grid=(0.5, 0.65, 0.8),
         param_domain="nu, mu complex",
+        tail=lambda p, x: (1.0 - x * x, t6_expo(p)),
     ))
     _register(_Impl(
         "thm6.p2b", Kind.INFINITE_SERIES,
@@ -895,7 +930,7 @@ def _build_catalog() -> None:
                                        _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol))
         ),
         n_top=t6_ntop, sampler=t6_sampler,
-        param_domain="nu, mu complex",
+        param_domain="nu, mu complex", tail=t6_tail_b,
     ))
 
     def cor5_terms(p, x, signed, upper, at_recip):
@@ -976,6 +1011,8 @@ def _build_catalog() -> None:
                  lambda nu, mu: 0.5 * (mu + nu), lambda nu, mu: 0.5 * (mu - nu + 1.0)]
     t7_sampler = _guarded_pair(guards=t7_guards)
     t7_sampler_cond = _guarded_pair(guards=t7_guards, re_nu=(-0.85, 2.5))
+    t7_tail_fixed = lambda p, x: (1.0, -1.5)
+    t7_tail_nu = lambda p, x: (1.0, -2.0 * p["nu"].real - 2.0)
 
     def q_cond_check(p):
         if p["nu"].real > -1.0:
@@ -1000,7 +1037,7 @@ def _build_catalog() -> None:
                 _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), x, 0, pol))
         ),
         n_top=t7_ntop, sampler=t7_sampler,
-        param_domain="nu, mu complex",
+        param_domain="nu, mu complex", tail=t7_tail_fixed,
     ))
     _register(_Impl(
         "thm7.q2", Kind.INFINITE_SERIES,
@@ -1018,7 +1055,7 @@ def _build_catalog() -> None:
                 _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol))
         ),
         n_top=t7_ntop, sampler=t7_sampler_cond, param_check=q_cond_check,
-        param_domain="Re nu > -1 or nu - mu in N0",
+        param_domain="Re nu > -1 or nu - mu in N0", tail=t7_tail_nu,
     ))
     _register(_Impl(
         "thm7.q3", Kind.INFINITE_SERIES,
@@ -1036,7 +1073,7 @@ def _build_catalog() -> None:
                 _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), 1.0 / x, 0, pol))
         ),
         n_top=t7_ntop, sampler=t7_sampler,
-        param_domain="nu, mu complex",
+        param_domain="nu, mu complex", tail=t7_tail_fixed,
     ))
     _register(_Impl(
         "thm7.q4", Kind.INFINITE_SERIES,
@@ -1054,7 +1091,7 @@ def _build_catalog() -> None:
                 _P_chain(p["nu"], p["mu"], x, 0, pol))
         ),
         n_top=t7_ntop, sampler=t7_sampler_cond, param_check=q_cond_check,
-        param_domain="Re nu > -1 or nu - mu in N0",
+        param_domain="Re nu > -1 or nu - mu in N0", tail=t7_tail_nu,
     ))
 
     def cor7_Y(lam, k, r):
@@ -1189,6 +1226,7 @@ def _build_catalog() -> None:
     t8_ntop = lambda p: terminating_index(p["mu"] - p["nu"])
     t8_sampler = _guarded_pair(guards=t7_guards)
     t8_sampler_cond = _guarded_pair(guards=t7_guards, re_nu=(-0.85, 2.5))
+    t8_tail_r = lambda p, x: (1.0, p["nu"].real - 1.5)
 
     def g_cond_check(p):
         if p["nu"].real > -1.0:
@@ -1211,7 +1249,7 @@ def _build_catalog() -> None:
                 _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol))
         ),
         n_top=t8_ntop, sampler=t8_sampler_cond, param_check=q_cond_check,
-        param_domain="Re nu > -1 or nu - mu in N0",
+        param_domain="Re nu > -1 or nu - mu in N0", tail=t7_tail_nu,
     ))
     _register(_Impl(
         "thm8.r1", Kind.INFINITE_SERIES,
@@ -1229,7 +1267,7 @@ def _build_catalog() -> None:
         ),
         n_top=t8_ntop, sampler=t8_sampler,
         x_grid=(0.55, 0.7, 0.85),
-        param_domain="nu, mu complex",
+        param_domain="nu, mu complex", tail=t8_tail_r,
     ))
     _register(_Impl(
         "thm8.r2", Kind.INFINITE_SERIES,
@@ -1251,6 +1289,7 @@ def _build_catalog() -> None:
         or terminating_index(p["nu"] - p["mu"]) is not None,
         param_domain="nu, mu complex",
         x_domain="(2^-1/2, 1); boundary when Re nu < 2; (0,1) when nu-mu in N0",
+        tail=t8_tail_r,
     ))
     _register(_Impl(
         "thm8.g2", Kind.INFINITE_SERIES,
@@ -1269,7 +1308,7 @@ def _build_catalog() -> None:
                 _P_chain(p["nu"], p["mu"], x, 0, pol))
         ),
         n_top=t8_ntop, sampler=t8_sampler_cond, param_check=g_cond_check,
-        param_domain="Re nu > -1",
+        param_domain="Re nu > -1", tail=t7_tail_nu,
     ))
 
     def cor10_terms(p, x, hatted, upper):
@@ -1328,6 +1367,7 @@ def _build_catalog() -> None:
     t9_guards = [lambda nu, mu: nu, lambda nu, mu: mu, lambda nu, mu: nu + 0.5,
                  lambda nu, mu: 0.5 * (mu + nu), lambda nu, mu: 0.5 * (mu - nu + 1.0)]
     t9_sampler = _guarded_pair(guards=t9_guards)
+    t9_tail = lambda p, x: (1.0, -2.0)
 
     def x2arg(x: float) -> float:
         return (1.0 + x * x) / (2.0 * x)
@@ -1347,7 +1387,7 @@ def _build_catalog() -> None:
                 p["nu"], 0.5 * (p["mu"] + p["nu"]), x2arg(x), 0, pol))
         ),
         n_top=t9_ntop, sampler=t9_sampler,
-        param_domain="nu, mu complex",
+        param_domain="nu, mu complex", tail=t9_tail,
     ))
     _register(_Impl(
         "thm9.inv", Kind.INFINITE_SERIES,
@@ -1367,7 +1407,7 @@ def _build_catalog() -> None:
         n_top=lambda p: _min_term(
             terminating_index(-2.0 * p["nu"]), terminating_index(p["mu"] - p["nu"])),
         sampler=t9_sampler,
-        param_domain="nu, mu complex",
+        param_domain="nu, mu complex", tail=t9_tail,
     ))
 
     def lam1(k, m, mu):

@@ -12,7 +12,6 @@ from legdual.asympt import (
     frak_p_asymptotic_sum,
     gegenbauer_uniform_asympt,
     large_degree_leading,
-    tail_order_predict,
     watson_mu_leading,
 )
 from legdual.coeffs import FactorList, frak_N, frak_p, lauricella_G
@@ -24,7 +23,7 @@ from legdual.errors import (
 from legdual.harness import _large_degree_residual, _watson_residual
 from legdual.hypergeom import DEFAULT_POLICY
 from legdual.polys import gegenbauer
-from legdual.registry import _get_impl
+from legdual.registry import _get_impl, tail_order_predict
 
 
 class TestGegenbauerUniform:
@@ -136,6 +135,10 @@ class TestTailOrderPredict:
     def test_unknown_identity(self):
         with pytest.raises(UnknownIdentityError):
             tail_order_predict("nope", 10, {"nu": 0.3}, 0.5)
+
+    def test_finite_sum_has_no_tail(self):
+        with pytest.raises(ValueError):
+            tail_order_predict("cor6", 1, {"k": 3, "m": 2}, 0.5)
 
     def test_needs_positive_index(self):
         with pytest.raises(ValueError):

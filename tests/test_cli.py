@@ -172,6 +172,22 @@ class TestEnvironmentOverride:
         assert rc == 0
         assert "cor6: pass" in capsys.readouterr().out
 
+    def test_seed_from_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("LEGDUAL_SEED", "4")
+        rc = main(["sweep", "cor6", "--samples", "1"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 4
+
+    def test_bad_seed_from_env(self, capsys, monkeypatch):
+        # a bad default breaks only the commands that take --seed, and
+        # those exit 1 with a usage message
+        monkeypatch.setenv("LEGDUAL_SEED", "abc")
+        assert main(["list", "--format", "text"]) == 0
+        capsys.readouterr()
+        for argv in (["suite"], ["sweep", "cor6"]):
+            assert main(argv) == 1
+            assert "--seed" in capsys.readouterr().err
+
 
 class TestOutputFile:
     def test_out_flag(self, capsys, tmp_path):

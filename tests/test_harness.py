@@ -1,62 +1,14 @@
-"""Suite driver: oracle tables, determinism, convergence diagnostics."""
+"""Suite driver: determinism, point accounting, convergence diagnostics."""
 
 import math
+from dataclasses import replace
 
-import mpmath as mp
 import pytest
 
-from legdual.errors import DomainError, OracleUnstableError
+from legdual.errors import DomainError
 from legdual.harness import HarnessConfig, asymptotic_checks, convergence_table, run_suite
-from legdual.oracle import (
-    OracleTable,
-    _naive_2f1_partial,
-    _oracle_ferrers_p,
-    _stabilize,
-    build_oracle_tables,
-    load_oracle_tables,
-)
-from legdual.asympt import tail_order_predict
-from legdual.registry import INV_SQRT2, Kind
-
-
-@pytest.fixture(scope="module")
-def table():
-    return build_oracle_tables()
-
-
-class TestOracleTable:
-    def test_trivial_row_exact(self, table):
-        row = table.lookup("ferrers_p", (0j, 0j, 0.55))
-        assert row is not None and row.value == 1.0
-
-    def test_degree_one_row(self, table):
-        row = table.lookup("ferrers_p", (1.0, 0.0, 0.6))
-        assert abs(row.value - 0.6) < 1e-15
-
-    def test_required_point_present(self, table):
-        row = table.lookup("ferrers_p", (0.5 + 0.2j, 1.3, 0.55))
-        assert row is not None
-        assert row.err_bound < 1e-14 * abs(row.value)
-
-    def test_self_consistency_under_different_term_counts(self, table):
-        # recompute the stabilized value from a fixed large truncation
-        row = table.lookup("gauss_2f1", (0.3, 0.7, 1.2, 0.4))
-        with mp.workdps(50):
-            ref = _naive_2f1_partial(mp.mpc(0.3), mp.mpc(0.7), mp.mpc(1.2),
-                                     mp.mpf(0.4), 4096)
-        assert abs(row.value - complex(ref)) <= 1e-13 * abs(row.value)
-
-    def test_write_load_round_trip(self, table, tmp_path):
-        path = str(tmp_path / "oracle.txt")
-        build_oracle_tables(path)
-        loaded = load_oracle_tables(path)
-        assert isinstance(loaded, OracleTable)
-        assert loaded == table
-
-    def test_unstable_error(self):
-        with pytest.raises(OracleUnstableError):
-            with mp.workdps(30):
-                _stabilize(lambda n: mp.mpc(n))
+from legdual.hypergeom import DEFAULT_POLICY
+from legdual.registry import INV_SQRT2, Kind, _get_impl, list_identities, tail_order_predict
 
 
 class TestRunSuite:
@@ -87,19 +39,18 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             HarnessConfig(sample_counts={Kind.FINITE_SUM: 0})
 
-    def test_tolerance_override_reflected_in_failures(self):
-        cfg = HarnessConfig(
-            seed=3,
-            sample_counts={Kind.INFINITE_SERIES: 2},
-            tolerance_overrides={"thm5.fwd": 1e-30},
-        )
-        r = run_suite(cfg)
-        assert not r.ok
-        assert any(f.id == "thm5.fwd" for f in r.failures)
-        # the failure list and the overall status must agree
-        assert r.pass_counts["thm5.fwd"] + sum(
-            1 for f in r.failures if f.id == "thm5.fwd"
-        ) == 2 * 3
+    def test_every_point_counted(self):
+        # a 12-term cap fails most series points; passing or failing, each
+        # swept point is counted once
+        capped = HarnessConfig(seed=3, sample_counts={Kind.INFINITE_SERIES: 2},
+                               policy=replace(DEFAULT_POLICY, max_terms=12))
+        for cfg in (self.CFG, capped):
+            r = run_suite(cfg)
+            swept = sum(cfg.count_for(d.kind) * len(_get_impl(d.id).x_grid)
+                        for d in list_identities() if cfg.count_for(d.kind))
+            assert sum(r.pass_counts.values()) + len(r.failures) == swept
+            assert r.ok == (not r.failures)
+        assert r.failures
 
     def test_output_file_written(self, tmp_path):
         path = str(tmp_path / "report.json")
