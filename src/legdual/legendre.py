@@ -227,6 +227,8 @@ def _P_int(k: int, m: int, x: float) -> float:
 
 
 def _as_int(z: complex) -> "int | None":
+    if isinstance(z, int):
+        return z
     z = complex(z)
     n = round(z.real)
     if abs(z.imag) <= 1e-14 and abs(z.real - n) <= 1e-14:

@@ -3,10 +3,16 @@
 Each entry pairs a closed-form left-hand side with a right-hand-side term
 stream: `terms(p, x, pol)` is created once per identity point and yields the
 terms n = 0, 1, ... in order.  A stream holds the point's coefficient
-sequences (the generating-coefficient families of `coeffs` and `polys`, and
-the running (mu - nu)_n product), so every coefficient is built once per
-point; entries whose n-th term is a closed expression in n are adapted by
-`_indexed`.  Terms past an entry's termination index are never requested.
+sequences (the generating-coefficient families of `coeffs` and `polys`), so
+every coefficient is built once per point.  Factors that move with the term
+advance term to term: Pochhammer symbols as running products (`_rising`,
+read backwards from a list where the index falls), gamma quotients as one
+quotient times their rational ratio, and Gegenbauer polynomials C_n^(s-n)
+whose degree plus parameter s is fixed along the sum from one
+`gegenbauer_seq` per diagonal (again read backwards from a list where the
+degree falls).  Entries whose n-th term is a closed expression in n are
+adapted by `_indexed`.  Terms past an entry's termination index are never
+requested.
 
 The inverse series of thm4-thm9 take P at shifted order, some also at
 shifted degree.  Their streams hold P chains (`_P_chain`, `_P_half_chain`
@@ -51,7 +57,7 @@ from .hypergeom import (
     terminating_index,
 )
 from .legendre import _P
-from .polys import bateman_g_seq, gegenbauer, mittag_leffler_g_seq
+from .polys import bateman_g_seq, gegenbauer, gegenbauer_seq, mittag_leffler_g_seq
 
 __all__ = [
     "Kind",
@@ -245,6 +251,21 @@ def _P_half_chain(nu: complex, mu: complex, y: float, diag: int,
     for e, o in zip(even, odd):
         yield e
         yield o
+
+
+def _rising(a: complex) -> Iterator[complex]:
+    """(a)_0, (a)_1, ...: each the one before times (a + n - 1), the product
+    `pochhammer` forms, so each value is bit-identical to it."""
+    a = complex(a)
+    poch = complex(1.0)
+    for n in itertools.count():
+        yield poch
+        poch *= a + n
+
+
+def _risings(a: complex, n: int) -> list:
+    """[(a)_0, ..., (a)_{n-1}], for sums that read them by a falling index."""
+    return list(itertools.islice(_rising(a), n))
 
 
 def _poch_run(p: dict, coeffs: Iterator[complex]) -> Iterator[tuple]:
@@ -823,11 +844,12 @@ def _build_catalog() -> None:
         base = (1.0 - 1.0 / x) if at_recip else (x - 1.0)
         sig = k + lam - 0.5 if at_recip else 0.5 - k - lam
         g = list(itertools.islice(mittag_leffler_g_seq(sig), k + 1))
-        for m in range(k + 1):
+        num = _risings(lam, k + 1)
+        den = _risings(k + 2.0 * lam, k + 1)
+        for m, c in zip(range(k + 1), gegenbauer_seq(k + lam, y)):
             yield (
-                g[k - m] * pochhammer(lam, k - m)
-                / pochhammer(k + 2.0 * lam, k - m)
-                * gegenbauer(m, k - m + lam, y) / (2.0 ** m * base ** m)
+                g[k - m] * num[k - m] / den[k - m]
+                * c / (2.0 ** m * base ** m)
             )
 
     _register(_Impl(
@@ -1094,40 +1116,46 @@ def _build_catalog() -> None:
         param_domain="Re nu > -1 or nu - mu in N0", tail=t7_tail_nu,
     ))
 
-    def cor7_Y(lam, k, r):
-        return (
-            gamma(lam + k) * gamma(2.0 * lam + 4 * k - r)
-            / (gamma(lam + 2 * k - r) * gamma(2.0 * lam + 3 * k))
-        )
+    def cor7_Y(lam, k):
+        """Y(r) = Gamma(lam+k) Gamma(2lam+4k-r)
+        / (Gamma(lam+2k-r) Gamma(2lam+3k)) for r = 0, 1, ...:
+        Y(0) = (2lam+3k)_k / (lam+k)_k, and each step multiplies by
+        (lam+2k-r-1) / (2lam+4k-r-1)."""
+        y = pochhammer(2.0 * lam + 3 * k, k) / pochhammer(lam + k, k)
+        for r in itertools.count():
+            yield y
+            y *= (lam + 2 * k - r - 1) / (2.0 * lam + 4 * k - r - 1)
 
     def cor7_narrow(p, x, hatted):
         k, lam = p["k"], p["lam"]
         w = math.sqrt(_u(x))
         fam = script_G_hat_seq if hatted else script_G_seq
         gs = list(itertools.islice(fam(k + lam - 0.5, k + lam - 0.5, w), k + 1))
-        for r in range(k // 2 + 1):
+        num = _risings(lam, k + 1)
+        den = _risings(2.0 * lam + k, k + 1)
+        diag = gegenbauer_seq(k + lam, 1.0 / x if hatted else x)
+        for r, c in zip(range(k // 2 + 1), diag):
             val = (
-                pochhammer(lam, k - r) * gs[k - 2 * r]
-                / ((-2.0) ** (r - k) * pochhammer(2.0 * lam + k, k - r) * (1.0 - x) ** r)
+                num[k - r] * gs[k - 2 * r]
+                / ((-2.0) ** (r - k) * den[k - r] * (1.0 - x) ** r)
             )
             if hatted:
                 val *= x ** r
-                yield val * gegenbauer(r, k - r + lam, 1.0 / x)
-            else:
-                yield val * gegenbauer(r, k - r + lam, x)
+            yield val * c
 
     def cor7_wide(p, x, hatted):
         k, lam = p["k"], p["lam"]
         w = math.sqrt(_u(x))
         fam = script_G_hat_seq if hatted else script_G_seq
         gs = list(itertools.islice(fam(0.5 - 2 * k - lam, 0.5 - 2 * k - lam, w), 2 * k + 1))
-        for r in range(2 * k + 1):
-            val = gs[2 * k - r] / ((-2.0) ** (r - k) * cor7_Y(lam, k, r)
+        diag = gegenbauer_seq(2 * k + lam, x if hatted else 1.0 / x)
+        for r, y, c in zip(range(2 * k + 1), cor7_Y(lam, k), diag):
+            val = gs[2 * k - r] / ((-2.0) ** (r - k) * y
                                    * (1.0 - x * x) ** (0.5 * r))
             if hatted:
-                yield val * gegenbauer(r, 2 * k - r + lam, x)
+                yield val * c
             else:
-                yield val * x ** r * gegenbauer(r, 2 * k - r + lam, 1.0 / x)
+                yield val * x ** r * c
 
     _register(_Impl(
         "cor7.a", Kind.FINITE_SUM,
@@ -1177,13 +1205,16 @@ def _build_catalog() -> None:
         w = math.sqrt(_u(x))
         fam = script_G_hat_seq if hatted else script_G_seq
         gs = fam(-2 * k - lam - 0.5, inner_tau2(k, lam), w)
-        for n, g in zip(range(2 * k + 2), gs):
-            den = pochhammer(2.0 * lam + 2 * k + 1.0, n)
-            val = pochhammer(lam, n) * g * (-2.0) ** n * (1.0 - x * x) ** (0.5 * n) / den
+        # C_{2k+1-n}^(lam+n), read backwards along the diagonal s = lam+2k+1
+        diag = list(itertools.islice(
+            gegenbauer_seq(lam + 2 * k + 1, x if hatted else 1.0 / x), 2 * k + 2))
+        for n, g, num, den in zip(range(2 * k + 2), gs, _rising(lam),
+                                  _rising(2.0 * lam + 2 * k + 1.0)):
+            val = num * g * (-2.0) ** n * (1.0 - x * x) ** (0.5 * n) / den
             if hatted:
-                yield val * gegenbauer(2 * k - n + 1, lam + n, x)
+                yield val * diag[2 * k + 1 - n]
             else:
-                yield val * x ** -n * gegenbauer(2 * k - n + 1, lam + n, 1.0 / x)
+                yield val * x ** -n * diag[2 * k + 1 - n]
 
     _register(_Impl(
         "cor8.a", Kind.VANISHING_SUM,
@@ -1377,14 +1408,13 @@ def _build_catalog() -> None:
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol),
         terms=lambda p, x, pol: (
             SQRT_PI * _cpow(2.0, 2.0 * p["nu"] - p["mu"])
-            * pochhammer(2.0 * p["nu"], n) * pochhammer(p["mu"] - p["nu"], n)
-            * gegenbauer(n, 0.5 - p["nu"] - n, x)
-            * f
+            * a * b * c * f
             * recip_gamma(0.5 * (p["mu"] - p["nu"] + n + 1.0)) * _cpow(x, p["nu"])
-            / (2.0 ** (2 * n) * pochhammer(p["nu"] + 0.5, n)
-               * _cpow(1.0 - x * x, 0.5 * (n + p["nu"])))
-            for n, f in enumerate(_P_half_chain(
-                p["nu"], 0.5 * (p["mu"] + p["nu"]), x2arg(x), 0, pol))
+            / (2.0 ** (2 * n) * d * _cpow(1.0 - x * x, 0.5 * (n + p["nu"])))
+            for n, (a, b, d, c, f) in enumerate(zip(
+                _rising(2.0 * p["nu"]), _rising(p["mu"] - p["nu"]),
+                _rising(p["nu"] + 0.5), gegenbauer_seq(0.5 - p["nu"], x),
+                _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), x2arg(x), 0, pol)))
         ),
         n_top=t9_ntop, sampler=t9_sampler,
         param_domain="nu, mu complex", tail=t9_tail,
@@ -1397,12 +1427,13 @@ def _build_catalog() -> None:
             / _cpow(2.0, p["mu"] - 2.0 * p["nu"])
         ),
         terms=lambda p, x, pol: (
-            pochhammer(-2.0 * p["nu"], n) * pochhammer(p["mu"] - p["nu"], n)
-            / (2.0 ** n * pochhammer(0.5 - p["nu"], n))
-            * gegenbauer(n, 0.5 + p["nu"] - n, x)
+            a * b / (2.0 ** n * d) * c
             / _cpow(1.0 - x * x, 0.5 * (n - p["nu"]))
             * f
-            for n, f in enumerate(_P_chain(p["nu"], p["mu"], x, 0, pol))
+            for n, (a, b, d, c, f) in enumerate(zip(
+                _rising(-2.0 * p["nu"]), _rising(p["mu"] - p["nu"]),
+                _rising(0.5 - p["nu"]), gegenbauer_seq(0.5 + p["nu"], x),
+                _P_chain(p["nu"], p["mu"], x, 0, pol)))
         ),
         n_top=lambda p: _min_term(
             terminating_index(-2.0 * p["nu"]), terminating_index(p["mu"] - p["nu"])),
@@ -1429,20 +1460,37 @@ def _build_catalog() -> None:
                * pochhammer(2.0 * mu + 2 * l + 1.0, n))
         )
 
-    def lam3(l, n, mu):
-        return (
-            (-1.0) ** n * gamma(n - 4 * l - 2.0 * mu - 2.0) * gamma(n + mu + 0.5)
-            / (gamma(n - 0.5 - 2 * l - mu) * gamma(n + 2.0 * mu + 2 * l + 2.0))
-        )
+    def lam3(l, mu):
+        """(-1)^n Gamma(n-4l-2mu-2) Gamma(n+mu+1/2)
+        / (Gamma(n-1/2-2l-mu) Gamma(n+2mu+2l+2)) for n = 0, 1, ...: one
+        gamma quotient at n = 0, then its rational ratio from n to n + 1."""
+        a, b = -4 * l - 2.0 * mu - 2.0, mu + 0.5
+        c, d = -0.5 - 2 * l - mu, 2.0 * mu + 2 * l + 2.0
+        t = gamma(a) * gamma(b) / (gamma(c) * gamma(d))
+        for n in itertools.count():
+            yield t
+            t *= -(a + n) * (b + n) / ((c + n) * (d + n))
+
+    def cor11a_terms(p, x, pol):
+        k, mu = p["k"], p["mu"]
+        # C_{k-2m}^(1/2-2k+2m-mu): every other value of the diagonal
+        # s = 1/2-k-mu, read backwards
+        low = list(itertools.islice(gegenbauer_seq(0.5 - k - mu, x), k + 1))
+        high = gegenbauer_seq(k + mu + 0.5, x2arg(x))
+        for m, c in zip(range(k // 2 + 1), high):
+            yield lam1(k, m, mu) * x ** m * low[k - 2 * m] * c
+
+    def pair_terms(x, s, top, coeffs):
+        """c_n D_n D_{top-n} for n = 0..top and a coefficient sequence c,
+        with D_n = C_n^(s-n)(x) read forwards and backwards from one list."""
+        diag = list(itertools.islice(gegenbauer_seq(s, x), top + 1))
+        for n, c in zip(range(top + 1), coeffs):
+            yield c * diag[n] * diag[top - n]
 
     _register(_Impl(
         "cor11.a", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: gegenbauer(p["k"], p["mu"] + 0.5, x),
-        terms=_indexed(lambda p, x, m, pol: (
-            lam1(p["k"], m, p["mu"]) * x ** m
-            * gegenbauer(p["k"] - 2 * m, 0.5 - 2 * p["k"] + 2 * m - p["mu"], x)
-            * gegenbauer(m, p["k"] - m + p["mu"] + 0.5, x2arg(x))
-        )),
+        terms=cor11a_terms,
         n_top=lambda p: p["k"] // 2,
         sampler=_int_sampler(k=(0, 8), mu="complex"),
         param_domain="k in N0, mu complex", termination_rule="m <= floor(k/2)",
@@ -1450,11 +1498,9 @@ def _build_catalog() -> None:
     _register(_Impl(
         "cor11.b", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: x ** p["l"] * gegenbauer(p["l"], p["mu"] + p["l"] + 0.5, x2arg(x)),
-        terms=_indexed(lambda p, x, n, pol: (
-            lam2(p["l"], n, p["mu"])
-            * gegenbauer(n, 0.5 + 2 * p["l"] + p["mu"] - n, x)
-            * gegenbauer(2 * p["l"] - n, p["mu"] + n + 0.5, x)
-        )),
+        terms=lambda p, x, pol: pair_terms(
+            x, 0.5 + 2 * p["l"] + p["mu"], 2 * p["l"],
+            (lam2(p["l"], n, p["mu"]) for n in itertools.count())),
         n_top=lambda p: 2 * p["l"],
         sampler=_int_sampler(l=(0, 8), mu="complex"),
         param_domain="l in N0, mu complex", termination_rule="n <= 2l",
@@ -1462,11 +1508,8 @@ def _build_catalog() -> None:
     _register(_Impl(
         "lambda3", Kind.VANISHING_SUM,
         lhs=lambda p, x, pol: 0j,
-        terms=_indexed(lambda p, x, n, pol: (
-            lam3(p["l"], n, p["mu"])
-            * gegenbauer(n, 1.5 + 2 * p["l"] + p["mu"] - n, x)
-            * gegenbauer(2 * p["l"] - n + 1, p["mu"] + n + 0.5, x)
-        )),
+        terms=lambda p, x, pol: pair_terms(
+            x, 1.5 + 2 * p["l"] + p["mu"], 2 * p["l"] + 1, lam3(p["l"], p["mu"])),
         n_top=lambda p: 2 * p["l"] + 1,
         sampler=_int_sampler(l=(0, 8), mu="complex"),
         param_domain="l in N0, mu complex", termination_rule="n <= 2l+1",

@@ -15,6 +15,7 @@ from legdual.polys import (
     gauss_hyper_poly,
     gauss_hyper_poly_seq,
     gegenbauer,
+    gegenbauer_seq,
     jacobi,
     mittag_leffler_g,
 )
@@ -82,6 +83,93 @@ class TestGegenbauer:
         lhs = (n + 2) * c
         rhs = 2.0 * (n + 1 + lam) * x * b - (n + 2 * lam) * a
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
+
+
+def _diagonal(s, x, top):
+    return list(itertools.islice(gegenbauer_seq(s, x), top + 1))
+
+
+def _mp_diagonal(n, s, x):
+    """C_n^(s-n)(x) from mpmath; a real s is passed as mpf, since mpmath's
+    integer-parameter checks compare an mpc."""
+    s = complex(s)
+    sm = mp.mpf(s.real) if s.imag == 0.0 else mp.mpc(s)
+    return mp.gegenbauer(n, sm - n, mp.mpf(x))
+
+
+class TestGegenbauerSeq:
+    K = 8
+    LAM = 0.37 - 0.75j
+    MU = -0.59 + 0.47j
+
+    @pytest.mark.parametrize("s", [
+        K + LAM,                # cor4, cor7.a/c
+        2 * K + LAM,            # cor7.b/d
+        LAM + 2 * K + 1,        # cor8, cor9
+        0.5 - K - MU,           # cor11.a, first factor
+        K + MU + 0.5,           # cor11.a, second factor (at (1+x^2)/(2x))
+        0.5 + 2 * K + MU,       # cor11.b
+        1.5 + 2 * K + MU,       # lambda3
+    ])
+    @pytest.mark.parametrize("x", [0.35, 0.6, 0.8])
+    def test_catalog_diagonals(self, s, x):
+        # as accurate as the explicit sum, which some values above 1 are
+        # (it errs by up to 6e-12 here)
+        for y in (x, 1.0 / x, (1.0 + x * x) / (2.0 * x)):
+            for n, v in enumerate(_diagonal(s, y, 2 * self.K + 1)):
+                ref = complex(_mp_diagonal(n, s, y))
+                scalar = abs(gegenbauer(n, s - n, y) - ref) / abs(ref)
+                _close(v, ref, rel=max(1e-13, 2.0 * scalar))
+
+    @pytest.mark.parametrize("nu", [0.3 + 0.2j, 2.47 + 0.72j, -1.35 - 0.96j])
+    @pytest.mark.parametrize("x", [0.35, 0.8])
+    def test_thm9_diagonals_to_the_cap(self, nu, x):
+        for s in (0.5 - nu, 0.5 + nu):
+            got = _diagonal(s, x, 160)
+            for n in (2, 17, 40, 99, 160):
+                _close(got[n], _mp_diagonal(n, s, x), rel=1e-13)
+
+    @pytest.mark.parametrize("s", [4.2, -3.7, 0.2, 7.3])
+    @pytest.mark.parametrize("x", [0.35, 0.8, 1.25, 2.857])
+    def test_real_s(self, s, x):
+        for n, v in enumerate(_diagonal(s, x, 20)):
+            _close(v, _mp_diagonal(n, s, x), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1.5, 2.5, 4.5])
+    @pytest.mark.parametrize("x", [0.6, 1.667])
+    def test_exact_index_n_equals_2s(self, s, x):
+        # the recurrence divides by n(2s - n): that index is the explicit sum,
+        # and the recurrence picks up again after it
+        top = int(2 * s)
+        got = _diagonal(s, x, top + 6)
+        assert got[top] == gegenbauer(top, s - top, x)
+        for n, v in enumerate(got):
+            _close(v, _mp_diagonal(n, s, x), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1.5 + 1e-12, 1.5 + 0.24, 1.5 + 0.26, 1.5 - 0.26])
+    def test_both_sides_of_the_zero_divisor_rule(self, s):
+        # |2s - 3| < 1/2 takes n = 3 from the explicit sum; the plain
+        # recurrence loses 3e-7 at s = 1.5 + 1e-12
+        got = _diagonal(s, 0.6, 12)
+        assert (got[3] == gegenbauer(3, s - 3, 0.6)) == (abs(2 * s - 3) < 0.5)
+        for n, v in enumerate(got):
+            _close(v, _mp_diagonal(n, s, 0.6), rel=1e-13)
+
+    @pytest.mark.parametrize("s", [4.2, 4.2 + 0.3j, 3.0 + 0.3j])
+    def test_both_sides_of_the_large_x_rule(self, s):
+        # above 1, n > Re s comes from the explicit sum: the plain recurrence
+        # loses 1.1e-10 at s = 4.2, x = 2.857
+        x = 2.857
+        got = _diagonal(s, x, 17)
+        for n, v in enumerate(got):
+            if n > complex(s).real:
+                assert v == gegenbauer(n, complex(s) - n, x)
+            _close(v, _mp_diagonal(n, s, x), rel=1e-13)
+
+    def test_first_values_are_the_scalar_ones(self):
+        s, x = 1.3 + 0.4j, 0.6
+        got = _diagonal(s, x, 1)
+        assert got == [gegenbauer(0, s, x), gegenbauer(1, s - 1, x)]
 
 
 class TestJacobi:

@@ -8,7 +8,10 @@ import mpmath as mp
 import pytest
 
 import legdual.coeffs
+import legdual.hypergeom
 import legdual.legendre
+import legdual.polys
+import legdual.registry
 from legdual.errors import ConvergenceError, DomainError, UnknownIdentityError
 from legdual.harness import convergence_table
 from legdual.hypergeom import DEFAULT_POLICY, TruncationPolicy
@@ -307,6 +310,37 @@ class TestTermStreams:
         r = evaluate_identity("thm8.r1", self.R1, 0.55)
         assert r.passed and r.terms_used < 144
         assert 0 < calls[0] <= 4
+
+
+class TestDiagonalStreams:
+    """Finite sums and thm9 read C_n^(s-n) from one gegenbauer_seq per
+    diagonal and advance their Pochhammer and gamma factors term to term,
+    so no term costs a scalar Gegenbauer sum or a gamma call."""
+
+    @staticmethod
+    def _count(monkeypatch, name, modules):
+        calls = [0]
+        for mod in modules:
+            def counted(*args, _f=getattr(mod, name), **kwargs):
+                calls[0] += 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    def test_cor7_b_scalar_calls(self, monkeypatch):
+        geg = self._count(monkeypatch, "gegenbauer", (legdual.registry, legdual.polys))
+        gam = self._count(monkeypatch, "gamma", (legdual.registry, legdual.hypergeom))
+        r = evaluate_identity("cor7.b", {"k": 8, "lam": 0.3 - 0.6j}, 0.6)
+        assert r.terms_used == 17 and r.passed
+        assert geg[0] == 1  # the left-hand side
+        assert gam[0] <= 1
+
+    def test_thm9_fwd_makes_no_scalar_gegenbauer_call(self, monkeypatch):
+        geg = self._count(monkeypatch, "gegenbauer", (legdual.registry, legdual.polys))
+        r = evaluate_identity("thm9.fwd", {"nu": 0.3 + 0.2j, "mu": 1.1 - 0.4j}, 0.6)
+        assert r.passed and r.terms_used > 12
+        assert geg[0] == 0
 
 
 def _mp_P(nu, mu, y):
