@@ -263,20 +263,9 @@ def _rising(a: complex) -> Iterator[complex]:
         poch *= a + n
 
 
-def _risings(a: complex, n: int) -> list:
-    """[(a)_0, ..., (a)_{n-1}], for sums that read them by a falling index."""
-    return list(itertools.islice(_rising(a), n))
-
-
 def _poch_run(p: dict, coeffs: Iterator[complex]) -> Iterator[tuple]:
-    """(n, (mu - nu)_n, c_n) for n = 0, 1, ... and a coefficient sequence c;
-    each (mu - nu)_n is the one before times (mu - nu + n - 1), the product
-    pochhammer forms."""
-    a = complex(p["mu"] - p["nu"])
-    poch = complex(1.0)
-    for n, c in enumerate(coeffs):
-        yield n, poch, c
-        poch *= a + n
+    """(n, (mu - nu)_n, c_n) for n = 0, 1, ... and a coefficient sequence c."""
+    return zip(itertools.count(), _rising(p["mu"] - p["nu"]), coeffs)
 
 
 def _indexed(term):
@@ -844,8 +833,8 @@ def _build_catalog() -> None:
         base = (1.0 - 1.0 / x) if at_recip else (x - 1.0)
         sig = k + lam - 0.5 if at_recip else 0.5 - k - lam
         g = list(itertools.islice(mittag_leffler_g_seq(sig), k + 1))
-        num = _risings(lam, k + 1)
-        den = _risings(k + 2.0 * lam, k + 1)
+        num = list(itertools.islice(_rising(lam), k + 1))
+        den = list(itertools.islice(_rising(k + 2.0 * lam), k + 1))
         for m, c in zip(range(k + 1), gegenbauer_seq(k + lam, y)):
             yield (
                 g[k - m] * num[k - m] / den[k - m]
@@ -1131,8 +1120,8 @@ def _build_catalog() -> None:
         w = math.sqrt(_u(x))
         fam = script_G_hat_seq if hatted else script_G_seq
         gs = list(itertools.islice(fam(k + lam - 0.5, k + lam - 0.5, w), k + 1))
-        num = _risings(lam, k + 1)
-        den = _risings(2.0 * lam + k, k + 1)
+        num = list(itertools.islice(_rising(lam), k + 1))
+        den = list(itertools.islice(_rising(2.0 * lam + k), k + 1))
         diag = gegenbauer_seq(k + lam, 1.0 / x if hatted else x)
         for r, c in zip(range(k // 2 + 1), diag):
             val = (
