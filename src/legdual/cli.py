@@ -67,11 +67,14 @@ def _env_default(name: str, fallback=None):
     return os.environ.get(_ENV_PREFIX + name.upper(), fallback)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_policy(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rel-tol", type=float,
                      default=_env_default("rel_tol"), help="series relative tolerance")
     sub.add_argument("--max-terms", type=int,
                      default=_env_default("max_terms"), help="series term cap")
+
+
+def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "csv", "text"),
                      default=_env_default("format", "json"))
     sub.add_argument("--out", default=_env_default("out"),
@@ -95,19 +98,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--nu", required=True)
     p_eval.add_argument("--mu", required=True)
     p_eval.add_argument("--x", type=float, required=True)
-    _add_common(p_eval)
+    _add_policy(p_eval)
+    _add_output(p_eval)
 
     p_verify = subs.add_parser("verify", help="check one identity at one point")
     p_verify.add_argument("id")
     p_verify.add_argument("--x", type=float, required=True)
     _add_params(p_verify)
-    _add_common(p_verify)
+    _add_policy(p_verify)
+    _add_output(p_verify)
 
     p_sweep = subs.add_parser("sweep", help="check one identity over sampled points")
     p_sweep.add_argument("id")
     p_sweep.add_argument("--samples", type=int, default=30)
     p_sweep.add_argument("--seed", type=int, default=_env_default("seed", "0"))
-    _add_common(p_sweep)
+    _add_policy(p_sweep)
+    _add_output(p_sweep)
 
     p_suite = subs.add_parser("suite", help="run the whole identity suite")
     p_suite.add_argument("--seed", type=int, default=_env_default("seed", "0"))
@@ -118,20 +124,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--x", type=float, required=True)
     p_conv.add_argument("--n-max", type=int, default=40)
     _add_params(p_conv)
-    _add_common(p_conv)
+    _add_policy(p_conv)
+    _add_output(p_conv)
 
     p_asympt = subs.add_parser("asympt", help="run the asymptotic ratio checks")
-    _add_common(p_asympt)
+    _add_output(p_asympt)
 
     p_list = subs.add_parser("list", help="enumerate the identity catalog")
-    _add_common(p_list)
+    _add_output(p_list)
 
     return parser
 
 
 def _policy_from(args: argparse.Namespace) -> TruncationPolicy:
-    rel_tol = getattr(args, "rel_tol", None)
-    max_terms = getattr(args, "max_terms", None)
+    rel_tol, max_terms = args.rel_tol, args.max_terms
     if rel_tol is None and max_terms is None:
         return DEFAULT_POLICY
     return TruncationPolicy(

@@ -25,10 +25,6 @@ class DomainError(LegdualError):
     """Argument outside the supported evaluation window."""
 
 
-class EntireLimitUnsupported(LegdualError):
-    """1+mu is a nonpositive integer and the series does not terminate."""
-
-
 class DuplicateNodeError(LegdualError):
     """Factor nodes must be pairwise distinct."""
 

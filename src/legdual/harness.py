@@ -19,7 +19,7 @@ from .coeffs import FactorList, frak_p, lauricella_G
 from .hypergeom import DEFAULT_POLICY, TruncationPolicy, gamma
 from .legendre import ParameterPoint, ferrers_p, legendre_p
 from .polys import gegenbauer
-from .registry import Kind, _get_impl, _running_sums, list_identities, sweep_identity
+from .registry import Kind, _running_sums, get_descriptor, list_identities, sweep_identity
 
 __all__ = [
     "HarnessConfig",
@@ -56,11 +56,8 @@ class HarnessConfig:
                 raise ValueError(f"sample count for {kind} must be >= 1, got {n}")
 
     def count_for(self, kind: Kind) -> "int | None":
-        if kind in self.sample_counts:
-            return int(self.sample_counts[kind])
-        if kind.value in self.sample_counts:
-            return int(self.sample_counts[kind.value])
-        return None
+        n = self.sample_counts.get(kind)
+        return None if n is None else int(n)
 
 
 @dataclass
@@ -198,11 +195,11 @@ def convergence_table(identity_id: str, params: dict, x: float,
     the reference is the identity's closed-form left-hand side and the
     partial sums are the ones evaluate_identity sums.  Terms past a
     termination index are exactly zero by definition of the sum."""
-    impl = _get_impl(identity_id)
+    entry = get_descriptor(identity_id)
     p = dict(params)
     x = float(x)
-    impl.check_domain(p, x)
-    reference = complex(impl.lhs(p, x, policy))
-    sums = itertools.islice(_running_sums(impl, p, x, policy), n_max + 1)
+    entry.check_domain(p, x)
+    reference = complex(entry.lhs(p, x, policy))
+    sums = itertools.islice(_running_sums(entry, p, x, policy), n_max + 1)
     return [(n, abs(t), abs(partial - reference))
             for n, (t, partial) in enumerate(sums)]

@@ -3,8 +3,8 @@ the first and second kind on (1,infinity), complex degree and order.
 
 All fractional powers have positive real bases on the supported windows and
 are taken as principal values.  The reciprocal-gamma prefactor makes the
-values entire in the order parameter wherever the underlying series
-terminates; the nonterminating pole limit is surfaced as a typed error.
+values entire in the order parameter: where 1 + mu is a nonpositive integer
+they are the limit.
 
 `_P(nu, mu, x)` is the one first-kind dispatcher over both intervals; it
 takes integer degree k >= 0 and order -m with m <= k to the degree
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import DomainError, EntireLimitUnsupported, PoleError
+from .errors import DomainError, PoleError
 from .hypergeom import (
     DEFAULT_POLICY,
     SeriesValue,
@@ -26,6 +26,7 @@ from .hypergeom import (
     gamma,
     gauss_2f1,
     is_nonpos_int,
+    pochhammer,
     recip_gamma,
     terminating_index,
 )
@@ -84,8 +85,9 @@ def _f_over_gamma_c(
 ) -> SeriesValue:
     """2F1(a,b;c;t)/Gamma(c), entire in c.
 
-    At nonpositive-integer c the value is the terminating-series limit; it
-    exists only when a or b terminates the series.
+    At c = -m, m in N0, the value is the limit (DLMF 15.2.3_5)
+    (a)_{m+1} (b)_{m+1} t^{m+1} / (m+1)! 2F1(a+m+1, b+m+1; m+2; t), zero
+    where the series terminates below index m + 1.
     """
     if not is_nonpos_int(c):
         sv = gauss_2f1(a, b, c, t, policy)
@@ -93,27 +95,12 @@ def _f_over_gamma_c(
         scale = abs(rg)
         return SeriesValue(sv.value * rg, sv.terms_used, sv.last_term_mag * scale,
                            sv.error_estimate * scale, sv.converged)
-    na = terminating_index(a)
-    nb = terminating_index(b)
-    n_stop = min(k for k in (na, nb) if k is not None) if (na is not None or nb is not None) else None
-    if n_stop is None:
-        raise EntireLimitUnsupported(
-            f"1/Gamma({c}) vanishes and the series does not terminate"
-        )
     m = int(round(-c.real))
-    # terms below index m+1 are killed by the reciprocal gamma
-    total = 0j
-    if n_stop >= m + 1:
-        # term_n = (a)_n (b)_n t^n / (n! (n-m-1)!) starting at n = m+1
-        term = complex(1.0)
-        for l in range(m + 1):
-            term *= (a + l) * (b + l)
-        term *= t ** (m + 1) / math.factorial(m + 1)
-        total = term
-        for n in range(m + 1, n_stop):
-            term *= (a + n) * (b + n) * t / ((n + 1) * (n - m))
-            total += term
-    return SeriesValue(total, max(n_stop - m, 0), 0.0, 0.0, True)
+    stops = [k for k in (terminating_index(a), terminating_index(b)) if k is not None]
+    if stops and min(stops) <= m:
+        return SeriesValue(0j, 0, 0.0, 0.0, True)
+    lead = pochhammer(a, m + 1) * pochhammer(b, m + 1) * t ** (m + 1) / math.factorial(m + 1)
+    return _scaled(lead, gauss_2f1(a + (m + 1), b + (m + 1), m + 2, t, policy))
 
 
 def _scaled(prefactor: complex, sv: SeriesValue) -> SeriesValue:

@@ -1,8 +1,10 @@
 """Catalog of argument-inversion identities.
 
-Each entry pairs a closed-form left-hand side with a right-hand-side term
-stream: `terms(p, x, pol)` is created once per identity point and yields the
-terms n = 0, 1, ... in order.  A stream holds the point's coefficient
+Each entry is one `IdentityDescriptor` record holding all the catalog knows
+of an identity: its kind, both sides, termination index, sampler, x grid,
+domain gates and tail law.  It pairs a closed-form left-hand side with a
+right-hand-side term stream: `terms(p, x, pol)` is created once per identity
+point and yields the terms n = 0, 1, ... in order.  A stream holds the point's coefficient
 sequences (the generating-coefficient families of `coeffs` and `polys`), so
 every coefficient is built once per point.  Factors that move with the term
 advance term to term: Pochhammer symbols as running products (`_rising`,
@@ -30,9 +32,13 @@ streams (and the coefficients and P chains behind them) are drawn only that
 far.  Each sum reports how it stopped.  All identities are stated for x in a
 subinterval of (0,1); reciprocal arguments are formed inside the streams.
 
-Each infinite series also states its tail law, `tail(p, x) -> (rate,
-exponent)`: the n-th term decays (or grows) like rate^n n^exponent, which
-`tail_order_predict` evaluates.
+Most inverse series carry the factor (mu - nu)_n and terminate where
+nu - mu is in N0, at the index `_poch_top` gives.  Their domain gates read
+the same index: a terminating series is admitted on all of (0, 1)
+(`_inv_sqrt2_window`) and whatever Re nu is.
+
+Each infinite series also states its tail law, which `tail_order_predict`
+evaluates.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import cmath
 import itertools
 import math
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -101,15 +107,54 @@ class Kind(Enum):
     VANISHING_SUM = "vanishing_sum"
 
 
-@dataclass(frozen=True)
+# records compare by identity: their fields are functions
+@dataclass(frozen=True, eq=False)
 class IdentityDescriptor:
+    """One catalog entry.
+
+    `lhs(p, x, pol)` is the closed-form side and `terms(p, x, pol)` the
+    right-hand side's term stream.  `n_top(p)` is the index of the last term
+    the sum takes, or None where the series does not terminate.  `sampler(rng)`
+    draws the sweeps' parameters and `x_grid` their arguments.  The argument
+    window is (0, 1) unless `x_window(p)` gives one; at a window's positive
+    lower end the point is admitted only where `boundary_ok(p)`.
+    `param_check(p)` raises DomainError outside the stated parameter
+    condition.  An infinite series states its tail law `tail(p, x) -> (rate,
+    exponent)`: the n-th term decays (or grows) like rate^n n^exponent."""
+
     id: str
     kind: Kind
-    param_domain: str
-    x_domain: str
-    lhs: object
-    rhs_terms: object
-    termination_rule: "str | None"
+    lhs: Callable
+    terms: Callable
+    n_top: Callable
+    sampler: "Callable | None" = None
+    param_domain: str = ""
+    x_domain: str = "(0,1)"
+    x_grid: tuple = (0.35, 0.6, 0.8)
+    x_window: "Callable | None" = None
+    boundary_ok: "Callable | None" = None
+    param_check: "Callable | None" = None
+    tail: "Callable | None" = None
+
+    def check_domain(self, p, x: float) -> None:
+        if self.param_check is not None:
+            self.param_check(p)
+        lo, hi = (0.0, 1.0) if self.x_window is None else self.x_window(p)
+        if lo < x < hi:
+            return
+        if abs(x - lo) <= 1e-12 and lo > 0.0:
+            if self.boundary_ok is not None and self.boundary_ok(p):
+                return
+            raise DomainError(
+                f"{self.id}: boundary x = {x} requires the stated parameter condition"
+            )
+        raise DomainError(f"{self.id}: x = {x} outside ({lo}, {hi})")
+
+    def at_boundary(self, p, x: float) -> bool:
+        if self.x_window is None:
+            return False
+        lo, _ = self.x_window(p)
+        return lo > 0.0 and abs(x - lo) <= 1e-12
 
 
 @dataclass(frozen=True)
@@ -268,6 +313,18 @@ def _poch_run(p: dict, coeffs: Iterator[complex]) -> Iterator[tuple]:
     return zip(itertools.count(), _rising(p["mu"] - p["nu"]), coeffs)
 
 
+def _poch_top(p: dict) -> "int | None":
+    """The last n with (mu - nu)_n != 0, where nu - mu is in N0; None
+    otherwise."""
+    return terminating_index(p["mu"] - p["nu"])
+
+
+def _inv_sqrt2_window(n_top):
+    """x window (2^-1/2, 1) of a series that holds on all of (0, 1) where it
+    terminates."""
+    return lambda p: (0.0 if n_top(p) is not None else INV_SQRT2, 1.0)
+
+
 def _indexed(term):
     """Term stream of an entry whose n-th term term(p, x, n, pol) is a
     closed expression in n."""
@@ -317,77 +374,24 @@ def _terms_grow(mags: list) -> bool:
     return sum(mags[-6:]) > 1.5 * sum(mags[-12:-6])
 
 
-class _Impl:
-    def __init__(self, ident, kind, lhs, terms, n_top=None, sampler=None,
-                 x_grid=(0.35, 0.6, 0.8), x_window=None, boundary_ok=None,
-                 param_check=None, param_domain="", x_domain="(0,1)",
-                 termination_rule=None, tail=None):
-        self.id = ident
-        self.kind = kind
-        self.lhs = lhs
-        self.terms = terms
-        self._n_top = n_top
-        self.sampler = sampler
-        self.x_grid = tuple(x_grid)
-        self._x_window = x_window
-        self._boundary_ok = boundary_ok
-        self._param_check = param_check
-        self.param_domain = param_domain
-        self.x_domain = x_domain
-        self.termination_rule = termination_rule
-        self.tail = tail
-
-    def n_top(self, p) -> "int | None":
-        if self._n_top is None:
-            return None
-        return self._n_top(p)
-
-    def check_domain(self, p, x: float) -> None:
-        if self._param_check is not None:
-            self._param_check(p)
-        lo, hi = (0.0, 1.0) if self._x_window is None else self._x_window(p)
-        if lo < x < hi:
-            return
-        if abs(x - lo) <= 1e-12 and lo > 0.0:
-            if self._boundary_ok is not None and self._boundary_ok(p):
-                return
-            raise DomainError(
-                f"{self.id}: boundary x = {x} requires the stated parameter condition"
-            )
-        raise DomainError(f"{self.id}: x = {x} outside ({lo}, {hi})")
-
-    def at_boundary(self, p, x: float) -> bool:
-        if self._x_window is None:
-            return False
-        lo, _ = self._x_window(p)
-        return lo > 0.0 and abs(x - lo) <= 1e-12
-
-    def descriptor(self) -> IdentityDescriptor:
-        return IdentityDescriptor(
-            id=self.id,
-            kind=self.kind,
-            param_domain=self.param_domain,
-            x_domain=self.x_domain,
-            lhs=self.lhs,
-            rhs_terms=self.terms,
-            termination_rule=self.termination_rule,
-        )
+_REGISTRY: "dict[str, IdentityDescriptor]" = {}
 
 
-_REGISTRY: "dict[str, _Impl]" = {}
+def _register(entry: IdentityDescriptor) -> None:
+    if entry.id in _REGISTRY:
+        raise ValueError(f"duplicate identity id {entry.id}")
+    _REGISTRY[entry.id] = entry
 
 
-def _register(impl: _Impl) -> None:
-    if impl.id in _REGISTRY:
-        raise ValueError(f"duplicate identity id {impl.id}")
-    _REGISTRY[impl.id] = impl
-
-
-def _get_impl(identity_id: str) -> _Impl:
+def get_descriptor(identity_id: str) -> IdentityDescriptor:
     try:
         return _REGISTRY[identity_id]
     except KeyError:
         raise UnknownIdentityError(f"unknown identity id '{identity_id}'") from None
+
+
+# the internal name the acceptance tests read entries by
+_get_impl = get_descriptor
 
 
 @dataclass(frozen=True)
@@ -399,11 +403,12 @@ class _SeriesSum:
     extrap_err: float
 
 
-def _running_sums(impl: _Impl, p, x: float, policy: TruncationPolicy) -> Iterator[tuple]:
+def _running_sums(entry: IdentityDescriptor, p, x: float,
+                  policy: TruncationPolicy) -> Iterator[tuple]:
     """(term, compensated partial sum) for n = 0, 1, ...: the entry's term
     stream, followed by exact zeros past its termination index."""
-    stream = impl.terms(p, x, policy)
-    n_top = impl.n_top(p)
+    stream = entry.terms(p, x, policy)
+    n_top = entry.n_top(p)
     if n_top is not None:
         stream = itertools.chain(itertools.islice(stream, n_top + 1),
                                  itertools.repeat(0j))
@@ -413,7 +418,8 @@ def _running_sums(impl: _Impl, p, x: float, policy: TruncationPolicy) -> Iterato
         yield t, acc.value()
 
 
-def _sum_terms(impl: _Impl, p, x: float, policy: TruncationPolicy) -> _SeriesSum:
+def _sum_terms(entry: IdentityDescriptor, p, x: float,
+               policy: TruncationPolicy) -> _SeriesSum:
     """Sum the right-hand side and say how the sum stopped: "terminated" at
     the termination index, "direct" when the tolerance test on the terms
     passed, or "wynn" from the epsilon table (with its error estimate as
@@ -428,8 +434,8 @@ def _sum_terms(impl: _Impl, p, x: float, policy: TruncationPolicy) -> _SeriesSum
     W_n.  At the term cap, growing terms raise ConvergenceError; otherwise
     the estimate with the smallest agreement is returned.  Estimates that are
     not finite neither stop the sum nor are returned."""
-    n_top = impl.n_top(p)
-    sums = _running_sums(impl, p, x, policy)
+    n_top = entry.n_top(p)
+    sums = _running_sums(entry, p, x, policy)
     max_mag = 0.0
     if n_top is not None:
         value = 0j
@@ -467,38 +473,38 @@ def _sum_terms(impl: _Impl, p, x: float, policy: TruncationPolicy) -> _SeriesSum
         if n >= cap:
             break
     if _terms_grow(mags):
-        raise ConvergenceError(f"{impl.id}: series terms do not decay at x = {x}")
+        raise ConvergenceError(f"{entry.id}: series terms do not decay at x = {x}")
     if best is None:
-        raise ConvergenceError(f"{impl.id}: no finite Wynn estimate at x = {x}")
+        raise ConvergenceError(f"{entry.id}: no finite Wynn estimate at x = {x}")
     return _SeriesSum(best[0], n, max_mag, "wynn", best[1])
 
 
 def evaluate_identity(identity_id: str, params: dict, x: float,
                       policy: TruncationPolicy = DEFAULT_POLICY) -> IdentityReport:
-    impl = _get_impl(identity_id)
+    entry = get_descriptor(identity_id)
     p = dict(params)
     x = float(x)
-    impl.check_domain(p, x)
-    lhs = complex(impl.lhs(p, x, policy))
-    rhs_sum = _sum_terms(impl, p, x, policy)
+    entry.check_domain(p, x)
+    lhs = complex(entry.lhs(p, x, policy))
+    rhs_sum = _sum_terms(entry, p, x, policy)
     rhs, max_mag = rhs_sum.value, rhs_sum.max_mag
     abs_err = abs(lhs - rhs)
-    if impl.kind is Kind.VANISHING_SUM:
+    if entry.kind is Kind.VANISHING_SUM:
         tol = TOL_FINITE
         scale = max(max_mag, _TINY)
         rel_err = abs_err / scale
         passed = abs_err <= tol * scale
     else:
-        if impl.kind is Kind.FINITE_SUM:
+        if entry.kind is Kind.FINITE_SUM:
             tol = TOL_FINITE
-        elif impl.at_boundary(p, x):
+        elif entry.at_boundary(p, x):
             tol = TOL_BOUNDARY
         else:
             tol = TOL_SERIES
         scale = max(abs(lhs), abs(rhs), _TINY)
         rel_err = abs_err / scale
         passed = rel_err <= tol
-        if not passed and impl.kind is Kind.FINITE_SUM:
+        if not passed and entry.kind is Kind.FINITE_SUM:
             # alternating sums whose terms dwarf their value cannot beat
             # the tolerance relative to the value in double precision;
             # the max-term scale measures the identity itself
@@ -521,15 +527,15 @@ def sweep_identity(identity_id: str, param_sampler=None, x_grid=None,
     Library errors and floating-point faults at a point are collected into
     failed reports; any other exception is a bug and propagates.
     """
-    impl = _get_impl(identity_id)
+    entry = get_descriptor(identity_id)
     rng = random.Random(seed)
     if param_sampler is None:
-        param_sampler = impl.sampler
+        param_sampler = entry.sampler
     if callable(param_sampler):
         samples = [param_sampler(rng) for _ in range(n_samples)]
     else:
         samples = [dict(s) for s in param_sampler]
-    grid = tuple(x_grid) if x_grid is not None else impl.x_grid
+    grid = tuple(x_grid) if x_grid is not None else entry.x_grid
     reports = []
     for p in samples:
         for x in grid:
@@ -553,24 +559,20 @@ def tail_order_predict(identity_id: str, n: int, params: dict, x: float) -> floa
     no attempt at the constant.  Terminating parameter choices predict an
     exact zero past the termination index.
     """
-    impl = _get_impl(identity_id)
-    if impl.tail is None:
+    entry = get_descriptor(identity_id)
+    if entry.tail is None:
         raise ValueError(f"{identity_id} is not an infinite series")
     if n < 1:
         raise ValueError("prediction needs n >= 1")
-    top = impl.n_top(params)
+    top = entry.n_top(params)
     if top is not None and n > top:
         return 0.0
-    rate, p = impl.tail(params, x)
+    rate, p = entry.tail(params, x)
     return rate ** n * float(n) ** p
 
 
 def list_identities() -> list:
-    return [impl.descriptor() for impl in _REGISTRY.values()]
-
-
-def get_descriptor(identity_id: str) -> IdentityDescriptor:
-    return _get_impl(identity_id).descriptor()
+    return list(_REGISTRY.values())
 
 
 # --------------------------------------------------------------------------
@@ -580,7 +582,7 @@ def _draw_box(rng: random.Random) -> complex:
     return complex(rng.uniform(-1.5, 2.5), rng.uniform(-1.0, 1.0))
 
 
-def _guarded_pair(*, guards, re_nu=None, extra=None):
+def _guarded_pair(*, guards, re_nu=None):
     """Sampler for (nu, mu) in the default box, redrawing near pole sets."""
 
     def sample(rng: random.Random) -> dict:
@@ -591,8 +593,7 @@ def _guarded_pair(*, guards, re_nu=None, extra=None):
             mu = _draw_box(rng)
             p = {"nu": nu, "mu": mu}
             if all(_away_from_ints(g(nu, mu)) for g in guards):
-                if extra is None or extra(nu, mu):
-                    return p
+                return p
 
     return sample
 
@@ -643,8 +644,15 @@ def _min_term(*indices):
 
 
 def _build_catalog() -> None:
+    # samplers shared within a family
+    mu_sampler = lambda rng: {"mu": _offaxis(rng)}
+    k_mu_sampler = _int_sampler(k=(0, 8), mu="complex")
+    k_m_sampler = _int_sampler(k=(0, 8), m=(0, lambda p: p["k"]))
+    k_lam_sampler = _int_sampler(k=(0, 8), lam="complex")
+    l_mu_sampler = _int_sampler(l=(0, 8), mu="complex")
+
     # ---- direct argument-transform relations (single-term) ------------
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "intro.1", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: _P(p["nu"], 2.0 * p["nu"] + 1.0, (1.0 + x) / (1.0 - x), pol),
         terms=_indexed(lambda p, x, n, pol: (
@@ -655,11 +663,10 @@ def _build_catalog() -> None:
         x_grid=(0.15, 0.3, 0.45),
         x_window=lambda p: (0.0, 0.5),
         param_domain="nu complex", x_domain="(0, 1/2)",
-        termination_rule="single term",
     ))
     # degree and normalization follow from the stated substitutions; the
     # typeset displays disagree with them numerically
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "intro.2", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: _P(2.0 * p["mu"] - 0.5, p["mu"], (1.0 + x) / (2.0 * math.sqrt(x)), pol),
         terms=_indexed(lambda p, x, n, pol: (
@@ -667,13 +674,12 @@ def _build_catalog() -> None:
             * _P(p["mu"] - 0.5, 2.0 * p["mu"], 2.0 * x - 1.0, pol)
         )),
         n_top=lambda p: 0,
-        sampler=lambda rng: {"mu": _offaxis(rng)},
+        sampler=mu_sampler,
         x_grid=(0.55, 0.7, 0.9),
         x_window=lambda p: (0.5, 1.0),
         param_domain="mu complex", x_domain="(1/2, 1)",
-        termination_rule="single term",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "intro.3", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: _P(p["mu"] - 0.5, p["mu"], 1.0 / math.sqrt(1.0 - x), pol),
         terms=_indexed(lambda p, x, n, pol: (
@@ -681,11 +687,10 @@ def _build_catalog() -> None:
             * _P(-0.25, p["mu"], 1.0 - 2.0 * x, pol)
         )),
         n_top=lambda p: 0,
-        sampler=lambda rng: {"mu": _offaxis(rng)},
+        sampler=mu_sampler,
         x_grid=(0.15, 0.3, 0.45),
         x_window=lambda p: (0.0, 0.5),
         param_domain="mu complex", x_domain="(0, 1/2)",
-        termination_rule="single term",
     ))
 
     # ---- first inversion family ---------------------------------------
@@ -695,45 +700,40 @@ def _build_catalog() -> None:
             terminating_index(0.5 * (p["mu"] + p["nu"] + 1.0)),
         )
 
-    def t4_coeff(p, x, n):
-        return (
-            pochhammer(0.5 * (p["mu"] + p["nu"] + 1.0), n)
-            * pochhammer(p["nu"] + 1.0, n)
-            * (-2.0) ** n
-            * (1.0 - x * x) ** (0.5 * n) / _fact(n)
-        )
+    def t4_coeffs(p, x, two):
+        """(1/2 (mu+nu+1))_n (nu+1)_n two^n (1-x^2)^(n/2) / n! for n = 0, 1, ..."""
+        for n, a, b in zip(itertools.count(), _rising(0.5 * (p["mu"] + p["nu"] + 1.0)),
+                           _rising(p["nu"] + 1.0)):
+            yield a * b * two ** n * (1.0 - x * x) ** (0.5 * n) / _fact(n)
+
+    t4_sampler = _guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu])
 
     def t4_expo(p):
         return 0.5 * (3.0 * p["nu"].real - p["mu"].real - 1.0)
 
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm4.fwd", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol),
-        terms=_indexed(lambda p, x, n, pol: (
-            t4_coeff(p, x, n) / _cpow(x, p["nu"] + n + 1.0)
+        terms=lambda p, x, pol: (
+            c / _cpow(x, p["nu"] + n + 1.0)
             * _P(p["nu"] + n, p["mu"] + n, 1.0 / x, pol)
-        )),
-        n_top=t4_ntop,
-        sampler=_guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu]),
+            for n, c in enumerate(t4_coeffs(p, x, -2.0))
+        ),
+        n_top=t4_ntop, sampler=t4_sampler,
         x_grid=(0.75, 0.8, 0.9),
-        x_window=lambda p: ((0.0 if t4_ntop(p) is not None else INV_SQRT2), 1.0),
-        boundary_ok=lambda p: (3.0 * p["nu"] - p["mu"]).real < -1.0 or t4_ntop(p) is not None,
+        x_window=_inv_sqrt2_window(t4_ntop),
+        boundary_ok=lambda p: (3.0 * p["nu"] - p["mu"]).real < -1.0,
         param_domain="nu, mu complex",
         x_domain="(2^-1/2, 1); boundary when Re(3nu-mu) < -1; (0,1) when terminating",
         tail=lambda p, x: ((1.0 - x * x) / (x * x), t4_expo(p)),
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm4.inv", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], 1.0 / x, pol) / _cpow(x, p["nu"] + 1.0),
         terms=lambda p, x, pol: (
-            pochhammer(0.5 * (p["mu"] + p["nu"] + 1.0), n)
-            * pochhammer(p["nu"] + 1.0, n) * 2.0 ** n
-            * (1.0 - x * x) ** (0.5 * n) / _fact(n)
-            * f
-            for n, f in enumerate(_P_chain(p["nu"], p["mu"], x, 1, pol))
+            c * f for c, f in zip(t4_coeffs(p, x, 2.0), _P_chain(p["nu"], p["mu"], x, 1, pol))
         ),
-        n_top=t4_ntop,
-        sampler=_guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu]),
+        n_top=t4_ntop, sampler=t4_sampler,
         # below x ~ 0.6 the tail outlives the accurate-term window in doubles
         x_grid=(0.6, 0.7, 0.8),
         param_domain="nu, mu complex",
@@ -750,7 +750,7 @@ def _build_catalog() -> None:
             / (2.0 ** (2 * r) * _fact(r) * base ** r)
         )
 
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor2.a", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: (
             _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, x)
@@ -758,10 +758,10 @@ def _build_catalog() -> None:
         ),
         terms=_indexed(lambda p, x, r, pol: cor2_term(p, x, r, True)),
         n_top=lambda p: p["k"],
-        sampler=_int_sampler(k=(0, 8), mu="complex"),
-        param_domain="k in N0, mu complex", termination_rule="r <= k",
+        sampler=k_mu_sampler,
+        param_domain="k in N0, mu complex",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor2.b", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: (
             _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, 1.0 / x)
@@ -769,15 +769,15 @@ def _build_catalog() -> None:
         ),
         terms=_indexed(lambda p, x, r, pol: cor2_term(p, x, r, False)),
         n_top=lambda p: p["k"],
-        sampler=_int_sampler(k=(0, 8), mu="complex"),
-        param_domain="k in N0, mu complex", termination_rule="r <= k",
+        sampler=k_mu_sampler,
+        param_domain="k in N0, mu complex",
     ))
 
     def cor3_coeff(p, n):
         k, m = p["k"], p["m"]
         return _fact(m) * _fact(k) / (_fact(m - n) * _fact(k - n) * _fact(n))
 
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor3.a", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: _P(p["k"], p["k"] - 2 * p["m"], x, pol),
         terms=_indexed(lambda p, x, n, pol: (
@@ -785,10 +785,10 @@ def _build_catalog() -> None:
             * x ** (p["k"] - n) * _P(p["k"] - n, p["k"] + n - 2 * p["m"], 1.0 / x, pol)
         )),
         n_top=lambda p: p["m"],
-        sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
-        param_domain="0 <= m <= k integers", termination_rule="n <= m",
+        sampler=k_m_sampler,
+        param_domain="0 <= m <= k integers",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor3.b", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: x ** p["k"] * _P(p["k"], p["k"] - 2 * p["m"], 1.0 / x, pol),
         terms=_indexed(lambda p, x, n, pol: (
@@ -796,15 +796,14 @@ def _build_catalog() -> None:
             * _P(p["k"] - n, p["k"] + n - 2 * p["m"], x, pol)
         )),
         n_top=lambda p: p["m"],
-        sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
-        param_domain="0 <= m <= k integers", termination_rule="n <= m",
+        sampler=k_m_sampler,
+        param_domain="0 <= m <= k integers",
     ))
 
     # ---- Mittag-Leffler family ----------------------------------------
-    t5_ntop = lambda p: terminating_index(p["mu"] - p["nu"])
     t5_sampler = _guarded_pair(guards=[lambda nu, mu: mu])
     t5_tail = lambda p, x: (_u(x), abs(p["nu"].real) - p["nu"].real - 2.0)
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm5.fwd", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol) / _cpow(x, p["nu"]),
         terms=lambda p, x, pol: (
@@ -812,10 +811,10 @@ def _build_catalog() -> None:
             for (n, poch, g), f in zip(_poch_run(p, mittag_leffler_g_seq(p["nu"])),
                                        _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol))
         ),
-        n_top=t5_ntop, sampler=t5_sampler,
+        n_top=_poch_top, sampler=t5_sampler,
         param_domain="nu, mu complex", tail=t5_tail,
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm5.inv", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], 1.0 / x, pol),
         terms=lambda p, x, pol: (
@@ -823,7 +822,7 @@ def _build_catalog() -> None:
             for (n, poch, g), f in zip(_poch_run(p, mittag_leffler_g_seq(-p["nu"])),
                                        _P_chain(p["nu"], p["mu"], x, 0, pol))
         ),
-        n_top=t5_ntop, sampler=t5_sampler,
+        n_top=_poch_top, sampler=t5_sampler,
         param_domain="nu, mu complex", tail=t5_tail,
     ))
 
@@ -841,15 +840,15 @@ def _build_catalog() -> None:
                 * c / (2.0 ** m * base ** m)
             )
 
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor4.a", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: gegenbauer(p["k"], p["lam"], x) / (2.0 ** p["k"] * (x - 1.0) ** p["k"]),
         terms=lambda p, x, pol: cor4_terms(p, x, True),
         n_top=lambda p: p["k"],
-        sampler=_int_sampler(k=(0, 8), lam="complex"),
-        param_domain="k in N0, lambda complex", termination_rule="m <= k",
+        sampler=k_lam_sampler,
+        param_domain="k in N0, lambda complex",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor4.b", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: (
             gegenbauer(p["k"], p["lam"], 1.0 / x)
@@ -857,18 +856,17 @@ def _build_catalog() -> None:
         ),
         terms=lambda p, x, pol: cor4_terms(p, x, False),
         n_top=lambda p: p["k"],
-        sampler=_int_sampler(k=(0, 8), lam="complex"),
-        param_domain="k in N0, lambda complex", termination_rule="m <= k",
+        sampler=k_lam_sampler,
+        param_domain="k in N0, lambda complex",
     ))
 
     # ---- square-root generating-function family -----------------------
-    t6_ntop = lambda p: terminating_index(p["mu"] - p["nu"])
     t6_sampler = _guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu,
                                        lambda nu, mu: nu - mu])
     t6_expo = lambda p: -1.5 * p["nu"].real - 2.0
     t6_tail_b = lambda p, x: (_u(x), -2.0)
 
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm6.p1a", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol) / _cpow(1.0 + x, p["mu"]),
         terms=lambda p, x, pol: (
@@ -878,20 +876,18 @@ def _build_catalog() -> None:
             * _P(p["nu"] - p["mu"] - n, p["mu"] + n, 1.0 / x, pol)
             for n, poch, c in _poch_run(p, frak_p_seq(-0.5 * p["nu"], 2.0 * p["mu"], 1.0))
         ),
-        n_top=t6_ntop,
+        n_top=_poch_top,
         sampler=_guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu,
                                       lambda nu, mu: nu - mu],
                               re_nu=(-0.55, 2.5)),
         x_grid=(0.75, 0.8, 0.9),
-        x_window=lambda p: ((0.0 if terminating_index(p["nu"] - p["mu"]) is not None
-                             else INV_SQRT2), 1.0),
-        boundary_ok=lambda p: p["nu"].real > -2.0 / 3.0
-        or terminating_index(p["nu"] - p["mu"]) is not None,
+        x_window=_inv_sqrt2_window(_poch_top),
+        boundary_ok=lambda p: p["nu"].real > -2.0 / 3.0,
         param_domain="nu, mu complex",
         x_domain="(2^-1/2, 1); boundary when Re nu > -2/3; (0,1) when nu-mu in N0",
         tail=lambda p, x: ((1.0 - x * x) / (x * x), t6_expo(p)),
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm6.p1b", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: (
             _P(p["nu"] - p["mu"], p["mu"], 1.0 / x, pol)
@@ -904,10 +900,10 @@ def _build_catalog() -> None:
             for (n, poch, b), f in zip(_poch_run(p, bateman_g_seq(p["nu"], -2.0 * p["mu"])),
                                        _P_chain(p["nu"], p["mu"], x, 0, pol))
         ),
-        n_top=t6_ntop, sampler=t6_sampler,
+        n_top=_poch_top, sampler=t6_sampler,
         param_domain="nu, mu complex", tail=t6_tail_b,
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm6.p2a", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: (
             _cpow(x, p["nu"]) * _P(p["nu"], p["mu"], 1.0 / x, pol)
@@ -922,12 +918,12 @@ def _build_catalog() -> None:
                 _poch_run(p, frak_p_seq(-0.5 * p["nu"], 2.0 * p["mu"], 1.0)),
                 _P_chain(p["mu"] - p["nu"] - 1.0, p["mu"], x, 1, pol))
         ),
-        n_top=t6_ntop, sampler=t6_sampler,
+        n_top=_poch_top, sampler=t6_sampler,
         x_grid=(0.5, 0.65, 0.8),
         param_domain="nu, mu complex",
         tail=lambda p, x: (1.0 - x * x, t6_expo(p)),
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm6.p2b", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: (
             _P(p["nu"] - p["mu"], p["mu"], x, pol)
@@ -940,7 +936,7 @@ def _build_catalog() -> None:
             for (n, poch, b), f in zip(_poch_run(p, bateman_g_seq(p["nu"], -2.0 * p["mu"])),
                                        _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol))
         ),
-        n_top=t6_ntop, sampler=t6_sampler,
+        n_top=_poch_top, sampler=t6_sampler,
         param_domain="nu, mu complex", tail=t6_tail_b,
     ))
 
@@ -959,27 +955,27 @@ def _build_catalog() -> None:
                 / _cpow(1.0 + x, 0.5 * n + (m if upper else -m))
             )
 
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor5.a", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: (
             _P(p["k"], p["m"], x, pol) / (2.0 ** p["m"] * _fact(p["k"]) * x ** (p["k"] + p["m"]))
         ),
         terms=lambda p, x, pol: cor5_terms(p, x, True, True, True),
         n_top=lambda p: p["k"],
-        sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
-        param_domain="0 <= m <= k integers", termination_rule="n <= k",
+        sampler=k_m_sampler,
+        param_domain="0 <= m <= k integers",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor5.b", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: (
             _P(p["k"], p["m"], 1.0 / x, pol) * x ** p["k"] / (2.0 ** p["m"] * _fact(p["k"]))
         ),
         terms=lambda p, x, pol: cor5_terms(p, x, False, True, False),
         n_top=lambda p: p["k"],
-        sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
-        param_domain="0 <= m <= k integers", termination_rule="n <= k",
+        sampler=k_m_sampler,
+        param_domain="0 <= m <= k integers",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor5.c", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: (
             _P(p["k"], -p["m"], x, pol) * 2.0 ** p["m"]
@@ -987,21 +983,21 @@ def _build_catalog() -> None:
         ),
         terms=lambda p, x, pol: cor5_terms(p, x, True, False, True),
         n_top=lambda p: p["k"],
-        sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
-        param_domain="0 <= m <= k integers", termination_rule="n <= k",
+        sampler=k_m_sampler,
+        param_domain="0 <= m <= k integers",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor5.d", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: (
             _P(p["k"], -p["m"], 1.0 / x, pol) * 2.0 ** p["m"] * x ** p["k"] / _fact(p["k"])
         ),
         terms=lambda p, x, pol: cor5_terms(p, x, False, False, False),
         n_top=lambda p: p["k"],
-        sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
-        param_domain="0 <= m <= k integers", termination_rule="n <= k",
+        sampler=k_m_sampler,
+        param_domain="0 <= m <= k integers",
     ))
 
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor6", Kind.VANISHING_SUM,
         lhs=lambda p, x, pol: 0j,
         terms=lambda p, x, pol: (
@@ -1013,11 +1009,10 @@ def _build_catalog() -> None:
         ),
         n_top=lambda p: p["k"],
         sampler=_int_sampler(k=(1, 8), m=(lambda p: p["k"] // 2 + 1, lambda p: p["k"])),
-        param_domain="k/2 < m <= k integers", termination_rule="n <= k",
+        param_domain="k/2 < m <= k integers",
     ))
 
     # ---- half-order family --------------------------------------------
-    t7_ntop = lambda p: terminating_index(p["mu"] - p["nu"])
     t7_guards = [lambda nu, mu: nu, lambda nu, mu: mu,
                  lambda nu, mu: 0.5 * (mu + nu), lambda nu, mu: 0.5 * (mu - nu + 1.0)]
     t7_sampler = _guarded_pair(guards=t7_guards)
@@ -1028,11 +1023,11 @@ def _build_catalog() -> None:
     def q_cond_check(p):
         if p["nu"].real > -1.0:
             return
-        if terminating_index(p["nu"] - p["mu"]) is not None:
+        if _poch_top(p) is not None:
             return
         raise DomainError("requires Re nu > -1 or nu - mu a nonnegative integer")
 
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm7.q1", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: (
             _P(p["nu"], p["mu"], 1.0 / x, pol) * _cpow(x, p["nu"])
@@ -1047,10 +1042,10 @@ def _build_catalog() -> None:
                 _poch_run(p, script_G_seq(p["nu"], p["nu"], math.sqrt(_u(x)))),
                 _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), x, 0, pol))
         ),
-        n_top=t7_ntop, sampler=t7_sampler,
+        n_top=_poch_top, sampler=t7_sampler,
         param_domain="nu, mu complex", tail=t7_tail_fixed,
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm7.q2", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: (
             _cpow(_u(x), 0.25 * (p["mu"] - p["nu"]))
@@ -1065,10 +1060,10 @@ def _build_catalog() -> None:
                 _poch_run(p, script_G_seq(-p["nu"], -p["nu"], math.sqrt(_u(x)))),
                 _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol))
         ),
-        n_top=t7_ntop, sampler=t7_sampler_cond, param_check=q_cond_check,
+        n_top=_poch_top, sampler=t7_sampler_cond, param_check=q_cond_check,
         param_domain="Re nu > -1 or nu - mu in N0", tail=t7_tail_nu,
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm7.q3", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: (
             _P(p["nu"], p["mu"], x, pol)
@@ -1083,10 +1078,10 @@ def _build_catalog() -> None:
                 _poch_run(p, script_G_hat_seq(p["nu"], p["nu"], math.sqrt(_u(x)))),
                 _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), 1.0 / x, 0, pol))
         ),
-        n_top=t7_ntop, sampler=t7_sampler,
+        n_top=_poch_top, sampler=t7_sampler,
         param_domain="nu, mu complex", tail=t7_tail_fixed,
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm7.q4", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: (
             _cpow(_u(x), 0.25 * (p["mu"] - p["nu"]))
@@ -1101,7 +1096,7 @@ def _build_catalog() -> None:
                 _poch_run(p, script_G_hat_seq(-p["nu"], -p["nu"], math.sqrt(_u(x)))),
                 _P_chain(p["nu"], p["mu"], x, 0, pol))
         ),
-        n_top=t7_ntop, sampler=t7_sampler_cond, param_check=q_cond_check,
+        n_top=_poch_top, sampler=t7_sampler_cond, param_check=q_cond_check,
         param_domain="Re nu > -1 or nu - mu in N0", tail=t7_tail_nu,
     ))
 
@@ -1146,7 +1141,7 @@ def _build_catalog() -> None:
             else:
                 yield val * x ** r * c
 
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor7.a", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: (
             gegenbauer(p["k"], p["lam"], 1.0 / x) * x ** p["k"]
@@ -1154,30 +1149,30 @@ def _build_catalog() -> None:
         ),
         terms=lambda p, x, pol: cor7_narrow(p, x, False),
         n_top=lambda p: p["k"] // 2,
-        sampler=_int_sampler(k=(0, 8), lam="complex"),
-        param_domain="k in N0, lambda complex", termination_rule="r <= floor(k/2)",
+        sampler=k_lam_sampler,
+        param_domain="k in N0, lambda complex",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor7.b", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: (
             gegenbauer(p["k"], p["k"] + p["lam"], x) / (1.0 - x) ** p["k"]
         ),
         terms=lambda p, x, pol: cor7_wide(p, x, False),
         n_top=lambda p: 2 * p["k"],
-        sampler=_int_sampler(k=(0, 8), lam="complex"),
-        param_domain="k in N0, lambda complex", termination_rule="r <= 2k",
+        sampler=k_lam_sampler,
+        param_domain="k in N0, lambda complex",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor7.c", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: (
             gegenbauer(p["k"], p["lam"], x) / (1.0 - x * x) ** (0.5 * p["k"])
         ),
         terms=lambda p, x, pol: cor7_narrow(p, x, True),
         n_top=lambda p: p["k"] // 2,
-        sampler=_int_sampler(k=(0, 8), lam="complex"),
-        param_domain="k in N0, lambda complex", termination_rule="r <= floor(k/2)",
+        sampler=k_lam_sampler,
+        param_domain="k in N0, lambda complex",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor7.d", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: (
             gegenbauer(p["k"], p["k"] + p["lam"], 1.0 / x) * x ** p["k"]
@@ -1185,8 +1180,8 @@ def _build_catalog() -> None:
         ),
         terms=lambda p, x, pol: cor7_wide(p, x, True),
         n_top=lambda p: 2 * p["k"],
-        sampler=_int_sampler(k=(0, 8), lam="complex"),
-        param_domain="k in N0, lambda complex", termination_rule="r <= 2k",
+        sampler=k_lam_sampler,
+        param_domain="k in N0, lambda complex",
     ))
 
     def cor89_terms(p, x, hatted, inner_tau2):
@@ -1205,47 +1200,44 @@ def _build_catalog() -> None:
             else:
                 yield val * x ** -n * diag[2 * k + 1 - n]
 
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor8.a", Kind.VANISHING_SUM,
         lhs=lambda p, x, pol: 0j,
         terms=lambda p, x, pol: cor89_terms(
             p, x, False, lambda k, lam: -2 * k - lam - 0.5),
         n_top=lambda p: 2 * p["k"] + 1,
-        sampler=_int_sampler(k=(0, 8), lam="complex"),
-        param_domain="k in N0, lambda complex", termination_rule="n <= 2k+1",
+        sampler=k_lam_sampler,
+        param_domain="k in N0, lambda complex",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor8.b", Kind.VANISHING_SUM,
         lhs=lambda p, x, pol: 0j,
         terms=lambda p, x, pol: cor89_terms(
             p, x, True, lambda k, lam: -2 * k - lam - 0.5),
         n_top=lambda p: 2 * p["k"] + 1,
-        sampler=_int_sampler(k=(0, 8), lam="complex"),
-        param_domain="k in N0, lambda complex", termination_rule="n <= 2k+1",
+        sampler=k_lam_sampler,
+        param_domain="k in N0, lambda complex",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor9.a", Kind.VANISHING_SUM,
         lhs=lambda p, x, pol: 0j,
         terms=lambda p, x, pol: cor89_terms(
             p, x, False, lambda k, lam: lam - 0.5),
         n_top=lambda p: 2 * p["k"] + 1,
-        sampler=_int_sampler(k=(0, 8), lam="complex"),
-        param_domain="k in N0, lambda complex", termination_rule="n <= 2k+1",
+        sampler=k_lam_sampler,
+        param_domain="k in N0, lambda complex",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor9.b", Kind.VANISHING_SUM,
         lhs=lambda p, x, pol: 0j,
         terms=lambda p, x, pol: cor89_terms(
             p, x, True, lambda k, lam: lam - 0.5),
         n_top=lambda p: 2 * p["k"] + 1,
-        sampler=_int_sampler(k=(0, 8), lam="complex"),
-        param_domain="k in N0, lambda complex", termination_rule="n <= 2k+1",
+        sampler=k_lam_sampler,
+        param_domain="k in N0, lambda complex",
     ))
 
     # ---- mixed half-order family --------------------------------------
-    t8_ntop = lambda p: terminating_index(p["mu"] - p["nu"])
-    t8_sampler = _guarded_pair(guards=t7_guards)
-    t8_sampler_cond = _guarded_pair(guards=t7_guards, re_nu=(-0.85, 2.5))
     t8_tail_r = lambda p, x: (1.0, p["nu"].real - 1.5)
 
     def g_cond_check(p):
@@ -1253,7 +1245,7 @@ def _build_catalog() -> None:
             return
         raise DomainError("requires Re nu > -1")
 
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm8.g1", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: (
             _cpow(1.0 - x * x, 0.25 * (p["mu"] + p["nu"]))
@@ -1268,10 +1260,10 @@ def _build_catalog() -> None:
                 _poch_run(p, script_G_seq(-p["nu"], p["mu"], math.sqrt(_u(x)))),
                 _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol))
         ),
-        n_top=t8_ntop, sampler=t8_sampler_cond, param_check=q_cond_check,
+        n_top=_poch_top, sampler=t7_sampler_cond, param_check=q_cond_check,
         param_domain="Re nu > -1 or nu - mu in N0", tail=t7_tail_nu,
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm8.r1", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], 1.0 / x, pol) / SQRT_PI,
         terms=lambda p, x, pol: (
@@ -1285,11 +1277,11 @@ def _build_catalog() -> None:
                 _P_half_chain(0.5 * (p["mu"] - p["nu"] - 2.0), 0.5 * (p["mu"] + p["nu"]),
                               x, 1, pol))
         ),
-        n_top=t8_ntop, sampler=t8_sampler,
+        n_top=_poch_top, sampler=t7_sampler,
         x_grid=(0.55, 0.7, 0.85),
         param_domain="nu, mu complex", tail=t8_tail_r,
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm8.r2", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol) / SQRT_PI,
         terms=lambda p, x, pol: (
@@ -1301,17 +1293,15 @@ def _build_catalog() -> None:
                * _cpow(x, 0.5 * (p["mu"] - p["nu"] + n)))
             for n, poch, c in _poch_run(p, frak_N_seq(p["nu"], p["mu"], x, 1))
         ),
-        n_top=t8_ntop, sampler=t8_sampler,
+        n_top=_poch_top, sampler=t7_sampler,
         x_grid=(0.75, 0.8, 0.9),
-        x_window=lambda p: ((0.0 if terminating_index(p["nu"] - p["mu"]) is not None
-                             else INV_SQRT2), 1.0),
-        boundary_ok=lambda p: p["nu"].real < 2.0
-        or terminating_index(p["nu"] - p["mu"]) is not None,
+        x_window=_inv_sqrt2_window(_poch_top),
+        boundary_ok=lambda p: p["nu"].real < 2.0,
         param_domain="nu, mu complex",
         x_domain="(2^-1/2, 1); boundary when Re nu < 2; (0,1) when nu-mu in N0",
         tail=t8_tail_r,
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm8.g2", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: (
             _cpow(1.0 - x * x, 0.25 * (p["mu"] + p["nu"]))
@@ -1327,7 +1317,7 @@ def _build_catalog() -> None:
                 _poch_run(p, script_G_hat_seq(-p["nu"], p["mu"], math.sqrt(_u(x)))),
                 _P_chain(p["nu"], p["mu"], x, 0, pol))
         ),
-        n_top=t8_ntop, sampler=t8_sampler_cond, param_check=g_cond_check,
+        n_top=_poch_top, sampler=t7_sampler_cond, param_check=g_cond_check,
         param_domain="Re nu > -1", tail=t7_tail_nu,
     ))
 
@@ -1348,42 +1338,41 @@ def _build_catalog() -> None:
             else:
                 yield val * x ** deg * _P(deg, morder, 1.0 / x)
 
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor10.a", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: _P(p["k"], p["m"], x, pol) / 2.0 ** p["m"],
         terms=lambda p, x, pol: cor10_terms(p, x, False, True),
         n_top=lambda p: 2 * p["k"],
-        sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
-        param_domain="0 <= m <= k integers", termination_rule="n <= 2k",
+        sampler=k_m_sampler,
+        param_domain="0 <= m <= k integers",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor10.b", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: _P(p["k"], p["m"], 1.0 / x, pol) * x ** p["k"] / 2.0 ** p["m"],
         terms=lambda p, x, pol: cor10_terms(p, x, True, True),
         n_top=lambda p: 2 * p["k"],
-        sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
-        param_domain="0 <= m <= k integers", termination_rule="n <= 2k",
+        sampler=k_m_sampler,
+        param_domain="0 <= m <= k integers",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor10.c", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: _P(p["k"], -p["m"], x, pol) * 2.0 ** p["m"],
         terms=lambda p, x, pol: cor10_terms(p, x, False, False),
         n_top=lambda p: 2 * p["k"],
-        sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
-        param_domain="0 <= m <= k integers", termination_rule="n <= 2k",
+        sampler=k_m_sampler,
+        param_domain="0 <= m <= k integers",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor10.d", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: _P(p["k"], -p["m"], 1.0 / x, pol) * 2.0 ** p["m"] * x ** p["k"],
         terms=lambda p, x, pol: cor10_terms(p, x, True, False),
         n_top=lambda p: 2 * p["k"],
-        sampler=_int_sampler(k=(0, 8), m=(0, lambda p: p["k"])),
-        param_domain="0 <= m <= k integers", termination_rule="n <= 2k",
+        sampler=k_m_sampler,
+        param_domain="0 <= m <= k integers",
     ))
 
     # ---- quadratic argument family ------------------------------------
-    t9_ntop = lambda p: _min_term(
-        terminating_index(2.0 * p["nu"]), terminating_index(p["mu"] - p["nu"]))
+    t9_ntop = lambda p: _min_term(terminating_index(2.0 * p["nu"]), _poch_top(p))
     t9_guards = [lambda nu, mu: nu, lambda nu, mu: mu, lambda nu, mu: nu + 0.5,
                  lambda nu, mu: 0.5 * (mu + nu), lambda nu, mu: 0.5 * (mu - nu + 1.0)]
     t9_sampler = _guarded_pair(guards=t9_guards)
@@ -1392,7 +1381,7 @@ def _build_catalog() -> None:
     def x2arg(x: float) -> float:
         return (1.0 + x * x) / (2.0 * x)
 
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm9.fwd", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol),
         terms=lambda p, x, pol: (
@@ -1408,7 +1397,7 @@ def _build_catalog() -> None:
         n_top=t9_ntop, sampler=t9_sampler,
         param_domain="nu, mu complex", tail=t9_tail,
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "thm9.inv", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: (
             SQRT_PI * _P(p["nu"], 0.5 * (p["mu"] + p["nu"]), x2arg(x), pol)
@@ -1424,8 +1413,7 @@ def _build_catalog() -> None:
                 _rising(0.5 - p["nu"]), gegenbauer_seq(0.5 + p["nu"], x),
                 _P_chain(p["nu"], p["mu"], x, 0, pol)))
         ),
-        n_top=lambda p: _min_term(
-            terminating_index(-2.0 * p["nu"]), terminating_index(p["mu"] - p["nu"])),
+        n_top=lambda p: _min_term(terminating_index(-2.0 * p["nu"]), _poch_top(p)),
         sampler=t9_sampler,
         param_domain="nu, mu complex", tail=t9_tail,
     ))
@@ -1476,32 +1464,32 @@ def _build_catalog() -> None:
         for n, c in zip(range(top + 1), coeffs):
             yield c * diag[n] * diag[top - n]
 
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor11.a", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: gegenbauer(p["k"], p["mu"] + 0.5, x),
         terms=cor11a_terms,
         n_top=lambda p: p["k"] // 2,
-        sampler=_int_sampler(k=(0, 8), mu="complex"),
-        param_domain="k in N0, mu complex", termination_rule="m <= floor(k/2)",
+        sampler=k_mu_sampler,
+        param_domain="k in N0, mu complex",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "cor11.b", Kind.FINITE_SUM,
         lhs=lambda p, x, pol: x ** p["l"] * gegenbauer(p["l"], p["mu"] + p["l"] + 0.5, x2arg(x)),
         terms=lambda p, x, pol: pair_terms(
             x, 0.5 + 2 * p["l"] + p["mu"], 2 * p["l"],
             (lam2(p["l"], n, p["mu"]) for n in itertools.count())),
         n_top=lambda p: 2 * p["l"],
-        sampler=_int_sampler(l=(0, 8), mu="complex"),
-        param_domain="l in N0, mu complex", termination_rule="n <= 2l",
+        sampler=l_mu_sampler,
+        param_domain="l in N0, mu complex",
     ))
-    _register(_Impl(
+    _register(IdentityDescriptor(
         "lambda3", Kind.VANISHING_SUM,
         lhs=lambda p, x, pol: 0j,
         terms=lambda p, x, pol: pair_terms(
             x, 1.5 + 2 * p["l"] + p["mu"], 2 * p["l"] + 1, lam3(p["l"], p["mu"])),
         n_top=lambda p: 2 * p["l"] + 1,
-        sampler=_int_sampler(l=(0, 8), mu="complex"),
-        param_domain="l in N0, mu complex", termination_rule="n <= 2l+1",
+        sampler=l_mu_sampler,
+        param_domain="l in N0, mu complex",
     ))
 
 

@@ -156,6 +156,12 @@ class TestListCommand:
             d.id for d in list_identities()
         )
 
+    def test_rejects_series_options(self, capsys):
+        # list and asympt sum no series, so they take no policy flags
+        assert main(["list", "--max-terms", "5"]) == 1
+        assert main(["asympt", "--rel-tol", "1e-10"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestAsymptCommand:
     def test_all_checks_pass(self, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from legdual.errors import DomainError, EntireLimitUnsupported, PoleError
+from legdual.errors import DomainError, PoleError
 from legdual.legendre import (
     Argument,
     Domain,
@@ -93,8 +93,12 @@ class TestFerrersP:
                     _close(ferrers_p(ParameterPoint(nu, -m), x).value, ref, rel=1e-12)
 
     def test_entire_limit_error(self):
-        with pytest.raises(EntireLimitUnsupported):
-            ferrers_p(ParameterPoint(0.7 + 0.1j, -2.0), 0.5)
+        # 1 + mu in -N0: the limit of 2F1/Gamma(1 + mu), where the series
+        # terminates and where it does not, with no error raised
+        for nu, mu, x in [(0.7 + 0.1j, -2.0, 0.5), (1j, -1.0, 0.5),
+                          (0.3 + 0.2j, -2.0, 0.3), (4.0, -2.0, -0.4), (3.0, -5.0, 0.4)]:
+            ref = mp.legenp(_mp(nu), -_mp(mu), mp.mpf(x), type=2)
+            _close(ferrers_p(ParameterPoint(nu, mu), x).value, ref)
 
     def test_rejects_large_x(self):
         with pytest.raises(DomainError):
@@ -108,14 +112,8 @@ class TestFerrersP:
     @example(1j, -1, 0.5)
     @settings(max_examples=60, deadline=None)
     def test_degree_symmetry(self, nu, mu, x):
-        # the series depends on nu only through nu(nu+1), so a nonterminating
-        # series at 1 + mu in -N0 is refused on both sides alike
-        try:
-            a = ferrers_p(ParameterPoint(nu, mu), x).value
-        except EntireLimitUnsupported:
-            with pytest.raises(EntireLimitUnsupported):
-                ferrers_p(ParameterPoint(-1.0 - nu, mu), x)
-            return
+        # the series depends on nu only through nu(nu+1)
+        a = ferrers_p(ParameterPoint(nu, mu), x).value
         b = ferrers_p(ParameterPoint(-1.0 - nu, mu), x).value
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-30)
 
@@ -128,6 +126,9 @@ class TestLegendreP:
         (0.5 + 0.2j, 1.3, 1.25),
         (0.3, 1.2, 2.0),
         (-0.4 + 0.3j, 0.8 - 0.2j, 1.6),
+        # 1 + mu in -N0, series not terminating
+        (0.3 + 0.2j, -2.0, 1.7),
+        (2.5j, -3.0, 3.0),
     ])
     def test_matches_independent_oracle(self, nu, mu, x):
         ref = mp.legenp(_mp(nu), -_mp(mu), mp.mpf(x), type=3)

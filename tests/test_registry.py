@@ -1,5 +1,6 @@
 """Identity catalog behavior: descriptors, evaluation, sweeps, domain gates."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -22,13 +23,13 @@ from legdual.registry import (
     TOL_FINITE,
     TOL_SERIES,
     _SERIES_CAP,
-    _Impl,
     _P,
     _P_chain,
     _P_half_chain,
     _get_impl,
     _running_sums,
     _sum_terms,
+    IdentityDescriptor,
     evaluate_identity,
     get_descriptor,
     list_identities,
@@ -43,8 +44,10 @@ NO_DIRECT = TruncationPolicy(consecutive_small=10**6)
 
 def _series(term):
     """A synthetic infinite series whose n-th term is term(n)."""
-    return _Impl("synthetic", Kind.INFINITE_SERIES, lhs=None,
-                 terms=lambda p, x, pol: (complex(term(n)) for n in itertools.count()))
+    return IdentityDescriptor(
+        "synthetic", Kind.INFINITE_SERIES, lhs=None,
+        terms=lambda p, x, pol: (complex(term(n)) for n in itertools.count()),
+        n_top=lambda p: None)
 
 
 class TestCatalog:
@@ -66,7 +69,7 @@ class TestCatalog:
     def test_descriptor_fields(self):
         d = get_descriptor("thm4.fwd")
         assert d.kind is Kind.INFINITE_SERIES
-        assert callable(d.lhs) and callable(d.rhs_terms)
+        assert callable(d.lhs) and callable(d.terms)
         assert d.x_domain
         assert d.param_domain
 
@@ -110,6 +113,29 @@ class TestEvaluate:
     def test_window_is_sharp_below_boundary(self):
         with pytest.raises(DomainError):
             evaluate_identity("thm4.fwd", {"nu": -0.8 + 0.3j, "mu": 0.5 - 0.2j}, 0.6)
+
+    # nu - mu = 2: the series terminate, and hold on all of (0, 1)
+    TERMINATING = {"nu": 2.3 + 0.2j, "mu": 0.3 + 0.2j}
+
+    @pytest.mark.parametrize("ident", ["thm6.p1a", "thm8.r2"])
+    def test_terminating_series_hold_below_the_window(self, ident):
+        r = evaluate_identity(ident, self.TERMINATING, 0.3)
+        assert r.passed and r.stop_reason == "terminated"
+        assert r.tolerance_used == TOL_SERIES
+
+    @pytest.mark.parametrize("ident", ["thm6.p1a", "thm8.r2"])
+    def test_swapped_point_keeps_the_window(self, ident):
+        # mu - nu = 2 does not terminate (mu - nu)_n
+        swapped = {"nu": self.TERMINATING["mu"], "mu": self.TERMINATING["nu"]}
+        with pytest.raises(DomainError):
+            evaluate_identity(ident, swapped, 0.3)
+
+    @pytest.mark.parametrize("ident", ["thm7.q2", "thm7.q4", "thm8.g1"])
+    @pytest.mark.parametrize("x", [0.2, 0.35, 0.5, 0.65])
+    def test_terminating_series_lift_the_degree_condition(self, ident, x):
+        # Re nu <= -1, but nu - mu = 2
+        r = evaluate_identity(ident, {"nu": -1.7 + 0.2j, "mu": -3.7 + 0.2j}, x)
+        assert r.passed and r.stop_reason == "terminated"
 
     def test_report_round_trips_through_json(self):
         r = evaluate_identity("thm5.fwd", {"nu": 0.3 + 0.2j, "mu": 1.1}, 0.6)
@@ -238,7 +264,8 @@ class TestSweep:
             yield 1.0 + 0j
             raise TypeError("bug in a term stream")
 
-        monkeypatch.setattr(_get_impl("cor6"), "terms", broken)
+        monkeypatch.setitem(legdual.registry._REGISTRY, "cor6",
+                            dataclasses.replace(_get_impl("cor6"), terms=broken))
         with pytest.raises(TypeError):
             sweep_identity("cor6", param_sampler=[{"k": 3, "m": 2}])
 
