@@ -19,9 +19,10 @@ requested.
 The inverse series of thm4-thm9 take P at shifted order, some also at
 shifted degree.  Their streams hold P chains (`_P_chain`, `_P_half_chain`
 for half-step orders): one direct evaluation per chain, the other values by
-Miller's backward recurrence.  The diagonal chains at arguments above 1
-(thm4.fwd, thm6.p1a, thm8.r2) have no stable recurrence direction and keep
-one direct P per term.
+Miller's backward recurrence.  That includes the diagonal chains at y = 1/x
+(thm4.fwd, thm6.p1a, thm8.r2): Miller's error ratio there is |1 - y^2|,
+below 1 exactly on their window (2^-1/2, 1).  The factor
+1/Gamma((mu - nu + n + 1)/2) is a stream as well (`_recip_gamma_half`).
 
 `_sum_terms` is the one summation loop.  It runs the direct tolerance test
 on every term and, alongside, Wynn's epsilon algorithm in progressive form:
@@ -90,7 +91,7 @@ _SERIES_CAP = 160
 _TINY = 1e-300
 _EPS = 2.0**-52
 
-# P chains: first verified block, agreement between Miller starts, deepest start
+# P chains: least lag, agreement between Miller starts, deepest start
 _CHAIN_BLOCK = 16
 _CHAIN_TOL = 1e-13
 _CHAIN_MAX_DEPTH = 4096
@@ -205,21 +206,22 @@ def _cpow(base: float, expo: complex) -> complex:
     return cmath.exp(complex(expo) * math.log(base))
 
 
-def _miller_ratios(a: list, b: list, depth: int) -> list:
-    """f_k / f_0 for k < depth, where f is the minimal solution of
+def _miller_ratios(a: list, b: list, depth: int, keep: int) -> list:
+    """f_k / f_0 for k < keep, where f is the minimal solution of
     f_k = a_k f_{k+1} + b_k f_{k+2}: Miller's backward recurrence from
     f_depth = 1, f_{depth+1} = 0, rescaled against overflow.  Empty when the
     recurrence gives f_0 = 0."""
-    out = [0j] * depth
+    out = [0j] * keep
     f1, f2 = 1.0 + 0j, 0j
     for k in range(depth - 1, -1, -1):
         f1, f2 = a[k] * f1 + b[k] * f2, f1
         if abs(f1) > 1e200:
             f1 *= 1e-200
             f2 *= 1e-200
-            for j in range(k + 1, depth):
+            for j in range(k + 1, keep):
                 out[j] *= 1e-200
-        out[k] = f1
+        if k < keep:
+            out[k] = f1
     f0 = out[0]
     if f0 == 0 or not cmath.isfinite(f0):
         return []
@@ -229,19 +231,21 @@ def _miller_ratios(a: list, b: list, depth: int) -> list:
 def _P_chain(nu: complex, mu: complex, y: float, diag: int,
              policy: TruncationPolicy = DEFAULT_POLICY) -> Iterator[complex]:
     """P(nu + k*diag, mu + k, y) for k = 0, 1, ... with diag 0 (fixed degree)
-    or 1 (degree and order shifted together; y < 1 only).
+    or 1 (degree and order shifted together).
 
     One direct value at k = 0; the rest from Miller's backward recurrence in
     the order (DLMF 14.10.1/14.10.6; 14.10.1-14.10.3 for the diagonal),
     normalized by it.  Against the other solution the error of a start `lag`
     steps past k decays like q^lag, with q = |1-y|/(1+y) at fixed degree and
-    1 - y^2 on the diagonal; the first lag makes that 1e-16.  The values
-    below `need` are yielded once the tables started at need + lag and at
-    need + 2*lag agree there to _CHAIN_TOL (Gautschi's test); otherwise the
-    lag doubles.  `need` doubles each time the consumer passes it.  A chain
-    whose k = 0 value is zero, where P is not the minimal solution (q >= 1,
-    or the diagonal above 1), or that does not settle within
-    _CHAIN_MAX_DEPTH, falls back to direct values."""
+    |1 - y^2| on the diagonal; the first lag makes that 1e-16.  On the
+    diagonal above 1, q < 1 exactly for y < 2^1/2: the reciprocal arguments
+    y = 1/x of the window (2^-1/2, 1).  The values below `need`, at first
+    the lag itself, are yielded once the tables started at need + lag and
+    at need + 2*lag agree there to _CHAIN_TOL (Gautschi's test); otherwise
+    the lag doubles.  `need` doubles each time the consumer passes it.  A
+    chain whose k = 0 value is zero, where P is not the minimal solution
+    (q >= 1), or that does not settle within _CHAIN_MAX_DEPTH, falls back
+    to direct values."""
     # the head scales every value of the chain, so its series is summed to
     # the last bit rather than to the policy's tolerance
     head = _P(nu, mu, y, replace(policy, rel_tol=min(policy.rel_tol, _EPS)))
@@ -250,28 +254,34 @@ def _P_chain(nu: complex, mu: complex, y: float, diag: int,
     k = 1
     s = math.sqrt(abs(1.0 - y * y))
     q = s * s if diag else abs(1.0 - y) / (1.0 + y)
-    if head != 0 and q < 1.0 and not (diag and y > 1.0):
+    if head != 0 and q < 1.0:
         sigma = 1.0 if y < 1.0 else -1.0
         lag = max(_CHAIN_BLOCK, math.ceil(math.log(1e-16) / math.log(q)))
+        # a_j is linear in j and b_j quadratic
+        if diag:
+            a0 = ((2.0 * nu + 3.0) * (1.0 - y * y) + 2.0 * (mu + 1.0)) / s
+            a1 = 2.0 * (2.0 - y * y) / s
+            c, b0, b1, b2 = -sigma, nu + mu + 3.0, nu + mu + 4.0, 2
+        else:
+            a0, a1 = 2.0 * (mu + 1.0) * y / s, 2.0 * y / s
+            c, b0, b1, b2 = sigma, nu + mu + 2.0, mu - nu + 1.0, 1
         a, b = [], []
 
-        def table(depth):
-            for j in range(len(a), depth):
-                if diag:
-                    nk, mk = nu + (j + 1), -(mu + (j + 1))
-                    a.append(((2.0 * nk + 1.0) * (1.0 - y * y) - 2.0 * mk) / s)
-                    b.append(-sigma * (mk - nk - 2.0) * (mk - nk - 1.0))
-                else:
-                    a.append(2.0 * (mu + j + 1.0) * y / s)
-                    b.append(-sigma * (nu + mu + j + 2.0) * (nu - mu - j - 1.0))
-            return _miller_ratios(a, b, depth)
+        def table(depth, keep):
+            js = range(len(a), depth)
+            a.extend([a0 + a1 * j for j in js])
+            b.extend([c * (b0 + b2 * j) * (b1 + b2 * j) for j in js])
+            return _miller_ratios(a, b, depth, keep)
 
-        need = _CHAIN_BLOCK
-        ref = []
+        need = lag
+        ref = None
         while need + 2 * lag <= _CHAIN_MAX_DEPTH:
-            if len(ref) < need + lag:
-                ref = table(need + lag)
-            cur = table(need + 2 * lag)
+            if ref is None:
+                ref = table(need + lag, need)
+            # cur then reaches 2*need + lag: deep enough to be the next
+            # block's reference, so it keeps that block's values too
+            reuse = lag >= need
+            cur = table(need + 2 * lag, 2 * need if reuse else need)
             if not (ref and cur):
                 break
             if all(abs(u - v) <= _CHAIN_TOL * abs(v)
@@ -279,10 +289,11 @@ def _P_chain(nu: complex, mu: complex, y: float, diag: int,
                 for k in range(k, need):
                     yield head * cur[k]
                 k = need
+                ref = cur if reuse else None
                 need *= 2
             else:
                 lag *= 2
-            ref = cur
+                ref = cur
     for k in itertools.count(k):
         yield _P(nu + k * diag, mu + k, y, policy)
 
@@ -306,6 +317,21 @@ def _rising(a: complex) -> Iterator[complex]:
     for n in itertools.count():
         yield poch
         poch *= a + n
+
+
+def _recip_gamma_half(z: complex) -> Iterator[complex]:
+    """1/Gamma(z + n/2) for n = 0, 1, ...: the even and the odd n are two
+    running quotients, 1/Gamma(w + 1) = (1/Gamma(w)) / w.  Values at w left
+    of 1/2, where `recip_gamma` reflects (its poles are exact zeros), and the
+    first value past them are taken directly: no quotient starts from a
+    reflected value."""
+    w = [complex(z), complex(z) + 0.5]
+    r = [recip_gamma(w[0]), recip_gamma(w[1])]
+    for n in itertools.count():
+        i = n & 1
+        yield r[i]
+        r[i] = r[i] / w[i] if w[i].real >= 0.5 else recip_gamma(w[i] + 1.0)
+        w[i] += 1.0
 
 
 def _poch_run(p: dict, coeffs: Iterator[complex]) -> Iterator[tuple]:
@@ -715,9 +741,9 @@ def _build_catalog() -> None:
         "thm4.fwd", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol),
         terms=lambda p, x, pol: (
-            c / _cpow(x, p["nu"] + n + 1.0)
-            * _P(p["nu"] + n, p["mu"] + n, 1.0 / x, pol)
-            for n, c in enumerate(t4_coeffs(p, x, -2.0))
+            c / _cpow(x, p["nu"] + n + 1.0) * f
+            for n, (c, f) in enumerate(zip(t4_coeffs(p, x, -2.0),
+                                           _P_chain(p["nu"], p["mu"], 1.0 / x, 1, pol)))
         ),
         n_top=t4_ntop, sampler=t4_sampler,
         x_grid=(0.75, 0.8, 0.9),
@@ -869,12 +895,15 @@ def _build_catalog() -> None:
     _register(IdentityDescriptor(
         "thm6.p1a", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol) / _cpow(1.0 + x, p["mu"]),
+        # P of degree nu - mu - n is P of degree mu - nu - 1 + n
         terms=lambda p, x, pol: (
             (-1.0) ** n * poch * c
             * _cpow(2.0, n - p["mu"]) * (1.0 - x * x) ** (0.5 * n)
             / _cpow(x, n + p["mu"] - p["nu"])
-            * _P(p["nu"] - p["mu"] - n, p["mu"] + n, 1.0 / x, pol)
-            for n, poch, c in _poch_run(p, frak_p_seq(-0.5 * p["nu"], 2.0 * p["mu"], 1.0))
+            * f
+            for (n, poch, c), f in zip(
+                _poch_run(p, frak_p_seq(-0.5 * p["nu"], 2.0 * p["mu"], 1.0)),
+                _P_chain(p["mu"] - p["nu"] - 1.0, p["mu"], 1.0 / x, 1, pol))
         ),
         n_top=_poch_top,
         sampler=_guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu,
@@ -1035,11 +1064,12 @@ def _build_catalog() -> None:
         ),
         terms=lambda p, x, pol: (
             poch * g
-            * 2.0 ** -n * recip_gamma(0.5 * (n + p["mu"] - p["nu"] + 1.0))
+            * 2.0 ** -n * rg
             * _cpow(_u(x), 0.25 * (n + p["mu"] - p["nu"]))
             * f
-            for (n, poch, g), f in zip(
+            for (n, poch, g), rg, f in zip(
                 _poch_run(p, script_G_seq(p["nu"], p["nu"], math.sqrt(_u(x)))),
+                _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
                 _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), x, 0, pol))
         ),
         n_top=_poch_top, sampler=t7_sampler,
@@ -1071,11 +1101,12 @@ def _build_catalog() -> None:
         ),
         terms=lambda p, x, pol: (
             poch * g
-            * 2.0 ** -n * recip_gamma(0.5 * (n + p["mu"] - p["nu"] + 1.0))
+            * 2.0 ** -n * rg
             * _cpow(_u(x), 0.25 * (n + p["mu"] - p["nu"]))
             * f
-            for (n, poch, g), f in zip(
+            for (n, poch, g), rg, f in zip(
                 _poch_run(p, script_G_hat_seq(p["nu"], p["nu"], math.sqrt(_u(x)))),
+                _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
                 _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), 1.0 / x, 0, pol))
         ),
         n_top=_poch_top, sampler=t7_sampler,
@@ -1269,11 +1300,11 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: (
             poch * c
             * _cpow(1.0 - x * x, 0.25 * (p["mu"] - p["nu"] + n))
-            * f
-            * recip_gamma(0.5 * (p["mu"] - p["nu"] + n + 1.0))
+            * f * rg
             / _cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"] + n))
-            for (n, poch, c), f in zip(
+            for (n, poch, c), rg, f in zip(
                 _poch_run(p, frak_N_seq(p["nu"], p["mu"], x, -1)),
+                _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
                 _P_half_chain(0.5 * (p["mu"] - p["nu"] - 2.0), 0.5 * (p["mu"] + p["nu"]),
                               x, 1, pol))
         ),
@@ -1287,11 +1318,14 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: (
             poch * c
             * _cpow(1.0 - x * x, 0.25 * (p["mu"] - p["nu"] + n))
-            * _P(0.5 * (p["mu"] - p["nu"] + n - 2.0), 0.5 * (p["mu"] + p["nu"] + n), 1.0 / x, pol)
-            * recip_gamma(0.5 * (p["mu"] - p["nu"] + n + 1.0))
+            * f * rg
             / (_cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"] + n))
                * _cpow(x, 0.5 * (p["mu"] - p["nu"] + n)))
-            for n, poch, c in _poch_run(p, frak_N_seq(p["nu"], p["mu"], x, 1))
+            for (n, poch, c), rg, f in zip(
+                _poch_run(p, frak_N_seq(p["nu"], p["mu"], x, 1)),
+                _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
+                _P_half_chain(0.5 * (p["mu"] - p["nu"] - 2.0), 0.5 * (p["mu"] + p["nu"]),
+                              1.0 / x, 1, pol))
         ),
         n_top=_poch_top, sampler=t7_sampler,
         x_grid=(0.75, 0.8, 0.9),
@@ -1387,11 +1421,12 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: (
             SQRT_PI * _cpow(2.0, 2.0 * p["nu"] - p["mu"])
             * a * b * c * f
-            * recip_gamma(0.5 * (p["mu"] - p["nu"] + n + 1.0)) * _cpow(x, p["nu"])
+            * rg * _cpow(x, p["nu"])
             / (2.0 ** (2 * n) * d * _cpow(1.0 - x * x, 0.5 * (n + p["nu"])))
-            for n, (a, b, d, c, f) in enumerate(zip(
+            for n, (a, b, d, c, rg, f) in enumerate(zip(
                 _rising(2.0 * p["nu"]), _rising(p["mu"] - p["nu"]),
                 _rising(p["nu"] + 0.5), gegenbauer_seq(0.5 - p["nu"], x),
+                _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
                 _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), x2arg(x), 0, pol)))
         ),
         n_top=t9_ntop, sampler=t9_sampler,

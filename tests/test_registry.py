@@ -15,7 +15,7 @@ import legdual.polys
 import legdual.registry
 from legdual.errors import ConvergenceError, DomainError, UnknownIdentityError
 from legdual.harness import convergence_table
-from legdual.hypergeom import DEFAULT_POLICY, TruncationPolicy
+from legdual.hypergeom import DEFAULT_POLICY, TruncationPolicy, recip_gamma
 from legdual.registry import (
     INV_SQRT2,
     Kind,
@@ -27,6 +27,7 @@ from legdual.registry import (
     _P_chain,
     _P_half_chain,
     _get_impl,
+    _recip_gamma_half,
     _running_sums,
     _sum_terms,
     IdentityDescriptor,
@@ -40,6 +41,18 @@ ALL = list_identities()
 
 # the direct test never passes, so every infinite sum ends in the epsilon table
 NO_DIRECT = TruncationPolicy(consecutive_small=10**6)
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Count the calls of `name` made through any of `modules`."""
+    calls = [0]
+    for mod in modules:
+        def counted(*args, _f=getattr(mod, name), **kwargs):
+            calls[0] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def _series(term):
@@ -326,17 +339,34 @@ class TestTermStreams:
     def test_one_direct_2f1_per_chain(self, monkeypatch):
         # thm8.r1's order advances by 1/2: two P chains, one direct 2F1 each,
         # and one more for the left-hand side
-        calls = [0]
-        f = legdual.legendre.gauss_2f1
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return f(*args, **kwargs)
-
-        monkeypatch.setattr(legdual.legendre, "gauss_2f1", counted)
+        calls = _count_calls(monkeypatch, "gauss_2f1", (legdual.legendre,))
         r = evaluate_identity("thm8.r1", self.R1, 0.55)
         assert r.passed and r.terms_used < 144
         assert 0 < calls[0] <= 4
+
+    @pytest.mark.parametrize("ident,most", [
+        ("thm4.fwd", 2), ("thm6.p1a", 2), ("thm8.r2", 3)])
+    def test_diagonal_above_one_chains(self, monkeypatch, ident, most):
+        # P at 1/x with degree and order shifted together: one direct 2F1
+        # per chain (two for thm8.r2's half steps) and one for the left-hand
+        # side, however many terms the sum takes
+        calls = _count_calls(monkeypatch, "gauss_2f1", (legdual.legendre,))
+        r = evaluate_identity(ident, self.R1, 0.8)
+        assert r.passed and r.stop_reason != "terminated" and r.terms_used > 12
+        assert 0 < calls[0] <= most
+
+    def test_recip_gamma_half_crosses_the_poles(self):
+        # nu - mu = 3: z = (mu - nu + 1)/2 = -1, so the even run starts on
+        # the poles at -1 and 0
+        z = 0.5 * ((0.3 + 0.2j) - (3.3 + 0.2j) + 1.0)
+        vals = list(itertools.islice(_recip_gamma_half(z), _SERIES_CAP))
+        assert vals[0] == 0 and vals[2] == 0
+        for n, v in enumerate(vals[:40]):
+            assert abs(v - recip_gamma(z + 0.5 * n)) <= 1e-14 * abs(v), n
+        with mp.workdps(30):
+            for n, v in enumerate(vals):
+                ref = complex(mp.rgamma(mp.mpc(z) + mp.mpf(n) / 2))
+                assert abs(v - ref) <= 1e-14 * abs(ref), n
 
 
 class TestDiagonalStreams:
@@ -344,27 +374,16 @@ class TestDiagonalStreams:
     diagonal and advance their Pochhammer and gamma factors term to term,
     so no term costs a scalar Gegenbauer sum or a gamma call."""
 
-    @staticmethod
-    def _count(monkeypatch, name, modules):
-        calls = [0]
-        for mod in modules:
-            def counted(*args, _f=getattr(mod, name), **kwargs):
-                calls[0] += 1
-                return _f(*args, **kwargs)
-
-            monkeypatch.setattr(mod, name, counted)
-        return calls
-
     def test_cor7_b_scalar_calls(self, monkeypatch):
-        geg = self._count(monkeypatch, "gegenbauer", (legdual.registry, legdual.polys))
-        gam = self._count(monkeypatch, "gamma", (legdual.registry, legdual.hypergeom))
+        geg = _count_calls(monkeypatch, "gegenbauer", (legdual.registry, legdual.polys))
+        gam = _count_calls(monkeypatch, "gamma", (legdual.registry, legdual.hypergeom))
         r = evaluate_identity("cor7.b", {"k": 8, "lam": 0.3 - 0.6j}, 0.6)
         assert r.terms_used == 17 and r.passed
         assert geg[0] == 1  # the left-hand side
         assert gam[0] <= 1
 
     def test_thm9_fwd_makes_no_scalar_gegenbauer_call(self, monkeypatch):
-        geg = self._count(monkeypatch, "gegenbauer", (legdual.registry, legdual.polys))
+        geg = _count_calls(monkeypatch, "gegenbauer", (legdual.registry, legdual.polys))
         r = evaluate_identity("thm9.fwd", {"nu": 0.3 + 0.2j, "mu": 1.1 - 0.4j}, 0.6)
         assert r.passed and r.terms_used > 12
         assert geg[0] == 0
@@ -418,9 +437,19 @@ class TestPChains:
         assert vals == [_P(2, -3 + k, 0.5) for k in range(8)]
         assert vals[0] == 0 and all(v != 0 for v in vals[1:])
 
-    def test_diagonal_above_one_uses_direct_values(self):
-        # no stable recurrence direction there: every value past the head is
-        # a direct evaluation
-        y = 1.0 / 0.8
+    @pytest.mark.parametrize("x", [0.75, 0.8, 0.9])
+    def test_diagonal_above_one(self, x):
+        # y = 1/x in (1, 2^1/2): Miller's error ratio |1 - y^2| is below 1
+        y = 1.0 / x
+        vals = list(itertools.islice(_P_chain(self.NU, self.MU, y, 1), self.K))
+        self._check(vals, [_mp_P(self.NU + k, self.MU + k, y) for k in range(self.K)])
+        vals = list(itertools.islice(_P_half_chain(self.NU, self.MU, y, 1), self.K))
+        self._check(vals, [_mp_P(self.NU + 0.5 * n, self.MU + 0.5 * n, y)
+                           for n in range(self.K)])
+
+    @pytest.mark.parametrize("y", [1.0 / 0.7, 2.0])
+    def test_diagonal_from_sqrt2_uses_direct_values(self, y):
+        # |1 - y^2| >= 1: P is not the minimal solution there, so every
+        # value past the head is a direct evaluation
         vals = list(itertools.islice(_P_chain(self.NU, self.MU, y, 1), 6))
         assert vals[1:] == [_P(self.NU + k, self.MU + k, y) for k in range(1, 6)]
