@@ -291,8 +291,7 @@ def _cmd_asympt(args: argparse.Namespace) -> int:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     descs = list_identities()
-    doc = [{"id": d.id, "kind": d.kind.value, "param_domain": d.param_domain,
-            "x_domain": d.x_domain} for d in descs]
+    doc = [{"id": d.id, "kind": d.kind.value} for d in descs]
     csv_rows = [["id", "kind"]] + [[d.id, d.kind.value] for d in descs]
     text = [f"{d.id:12s} {d.kind.value}" for d in descs]
     _emit(args, doc, csv_rows, text)

@@ -48,7 +48,6 @@ class HarnessConfig:
         Kind.VANISHING_SUM: 50,
     })
     policy: TruncationPolicy = DEFAULT_POLICY
-    output_path: "str | None" = None
 
     def __post_init__(self) -> None:
         for kind, n in self.sample_counts.items():
@@ -179,11 +178,7 @@ def run_suite(cfg: HarnessConfig = HarnessConfig()) -> SuiteResult:
         pass_counts[desc.id] = sum(1 for r in reports if r.passed)
         failures.extend(r for r in reports if not r.passed)
     asym = asymptotic_checks() if ran_any else {}
-    result = SuiteResult(pass_counts, failures, asym, time.perf_counter() - t0)
-    if cfg.output_path is not None:
-        with open(cfg.output_path, "w", encoding="ascii") as fh:
-            fh.write(result.serialize() + "\n")
-    return result
+    return SuiteResult(pass_counts, failures, asym, time.perf_counter() - t0)
 
 
 # --------------------------------------------------------------------------

@@ -4,25 +4,32 @@ Each entry is one `IdentityDescriptor` record holding all the catalog knows
 of an identity: its kind, both sides, termination index, sampler, x grid,
 domain gates and tail law.  It pairs a closed-form left-hand side with a
 right-hand-side term stream: `terms(p, x, pol)` is created once per identity
-point and yields the terms n = 0, 1, ... in order.  A stream holds the point's coefficient
-sequences (the generating-coefficient families of `coeffs` and `polys`), so
-every coefficient is built once per point.  Factors that move with the term
-advance term to term: Pochhammer symbols as running products (`_rising`,
-read backwards from a list where the index falls), gamma quotients as one
-quotient times their rational ratio, and Gegenbauer polynomials C_n^(s-n)
-whose degree plus parameter s is fixed along the sum from one
-`gegenbauer_seq` per diagonal (again read backwards from a list where the
-degree falls).  Entries whose n-th term is a closed expression in n are
-adapted by `_indexed`.  Terms past an entry's termination index are never
-requested.
+point and yields the terms n = 0, 1, ... in order.  A stream holds the
+point's coefficient sequences (the generating-coefficient families of
+`coeffs` and `polys`), so every coefficient is built once per point.  Terms
+past an entry's termination index are never requested.
 
-The inverse series of thm4-thm9 take P at shifted order, some also at
-shifted degree.  Their streams hold P chains (`_P_chain`, `_P_half_chain`
-for half-step orders): one direct evaluation per chain, the other values by
-Miller's backward recurrence.  That includes the diagonal chains at y = 1/x
-(thm4.fwd, thm6.p1a, thm8.r2): Miller's error ratio there is |1 - y^2|,
-below 1 exactly on their window (2^-1/2, 1).  The factor
-1/Gamma((mu - nu + n + 1)/2) is a stream as well (`_recip_gamma_half`).
+The inverse series of thm4-thm9 share one form (`_product`): the n-th term
+is c r^n times the n-th value of each of a few factor streams.  The constant
+c holds the power factors with complex exponents, formed once per point; the
+real r folds every power base^(b n) and every sign (-1)^n.  The streams are
+the coefficient sequence, (mu - nu)_n (`_rising`), 1/Gamma((mu - nu + n +
+1)/2) (`_recip_gamma_half`), the reciprocals of a divisor such as
+(nu + 1/2)_n, and P at shifted order, some also at shifted degree: a P chain
+(`_P_chain`, `_P_half_chain` for half-step orders) makes one direct
+evaluation and the other values by Miller's backward recurrence.  That
+includes the diagonal chains at y = 1/x (thm4.fwd, thm6.p1a, thm8.r2):
+Miller's error ratio there is |1 - y^2|, below 1 exactly on their window
+(2^-1/2, 1).
+
+The finite sums write their terms out, but factors that move with the term
+still advance term to term: Pochhammer symbols as running products
+(`_rising`, read backwards from a list where the index falls), gamma
+quotients as one quotient times their rational ratio, and Gegenbauer
+polynomials C_n^(s-n) whose degree plus parameter s is fixed along the sum
+from one `gegenbauer_seq` per diagonal (again read backwards from a list
+where the degree falls).  Entries whose n-th term is a closed expression in
+n are adapted by `_indexed`.
 
 `_sum_terms` is the one summation loop.  It runs the direct tolerance test
 on every term and, alongside, Wynn's epsilon algorithm in progressive form:
@@ -114,14 +121,17 @@ class IdentityDescriptor:
     """One catalog entry.
 
     `lhs(p, x, pol)` is the closed-form side and `terms(p, x, pol)` the
-    right-hand side's term stream.  `n_top(p)` is the index of the last term
-    the sum takes, or None where the series does not terminate.  `sampler(rng)`
-    draws the sweeps' parameters and `x_grid` their arguments.  The argument
-    window is (0, 1) unless `x_window(p)` gives one; at a window's positive
-    lower end the point is admitted only where `boundary_ok(p)`.
-    `param_check(p)` raises DomainError outside the stated parameter
-    condition.  An infinite series states its tail law `tail(p, x) -> (rate,
-    exponent)`: the n-th term decays (or grows) like rate^n n^exponent."""
+    right-hand side's term stream; an infinite series' stream is
+    `_product(c, r, *streams)`, c r^n times its factor streams.  The stream
+    yields at least n_top(p) + 1 terms, where `n_top(p)` is the index of the
+    last term the sum takes, or None where the series does not terminate.
+    `sampler(rng)` draws the sweeps' parameters and `x_grid` their
+    arguments.  The argument window is (0, 1) unless `x_window(p)` gives
+    one; at a window's positive lower end the point is admitted only where
+    `boundary_ok(p)`.  `param_check(p)` raises DomainError outside the
+    stated parameter condition.  An infinite series states its tail law
+    `tail(p, x) -> (rate, exponent)`: the n-th term decays (or grows) like
+    rate^n n^exponent."""
 
     id: str
     kind: Kind
@@ -129,8 +139,6 @@ class IdentityDescriptor:
     terms: Callable
     n_top: Callable
     sampler: "Callable | None" = None
-    param_domain: str = ""
-    x_domain: str = "(0,1)"
     x_grid: tuple = (0.35, 0.6, 0.8)
     x_window: "Callable | None" = None
     boundary_ok: "Callable | None" = None
@@ -334,9 +342,13 @@ def _recip_gamma_half(z: complex) -> Iterator[complex]:
         w[i] += 1.0
 
 
-def _poch_run(p: dict, coeffs: Iterator[complex]) -> Iterator[tuple]:
-    """(n, (mu - nu)_n, c_n) for n = 0, 1, ... and a coefficient sequence c."""
-    return zip(itertools.count(), _rising(p["mu"] - p["nu"]), coeffs)
+def _product(c: complex, r: float, *streams: Iterator[complex]) -> Iterator[complex]:
+    """c r^n times the n-th value of every stream, for n = 0, 1, ...: the
+    term of an inverse series.  `c` holds the power factors with complex
+    exponents, formed once; the real `r` folds every power base^(b n) and
+    sign (-1)^n, raised afresh at each n so that no rounding accumulates."""
+    for n, fs in enumerate(zip(*streams)):
+        yield math.prod(fs, start=c * r ** n)
 
 
 def _poch_top(p: dict) -> "int | None":
@@ -688,7 +700,6 @@ def _build_catalog() -> None:
         sampler=lambda rng: {"nu": _offaxis(rng)},
         x_grid=(0.15, 0.3, 0.45),
         x_window=lambda p: (0.0, 0.5),
-        param_domain="nu complex", x_domain="(0, 1/2)",
     ))
     # degree and normalization follow from the stated substitutions; the
     # typeset displays disagree with them numerically
@@ -703,7 +714,6 @@ def _build_catalog() -> None:
         sampler=mu_sampler,
         x_grid=(0.55, 0.7, 0.9),
         x_window=lambda p: (0.5, 1.0),
-        param_domain="mu complex", x_domain="(1/2, 1)",
     ))
     _register(IdentityDescriptor(
         "intro.3", Kind.FINITE_SUM,
@@ -716,7 +726,6 @@ def _build_catalog() -> None:
         sampler=mu_sampler,
         x_grid=(0.15, 0.3, 0.45),
         x_window=lambda p: (0.0, 0.5),
-        param_domain="mu complex", x_domain="(0, 1/2)",
     ))
 
     # ---- first inversion family ---------------------------------------
@@ -726,11 +735,11 @@ def _build_catalog() -> None:
             terminating_index(0.5 * (p["mu"] + p["nu"] + 1.0)),
         )
 
-    def t4_coeffs(p, x, two):
-        """(1/2 (mu+nu+1))_n (nu+1)_n two^n (1-x^2)^(n/2) / n! for n = 0, 1, ..."""
+    def t4_coeffs(p):
+        """(1/2 (mu+nu+1))_n (nu+1)_n / n! for n = 0, 1, ..."""
         for n, a, b in zip(itertools.count(), _rising(0.5 * (p["mu"] + p["nu"] + 1.0)),
                            _rising(p["nu"] + 1.0)):
-            yield a * b * two ** n * (1.0 - x * x) ** (0.5 * n) / _fact(n)
+            yield a * b / _fact(n)
 
     t4_sampler = _guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu])
 
@@ -740,29 +749,24 @@ def _build_catalog() -> None:
     _register(IdentityDescriptor(
         "thm4.fwd", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol),
-        terms=lambda p, x, pol: (
-            c / _cpow(x, p["nu"] + n + 1.0) * f
-            for n, (c, f) in enumerate(zip(t4_coeffs(p, x, -2.0),
-                                           _P_chain(p["nu"], p["mu"], 1.0 / x, 1, pol)))
-        ),
+        terms=lambda p, x, pol: _product(
+            1.0 / _cpow(x, p["nu"] + 1.0), -2.0 * math.sqrt(1.0 - x * x) / x,
+            t4_coeffs(p), _P_chain(p["nu"], p["mu"], 1.0 / x, 1, pol)),
         n_top=t4_ntop, sampler=t4_sampler,
         x_grid=(0.75, 0.8, 0.9),
         x_window=_inv_sqrt2_window(t4_ntop),
         boundary_ok=lambda p: (3.0 * p["nu"] - p["mu"]).real < -1.0,
-        param_domain="nu, mu complex",
-        x_domain="(2^-1/2, 1); boundary when Re(3nu-mu) < -1; (0,1) when terminating",
         tail=lambda p, x: ((1.0 - x * x) / (x * x), t4_expo(p)),
     ))
     _register(IdentityDescriptor(
         "thm4.inv", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], 1.0 / x, pol) / _cpow(x, p["nu"] + 1.0),
-        terms=lambda p, x, pol: (
-            c * f for c, f in zip(t4_coeffs(p, x, 2.0), _P_chain(p["nu"], p["mu"], x, 1, pol))
-        ),
+        terms=lambda p, x, pol: _product(
+            1.0, 2.0 * math.sqrt(1.0 - x * x),
+            t4_coeffs(p), _P_chain(p["nu"], p["mu"], x, 1, pol)),
         n_top=t4_ntop, sampler=t4_sampler,
         # below x ~ 0.6 the tail outlives the accurate-term window in doubles
         x_grid=(0.6, 0.7, 0.8),
-        param_domain="nu, mu complex",
         tail=lambda p, x: (1.0 - x * x, t4_expo(p)),
     ))
 
@@ -785,7 +789,6 @@ def _build_catalog() -> None:
         terms=_indexed(lambda p, x, r, pol: cor2_term(p, x, r, True)),
         n_top=lambda p: p["k"],
         sampler=k_mu_sampler,
-        param_domain="k in N0, mu complex",
     ))
     _register(IdentityDescriptor(
         "cor2.b", Kind.FINITE_SUM,
@@ -796,7 +799,6 @@ def _build_catalog() -> None:
         terms=_indexed(lambda p, x, r, pol: cor2_term(p, x, r, False)),
         n_top=lambda p: p["k"],
         sampler=k_mu_sampler,
-        param_domain="k in N0, mu complex",
     ))
 
     def cor3_coeff(p, n):
@@ -812,7 +814,6 @@ def _build_catalog() -> None:
         )),
         n_top=lambda p: p["m"],
         sampler=k_m_sampler,
-        param_domain="0 <= m <= k integers",
     ))
     _register(IdentityDescriptor(
         "cor3.b", Kind.FINITE_SUM,
@@ -823,7 +824,6 @@ def _build_catalog() -> None:
         )),
         n_top=lambda p: p["m"],
         sampler=k_m_sampler,
-        param_domain="0 <= m <= k integers",
     ))
 
     # ---- Mittag-Leffler family ----------------------------------------
@@ -832,24 +832,18 @@ def _build_catalog() -> None:
     _register(IdentityDescriptor(
         "thm5.fwd", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol) / _cpow(x, p["nu"]),
-        terms=lambda p, x, pol: (
-            poch * g * _u(x) ** (0.5 * n) * f
-            for (n, poch, g), f in zip(_poch_run(p, mittag_leffler_g_seq(p["nu"])),
-                                       _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol))
-        ),
-        n_top=_poch_top, sampler=t5_sampler,
-        param_domain="nu, mu complex", tail=t5_tail,
+        terms=lambda p, x, pol: _product(
+            1.0, math.sqrt(_u(x)), _rising(p["mu"] - p["nu"]),
+            mittag_leffler_g_seq(p["nu"]), _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol)),
+        n_top=_poch_top, sampler=t5_sampler, tail=t5_tail,
     ))
     _register(IdentityDescriptor(
         "thm5.inv", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], 1.0 / x, pol),
-        terms=lambda p, x, pol: (
-            poch * g * _u(x) ** (0.5 * n) * f / _cpow(x, p["nu"])
-            for (n, poch, g), f in zip(_poch_run(p, mittag_leffler_g_seq(-p["nu"])),
-                                       _P_chain(p["nu"], p["mu"], x, 0, pol))
-        ),
-        n_top=_poch_top, sampler=t5_sampler,
-        param_domain="nu, mu complex", tail=t5_tail,
+        terms=lambda p, x, pol: _product(
+            1.0 / _cpow(x, p["nu"]), math.sqrt(_u(x)), _rising(p["mu"] - p["nu"]),
+            mittag_leffler_g_seq(-p["nu"]), _P_chain(p["nu"], p["mu"], x, 0, pol)),
+        n_top=_poch_top, sampler=t5_sampler, tail=t5_tail,
     ))
 
     def cor4_terms(p, x, at_recip):
@@ -872,7 +866,6 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: cor4_terms(p, x, True),
         n_top=lambda p: p["k"],
         sampler=k_lam_sampler,
-        param_domain="k in N0, lambda complex",
     ))
     _register(IdentityDescriptor(
         "cor4.b", Kind.FINITE_SUM,
@@ -883,7 +876,6 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: cor4_terms(p, x, False),
         n_top=lambda p: p["k"],
         sampler=k_lam_sampler,
-        param_domain="k in N0, lambda complex",
     ))
 
     # ---- square-root generating-function family -----------------------
@@ -896,15 +888,11 @@ def _build_catalog() -> None:
         "thm6.p1a", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol) / _cpow(1.0 + x, p["mu"]),
         # P of degree nu - mu - n is P of degree mu - nu - 1 + n
-        terms=lambda p, x, pol: (
-            (-1.0) ** n * poch * c
-            * _cpow(2.0, n - p["mu"]) * (1.0 - x * x) ** (0.5 * n)
-            / _cpow(x, n + p["mu"] - p["nu"])
-            * f
-            for (n, poch, c), f in zip(
-                _poch_run(p, frak_p_seq(-0.5 * p["nu"], 2.0 * p["mu"], 1.0)),
-                _P_chain(p["mu"] - p["nu"] - 1.0, p["mu"], 1.0 / x, 1, pol))
-        ),
+        terms=lambda p, x, pol: _product(
+            _cpow(2.0, -p["mu"]) * _cpow(x, p["nu"] - p["mu"]),
+            -2.0 * math.sqrt(1.0 - x * x) / x, _rising(p["mu"] - p["nu"]),
+            frak_p_seq(-0.5 * p["nu"], 2.0 * p["mu"], 1.0),
+            _P_chain(p["mu"] - p["nu"] - 1.0, p["mu"], 1.0 / x, 1, pol)),
         n_top=_poch_top,
         sampler=_guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu,
                                       lambda nu, mu: nu - mu],
@@ -912,8 +900,6 @@ def _build_catalog() -> None:
         x_grid=(0.75, 0.8, 0.9),
         x_window=_inv_sqrt2_window(_poch_top),
         boundary_ok=lambda p: p["nu"].real > -2.0 / 3.0,
-        param_domain="nu, mu complex",
-        x_domain="(2^-1/2, 1); boundary when Re nu > -2/3; (0,1) when nu-mu in N0",
         tail=lambda p, x: ((1.0 - x * x) / (x * x), t6_expo(p)),
     ))
     _register(IdentityDescriptor(
@@ -922,15 +908,10 @@ def _build_catalog() -> None:
             _P(p["nu"] - p["mu"], p["mu"], 1.0 / x, pol)
             / (_cpow(2.0, p["mu"]) * _cpow(x, p["mu"] - p["nu"]))
         ),
-        terms=lambda p, x, pol: (
-            (-1.0) ** n * poch * b
-            * (1.0 - x) ** (0.5 * n) * f
-            / _cpow(1.0 + x, 0.5 * n + p["mu"])
-            for (n, poch, b), f in zip(_poch_run(p, bateman_g_seq(p["nu"], -2.0 * p["mu"])),
-                                       _P_chain(p["nu"], p["mu"], x, 0, pol))
-        ),
-        n_top=_poch_top, sampler=t6_sampler,
-        param_domain="nu, mu complex", tail=t6_tail_b,
+        terms=lambda p, x, pol: _product(
+            1.0 / _cpow(1.0 + x, p["mu"]), -math.sqrt(_u(x)), _rising(p["mu"] - p["nu"]),
+            bateman_g_seq(p["nu"], -2.0 * p["mu"]), _P_chain(p["nu"], p["mu"], x, 0, pol)),
+        n_top=_poch_top, sampler=t6_sampler, tail=t6_tail_b,
     ))
     _register(IdentityDescriptor(
         "thm6.p2a", Kind.INFINITE_SERIES,
@@ -939,17 +920,12 @@ def _build_catalog() -> None:
             / _cpow(1.0 + x, p["mu"])
         ),
         # P of degree nu - mu - n is P of degree mu - nu - 1 + n
-        terms=lambda p, x, pol: (
-            poch * c
-            * _cpow(2.0, n - p["mu"]) * (1.0 - x * x) ** (0.5 * n)
-            * f
-            for (n, poch, c), f in zip(
-                _poch_run(p, frak_p_seq(-0.5 * p["nu"], 2.0 * p["mu"], 1.0)),
-                _P_chain(p["mu"] - p["nu"] - 1.0, p["mu"], x, 1, pol))
-        ),
+        terms=lambda p, x, pol: _product(
+            _cpow(2.0, -p["mu"]), 2.0 * math.sqrt(1.0 - x * x), _rising(p["mu"] - p["nu"]),
+            frak_p_seq(-0.5 * p["nu"], 2.0 * p["mu"], 1.0),
+            _P_chain(p["mu"] - p["nu"] - 1.0, p["mu"], x, 1, pol)),
         n_top=_poch_top, sampler=t6_sampler,
         x_grid=(0.5, 0.65, 0.8),
-        param_domain="nu, mu complex",
         tail=lambda p, x: (1.0 - x * x, t6_expo(p)),
     ))
     _register(IdentityDescriptor(
@@ -958,15 +934,10 @@ def _build_catalog() -> None:
             _P(p["nu"] - p["mu"], p["mu"], x, pol)
             / (_cpow(2.0, p["mu"]) * _cpow(x, p["nu"]))
         ),
-        terms=lambda p, x, pol: (
-            poch * b
-            * (1.0 - x) ** (0.5 * n) * f
-            / _cpow(1.0 + x, 0.5 * n + p["mu"])
-            for (n, poch, b), f in zip(_poch_run(p, bateman_g_seq(p["nu"], -2.0 * p["mu"])),
-                                       _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol))
-        ),
-        n_top=_poch_top, sampler=t6_sampler,
-        param_domain="nu, mu complex", tail=t6_tail_b,
+        terms=lambda p, x, pol: _product(
+            1.0 / _cpow(1.0 + x, p["mu"]), math.sqrt(_u(x)), _rising(p["mu"] - p["nu"]),
+            bateman_g_seq(p["nu"], -2.0 * p["mu"]), _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol)),
+        n_top=_poch_top, sampler=t6_sampler, tail=t6_tail_b,
     ))
 
     def cor5_terms(p, x, signed, upper, at_recip):
@@ -992,7 +963,6 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: cor5_terms(p, x, True, True, True),
         n_top=lambda p: p["k"],
         sampler=k_m_sampler,
-        param_domain="0 <= m <= k integers",
     ))
     _register(IdentityDescriptor(
         "cor5.b", Kind.FINITE_SUM,
@@ -1002,7 +972,6 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: cor5_terms(p, x, False, True, False),
         n_top=lambda p: p["k"],
         sampler=k_m_sampler,
-        param_domain="0 <= m <= k integers",
     ))
     _register(IdentityDescriptor(
         "cor5.c", Kind.FINITE_SUM,
@@ -1013,7 +982,6 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: cor5_terms(p, x, True, False, True),
         n_top=lambda p: p["k"],
         sampler=k_m_sampler,
-        param_domain="0 <= m <= k integers",
     ))
     _register(IdentityDescriptor(
         "cor5.d", Kind.FINITE_SUM,
@@ -1023,7 +991,6 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: cor5_terms(p, x, False, False, False),
         n_top=lambda p: p["k"],
         sampler=k_m_sampler,
-        param_domain="0 <= m <= k integers",
     ))
 
     _register(IdentityDescriptor(
@@ -1038,7 +1005,6 @@ def _build_catalog() -> None:
         ),
         n_top=lambda p: p["k"],
         sampler=_int_sampler(k=(1, 8), m=(lambda p: p["k"] // 2 + 1, lambda p: p["k"])),
-        param_domain="k/2 < m <= k integers",
     ))
 
     # ---- half-order family --------------------------------------------
@@ -1062,18 +1028,12 @@ def _build_catalog() -> None:
             _P(p["nu"], p["mu"], 1.0 / x, pol) * _cpow(x, p["nu"])
             / (SQRT_PI * _cpow(2.0, p["nu"] - p["mu"]))
         ),
-        terms=lambda p, x, pol: (
-            poch * g
-            * 2.0 ** -n * rg
-            * _cpow(_u(x), 0.25 * (n + p["mu"] - p["nu"]))
-            * f
-            for (n, poch, g), rg, f in zip(
-                _poch_run(p, script_G_seq(p["nu"], p["nu"], math.sqrt(_u(x)))),
-                _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
-                _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), x, 0, pol))
-        ),
-        n_top=_poch_top, sampler=t7_sampler,
-        param_domain="nu, mu complex", tail=t7_tail_fixed,
+        terms=lambda p, x, pol: _product(
+            _cpow(_u(x), 0.25 * (p["mu"] - p["nu"])), 0.5 * _u(x) ** 0.25,
+            _rising(p["mu"] - p["nu"]), script_G_seq(p["nu"], p["nu"], math.sqrt(_u(x))),
+            _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
+            _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), x, 0, pol)),
+        n_top=_poch_top, sampler=t7_sampler, tail=t7_tail_fixed,
     ))
     _register(IdentityDescriptor(
         "thm7.q2", Kind.INFINITE_SERIES,
@@ -1082,16 +1042,12 @@ def _build_catalog() -> None:
             * _P(p["nu"], 0.5 * (p["mu"] + p["nu"]), x, pol)
             * recip_gamma(0.5 * (p["mu"] - p["nu"] + 1.0))
         ),
-        terms=lambda p, x, pol: (
-            poch * g
-            * _cpow(x, p["nu"]) / (SQRT_PI * _cpow(2.0, p["nu"] - p["mu"]))
-            * f
-            for (n, poch, g), f in zip(
-                _poch_run(p, script_G_seq(-p["nu"], -p["nu"], math.sqrt(_u(x)))),
-                _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol))
-        ),
+        terms=lambda p, x, pol: _product(
+            _cpow(x, p["nu"]) / (SQRT_PI * _cpow(2.0, p["nu"] - p["mu"])), 1.0,
+            _rising(p["mu"] - p["nu"]), script_G_seq(-p["nu"], -p["nu"], math.sqrt(_u(x))),
+            _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol)),
         n_top=_poch_top, sampler=t7_sampler_cond, param_check=q_cond_check,
-        param_domain="Re nu > -1 or nu - mu in N0", tail=t7_tail_nu,
+        tail=t7_tail_nu,
     ))
     _register(IdentityDescriptor(
         "thm7.q3", Kind.INFINITE_SERIES,
@@ -1099,18 +1055,12 @@ def _build_catalog() -> None:
             _P(p["nu"], p["mu"], x, pol)
             / (SQRT_PI * _cpow(2.0, p["nu"] - p["mu"]) * _cpow(x, p["nu"]))
         ),
-        terms=lambda p, x, pol: (
-            poch * g
-            * 2.0 ** -n * rg
-            * _cpow(_u(x), 0.25 * (n + p["mu"] - p["nu"]))
-            * f
-            for (n, poch, g), rg, f in zip(
-                _poch_run(p, script_G_hat_seq(p["nu"], p["nu"], math.sqrt(_u(x)))),
-                _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
-                _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), 1.0 / x, 0, pol))
-        ),
-        n_top=_poch_top, sampler=t7_sampler,
-        param_domain="nu, mu complex", tail=t7_tail_fixed,
+        terms=lambda p, x, pol: _product(
+            _cpow(_u(x), 0.25 * (p["mu"] - p["nu"])), 0.5 * _u(x) ** 0.25,
+            _rising(p["mu"] - p["nu"]), script_G_hat_seq(p["nu"], p["nu"], math.sqrt(_u(x))),
+            _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
+            _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), 1.0 / x, 0, pol)),
+        n_top=_poch_top, sampler=t7_sampler, tail=t7_tail_fixed,
     ))
     _register(IdentityDescriptor(
         "thm7.q4", Kind.INFINITE_SERIES,
@@ -1119,16 +1069,12 @@ def _build_catalog() -> None:
             * _P(p["nu"], 0.5 * (p["mu"] + p["nu"]), 1.0 / x, pol)
             * recip_gamma(0.5 * (p["mu"] - p["nu"] + 1.0))
         ),
-        terms=lambda p, x, pol: (
-            poch * g
-            / (SQRT_PI * _cpow(2.0, p["nu"] - p["mu"]) * _cpow(x, p["nu"]))
-            * f
-            for (n, poch, g), f in zip(
-                _poch_run(p, script_G_hat_seq(-p["nu"], -p["nu"], math.sqrt(_u(x)))),
-                _P_chain(p["nu"], p["mu"], x, 0, pol))
-        ),
+        terms=lambda p, x, pol: _product(
+            1.0 / (SQRT_PI * _cpow(2.0, p["nu"] - p["mu"]) * _cpow(x, p["nu"])), 1.0,
+            _rising(p["mu"] - p["nu"]), script_G_hat_seq(-p["nu"], -p["nu"], math.sqrt(_u(x))),
+            _P_chain(p["nu"], p["mu"], x, 0, pol)),
         n_top=_poch_top, sampler=t7_sampler_cond, param_check=q_cond_check,
-        param_domain="Re nu > -1 or nu - mu in N0", tail=t7_tail_nu,
+        tail=t7_tail_nu,
     ))
 
     def cor7_Y(lam, k):
@@ -1181,7 +1127,6 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: cor7_narrow(p, x, False),
         n_top=lambda p: p["k"] // 2,
         sampler=k_lam_sampler,
-        param_domain="k in N0, lambda complex",
     ))
     _register(IdentityDescriptor(
         "cor7.b", Kind.FINITE_SUM,
@@ -1191,7 +1136,6 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: cor7_wide(p, x, False),
         n_top=lambda p: 2 * p["k"],
         sampler=k_lam_sampler,
-        param_domain="k in N0, lambda complex",
     ))
     _register(IdentityDescriptor(
         "cor7.c", Kind.FINITE_SUM,
@@ -1201,7 +1145,6 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: cor7_narrow(p, x, True),
         n_top=lambda p: p["k"] // 2,
         sampler=k_lam_sampler,
-        param_domain="k in N0, lambda complex",
     ))
     _register(IdentityDescriptor(
         "cor7.d", Kind.FINITE_SUM,
@@ -1212,7 +1155,6 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: cor7_wide(p, x, True),
         n_top=lambda p: 2 * p["k"],
         sampler=k_lam_sampler,
-        param_domain="k in N0, lambda complex",
     ))
 
     def cor89_terms(p, x, hatted, inner_tau2):
@@ -1238,7 +1180,6 @@ def _build_catalog() -> None:
             p, x, False, lambda k, lam: -2 * k - lam - 0.5),
         n_top=lambda p: 2 * p["k"] + 1,
         sampler=k_lam_sampler,
-        param_domain="k in N0, lambda complex",
     ))
     _register(IdentityDescriptor(
         "cor8.b", Kind.VANISHING_SUM,
@@ -1247,7 +1188,6 @@ def _build_catalog() -> None:
             p, x, True, lambda k, lam: -2 * k - lam - 0.5),
         n_top=lambda p: 2 * p["k"] + 1,
         sampler=k_lam_sampler,
-        param_domain="k in N0, lambda complex",
     ))
     _register(IdentityDescriptor(
         "cor9.a", Kind.VANISHING_SUM,
@@ -1256,7 +1196,6 @@ def _build_catalog() -> None:
             p, x, False, lambda k, lam: lam - 0.5),
         n_top=lambda p: 2 * p["k"] + 1,
         sampler=k_lam_sampler,
-        param_domain="k in N0, lambda complex",
     ))
     _register(IdentityDescriptor(
         "cor9.b", Kind.VANISHING_SUM,
@@ -1265,7 +1204,6 @@ def _build_catalog() -> None:
             p, x, True, lambda k, lam: lam - 0.5),
         n_top=lambda p: 2 * p["k"] + 1,
         sampler=k_lam_sampler,
-        param_domain="k in N0, lambda complex",
     ))
 
     # ---- mixed half-order family --------------------------------------
@@ -1284,55 +1222,43 @@ def _build_catalog() -> None:
             * recip_gamma(0.5 * (p["mu"] - p["nu"] + 1.0))
             / (_cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"])) * _cpow(x, p["nu"]))
         ),
-        terms=lambda p, x, pol: (
-            poch * g / SQRT_PI
-            * _cpow(_u(x), 0.5 * p["nu"]) * f
-            for (n, poch, g), f in zip(
-                _poch_run(p, script_G_seq(-p["nu"], p["mu"], math.sqrt(_u(x)))),
-                _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol))
-        ),
+        terms=lambda p, x, pol: _product(
+            _cpow(_u(x), 0.5 * p["nu"]) / SQRT_PI, 1.0,
+            _rising(p["mu"] - p["nu"]), script_G_seq(-p["nu"], p["mu"], math.sqrt(_u(x))),
+            _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol)),
         n_top=_poch_top, sampler=t7_sampler_cond, param_check=q_cond_check,
-        param_domain="Re nu > -1 or nu - mu in N0", tail=t7_tail_nu,
+        tail=t7_tail_nu,
     ))
     _register(IdentityDescriptor(
         "thm8.r1", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], 1.0 / x, pol) / SQRT_PI,
-        terms=lambda p, x, pol: (
-            poch * c
-            * _cpow(1.0 - x * x, 0.25 * (p["mu"] - p["nu"] + n))
-            * f * rg
-            / _cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"] + n))
-            for (n, poch, c), rg, f in zip(
-                _poch_run(p, frak_N_seq(p["nu"], p["mu"], x, -1)),
-                _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
-                _P_half_chain(0.5 * (p["mu"] - p["nu"] - 2.0), 0.5 * (p["mu"] + p["nu"]),
-                              x, 1, pol))
-        ),
+        terms=lambda p, x, pol: _product(
+            _cpow(1.0 - x * x, 0.25 * (p["mu"] - p["nu"]))
+            / _cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"])),
+            (1.0 - x * x) ** 0.25 / math.sqrt(2.0),
+            _rising(p["mu"] - p["nu"]), frak_N_seq(p["nu"], p["mu"], x, -1),
+            _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
+            _P_half_chain(0.5 * (p["mu"] - p["nu"] - 2.0), 0.5 * (p["mu"] + p["nu"]),
+                          x, 1, pol)),
         n_top=_poch_top, sampler=t7_sampler,
-        x_grid=(0.55, 0.7, 0.85),
-        param_domain="nu, mu complex", tail=t8_tail_r,
+        x_grid=(0.55, 0.7, 0.85), tail=t8_tail_r,
     ))
     _register(IdentityDescriptor(
         "thm8.r2", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol) / SQRT_PI,
-        terms=lambda p, x, pol: (
-            poch * c
-            * _cpow(1.0 - x * x, 0.25 * (p["mu"] - p["nu"] + n))
-            * f * rg
-            / (_cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"] + n))
-               * _cpow(x, 0.5 * (p["mu"] - p["nu"] + n)))
-            for (n, poch, c), rg, f in zip(
-                _poch_run(p, frak_N_seq(p["nu"], p["mu"], x, 1)),
-                _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
-                _P_half_chain(0.5 * (p["mu"] - p["nu"] - 2.0), 0.5 * (p["mu"] + p["nu"]),
-                              1.0 / x, 1, pol))
-        ),
+        terms=lambda p, x, pol: _product(
+            _cpow(1.0 - x * x, 0.25 * (p["mu"] - p["nu"]))
+            / (_cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"]))
+               * _cpow(x, 0.5 * (p["mu"] - p["nu"]))),
+            (1.0 - x * x) ** 0.25 / math.sqrt(2.0 * x),
+            _rising(p["mu"] - p["nu"]), frak_N_seq(p["nu"], p["mu"], x, 1),
+            _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
+            _P_half_chain(0.5 * (p["mu"] - p["nu"] - 2.0), 0.5 * (p["mu"] + p["nu"]),
+                          1.0 / x, 1, pol)),
         n_top=_poch_top, sampler=t7_sampler,
         x_grid=(0.75, 0.8, 0.9),
         x_window=_inv_sqrt2_window(_poch_top),
         boundary_ok=lambda p: p["nu"].real < 2.0,
-        param_domain="nu, mu complex",
-        x_domain="(2^-1/2, 1); boundary when Re nu < 2; (0,1) when nu-mu in N0",
         tail=t8_tail_r,
     ))
     _register(IdentityDescriptor(
@@ -1344,15 +1270,12 @@ def _build_catalog() -> None:
             / (_cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"]))
                * _cpow(x, 0.5 * (p["mu"] - p["nu"])))
         ),
-        terms=lambda p, x, pol: (
-            poch * g / SQRT_PI
-            * _cpow(_u(x), 0.5 * p["nu"]) * f
-            for (n, poch, g), f in zip(
-                _poch_run(p, script_G_hat_seq(-p["nu"], p["mu"], math.sqrt(_u(x)))),
-                _P_chain(p["nu"], p["mu"], x, 0, pol))
-        ),
+        terms=lambda p, x, pol: _product(
+            _cpow(_u(x), 0.5 * p["nu"]) / SQRT_PI, 1.0,
+            _rising(p["mu"] - p["nu"]), script_G_hat_seq(-p["nu"], p["mu"], math.sqrt(_u(x))),
+            _P_chain(p["nu"], p["mu"], x, 0, pol)),
         n_top=_poch_top, sampler=t7_sampler_cond, param_check=g_cond_check,
-        param_domain="Re nu > -1", tail=t7_tail_nu,
+        tail=t7_tail_nu,
     ))
 
     def cor10_terms(p, x, hatted, upper):
@@ -1378,7 +1301,6 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: cor10_terms(p, x, False, True),
         n_top=lambda p: 2 * p["k"],
         sampler=k_m_sampler,
-        param_domain="0 <= m <= k integers",
     ))
     _register(IdentityDescriptor(
         "cor10.b", Kind.FINITE_SUM,
@@ -1386,7 +1308,6 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: cor10_terms(p, x, True, True),
         n_top=lambda p: 2 * p["k"],
         sampler=k_m_sampler,
-        param_domain="0 <= m <= k integers",
     ))
     _register(IdentityDescriptor(
         "cor10.c", Kind.FINITE_SUM,
@@ -1394,7 +1315,6 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: cor10_terms(p, x, False, False),
         n_top=lambda p: 2 * p["k"],
         sampler=k_m_sampler,
-        param_domain="0 <= m <= k integers",
     ))
     _register(IdentityDescriptor(
         "cor10.d", Kind.FINITE_SUM,
@@ -1402,7 +1322,6 @@ def _build_catalog() -> None:
         terms=lambda p, x, pol: cor10_terms(p, x, True, False),
         n_top=lambda p: 2 * p["k"],
         sampler=k_m_sampler,
-        param_domain="0 <= m <= k integers",
     ))
 
     # ---- quadratic argument family ------------------------------------
@@ -1418,19 +1337,15 @@ def _build_catalog() -> None:
     _register(IdentityDescriptor(
         "thm9.fwd", Kind.INFINITE_SERIES,
         lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol),
-        terms=lambda p, x, pol: (
-            SQRT_PI * _cpow(2.0, 2.0 * p["nu"] - p["mu"])
-            * a * b * c * f
-            * rg * _cpow(x, p["nu"])
-            / (2.0 ** (2 * n) * d * _cpow(1.0 - x * x, 0.5 * (n + p["nu"])))
-            for n, (a, b, d, c, rg, f) in enumerate(zip(
-                _rising(2.0 * p["nu"]), _rising(p["mu"] - p["nu"]),
-                _rising(p["nu"] + 0.5), gegenbauer_seq(0.5 - p["nu"], x),
-                _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
-                _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), x2arg(x), 0, pol)))
-        ),
-        n_top=t9_ntop, sampler=t9_sampler,
-        param_domain="nu, mu complex", tail=t9_tail,
+        terms=lambda p, x, pol: _product(
+            SQRT_PI * _cpow(2.0, 2.0 * p["nu"] - p["mu"]) * _cpow(x, p["nu"])
+            / _cpow(1.0 - x * x, 0.5 * p["nu"]),
+            0.25 / math.sqrt(1.0 - x * x),
+            _rising(2.0 * p["nu"]), _rising(p["mu"] - p["nu"]),
+            (1.0 / d for d in _rising(p["nu"] + 0.5)), gegenbauer_seq(0.5 - p["nu"], x),
+            _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
+            _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), x2arg(x), 0, pol)),
+        n_top=t9_ntop, sampler=t9_sampler, tail=t9_tail,
     ))
     _register(IdentityDescriptor(
         "thm9.inv", Kind.INFINITE_SERIES,
@@ -1439,18 +1354,13 @@ def _build_catalog() -> None:
             * _cpow(x, p["nu"]) * recip_gamma(0.5 * (p["mu"] - p["nu"] + 1.0))
             / _cpow(2.0, p["mu"] - 2.0 * p["nu"])
         ),
-        terms=lambda p, x, pol: (
-            a * b / (2.0 ** n * d) * c
-            / _cpow(1.0 - x * x, 0.5 * (n - p["nu"]))
-            * f
-            for n, (a, b, d, c, f) in enumerate(zip(
-                _rising(-2.0 * p["nu"]), _rising(p["mu"] - p["nu"]),
-                _rising(0.5 - p["nu"]), gegenbauer_seq(0.5 + p["nu"], x),
-                _P_chain(p["nu"], p["mu"], x, 0, pol)))
-        ),
+        terms=lambda p, x, pol: _product(
+            _cpow(1.0 - x * x, 0.5 * p["nu"]), 0.5 / math.sqrt(1.0 - x * x),
+            _rising(-2.0 * p["nu"]), _rising(p["mu"] - p["nu"]),
+            (1.0 / d for d in _rising(0.5 - p["nu"])), gegenbauer_seq(0.5 + p["nu"], x),
+            _P_chain(p["nu"], p["mu"], x, 0, pol)),
         n_top=lambda p: _min_term(terminating_index(-2.0 * p["nu"]), _poch_top(p)),
-        sampler=t9_sampler,
-        param_domain="nu, mu complex", tail=t9_tail,
+        sampler=t9_sampler, tail=t9_tail,
     ))
 
     def lam1(k, m, mu):
@@ -1505,7 +1415,6 @@ def _build_catalog() -> None:
         terms=cor11a_terms,
         n_top=lambda p: p["k"] // 2,
         sampler=k_mu_sampler,
-        param_domain="k in N0, mu complex",
     ))
     _register(IdentityDescriptor(
         "cor11.b", Kind.FINITE_SUM,
@@ -1515,7 +1424,6 @@ def _build_catalog() -> None:
             (lam2(p["l"], n, p["mu"]) for n in itertools.count())),
         n_top=lambda p: 2 * p["l"],
         sampler=l_mu_sampler,
-        param_domain="l in N0, mu complex",
     ))
     _register(IdentityDescriptor(
         "lambda3", Kind.VANISHING_SUM,
@@ -1524,7 +1432,6 @@ def _build_catalog() -> None:
             x, 1.5 + 2 * p["l"] + p["mu"], 2 * p["l"] + 1, lam3(p["l"], p["mu"])),
         n_top=lambda p: 2 * p["l"] + 1,
         sampler=l_mu_sampler,
-        param_domain="l in N0, mu complex",
     ))
 
 

@@ -52,14 +52,6 @@ class TestRunSuite:
             assert r.ok == (not r.failures)
         assert r.failures
 
-    def test_output_file_written(self, tmp_path):
-        path = str(tmp_path / "report.json")
-        cfg = HarnessConfig(sample_counts={Kind.VANISHING_SUM: 2},
-                            output_path=path)
-        r = run_suite(cfg)
-        with open(path) as fh:
-            assert fh.read().strip() == r.serialize()
-
 
 class TestAsymptoticChecks:
     def test_all_pass(self):

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -14,7 +15,7 @@ import legdual.legendre
 import legdual.polys
 import legdual.registry
 from legdual.errors import ConvergenceError, DomainError, UnknownIdentityError
-from legdual.harness import convergence_table
+from legdual.harness import HarnessConfig, convergence_table
 from legdual.hypergeom import DEFAULT_POLICY, TruncationPolicy, recip_gamma
 from legdual.registry import (
     INV_SQRT2,
@@ -83,8 +84,6 @@ class TestCatalog:
         d = get_descriptor("thm4.fwd")
         assert d.kind is Kind.INFINITE_SERIES
         assert callable(d.lhs) and callable(d.terms)
-        assert d.x_domain
-        assert d.param_domain
 
     def test_unknown_id(self):
         with pytest.raises(UnknownIdentityError):
@@ -299,6 +298,43 @@ class TestTermStreams:
     # a non-terminating point where thm8.r1 ends in a Wynn stop
     R1 = {"nu": -0.3726486224011847 + 0.5116084083144479j,
           "mu": 0.9734759867013265 - 0.4989873172751189j}
+    # nu - mu = 2: every series with the factor (mu - nu)_n ends at n = 2
+    NU_MU_2 = {"nu": 2.3 + 0.2j, "mu": 0.3 + 0.2j}
+
+    @pytest.mark.parametrize(
+        "ident", [d.id for d in ALL if d.kind is Kind.INFINITE_SERIES])
+    def test_power_factors_formed_once_per_point(self, monkeypatch, ident):
+        # a series term is c r^n times its factor streams: the complex powers
+        # are in c, formed once, so a point takes at most 4 with its
+        # left-hand side's, however many terms it sums
+        entry = get_descriptor(ident)
+        p = entry.sampler(random.Random(0))
+        calls = _count_calls(monkeypatch, "_cpow", (legdual.registry,))
+        evaluate_identity(ident, p, entry.x_grid[0])
+        assert 0 < calls[0] <= 4
+
+    def test_streams_reach_the_termination_index(self):
+        # the terms zip their factor streams, so one that ended early would
+        # cut the sum short, and _running_sums would pad it with zeros
+        cfg = HarnessConfig()
+        checked = set()
+        for entry in ALL:
+            rng = random.Random(0)
+            samples = [entry.sampler(rng) for _ in range(cfg.count_for(entry.kind))]
+            if entry.kind is Kind.INFINITE_SERIES:
+                samples.append(self.NU_MU_2)
+            for p in samples:
+                top = entry.n_top(p)
+                if top is None:
+                    continue
+                for x in entry.x_grid:
+                    entry.check_domain(p, x)
+                    terms = entry.terms(p, x, DEFAULT_POLICY)
+                    assert len(list(itertools.islice(terms, top + 1))) == top + 1, (
+                        entry.id, p, x)
+                    checked.add(entry.id)
+        # every entry but thm4's, whose terms carry no (mu - nu)_n
+        assert checked == {d.id for d in ALL} - {"thm4.fwd", "thm4.inv"}
 
     def test_coefficients_built_once_per_point(self, monkeypatch):
         # frak_N is one expression of series streams, built once per point,
