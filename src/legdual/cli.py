@@ -8,10 +8,13 @@ Exit codes: 0 success, 1 domain or usage error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
-import os
+import random
 import re
 import sys
+from dataclasses import replace
 
 from .errors import ConvergenceError, LegdualError
 from .harness import HarnessConfig, asymptotic_checks, convergence_table, run_suite
@@ -21,15 +24,10 @@ from .registry import evaluate_identity, get_descriptor, list_identities, sweep_
 
 __all__ = ["main", "entry", "parse_complex", "format_complex"]
 
-_ENV_PREFIX = "LEGDUAL_"
-
 _COMPLEX_RE = re.compile(
     r"^(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"(?:(?P<sign>[+-])(?P<im>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i)?$"
 )
-
-_PARAM_FLAGS = ("nu", "mu", "lam", "k", "m", "l")
-_INT_PARAMS = frozenset(("k", "m", "l"))
 
 _EVAL_FNS = {
     "ferrers": ferrers_p,
@@ -63,27 +61,32 @@ def format_complex(z: complex) -> str:
     return f"{_sig17(z.real)}{sign}{_sig17(abs(z.imag))}i"
 
 
-def _env_default(name: str, fallback=None):
-    return os.environ.get(_ENV_PREFIX + name.upper(), fallback)
+def _param_types(entry) -> dict:
+    """The parameter names an entry's sampler draws, each with its type."""
+    return {k: type(v) for k, v in entry.sampler(random.Random(0)).items()}
+
+
+def _catalog_params() -> dict:
+    """The union of every entry's parameter names and types."""
+    types = {}
+    for d in list_identities():
+        types.update(_param_types(d))
+    return types
 
 
 def _add_policy(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rel-tol", type=float,
-                     default=_env_default("rel_tol"), help="series relative tolerance")
-    sub.add_argument("--max-terms", type=int,
-                     default=_env_default("max_terms"), help="series term cap")
+    sub.add_argument("--rel-tol", type=float, help="series relative tolerance")
+    sub.add_argument("--max-terms", type=int, help="series term cap")
 
 
 def _add_output(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("json", "csv", "text"),
-                     default=_env_default("format", "json"))
-    sub.add_argument("--out", default=_env_default("out"),
-                     help="write output to this file instead of stdout")
+    sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    sub.add_argument("--out", help="write output to this file instead of stdout")
 
 
 def _add_params(sub: argparse.ArgumentParser) -> None:
-    for name in _PARAM_FLAGS:
-        sub.add_argument(f"--{name}", default=None)
+    for name in _catalog_params():
+        sub.add_argument(f"--{name}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,12 +114,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = subs.add_parser("sweep", help="check one identity over sampled points")
     p_sweep.add_argument("id")
     p_sweep.add_argument("--samples", type=int, default=30)
-    p_sweep.add_argument("--seed", type=int, default=_env_default("seed", "0"))
+    p_sweep.add_argument("--seed", type=int, default=0)
     _add_policy(p_sweep)
     _add_output(p_sweep)
 
     p_suite = subs.add_parser("suite", help="run the whole identity suite")
-    p_suite.add_argument("--seed", type=int, default=_env_default("seed", "0"))
+    p_suite.add_argument("--seed", type=int, default=0)
 
     p_conv = subs.add_parser("convergence",
                              help="per-term convergence diagnostics at a point")
@@ -137,32 +140,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _policy_from(args: argparse.Namespace) -> TruncationPolicy:
-    rel_tol, max_terms = args.rel_tol, args.max_terms
-    if rel_tol is None and max_terms is None:
-        return DEFAULT_POLICY
-    return TruncationPolicy(
-        rel_tol=float(rel_tol) if rel_tol is not None else DEFAULT_POLICY.rel_tol,
-        abs_floor=DEFAULT_POLICY.abs_floor,
-        consecutive_small=DEFAULT_POLICY.consecutive_small,
-        max_terms=int(max_terms) if max_terms is not None else DEFAULT_POLICY.max_terms,
-    )
+    given = {"rel_tol": args.rel_tol, "max_terms": args.max_terms}
+    return replace(DEFAULT_POLICY, **{k: v for k, v in given.items() if v is not None})
 
 
-def _collect_params(args: argparse.Namespace) -> dict:
+def _collect_params(args: argparse.Namespace, entry) -> dict:
+    """The entry's parameters from their flags: exactly the names its
+    sampler draws, a name drawn as an int integral."""
+    types = _param_types(entry)
+    given = [name for name in _catalog_params() if getattr(args, name) is not None]
+    if set(given) != types.keys():
+        expected = " ".join(f"--{name}" for name in types)
+        got = " ".join(f"--{name}" for name in given) or "none"
+        raise ValueError(f"{entry.id} takes {expected}; got {got}")
     params = {}
-    for name in _PARAM_FLAGS:
-        raw = getattr(args, name, None)
-        if raw is None:
-            continue
-        z = parse_complex(str(raw))
-        if name in _INT_PARAMS:
+    for name, kind in types.items():
+        raw = getattr(args, name)
+        z = parse_complex(raw)
+        if kind is int:
             if z.imag != 0.0 or z.real != int(z.real):
                 raise ValueError(f"--{name} must be an integer, got '{raw}'")
-            params[name] = int(z.real)
-        else:
-            params[name] = z
-    if not params:
-        raise ValueError("no identity parameters given")
+            z = int(z.real)
+        params[name] = z
     return params
 
 
@@ -173,7 +172,9 @@ def _emit(args: argparse.Namespace, doc, csv_rows=None, text_lines=None) -> None
     elif fmt == "csv":
         if csv_rows is None:
             raise ValueError("csv output is not available for this command")
-        payload = "\n".join(",".join(row) for row in csv_rows)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
+        payload = buf.getvalue().rstrip("\n")
     else:
         payload = "\n".join(text_lines if text_lines is not None
                             else [json.dumps(doc, sort_keys=True)])
@@ -184,19 +185,36 @@ def _emit(args: argparse.Namespace, doc, csv_rows=None, text_lines=None) -> None
         print(payload)
 
 
+def _flatten(doc: dict, prefix: str = "") -> dict:
+    # a nested dict becomes <key>_<name> columns, an [re, im] pair <key>_re
+    # and <key>_im
+    out = {}
+    for key, value in doc.items():
+        name = prefix + key
+        if isinstance(value, dict):
+            out.update(_flatten(value, name + "_"))
+        elif isinstance(value, list):
+            out[name + "_re"], out[name + "_im"] = value
+        else:
+            out[name] = value
+    return out
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return _sig17(value)
+    return str(value)
+
+
 def _report_csv(reports) -> list:
-    header = ["id", "x", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
-              "abs_err", "rel_err", "terms_used", "passed", "tolerance"]
-    rows = [header]
-    for r in reports:
-        rows.append([
-            r.id, _sig17(r.x),
-            _sig17(r.lhs.real), _sig17(r.lhs.imag),
-            _sig17(r.rhs.real), _sig17(r.rhs.imag),
-            _sig17(r.abs_err), _sig17(r.rel_err),
-            str(r.terms_used), str(r.passed).lower(), _sig17(r.tolerance_used),
-        ])
-    return rows
+    """One column per `IdentityReport.to_dict` value, in its order."""
+    flat = [_flatten(r.to_dict()) for r in reports]
+    header = list(dict.fromkeys(k for row in flat for k in row))
+    return [header] + [[_cell(row.get(k)) for k in header] for row in flat]
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -221,8 +239,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    get_descriptor(args.id)
-    params = _collect_params(args)
+    params = _collect_params(args, get_descriptor(args.id))
     report = evaluate_identity(args.id, params, args.x, _policy_from(args))
     _emit(args, report.to_dict(), _report_csv([report]),
           [f"{report.id}: {'pass' if report.passed else 'FAIL'} "
@@ -252,8 +269,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
-    get_descriptor(args.id)
-    params = _collect_params(args)
+    params = _collect_params(args, get_descriptor(args.id))
     policy = _policy_from(args)
     rows = convergence_table(args.id, params, args.x, args.n_max, policy)
     # how the summed right-hand side stops; a sum that fails says why instead

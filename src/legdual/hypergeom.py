@@ -35,12 +35,13 @@ __all__ = [
 
 POLE_TOL = 1e-14
 INT_TOL = 1e-12
+# the direct tolerance test compares a term with |partial sum|, never below this
+ABS_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
 class TruncationPolicy:
     rel_tol: float = 1e-13
-    abs_floor: float = 1e-300
     consecutive_small: int = 3
     max_terms: int = 100000
 
@@ -52,9 +53,7 @@ DEFAULT_POLICY = TruncationPolicy()
 class SeriesValue:
     value: complex
     terms_used: int
-    last_term_mag: float
     error_estimate: float
-    converged: bool
 
 
 class KahanSum:
@@ -201,18 +200,18 @@ def gauss_2f1(
     n = 0
     while True:
         if n_stop is not None and n >= n_stop:
-            return SeriesValue(total, n + 1, abs(term), 0.0, True)
+            return SeriesValue(total, n + 1, 0.0)
         if n >= policy.max_terms:
             raise MaxTermsError(f"2F1 did not converge within {policy.max_terms} terms")
         term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * t
         total += term
         n += 1
         if n_stop is None:
-            if abs(term) <= policy.rel_tol * max(abs(total), policy.abs_floor):
+            if abs(term) <= policy.rel_tol * max(abs(total), ABS_FLOOR):
                 small_run += 1
                 if small_run >= policy.consecutive_small:
                     err = abs(term) / max(1.0 - abs(t), 1e-16)
-                    return SeriesValue(total, n + 1, abs(term), err, True)
+                    return SeriesValue(total, n + 1, err)
             else:
                 small_run = 0
 

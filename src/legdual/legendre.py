@@ -90,23 +90,18 @@ def _f_over_gamma_c(
     where the series terminates below index m + 1.
     """
     if not is_nonpos_int(c):
-        sv = gauss_2f1(a, b, c, t, policy)
-        rg = recip_gamma(c)
-        scale = abs(rg)
-        return SeriesValue(sv.value * rg, sv.terms_used, sv.last_term_mag * scale,
-                           sv.error_estimate * scale, sv.converged)
+        return _scaled(recip_gamma(c), gauss_2f1(a, b, c, t, policy))
     m = int(round(-c.real))
     stops = [k for k in (terminating_index(a), terminating_index(b)) if k is not None]
     if stops and min(stops) <= m:
-        return SeriesValue(0j, 0, 0.0, 0.0, True)
+        return SeriesValue(0j, 0, 0.0)
     lead = pochhammer(a, m + 1) * pochhammer(b, m + 1) * t ** (m + 1) / math.factorial(m + 1)
     return _scaled(lead, gauss_2f1(a + (m + 1), b + (m + 1), m + 2, t, policy))
 
 
 def _scaled(prefactor: complex, sv: SeriesValue) -> SeriesValue:
-    s = abs(prefactor)
-    return SeriesValue(prefactor * sv.value, sv.terms_used, sv.last_term_mag * s,
-                       sv.error_estimate * s, sv.converged)
+    return SeriesValue(prefactor * sv.value, sv.terms_used,
+                       sv.error_estimate * abs(prefactor))
 
 
 def ferrers_p(p: ParameterPoint, x: "Argument | float",

@@ -1,8 +1,8 @@
 """Classical polynomial families with complex parameters.
 
-Gegenbauer, Jacobi, associated Legendre, Mittag-Leffler, Bateman, and Gauss
-hypergeometric polynomials.  The associated Legendre polynomials are the
-integer-degree case of `legendre._P`.
+Gegenbauer, Jacobi, Mittag-Leffler, Bateman, and Gauss hypergeometric
+polynomials.  Associated Legendre functions of integer degree are
+`legendre._P`'s.
 
 The scalar `gegenbauer(n, lam, x)` is the explicit alternating sum, O(n) per
 value.  The catalog's connection formulas read Gegenbauer polynomials along
@@ -25,14 +25,12 @@ import sys
 from collections.abc import Iterator
 
 from .hypergeom import KahanSum, pfq_terminating, pochhammer
-from .legendre import _P
 from .series import nth, two_factor
 
 __all__ = [
     "gegenbauer",
     "gegenbauer_seq",
     "jacobi",
-    "assoc_legendre_poly",
     "mittag_leffler_g",
     "mittag_leffler_g_seq",
     "bateman_g",
@@ -165,14 +163,6 @@ def jacobi(n: int, a: complex, b: complex, x: float) -> complex:
     pre = pochhammer(a + 1, n) / math.factorial(n)
     f = pfq_terminating([-n, n + a + b + 1], [a + 1], (1.0 - x) / 2.0, n)
     return pre * f
-
-
-def assoc_legendre_poly(k: int, m: int, x: float) -> float:
-    """Associated Legendre function of integer degree k >= 0 and any integer
-    order m on (-1,1): the Ferrers P of degree k and order m."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    return _P(k, -m, x).real
 
 
 def mittag_leffler_g_seq(sigma: complex) -> Iterator[complex]:

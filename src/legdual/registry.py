@@ -62,6 +62,7 @@ from enum import Enum
 from .coeffs import frak_N_seq, frak_p_seq, script_G_hat_seq, script_G_seq
 from .errors import ConvergenceError, DomainError, LegdualError, UnknownIdentityError
 from .hypergeom import (
+    ABS_FLOOR,
     DEFAULT_POLICY,
     KahanSum,
     TruncationPolicy,
@@ -145,25 +146,22 @@ class IdentityDescriptor:
     param_check: "Callable | None" = None
     tail: "Callable | None" = None
 
-    def check_domain(self, p, x: float) -> None:
+    def check_domain(self, p, x: float) -> bool:
+        """Raise DomainError outside the entry's domain; otherwise say
+        whether x is within 1e-12 of the window's positive lower end."""
         if self.param_check is not None:
             self.param_check(p)
         lo, hi = (0.0, 1.0) if self.x_window is None else self.x_window(p)
+        at_lo = lo > 0.0 and abs(x - lo) <= 1e-12
         if lo < x < hi:
-            return
-        if abs(x - lo) <= 1e-12 and lo > 0.0:
+            return at_lo
+        if at_lo:
             if self.boundary_ok is not None and self.boundary_ok(p):
-                return
+                return True
             raise DomainError(
                 f"{self.id}: boundary x = {x} requires the stated parameter condition"
             )
         raise DomainError(f"{self.id}: x = {x} outside ({lo}, {hi})")
-
-    def at_boundary(self, p, x: float) -> bool:
-        if self.x_window is None:
-            return False
-        lo, _ = self.x_window(p)
-        return lo > 0.0 and abs(x - lo) <= 1e-12
 
 
 @dataclass(frozen=True)
@@ -490,7 +488,7 @@ def _sum_terms(entry: IdentityDescriptor, p, x: float,
         m = abs(t)
         max_mag = max(max_mag, m)
         mags.append(m)
-        if m <= policy.rel_tol * max(abs(partial), policy.abs_floor):
+        if m <= policy.rel_tol * max(abs(partial), ABS_FLOOR):
             small += 1
             if small >= policy.consecutive_small:
                 return _SeriesSum(partial, n, max_mag, "direct", 0.0)
@@ -522,7 +520,7 @@ def evaluate_identity(identity_id: str, params: dict, x: float,
     entry = get_descriptor(identity_id)
     p = dict(params)
     x = float(x)
-    entry.check_domain(p, x)
+    at_boundary = entry.check_domain(p, x)
     lhs = complex(entry.lhs(p, x, policy))
     rhs_sum = _sum_terms(entry, p, x, policy)
     rhs, max_mag = rhs_sum.value, rhs_sum.max_mag
@@ -535,7 +533,7 @@ def evaluate_identity(identity_id: str, params: dict, x: float,
     else:
         if entry.kind is Kind.FINITE_SUM:
             tol = TOL_FINITE
-        elif entry.at_boundary(p, x):
+        elif at_boundary:
             tol = TOL_BOUNDARY
         else:
             tol = TOL_SERIES
@@ -644,8 +642,9 @@ def _offaxis(rng: random.Random) -> complex:
 
 
 def _int_sampler(**spec):
-    """spec values: ('int', lo, hi) possibly depending on earlier keys, or
-    'complex' for an off-axis continuous parameter."""
+    """spec values: (lo, hi) for an integer drawn from lo..hi, where either
+    end may be a function of the keys drawn before it, or 'complex' for an
+    off-axis continuous parameter."""
 
     def sample(rng: random.Random) -> dict:
         p = {}

@@ -1,5 +1,6 @@
 """Command-line behavior: parsing, serialization, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -9,7 +10,7 @@ import pytest
 from legdual import cli
 from legdual.cli import format_complex, main, parse_complex
 from legdual.harness import SuiteResult
-from legdual.registry import evaluate_identity, list_identities
+from legdual.registry import IdentityReport, evaluate_identity, list_identities
 
 
 class TestComplexLiterals:
@@ -71,6 +72,31 @@ class TestVerify:
         assert rc == 1
         assert "unknown identity" in capsys.readouterr().err
 
+    def test_missing_parameters_named(self, capsys):
+        # thm4.fwd takes nu and mu: --k alone is a usage error naming them
+        assert main(["verify", "thm4.fwd", "--x", "0.8", "--k", "3"]) == 1
+        err = capsys.readouterr().err
+        assert "--nu" in err and "--mu" in err
+
+    def test_unused_parameter_refused(self, capsys):
+        rc = main(["verify", "thm5.fwd", "--nu", "0.3+0.2i", "--mu", "1.1",
+                   "--k", "2", "--x", "0.6"])
+        assert rc == 1
+        assert "--k" in capsys.readouterr().err
+
+    def test_integer_parameter_must_be_integral(self, capsys):
+        assert main(["verify", "cor6", "--k", "2.5", "--m", "2", "--x", "0.9"]) == 1
+        assert "--k must be an integer" in capsys.readouterr().err
+
+    def test_flags_are_the_catalog_parameters(self):
+        # one flag per name the entries' samplers draw, typed alike everywhere
+        types = {}
+        for d in list_identities():
+            for name, kind in cli._param_types(d).items():
+                assert types.setdefault(name, kind) is kind
+        assert set(types) == {"nu", "mu", "k", "m", "lam", "l"}
+        assert cli._catalog_params() == types
+
     def test_failing_point_exit_two(self, capsys):
         # a slowly converging point the summation cannot resolve in doubles
         # values starting with a minus need the = form so argparse keeps them
@@ -85,6 +111,45 @@ class TestSweepCommand:
         rc = main(["sweep", "thm9.fwd", "--samples", "2", "--format", "text"])
         assert rc == 0
         assert "points pass" in capsys.readouterr().out
+
+
+class TestReportCsv:
+    def test_header_covers_every_report_field(self, capsys):
+        assert main(["verify", "thm5.fwd", "--nu", "0.3+0.2i", "--mu", "1.1",
+                     "--x", "0.6"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert main(["verify", "thm5.fwd", "--nu", "0.3+0.2i", "--mu", "1.1",
+                     "--x", "0.6", "--format", "csv"]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        for key in doc:
+            assert any(col == key or col.startswith(key + "_") for col in row), key
+        assert float(row["params_nu_im"]) == 0.2
+        assert float(row["rel_err"]) == doc["rel_err"]
+        assert float(row["extrap_err"]) == doc["extrap_err"]
+        assert row["stop_reason"] == doc["stop_reason"]
+
+    def test_sweep_rows_carry_their_parameters(self, capsys):
+        rc = main(["sweep", "cor6", "--samples", "3", "--seed", "1", "--format", "csv"])
+        assert rc == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 9
+        draws = {(r["params_k"], r["params_m"]) for r in rows}
+        assert len(draws) > 1
+
+    def test_error_column_round_trips(self, capsys):
+        # an error message can hold a comma; the CSV quotes it
+        bad = IdentityReport(
+            id="thm4.inv", params={"nu": 0.5 + 0j}, x=0.2, lhs=0j, rhs=0j,
+            abs_err=float("nan"), rel_err=float("nan"), terms_used=0,
+            passed=False, tolerance_used=0.0,
+            error="DomainError: x = 0.2 outside (0.5, 1)")
+        ok = evaluate_identity("thm4.inv", {"nu": 0.3 + 0j, "mu": 1.2 + 0j}, 0.65)
+        args = argparse.Namespace(format="csv", out=None)
+        cli._emit(args, None, cli._report_csv([ok, bad]))
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0]["error"] == "" and rows[0]["passed"] == "true"
+        assert rows[1]["error"] == bad.error
+        assert rows[1]["params_mu_re"] == ""
 
 
 class TestSuiteCommand:
@@ -169,30 +234,6 @@ class TestAsymptCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-
-
-class TestEnvironmentOverride:
-    def test_format_from_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("LEGDUAL_FORMAT", "text")
-        rc = main(["verify", "cor6", "--k", "3", "--m", "2", "--x", "0.9"])
-        assert rc == 0
-        assert "cor6: pass" in capsys.readouterr().out
-
-    def test_seed_from_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("LEGDUAL_SEED", "4")
-        rc = main(["sweep", "cor6", "--samples", "1"])
-        assert rc == 0
-        assert json.loads(capsys.readouterr().out)["seed"] == 4
-
-    def test_bad_seed_from_env(self, capsys, monkeypatch):
-        # a bad default breaks only the commands that take --seed, and
-        # those exit 1 with a usage message
-        monkeypatch.setenv("LEGDUAL_SEED", "abc")
-        assert main(["list", "--format", "text"]) == 0
-        capsys.readouterr()
-        for argv in (["suite"], ["sweep", "cor6"]):
-            assert main(argv) == 1
-            assert "--seed" in capsys.readouterr().err
 
 
 class TestOutputFile:

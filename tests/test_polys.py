@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legdual.hypergeom import pfq_terminating, pochhammer
+from legdual.legendre import _P
 from legdual.polys import (
-    assoc_legendre_poly,
     bateman_g,
     gauss_hyper_poly,
     gauss_hyper_poly_seq,
@@ -186,25 +186,26 @@ class TestJacobi:
 
 
 class TestAssocLegendrePoly:
+    # the Ferrers P of integer degree k and integer order m is _P(k, -m, x)
     @pytest.mark.parametrize("k,m,x", [
         (3, 2, 0.37), (5, 0, 0.6), (4, 4, -0.3), (6, 3, 0.85),
     ])
     def test_matches_mpmath(self, k, m, x):
-        _close(assoc_legendre_poly(k, m, x), mp.legenp(k, m, x, type=2))
+        _close(_P(k, -m, x).real, mp.legenp(k, m, x, type=2))
 
     def test_negative_order_factorial_ratio(self):
         k, m, x = 5, 3, 0.42
         expect = (-1) ** m * math.factorial(k - m) / math.factorial(k + m) \
-            * assoc_legendre_poly(k, m, x)
-        _close(assoc_legendre_poly(k, -m, x), expect)
+            * _P(k, -m, x).real
+        _close(_P(k, m, x).real, expect)
 
     def test_order_above_degree_vanishes(self):
-        assert assoc_legendre_poly(3, 4, 0.5) == 0.0
+        assert _P(3, -4, 0.5).real == 0.0
 
     @pytest.mark.parametrize("k,m,x", [(2, -3, 0.5), (3, -5, 0.3), (6, -8, 0.77)])
     def test_order_below_minus_degree(self, k, m, x):
         # not a polynomial and not zero: P_2^-3(0.5) = 0.0212497...
-        _close(assoc_legendre_poly(k, m, x), mp.legenp(k, m, x, type=2), rel=1e-11)
+        _close(_P(k, -m, x).real, mp.legenp(k, m, x, type=2), rel=1e-11)
 
 
 class TestMittagLeffler:

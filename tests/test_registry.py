@@ -118,6 +118,15 @@ class TestEvaluate:
         assert r.passed
         assert r.tolerance_used == TOL_BOUNDARY
 
+    def test_check_domain_flags_the_window_lower_end(self):
+        p = {"nu": -0.8 + 0.3j, "mu": 0.5 - 0.2j}
+        entry = get_descriptor("thm4.fwd")
+        assert entry.check_domain(p, INV_SQRT2) is True
+        assert entry.check_domain(p, INV_SQRT2 + 5e-13) is True
+        assert entry.check_domain(p, 0.8) is False
+        # a window starting at 0 has no boundary point
+        assert get_descriptor("cor6").check_domain({"k": 3, "m": 2}, 0.9) is False
+
     def test_boundary_rejected_without_condition(self):
         with pytest.raises(DomainError):
             evaluate_identity("thm4.fwd", {"nu": 0.9 + 0.3j, "mu": 0.5j}, INV_SQRT2)
