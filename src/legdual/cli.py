@@ -210,9 +210,9 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _report_csv(reports) -> list:
-    """One column per `IdentityReport.to_dict` value, in its order."""
-    flat = [_flatten(r.to_dict()) for r in reports]
+def _csv_rows(docs) -> list:
+    """One row per JSON document, one column per flattened key, in order."""
+    flat = [_flatten(doc) for doc in docs]
     header = list(dict.fromkeys(k for row in flat for k in row))
     return [header] + [[_cell(row.get(k)) for k in header] for row in flat]
 
@@ -231,17 +231,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "terms_used": sv.terms_used,
         "error_estimate": sv.error_estimate,
     }
-    csv_rows = [["function", "x", "value_re", "value_im", "terms_used"],
-                [args.function, _sig17(args.x), _sig17(v.real), _sig17(v.imag),
-                 str(sv.terms_used)]]
-    _emit(args, doc, csv_rows, [format_complex(v)])
+    _emit(args, doc, _csv_rows([doc]), [format_complex(v)])
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     params = _collect_params(args, get_descriptor(args.id))
     report = evaluate_identity(args.id, params, args.x, _policy_from(args))
-    _emit(args, report.to_dict(), _report_csv([report]),
+    doc = report.to_dict()
+    _emit(args, doc, _csv_rows([doc]),
           [f"{report.id}: {'pass' if report.passed else 'FAIL'} "
            f"rel_err={report.rel_err:.3e}"])
     return 0 if report.passed else 2
@@ -256,7 +254,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
            "points": len(reports), "failures": n_fail,
            "reports": [r.to_dict() for r in reports]}
     text = [f"{args.id}: {len(reports) - n_fail}/{len(reports)} points pass"]
-    _emit(args, doc, _report_csv(reports), text)
+    _emit(args, doc, _csv_rows(doc["reports"]), text)
     return 0 if n_fail == 0 else 2
 
 
@@ -287,12 +285,11 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         stop_text = f"error={stop['error']}"
     doc = {"id": args.id, "x": args.x, **stop,
            "rows": [{"n": n, "term_mag": t, "error": e} for n, t, e in rows]}
-    sr = "" if stop["stop_reason"] is None else stop["stop_reason"]
-    ee = "" if stop["extrap_err"] is None else _sig17(stop["extrap_err"])
-    csv_rows = [["n", "term_mag", "error", "stop_reason", "extrap_err"]]
-    csv_rows += [[str(n), _sig17(t), _sig17(e), sr, ee] for n, t, e in rows]
+    # each CSV row repeats how the sum stopped; "error" is the row's own
+    # column there, so a failure's message is "failure"
+    stop["failure"] = stop.pop("error", None)
     text = [f"{n:4d}  {t:.6e}  {e:.6e}" for n, t, e in rows] + [stop_text]
-    _emit(args, doc, csv_rows, text)
+    _emit(args, doc, _csv_rows({**row, **stop} for row in doc["rows"]), text)
     return 0
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from legdual import cli
 from legdual.cli import format_complex, main, parse_complex
+from legdual.errors import ConvergenceError
 from legdual.harness import SuiteResult
 from legdual.registry import IdentityReport, evaluate_identity, list_identities
 
@@ -47,6 +48,22 @@ class TestEval:
         rc = main(["eval", "ferrers", "--nu", "1", "--mu", "0", "--x", "1.5"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+    def test_csv_has_the_json_fields(self, capsys):
+        argv = ["eval", "legendre", "--nu", "0.3+0.2i", "--mu=-0.4", "--x", "1.5"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--format", "csv"]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert list(row) == ["function", "nu_re", "nu_im", "mu_re", "mu_im", "x",
+                             "value_re", "value_im", "terms_used", "error_estimate"]
+        assert row["function"] == doc["function"]
+        assert [float(row["nu_re"]), float(row["nu_im"])] == doc["nu"]
+        assert [float(row["mu_re"]), float(row["mu_im"])] == doc["mu"]
+        assert [float(row["value_re"]), float(row["value_im"])] == doc["value"]
+        assert int(row["terms_used"]) == doc["terms_used"]
+        assert float(row["error_estimate"]) == doc["error_estimate"]
 
 
 class TestVerify:
@@ -145,7 +162,7 @@ class TestReportCsv:
             error="DomainError: x = 0.2 outside (0.5, 1)")
         ok = evaluate_identity("thm4.inv", {"nu": 0.3 + 0j, "mu": 1.2 + 0j}, 0.65)
         args = argparse.Namespace(format="csv", out=None)
-        cli._emit(args, None, cli._report_csv([ok, bad]))
+        cli._emit(args, None, cli._csv_rows([ok.to_dict(), bad.to_dict()]))
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert rows[0]["error"] == "" and rows[0]["passed"] == "true"
         assert rows[1]["error"] == bad.error
@@ -203,6 +220,27 @@ class TestConvergenceCommand:
         assert main(argv + ["--format", "text"]) == 0
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert last.startswith("stop_reason=wynn extrap_err=")
+
+    def test_csv_carries_terms_used_and_failure(self, capsys, monkeypatch):
+        argv = ["convergence", "thm4.inv", "--nu", "0.3", "--mu", "1.2",
+                "--x", "0.65", "--n-max", "2", "--format", "csv"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        stop = evaluate_identity("thm4.inv", {"nu": 0.3, "mu": 1.2}, 0.65)
+        assert [int(r["terms_used"]) for r in rows] == [stop.terms_used] * 3
+        assert all(r["failure"] == "" and float(r["error"]) > 0 for r in rows)
+
+        def fail(*args):
+            raise ConvergenceError("no estimate is finite, at 160 terms")
+
+        monkeypatch.setattr(cli, "evaluate_identity", fail)
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 3
+        for r in rows:
+            assert r["failure"] == "ConvergenceError: no estimate is finite, at 160 terms"
+            assert r["terms_used"] == r["stop_reason"] == r["extrap_err"] == ""
+            assert float(r["error"]) > 0
 
     def test_terminated_sum(self, capsys):
         rc = main(["convergence", "thm4.fwd", "--nu=-2", "--mu", "0.7",

@@ -1,12 +1,19 @@
 """Suite driver: determinism, point accounting, convergence diagnostics."""
 
+import hashlib
 import math
 from dataclasses import replace
 
 import pytest
 
 from legdual.errors import DomainError
-from legdual.harness import HarnessConfig, asymptotic_checks, convergence_table, run_suite
+from legdual.harness import (
+    REPORT_VERSION,
+    HarnessConfig,
+    asymptotic_checks,
+    convergence_table,
+    run_suite,
+)
 from legdual.hypergeom import DEFAULT_POLICY
 from legdual.registry import INV_SQRT2, Kind, _get_impl, list_identities, tail_order_predict
 
@@ -38,6 +45,14 @@ class TestRunSuite:
     def test_invalid_sample_count_rejected(self):
         with pytest.raises(ValueError):
             HarnessConfig(sample_counts={Kind.FINITE_SUM: 0})
+
+    def test_default_report_hash(self):
+        # the seed-0 report at the default counts is pinned per report
+        # version: a change that moves it bumps REPORT_VERSION and the pin
+        assert REPORT_VERSION == 1
+        doc = run_suite(HarnessConfig(seed=0)).serialize()
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "ec79c7ef78a54e4879277b9500e1c005c18ea61f99875b37ed351dedfd3bd616")
 
     def test_every_point_counted(self):
         # a 12-term cap fails most series points; passing or failing, each

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
@@ -453,10 +454,17 @@ class TestPChains:
                 # below the normal range of doubles: absolute agreement
                 assert abs(v - complex(ref)) <= 1e-300, k
 
-    @pytest.mark.parametrize("x", [0.55, 0.7, 0.85])
-    def test_fixed_degree_below_one(self, x):
-        vals = list(itertools.islice(_P_chain(self.NU, self.MU, x, 0), self.K))
-        self._check(vals, [_mp_P(self.NU, self.MU + k, x) for k in range(self.K)])
+    @pytest.mark.parametrize("x,nu,mu", [
+        pytest.param(0.55, NU, MU, id="0.55"),
+        pytest.param(0.7, NU, MU, id="0.7"),
+        pytest.param(0.85, NU, MU, id="0.85"),
+        # nu - mu = 2: b_1 = 0 ties f_1 to f_2 alone, and the elimination
+        # restarts past it
+        pytest.param(0.6, 2.5 + 0.1j, 0.5 + 0.1j, id="terminating"),
+    ])
+    def test_fixed_degree_below_one(self, x, nu, mu):
+        vals = list(itertools.islice(_P_chain(nu, mu, x, 0), self.K))
+        self._check(vals, [_mp_P(nu, mu + k, x) for k in range(self.K)])
 
     @pytest.mark.parametrize("x", [0.55, 0.7, 0.85])
     @pytest.mark.parametrize("arg", ["recip", "quadratic"])
@@ -482,15 +490,51 @@ class TestPChains:
         assert vals == [_P(2, -3 + k, 0.5) for k in range(8)]
         assert vals[0] == 0 and all(v != 0 for v in vals[1:])
 
-    @pytest.mark.parametrize("x", [0.75, 0.8, 0.9])
-    def test_diagonal_above_one(self, x):
-        # y = 1/x in (1, 2^1/2): Miller's error ratio |1 - y^2| is below 1
+    def test_zero_pivot_falls_back_to_direct(self):
+        # mu = -1 makes a_0 = 0, the first pivot of the elimination
+        vals = list(itertools.islice(_P_chain(self.NU, -1.0, 0.6, 0), 8))
+        assert vals[1:] == [_P(self.NU, -1.0 + k, 0.6) for k in range(1, 8)]
+
+    @pytest.mark.parametrize("x,nu,mu", [
+        pytest.param(0.75, NU, MU, id="0.75"),
+        pytest.param(0.8, NU, MU, id="0.8"),
+        pytest.param(0.9, NU, MU, id="0.9"),
+        # thm4.fwd's seed-1 and seed-2 points, where f_0 = a_0 f_1 + b_0 f_2
+        # cancels: Gautschi's two-start test never passed there
+        pytest.param(0.75, 2.4701736487042605 + 0.7198930575905798j,
+                     -1.0164401607767743 - 0.3346096292797418j, id="seed1"),
+        pytest.param(0.75, 2.4600061848112045 - 0.6971597824868969j,
+                     -1.354924023026344 - 0.31159798892641066j, id="seed2"),
+    ])
+    def test_diagonal_above_one(self, x, nu, mu):
+        # y = 1/x in (1, 2^1/2): the ratio |1 - y^2| of minimal to dominant
+        # solution is below 1
         y = 1.0 / x
-        vals = list(itertools.islice(_P_chain(self.NU, self.MU, y, 1), self.K))
-        self._check(vals, [_mp_P(self.NU + k, self.MU + k, y) for k in range(self.K)])
-        vals = list(itertools.islice(_P_half_chain(self.NU, self.MU, y, 1), self.K))
-        self._check(vals, [_mp_P(self.NU + 0.5 * n, self.MU + 0.5 * n, y)
+        vals = list(itertools.islice(_P_chain(nu, mu, y, 1), self.K))
+        self._check(vals, [_mp_P(nu + k, mu + k, y) for k in range(self.K)])
+        vals = list(itertools.islice(_P_half_chain(nu, mu, y, 1), self.K))
+        self._check(vals, [_mp_P(nu + 0.5 * n, mu + 0.5 * n, y)
                            for n in range(self.K)])
+
+    def test_no_chain_falls_back(self, monkeypatch):
+        # each chain makes one direct P, its head, over the sweeps that held
+        # every fallback of the two-start test (thm4.fwd at seeds 1-2)
+        chains = _count_calls(monkeypatch, "_P_chain", (legdual.registry,))
+        from_chains = [0]
+
+        def counted(*args, _f=legdual.registry._P, **kwargs):
+            from_chains[0] += sys._getframe(1).f_code.co_name == "_P_chain"
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(legdual.registry, "_P", counted)
+        for ident in ("thm4.fwd", "thm6.p1a"):
+            for seed in range(4):
+                assert all(r.passed for r in sweep_identity(ident, seed=seed))
+        # and a chain drawn deep enough at small q (0.05) for t to underflow
+        # unless the sweep renormalizes it
+        assert len(list(itertools.islice(
+            legdual.registry._P_chain(self.NU, self.MU, 0.9, 0), self.K))) == self.K
+        assert from_chains[0] == chains[0] > 0
 
     @pytest.mark.parametrize("y", [1.0 / 0.7, 2.0])
     def test_diagonal_from_sqrt2_uses_direct_values(self, y):
