@@ -13,8 +13,6 @@ from .hypergeom import (
     recip_gamma,
 )
 from .legendre import (
-    Argument,
-    Domain,
     ParameterPoint,
     ferrers_p,
     legendre_p,

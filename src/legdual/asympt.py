@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .coeffs import FactorList, lauricella_G
 from .errors import BoundUnavailableError, DegenerateError
-from .hypergeom import INT_TOL, pochhammer, recip_gamma
+from .hypergeom import INT_TOL, nearest_int, pochhammer, recip_gamma
 
 __all__ = [
     "AsymptoticEstimate",
@@ -35,15 +35,6 @@ class AsymptoticEstimate:
     leading: complex
     remainder_bound: float | None
     order_hint: float
-
-
-def _near_int(z: complex) -> int | None:
-    if abs(z.imag) > INT_TOL:
-        return None
-    k = round(z.real)
-    if abs(z.real - k) > INT_TOL:
-        return None
-    return int(k)
 
 
 def _node_prefactor(f: FactorList, m: int) -> complex:
@@ -83,7 +74,7 @@ def darboux_G_leading(n: int, f: FactorList) -> AsymptoticEstimate:
         raise ValueError("index must be positive for an asymptotic estimate")
     eligible = [
         m for m in range(len(f))
-        if not ((k := _near_int(f.taus[m])) is not None and k < 0)
+        if not ((k := nearest_int(f.taus[m], INT_TOL)) is not None and k < 0)
     ]
     if not eligible:
         raise DegenerateError("all exponents are negative integers; no algebraic singularity")
@@ -93,7 +84,7 @@ def darboux_G_leading(n: int, f: FactorList) -> AsymptoticEstimate:
     dominant = [m for m in on_circle if abs(f.taus[m].real - big_t) <= 1e-12]
     total = 0j
     for m in dominant:
-        if (k := _near_int(f.taus[m])) is not None and k <= 0:
+        if (k := nearest_int(f.taus[m], INT_TOL)) is not None and k <= 0:
             raise DegenerateError(
                 f"dominant exponent {f.taus[m]} is a nonpositive integer; leading term vanishes"
             )
@@ -121,7 +112,7 @@ def darboux_G_refined(n: int, f: FactorList, K: "int | list[int]") -> Asymptotic
     total = 0j
     big_t = None
     for m in range(len(f)):
-        k_int = _near_int(f.taus[m])
+        k_int = nearest_int(f.taus[m], INT_TOL)
         if k_int is not None and k_int <= 0:
             continue
         a_m = _node_prefactor(f, m)

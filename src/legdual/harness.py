@@ -47,7 +47,6 @@ class HarnessConfig:
         Kind.FINITE_SUM: 50,
         Kind.VANISHING_SUM: 50,
     })
-    policy: TruncationPolicy = DEFAULT_POLICY
 
     def __post_init__(self) -> None:
         for kind, n in self.sample_counts.items():
@@ -173,8 +172,7 @@ def run_suite(cfg: HarnessConfig = HarnessConfig()) -> SuiteResult:
         if n is None:
             continue
         ran_any = True
-        reports = sweep_identity(desc.id, n_samples=n, seed=cfg.seed,
-                                 policy=cfg.policy)
+        reports = sweep_identity(desc.id, n_samples=n, seed=cfg.seed)
         pass_counts[desc.id] = sum(1 for r in reports if r.passed)
         failures.extend(r for r in reports if not r.passed)
     asym = asymptotic_checks() if ran_any else {}

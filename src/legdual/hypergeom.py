@@ -28,8 +28,8 @@ __all__ = [
     "gauss_2f1",
     "pfq_terminating",
     "KahanSum",
-    "nonpos_int_distance",
     "is_nonpos_int",
+    "nearest_int",
     "terminating_index",
 ]
 
@@ -75,25 +75,32 @@ class KahanSum:
         return self.total
 
 
-def nonpos_int_distance(z: complex) -> float:
-    """Distance from z to the nearest nonpositive integer."""
-    z = complex(z)
-    k = round(z.real)
-    if k > 0:
-        k = 0
-    return abs(z - k)
+def terminating_index(*params: complex, tol: float = INT_TOL) -> int | None:
+    """The least k >= 0 with one of params within tol of -k, else None: the
+    index at which a Pochhammer product over those params first vanishes."""
+    least = None
+    for a in params:
+        k = round(-a.real)
+        if k >= 0 and abs(a + k) <= tol and (least is None or k < least):
+            least = k
+    return least
 
 
 def is_nonpos_int(z: complex, tol: float = POLE_TOL) -> bool:
-    return nonpos_int_distance(z) <= tol
+    """terminating_index(z, tol=tol) is not None, unrolled for one
+    parameter: every gamma call asks it."""
+    k = round(-z.real)
+    return k >= 0 and abs(z + k) <= tol
 
 
-def terminating_index(a: complex, tol: float = INT_TOL) -> int | None:
-    """If -a is a nonnegative integer within tol, return it, else None."""
-    a = complex(a)
-    k = round(-a.real)
-    if k >= 0 and abs(a + k) <= tol:
-        return k
+def nearest_int(z: complex, tol: float) -> int | None:
+    """The integer within tol of both parts of z, else None."""
+    if isinstance(z, int):
+        return z
+    z = complex(z)
+    n = round(z.real)
+    if abs(z.imag) <= tol and abs(z.real - n) <= tol:
+        return int(n)
     return None
 
 
@@ -174,21 +181,14 @@ def gauss_2f1(
     """Gauss hypergeometric series by the term-ratio recurrence.
 
     Nonterminating use requires |t| < 1; a terminating numerator (within
-    1e-12 of a nonpositive integer) is summed exactly regardless of t.
+    1e-12 of a nonpositive integer) is summed exactly regardless of t.  A
+    denominator within 1e-14 of a pole that the sum reaches raises
+    PoleError; callers take the limit there (`legendre._f_over_gamma_c`).
     """
     a, b, c = complex(a), complex(b), complex(c)
     t = float(t)
-    na = terminating_index(a)
-    nb = terminating_index(b)
-    n_stop: int | None = None
-    if na is not None and nb is not None:
-        n_stop = min(na, nb)
-    elif na is not None:
-        n_stop = na
-    elif nb is not None:
-        n_stop = nb
-
-    nc = terminating_index(c)
+    n_stop = terminating_index(a, b)
+    nc = terminating_index(c, tol=POLE_TOL)
     if nc is not None and (n_stop is None or nc < n_stop):
         raise PoleError(f"2F1 denominator parameter c = {c} hits a pole before termination")
     if n_stop is None and abs(t) >= 1.0:

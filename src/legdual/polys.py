@@ -24,7 +24,7 @@ import math
 import sys
 from collections.abc import Iterator
 
-from .hypergeom import KahanSum, pfq_terminating, pochhammer
+from .hypergeom import KahanSum, pfq_terminating, pochhammer, terminating_index
 from .series import nth, two_factor
 
 __all__ = [
@@ -38,15 +38,6 @@ __all__ = [
     "gauss_hyper_poly",
     "gauss_hyper_poly_seq",
 ]
-
-
-def _poch_vanishes_before(tau: complex, length: int) -> int | None:
-    """If (tau)_p = 0 for some p <= length, return the nonneg integer -tau."""
-    if tau.imag == 0.0 and tau.real == round(tau.real):
-        m = int(-tau.real)
-        if 0 <= m < length:
-            return m
-    return None
 
 
 def _balanced_term(tau: complex, k: int, j: int, two_x: float) -> complex:
@@ -83,8 +74,8 @@ def gegenbauer(k: int, tau: complex, x: float) -> complex:
     two_x = 2.0 * x
 
     j0 = 0
-    m = _poch_vanishes_before(tau, k)
-    if m is not None:
+    m = terminating_index(tau, tol=0.0)
+    if m is not None and m < k:
         # (tau)_{k-j} = 0 until k-j <= m
         j0 = k - m
         if j0 > jmax:

@@ -676,11 +676,6 @@ def _fact(n: int) -> float:
     return float(math.factorial(n))
 
 
-def _min_term(*indices):
-    vals = [i for i in indices if i is not None]
-    return min(vals) if vals else None
-
-
 def _build_catalog() -> None:
     # samplers shared within a family
     mu_sampler = lambda rng: {"mu": _offaxis(rng)}
@@ -730,10 +725,7 @@ def _build_catalog() -> None:
 
     # ---- first inversion family ---------------------------------------
     def t4_ntop(p):
-        return _min_term(
-            terminating_index(p["nu"] + 1.0),
-            terminating_index(0.5 * (p["mu"] + p["nu"] + 1.0)),
-        )
+        return terminating_index(p["nu"] + 1.0, 0.5 * (p["mu"] + p["nu"] + 1.0))
 
     def t4_coeffs(p):
         """(1/2 (mu+nu+1))_n (nu+1)_n / n! for n = 0, 1, ..."""
@@ -1325,7 +1317,7 @@ def _build_catalog() -> None:
     ))
 
     # ---- quadratic argument family ------------------------------------
-    t9_ntop = lambda p: _min_term(terminating_index(2.0 * p["nu"]), _poch_top(p))
+    t9_ntop = lambda p: terminating_index(2.0 * p["nu"], p["mu"] - p["nu"])
     t9_guards = [lambda nu, mu: nu, lambda nu, mu: mu, lambda nu, mu: nu + 0.5,
                  lambda nu, mu: 0.5 * (mu + nu), lambda nu, mu: 0.5 * (mu - nu + 1.0)]
     t9_sampler = _guarded_pair(guards=t9_guards)
@@ -1359,7 +1351,7 @@ def _build_catalog() -> None:
             _rising(-2.0 * p["nu"]), _rising(p["mu"] - p["nu"]),
             (1.0 / d for d in _rising(0.5 - p["nu"])), gegenbauer_seq(0.5 + p["nu"], x),
             _P_chain(p["nu"], p["mu"], x, 0, pol)),
-        n_top=lambda p: _min_term(terminating_index(-2.0 * p["nu"]), _poch_top(p)),
+        n_top=lambda p: terminating_index(-2.0 * p["nu"], p["mu"] - p["nu"]),
         sampler=t9_sampler, tail=t9_tail,
     ))
 

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -14,7 +13,7 @@ from legdual.harness import (
     convergence_table,
     run_suite,
 )
-from legdual.hypergeom import DEFAULT_POLICY
+from legdual import registry
 from legdual.registry import INV_SQRT2, Kind, _get_impl, list_identities, tail_order_predict
 
 
@@ -54,12 +53,13 @@ class TestRunSuite:
         assert hashlib.sha256(doc.encode()).hexdigest() == (
             "ec79c7ef78a54e4879277b9500e1c005c18ea61f99875b37ed351dedfd3bd616")
 
-    def test_every_point_counted(self):
+    def test_every_point_counted(self, monkeypatch):
         # a 12-term cap fails most series points; passing or failing, each
         # swept point is counted once
-        capped = HarnessConfig(seed=3, sample_counts={Kind.INFINITE_SERIES: 2},
-                               policy=replace(DEFAULT_POLICY, max_terms=12))
+        capped = HarnessConfig(seed=3, sample_counts={Kind.INFINITE_SERIES: 2})
         for cfg in (self.CFG, capped):
+            if cfg is capped:
+                monkeypatch.setattr(registry, "_SERIES_CAP", 12)
             r = run_suite(cfg)
             swept = sum(cfg.count_for(d.kind) * len(_get_impl(d.id).x_grid)
                         for d in list_identities() if cfg.count_for(d.kind))

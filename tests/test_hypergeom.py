@@ -5,7 +5,7 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from legdual.errors import MaxTermsError, NotTerminatingError
@@ -16,7 +16,7 @@ from legdual.hypergeom import (
     gamma,
     gauss_2f1,
     is_nonpos_int,
-    nonpos_int_distance,
+    nearest_int,
     pfq_terminating,
     pochhammer,
     recip_gamma,
@@ -80,7 +80,7 @@ class TestGamma:
                               allow_nan=False, allow_infinity=False))
     @settings(max_examples=80, deadline=None)
     def test_recurrence(self, z):
-        if nonpos_int_distance(z) < 0.05 or nonpos_int_distance(z + 1) < 0.05:
+        if is_nonpos_int(z, 0.05) or is_nonpos_int(z + 1, 0.05):
             return
         lhs = gamma(z + 1)
         rhs = z * gamma(z)
@@ -104,10 +104,19 @@ class TestRecipGamma:
 
 
 class TestIntegerPredicates:
-    def test_nonpos_int_distance(self):
-        assert nonpos_int_distance(-3.0) == 0.0
-        assert abs(nonpos_int_distance(-2.5) - 0.5) < 1e-15
-        assert abs(nonpos_int_distance(1.0) - 1.0) < 1e-15
+    @given(st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False),
+           st.sampled_from([0.0, 1e-14, 1e-12, 0.05, 0.49]))
+    @example(-3.0, 0.0)
+    @example(-3.0 + 1e-13j, 1e-12)
+    @example(-3.0 + 1e-13j, 1e-14)
+    @example(-2.5, 0.49)
+    @example(-0.5, 0.49)
+    @example(0.3, 0.49)
+    @settings(max_examples=100, deadline=None)
+    def test_is_nonpos_int_is_distance_to_nonpositive_integers(self, z, tol):
+        nearest = min(round(z.real), 0)
+        assert is_nonpos_int(z, tol) == (abs(z - nearest) <= tol)
+        assert is_nonpos_int(z, tol) == (terminating_index(z, tol=tol) is not None)
 
     def test_is_nonpos_int(self):
         assert is_nonpos_int(0.0)
@@ -120,6 +129,20 @@ class TestIntegerPredicates:
         assert terminating_index(0.0) == 0
         assert terminating_index(2.3) is None
         assert terminating_index(-3.0 + 1e-6j) is None
+
+    def test_terminating_index_is_the_least(self):
+        assert terminating_index(-4.0, -2.0 + 1e-13, 3.0) == 2
+        assert terminating_index(0.5, 2.3) is None
+        assert terminating_index() is None
+        assert terminating_index(-2.0 + 1e-13, -5.0, tol=1e-14) == 5
+        assert terminating_index(-2.0 + 1e-15j, tol=0.0) is None
+
+    def test_nearest_int(self):
+        assert nearest_int(3, 0.0) == 3
+        assert nearest_int(3.0 + 1e-15j, 1e-14) == 3
+        assert nearest_int(-2.0 + 5e-13, 1e-14) is None
+        assert nearest_int(-2.0 + 5e-13, 1e-12) == -2
+        assert nearest_int(2.0 + 5e-13j, 1e-14) is None
 
 
 class TestGauss2F1:

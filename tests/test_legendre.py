@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from legdual.errors import DomainError, PoleError
 from legdual.legendre import (
-    Argument,
-    Domain,
     ParameterPoint,
+    _P,
     ferrers_p,
     legendre_p,
     legendre_q,
@@ -31,14 +30,30 @@ def _close(ours, theirs, rel=1e-13):
 
 
 class TestArgument:
-    def test_domain_tagging(self):
-        assert Argument(0.4).domain is Domain.FERRERS
-        assert Argument(1.3).domain is Domain.LEGENDRE
-
     @pytest.mark.parametrize("x", [1.0, -1.0, -2.0, float("inf"), float("nan")])
     def test_rejects_bad_points(self, x):
-        with pytest.raises(DomainError):
-            Argument(x)
+        # every entry point, and _P at integer and non-integer parameters
+        for fn in (ferrers_p, legendre_p, legendre_q):
+            with pytest.raises(DomainError):
+                fn(ParameterPoint(0.5 + 0.2j, 0.3), x)
+        for nu, mu in [(0.5 + 0.2j, 0.3), (3, 1), (3, -1), (4.0, 0.0)]:
+            with pytest.raises(DomainError):
+                _P(nu, mu, x)
+
+
+class TestIntegerDegree:
+    @pytest.mark.parametrize("k,m,x", [
+        (16, 1, 0.3), (25, 0, 0.3), (40, 2, 0.3), (60, 3, 0.5), (40, -2, 0.3),
+        (25, 0, 1.5), (40, -2, 1.2), (16, 1, 3.0),
+    ])
+    def test_every_entry_point_takes_the_recurrence(self, k, m, x):
+        # the terminating sum at t = (1 - x)/2 cancels at these points;
+        # the degree recurrence does not
+        fn, kind = (ferrers_p, 2) if x < 1.0 else (legendre_p, 3)
+        sv = fn(ParameterPoint(k, m), x)
+        _close(sv.value, mp.legenp(k, -m, mp.mpf(x), type=kind))
+        assert sv.value == _P(k, m, x)
+        assert sv.error_estimate == 0.0
 
 
 class TestFerrersP:
@@ -137,6 +152,17 @@ class TestLegendreP:
     def test_rejects_ferrers_window(self):
         with pytest.raises(DomainError):
             legendre_p(ParameterPoint(0.5, 0.5), 0.5)
+
+
+class TestOrderNearPole:
+    @pytest.mark.parametrize("eps", [5e-15, 5e-13, 2e-12])
+    @pytest.mark.parametrize("fn,x,kind", [(ferrers_p, 0.5, 2), (legendre_p, 1.5, 3)])
+    def test_order_near_the_pole(self, fn, x, kind, eps):
+        # 1 + mu within 1e-14 of 0 takes the limit; just outside it the
+        # series must still be summed, not refused as a pole
+        nu, mu = 0.3 + 0.1j, -1.0 + eps
+        ref = mp.legenp(mp.mpc(nu), -mp.mpf(mu), mp.mpf(x), type=kind)
+        _close(fn(ParameterPoint(nu, mu), x).value, ref, rel=1e-12)
 
 
 class TestLegendreQ:
