@@ -4,9 +4,11 @@ Maclaurin coefficients of products of powers of short series: binomial
 factors (1 - w z)^(-tau) and (1 -/+ z^2)^(-rho), the square roots
 sqrt(1 -/+ z) and sqrt(1 -/+ z^2), and affine shifts of them.  Each family is
 one expression over the `series` primitives (Cauchy products, binomial
-factors, and the power recurrence a g' = b g), so no parameter value needs a
-form of its own.  A factor F(z^2) that is even in z is built in u = z^2, at
-half the length, and joins the odd factors through the strided product
+factors, and the power recurrence a g' = b g) and, for the half-root powers
+((1 + sqrt(1 -/+ u))/2)^(-a) of frak_p and omega_pm, a Gauss-function stream
+at O(1) per coefficient (`_half_root_power`), so no parameter value needs a
+form of its own.  A factor F(z^2) that is even in z is built in u = z^2, at half the
+length, and joins the odd factors through the strided product
 `mul(odd, F, 2)`.  The generating functions are never evaluated here, so
 their values stay independent oracles.
 
@@ -20,6 +22,7 @@ streams, iterate the sequence instead.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from .errors import DuplicateNodeError, PoleError
 from .hypergeom import pochhammer
 from .polys import gegenbauer
-from .series import affine, binomial, mul, nth, power, two_factor
+from .series import affine, binomial, mul, nth, power, solve, two_factor
 
 __all__ = [
     "FactorList",
@@ -132,14 +135,31 @@ def script_G_hat(n: int, tau: complex, rho: complex, eta: complex) -> complex:
     return nth(script_G_hat_seq(tau, rho, eta), n)
 
 
-def _half_root(sign: int) -> Iterator[complex]:
-    """(1 + sqrt(1 - sign u)) / 2."""
-    return affine(0.5, 0.5, binomial(-0.5, sign))
+def _half_root_power(sign: int, a: complex) -> Iterator[complex]:
+    """((1 + sqrt(1 - sign u)) / 2)^(-a) = 2F1(a/2, (a+1)/2; a+1; sign u)
+    (DLMF 15.4.18): h_0 = 1 and h_n = a (a+n+1)_(n-1) (sign/4)^n / n!,
+    entire in a, each from the last by its term ratio
+    sign (a+2n)(a+2n+1) / (4 (n+1)(a+n+1)).
+
+    Every factor is formed as a + k with an integer k, so a divisor is the
+    same rounded value as the numerator factor it cancels.  Where a+n+1 is
+    exactly 0 (integer a <= -1), h_{n+1} is formed afresh from its product."""
+    a = complex(a)
+    q = sign / 4.0
+    h = complex(1.0)
+    for n in itertools.count():
+        yield h
+        if a + (n + 1) != 0:
+            h *= (a + 2 * n) * (a + (2 * n + 1)) * q / ((n + 1) * (a + (n + 1)))
+        else:
+            h = a * q / (n + 1)
+            for k in range(1, n + 1):
+                h *= (a + (n + 1 + k)) * q / k
 
 
 def frak_p_seq(rho: complex, tau: complex, t: complex) -> Iterator[complex]:
     """Coefficients of z^0, z^1, ... in 2^tau (1-zt)^(-rho) (1+sqrt(1-z))^(-tau)."""
-    return mul(binomial(rho, t), power(_half_root(1), -complex(tau)))
+    return mul(binomial(rho, t), _half_root_power(1, tau))
 
 
 def frak_p(n: int, rho: complex, tau: complex, t: complex) -> complex:
@@ -156,7 +176,7 @@ def omega_pm_seq(nu: complex, mu: complex, t: complex, sign: int) -> Iterator[co
     """Coefficients of z^0, z^1, ... in (1+tz)^(-nu) ((1+sqrt(1 +/- z^2))/2)^(-mu)."""
     _check_sign(sign)
     # the even factor in u = z^2
-    return mul(binomial(nu, -complex(t)), power(_half_root(-sign), -complex(mu)), 2)
+    return mul(binomial(nu, -complex(t)), _half_root_power(-sign, mu), 2)
 
 
 def omega_pm(n: int, nu: complex, mu: complex, t: complex, sign: int) -> complex:
@@ -185,16 +205,23 @@ def frak_N_seq(nu: complex, mu: complex, x: float, sign: int) -> Iterator[comple
     (1 + tz)^(-nu) (1 + y r)^nu ((1 + r)/2)^(-mu), r = sqrt(1 +/- z^2),
     with t = |x^(-/+2) - 1|^(-1/2) and y = x or 1/x: the Cauchy product
     tying frak_D and omega_pm together.  Both powers of r are even in z, so
-    their product is built in u = z^2 and enters through one strided
-    product."""
+    their product E is built in u = z^2 and enters through one strided
+    product.  E is one solve of a E' = b E, a = 2 r (1 + y r)(1 + r) and
+    b = sign (nu y (1 + r) - mu (1 + y r)), both linear in r since
+    r^2 = 1 + sign u, so no Cauchy product forms them."""
     _check_sign(sign)
     if not (0.0 < x < 1.0):
         raise ValueError("x must lie in (0, 1)")
     nu, mu = complex(nu), complex(mu)
     t = abs(x ** (-2.0 if sign > 0 else 2.0) - 1.0) ** -0.5
     y = x if sign > 0 else 1.0 / x
-    root = power(affine(1.0, y, binomial(-0.5, -sign)), nu)  # in u = z^2
-    return mul(binomial(nu, -t), mul(power(_half_root(-sign), -mu), root), 2)
+    r0, r1, r2 = itertools.tee(binomial(-0.5, -sign), 3)  # r in u = z^2
+    # a = 2 ((1 + y)(1 + sign u + r) + y sign u r)
+    a = (2.0 * ((1.0 + y) * (c + v) + y * sign * w) for c, v, w in zip(
+        itertools.chain((1.0, sign), itertools.repeat(0.0)), r0, itertools.chain((0j,), r1)))
+    b = affine(sign * (nu * y - mu), sign * y * (nu - mu), r2)
+    even = solve(a, b, cmath.exp(nu * math.log(1.0 + y)))
+    return mul(binomial(nu, -t), even, 2)
 
 
 def frak_N(n: int, nu: complex, mu: complex, x: float, sign: int) -> complex:

@@ -6,10 +6,11 @@ are taken as principal values.  The reciprocal-gamma prefactor makes the
 values entire in the order parameter: where 1 + mu is a nonpositive integer
 they are the limit.
 
-Integer degree k >= 0 with order -m, m <= k, takes one route from every
-first-kind entry point (`ferrers_p`, `legendre_p` and the dispatcher `_P`):
-the degree recurrence `_P_int`, stable where the terminating hypergeometric
-sum cancels.  All other parameters sum the hypergeometric series.
+Integer degree, k >= 0 or its reflection -k - 1 (the same function, DLMF
+14.9.5), with order -m, m <= k, takes one route from every first-kind entry
+point (`ferrers_p`, `legendre_p` and the dispatcher `_P`): the degree
+recurrence `_P_int`, stable where the terminating hypergeometric sum
+cancels.  All other parameters sum the hypergeometric series.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def ferrers_p(p: ParameterPoint, x: float,
     v = _P_int(nu, mu, x)
     if v is not None:
         # exact to rounding, counted as the k + 1 terms of the sum it replaces
-        return SeriesValue(v, round(nu.real) + 1, 0.0)
+        return SeriesValue(v, _int_degree(nu) + 1, 0.0)
     t = (1.0 - x) / 2.0
     a, b, c = -nu, nu + 1.0, 1.0 + mu
     if x <= 0.0:
@@ -116,7 +117,7 @@ def legendre_p(p: ParameterPoint, x: float,
         raise DomainError(f"legendre_p requires 1 < x < inf, got {x}")
     v = _P_int(p.nu, p.mu, x)
     if v is not None:
-        return SeriesValue(v, round(p.nu.real) + 1, 0.0)
+        return SeriesValue(v, _int_degree(p.nu) + 1, 0.0)
     return _legendre_p_series(p.nu, p.mu, (x - 1.0) / (x + 1.0),
                               math.log(x - 1.0), math.log(x + 1.0), policy)
 
@@ -156,16 +157,23 @@ def legendre_q(p: ParameterPoint, x: float,
     return _scaled(prefactor, sv)
 
 
+def _int_degree(nu: complex) -> "int | None":
+    """The k >= 0 with nu = k or nu = -k - 1, where P takes the same value
+    (DLMF 14.9.5); None off the integers."""
+    k = nearest_int(nu, POLE_TOL)
+    return None if k is None else max(k, -k - 1)
+
+
 def _P_int(nu: complex, mu: complex, x: float) -> "complex | None":
-    """P of integer degree k >= 0 and order -m, m <= k, at x in either
-    interval, by the degree recurrence (DLMF 14.10.3); None for any other
-    parameters, DomainError for x outside both intervals.
+    """P of integer degree (`_int_degree` k) and order -m, m <= k, at x in
+    either interval, by the degree recurrence (DLMF 14.10.3); None for any
+    other parameters, DomainError for x outside both intervals.
 
     The recurrence is forward-stable where the terminating hypergeometric
     series cancels catastrophically (large degree, moderate x)."""
-    k = nearest_int(nu, POLE_TOL)
+    k = _int_degree(nu)
     m = nearest_int(mu, POLE_TOL)
-    if k is None or m is None or k < 0 or m > k:
+    if k is None or m is None or m > k:
         return None
     # seed P_n^n, n = |m|, then raise the degree to k
     n = abs(m)

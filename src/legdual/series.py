@@ -2,8 +2,9 @@
 
 A stream is an iterator over the Maclaurin coefficients of z^0, z^1, ... of
 one function; each coefficient is computed once, when it is first asked for.
-Every generating-coefficient family of `coeffs` and `polys` is one
-expression in four primitives:
+The generating-coefficient families of `coeffs` and `polys` are expressions
+in four primitives (and, for the half-root powers, `coeffs`'s own
+term-ratio stream of a Gauss function):
 
 - `binomial(tau, w)`: (1 - w z)^(-tau), by its two-term recurrence;
 - `mul(a, b, k)`: the strided Cauchy product a(z) b(z^k), compensated.  A

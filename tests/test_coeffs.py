@@ -136,7 +136,8 @@ class TestSqrtFamilies:
         _match(lhs, lambda n: frak_D(n, TAU, x, True) / 2.0**n, z)
 
     def test_frak_D_integer_exponent_fallback(self):
-        # tau in [1-n, -1] voids the pFq form; the Jacobi route takes over
+        # a negative integer tau cubes a square root: no special case, the
+        # Miller power of 1 + y sqrt(1 + z) runs as at any other exponent
         v = frak_D(5, -3.0, 0.7, False)
         z = 0.2
         lhs = (1 + 0.7 * math.sqrt(1 + z)) ** 3.0

@@ -55,6 +55,19 @@ class TestIntegerDegree:
         assert sv.value == _P(k, m, x)
         assert sv.error_estimate == 0.0
 
+    @pytest.mark.parametrize("k,m,x", [
+        (40, 2, 0.3), (60, 3, 0.5), (25, 0, 0.3), (16, 1, 0.3), (40, -2, 1.2),
+    ])
+    def test_reflected_degree_takes_the_recurrence(self, k, m, x):
+        # degree -k - 1 is degree k (DLMF 14.9.5); its terminating sum
+        # cancels as much as degree k's
+        fn, kind = (ferrers_p, 2) if x < 1.0 else (legendre_p, 3)
+        sv = fn(ParameterPoint(-k - 1, m), x)
+        _close(sv.value, mp.legenp(-k - 1, -m, mp.mpf(x), type=kind))
+        assert sv.value == _P(-k - 1, m, x) == _P(k, m, x)
+        assert sv.error_estimate == 0.0
+        assert sv.terms_used == k + 1
+
 
 class TestFerrersP:
     def test_degree_zero_is_one(self):

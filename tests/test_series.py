@@ -135,7 +135,8 @@ class TestPrimitives:
             next(series.solve([0.0, 1.0], [1.0], 1.0))
 
 
-# name: (sequence, scalar accessor, parameters, generating function, radius)
+# name: (sequence, scalar accessor, parameters, generating function, radius
+# [, coefficients checked, N if absent])
 FAMILIES = {
     "gauss_hyper_poly": (
         polys.gauss_hyper_poly_seq, polys.gauss_hyper_poly, (TAU, RHO, 1.3),
@@ -176,17 +177,29 @@ FAMILIES = {
         coeffs.frak_D_seq, coeffs.frak_D, (TAU, 0.65, True),
         lambda u: (1 + mp.sqrt(1 - 2 * u) / mp.mpf(0.65)) ** -_c(TAU), 0.5),
 }
+# the half-root power of sqrt(1 - z) (frak_p) and of sqrt(1 + z^2)
+# (omega_plus) at integer exponents, where its term ratio meets 0/0, and next
+# to one, where it nearly does
+for _tau in (-1.0, -2.0, -4.0, -7.0, -3 + 1e-9j):
+    FAMILIES[f"frak_p_tau{_tau}"] = (
+        coeffs.frak_p_seq, coeffs.frak_p, (RHO, _tau, 0.6),
+        lambda z, tau=_tau: (1 - 0.6 * z) ** -_c(RHO) * _half_root(z, 1) ** -_c(tau),
+        1.0, 144)
+    FAMILIES[f"omega_plus_mu{_tau}"] = (
+        coeffs.omega_pm_seq, coeffs.omega_pm, (NU, _tau, 0.7, 1),
+        lambda z, tau=_tau: (1 + 0.7 * z) ** -_c(NU) * _half_root(z * z, -1) ** -_c(tau),
+        1.0, 144)
 
 
 class TestFamilies:
     @pytest.mark.parametrize("name", FAMILIES)
     def test_matches_mpmath(self, name):
-        seq, _, args, gen, radius = FAMILIES[name]
-        _check(seq(*args), _taylor(gen, radius))
+        seq, _, args, gen, radius, *n = FAMILIES[name]
+        _check(seq(*args), _taylor(gen, radius, *n))
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_element_is_scalar_accessor(self, name):
-        seq, scalar, args, _, _ = FAMILIES[name]
+        seq, scalar, args, *_ = FAMILIES[name]
         elements = list(itertools.islice(seq(*args), 21))
         for n in (0, 1, 7, 20):
             assert scalar(n, *args) == elements[n]
@@ -216,8 +229,9 @@ class TestFamilies:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_frak_N_builds_its_even_factors_at_half_length(self, monkeypatch, sign):
-        # the Miller powers of sqrt(1 +/- z^2) run in u = z^2: 144 coefficients
-        # of frak_N need each power only to u^71
+        # the even factor runs in u = z^2: 144 coefficients of frak_N need it
+        # only to u^71.  It is one solve, and the half-root power of frak_p
+        # and omega_pm comes from its term ratio and draws none
         drawn = []
 
         def counted_solve(*args, _solve=series.solve):
@@ -228,9 +242,13 @@ class TestFamilies:
                 yield v
 
         monkeypatch.setattr(series, "solve", counted_solve)
+        monkeypatch.setattr(coeffs, "solve", counted_solve)
         assert len(list(itertools.islice(coeffs.frak_N_seq(NU, MU, 0.55, sign), 144))) == 144
-        assert len(drawn) == 2
+        assert len(drawn) == 1
         assert max(drawn) <= 73
+        drawn.clear()
+        assert len(list(itertools.islice(coeffs._half_root_power(-sign, MU), 72))) == 72
+        assert drawn == []
 
 
 class TestTwoFactorPolynomialFactor:
