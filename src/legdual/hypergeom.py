@@ -184,6 +184,17 @@ def gauss_2f1(
     1e-12 of a nonpositive integer) is summed exactly regardless of t.  A
     denominator within 1e-14 of a pole that the sum reaches raises
     PoleError; callers take the limit there (`legendre._f_over_gamma_c`).
+
+    A nonterminating sum stops after `consecutive_small` terms in a row with
+    |term| <= rel_tol * max(|total|, ABS_FLOOR).  That test is read only
+    where a term can pass it.  `bound` runs as 2 (1 + sum of |term|), which
+    is at least |total| and at least ABS_FLOOR; the factor 2 covers the
+    rounding of both sums, whose relative error stays below 4 n eps over n
+    terms.  So, for rel_tol >= 0, a term with |term| > rel_tol * bound fails
+    the test and only resets the run, and the test decides every other
+    term.  While `bound` is finite |total| cannot overflow, so the value,
+    term count, error estimate and any error raised (abs's OverflowError
+    too) are those of testing every term.
     """
     a, b, c = complex(a), complex(b), complex(c)
     t = float(t)
@@ -194,26 +205,33 @@ def gauss_2f1(
     if n_stop is None and abs(t) >= 1.0:
         raise DivergenceError(f"nonterminating 2F1 at |t| = {abs(t)} >= 1")
 
-    total = complex(1.0)
-    term = complex(1.0)
-    small_run = 0
-    n = 0
-    while True:
-        if n_stop is not None and n >= n_stop:
-            return SeriesValue(total, n + 1, 0.0)
-        if n >= policy.max_terms:
+    total = term = complex(1.0)
+    if n_stop is not None:
+        # the cap is read before each term is formed, so it is reached only
+        # when at least one of the n_stop terms lies past it
+        if n_stop > max(policy.max_terms, 0):
             raise MaxTermsError(f"2F1 did not converge within {policy.max_terms} terms")
+        for n in range(n_stop):
+            term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * t
+            total += term
+        return SeriesValue(total, n_stop + 1, 0.0)
+    rel_tol = policy.rel_tol
+    bound = 2.0
+    small_run = 0
+    for n in range(policy.max_terms):
         term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * t
         total += term
-        n += 1
-        if n_stop is None:
-            if abs(term) <= policy.rel_tol * max(abs(total), ABS_FLOOR):
-                small_run += 1
-                if small_run >= policy.consecutive_small:
-                    err = abs(term) / max(1.0 - abs(t), 1e-16)
-                    return SeriesValue(total, n + 1, err)
-            else:
-                small_run = 0
+        size = abs(term)
+        bound += size + size
+        if size > rel_tol * bound:
+            small_run = 0
+        elif size <= rel_tol * max(abs(total), ABS_FLOOR):
+            small_run += 1
+            if small_run >= policy.consecutive_small:
+                return SeriesValue(total, n + 2, size / max(1.0 - abs(t), 1e-16))
+        else:
+            small_run = 0
+    raise MaxTermsError(f"2F1 did not converge within {policy.max_terms} terms")
 
 
 def pfq_terminating(

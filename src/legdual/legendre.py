@@ -112,7 +112,11 @@ def ferrers_p(p: ParameterPoint, x: float,
 
 def legendre_p(p: ParameterPoint, x: float,
                policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
-    """Associated Legendre function of the first kind, order -mu, on (1,inf)."""
+    """Associated Legendre function of the first kind, order -mu, on (1,inf).
+
+    Off `_P_int` this sums a Gauss series in t = (x-1)/(x+1) = 1 - 2/(x+1),
+    which takes O(x) terms: near x = 1e4 some parameters need more than the
+    default 100,000 and raise MaxTermsError."""
     if not 1.0 < x < math.inf:
         raise DomainError(f"legendre_p requires 1 < x < inf, got {x}")
     v = _P_int(p.nu, p.mu, x)

@@ -8,10 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from legdual.errors import MaxTermsError, NotTerminatingError
+from legdual.errors import (
+    DivergenceError,
+    MaxTermsError,
+    NotTerminatingError,
+    PoleError,
+)
 from legdual.hypergeom import (
+    ABS_FLOOR,
     DEFAULT_POLICY,
+    POLE_TOL,
     KahanSum,
+    SeriesValue,
     TruncationPolicy,
     gamma,
     gauss_2f1,
@@ -174,6 +182,103 @@ class TestGauss2F1:
         policy = TruncationPolicy(rel_tol=1e-13, max_terms=5)
         with pytest.raises(MaxTermsError):
             gauss_2f1(0.3, 0.7, 1.2, 0.9, policy)
+
+
+def _reference_2f1(a, b, c, t, policy=DEFAULT_POLICY):
+    """`gauss_2f1` with one loop for both kinds of sum and the truncation
+    test read at every term: the outcome `gauss_2f1` must match bit for
+    bit."""
+    a, b, c = complex(a), complex(b), complex(c)
+    t = float(t)
+    n_stop = terminating_index(a, b)
+    nc = terminating_index(c, tol=POLE_TOL)
+    if nc is not None and (n_stop is None or nc < n_stop):
+        raise PoleError(f"2F1 denominator parameter c = {c} hits a pole before termination")
+    if n_stop is None and abs(t) >= 1.0:
+        raise DivergenceError(f"nonterminating 2F1 at |t| = {abs(t)} >= 1")
+
+    total = complex(1.0)
+    term = complex(1.0)
+    small_run = 0
+    n = 0
+    while True:
+        if n_stop is not None and n >= n_stop:
+            return SeriesValue(total, n + 1, 0.0)
+        if n >= policy.max_terms:
+            raise MaxTermsError(f"2F1 did not converge within {policy.max_terms} terms")
+        term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * t
+        total += term
+        n += 1
+        if n_stop is None:
+            if abs(term) <= policy.rel_tol * max(abs(total), ABS_FLOOR):
+                small_run += 1
+                if small_run >= policy.consecutive_small:
+                    err = abs(term) / max(1.0 - abs(t), 1e-16)
+                    return SeriesValue(total, n + 1, err)
+            else:
+                small_run = 0
+
+
+def _outcome(fn, *args):
+    """Every bit of a SeriesValue (signed zeros and NaNs included), or the
+    type and message of what was raised."""
+    try:
+        sv = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (sv.value.real.hex(), sv.value.imag.hex(), sv.terms_used,
+            sv.error_estimate.hex())
+
+
+_part = st.floats(-30.0, 30.0)
+# integers make terminating numerators and poles in c
+_param = st.one_of(st.builds(complex, _part, _part),
+                   st.integers(-30, 30).map(complex))
+
+
+class TestGauss2F1MatchesEveryTermTest:
+    """`gauss_2f1` reads the truncation test only where a term can pass it;
+    every outcome must be that of reading it at every term."""
+
+    @given(a=_param, b=_param, c=_param,
+           t=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+           rel_tol=st.sampled_from([1e-13, 2.0 ** -52, 1e-8]),
+           consecutive_small=st.sampled_from([1, 2, 3]),
+           max_terms=st.sampled_from([5, 50, 100000]))
+    # a numerator 1e-9 off -5 makes term 6 dip below the test mid-sum, and a
+    # denominator 1e-3 off -6 lifts term 7 far above it: the run must reset
+    # although term 7 is never tested
+    @example(a=-5 + 1e-9, b=2.5, c=-6 + 1e-3, t=0.1, rel_tol=1e-13,
+             consecutive_small=3, max_terms=100000)
+    @example(a=0.3 + 0.2j, b=-1.7, c=2.5, t=0.0, rel_tol=1e-13,
+             consecutive_small=3, max_terms=100000)
+    # the first partial sum is exactly 0, so the test compares with ABS_FLOOR
+    @example(a=2.0, b=1.0, c=1.0, t=-0.5, rel_tol=1e-13,
+             consecutive_small=3, max_terms=100000)
+    # the first term is inf, every later one nan
+    @example(a=1e200, b=1e200, c=1.0, t=0.5, rel_tol=1e-13,
+             consecutive_small=3, max_terms=50)
+    # finite parts whose modulus overflows: abs raises OverflowError
+    @example(a=1.3e154 + 1.3e154j, b=1.3e154, c=1.0, t=0.95, rel_tol=1e-13,
+             consecutive_small=3, max_terms=50)
+    # terminating at n_stop == max_terms returns; one past it raises
+    @example(a=-5.0, b=0.7 + 0.1j, c=1.3, t=0.6, rel_tol=1e-13,
+             consecutive_small=3, max_terms=5)
+    @example(a=-6.0, b=0.7 + 0.1j, c=1.3, t=0.6, rel_tol=1e-13,
+             consecutive_small=3, max_terms=5)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical(self, a, b, c, t, rel_tol, consecutive_small, max_terms):
+        policy = TruncationPolicy(rel_tol, consecutive_small, max_terms)
+        args = (a, b, c, t, policy)
+        assert _outcome(gauss_2f1, *args) == _outcome(_reference_2f1, *args)
+
+    def test_examples_reach_their_branches(self):
+        assert gauss_2f1(-5 + 1e-9, 2.5, -6 + 1e-3, 0.1).terms_used == 11
+        policy = TruncationPolicy(1e-13, 3, 5)
+        assert gauss_2f1(-5.0, 0.7 + 0.1j, 1.3, 0.6, policy).terms_used == 6
+        with pytest.raises(MaxTermsError):
+            gauss_2f1(-6.0, 0.7 + 0.1j, 1.3, 0.6, policy)
+        assert gauss_2f1(0.3 + 0.2j, -1.7, 2.5, 0.0).terms_used == 4
 
 
 class TestPfqTerminating:

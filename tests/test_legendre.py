@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from legdual.errors import DomainError, PoleError
+from legdual.errors import DomainError, MaxTermsError, PoleError
 from legdual.legendre import (
     ParameterPoint,
     _P,
@@ -205,3 +205,30 @@ class TestLegendreQ:
         with pytest.raises(DomainError):
             legendre_q(ParameterPoint(0.5, 0.5), 0.5)
 
+
+class TestPinnedValues:
+    """Every bit of a few values from each entry point, up to x = 9e3: a
+    change to the 2F1 summation that moves any of them is not a pure
+    speed-up."""
+
+    POINT = ParameterPoint(0.37 + 0.21j, -0.45 + 0.13j)
+
+    @pytest.mark.parametrize("fn,x,re,im,terms", [
+        (legendre_p, 1.5, "0x1.17d8bfe5cd664p+0", "0x1.cfd612c5e5c4ep-3", 16),
+        (legendre_p, 50.0, "0x1.c51df5d738a78p+0", "0x1.76455669d38bcp+1", 292),
+        (legendre_p, 2e3, "-0x1.8785343ad5b66p+1", "0x1.a0df50539d77fp+3", 4182),
+        (legendre_p, 9e3, "-0x1.8438c6223cb2ap+3", "0x1.3f1f29399ab95p+4", 9149),
+        (ferrers_p, 0.3, "0x1.c529220ac419fp-2", "-0x1.47395ac482aa8p-5", 30),
+        (ferrers_p, 1 - 1e-8, "0x1.8acb887781f7bp+4", "-0x1.424ce6cae7c31p+5", 5),
+        (legendre_q, 1.2, "0x1.d868062e8432ep-2", "0x1.3dc038607cb48p+0", 27),
+        (legendre_q, 500.0, "0x1.af5a902c63e0cp-13", "-0x1.22ba7261dfb7ap-16", 6),
+    ])
+    def test_bits(self, fn, x, re, im, terms):
+        sv = fn(self.POINT, x)
+        assert (sv.value.real.hex(), sv.value.imag.hex(), sv.terms_used) == (re, im, terms)
+
+    def test_term_cap_near_1e4(self):
+        # the series in t = (x-1)/(x+1) takes O(x) terms; here more than
+        # the 100,000 of the default policy
+        with pytest.raises(MaxTermsError):
+            legendre_p(ParameterPoint(-1.2 + 0.6j, 1.7 - 0.4j), 9e3)
