@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coeffs import FactorList, lauricella_G
 from .errors import BoundUnavailableError, DegenerateError
@@ -27,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
+class AsymptoticEstimate(NamedTuple):
     """Leading-term value, an explicit remainder bound when one is stated,
     and the exponent of the error order."""
 

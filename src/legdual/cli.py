@@ -14,7 +14,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import replace
 
 from .errors import ConvergenceError, LegdualError
 from .harness import HarnessConfig, asymptotic_checks, convergence_table, run_suite
@@ -141,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _policy_from(args: argparse.Namespace) -> TruncationPolicy:
     given = {"rel_tol": args.rel_tol, "max_terms": args.max_terms}
-    return replace(DEFAULT_POLICY, **{k: v for k, v in given.items() if v is not None})
+    return DEFAULT_POLICY._replace(**{k: v for k, v in given.items() if v is not None})
 
 
 def _collect_params(args: argparse.Namespace, entry) -> dict:

@@ -25,7 +25,6 @@ import cmath
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import DuplicateNodeError, PoleError
 from .hypergeom import pochhammer
@@ -54,27 +53,30 @@ __all__ = [
 NODE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FactorList:
-    """Exponents and nodes of a product of factors (1 - w_j z)^(-tau_j)."""
+class FactorList(tuple):
+    """Exponents and nodes of a product of factors (1 - w_j z)^(-tau_j),
+    held as the pairs (tau_j, w_j)."""
 
-    taus: tuple
-    ws: tuple
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        taus = tuple(complex(t) for t in self.taus)
-        ws = tuple(complex(w) for w in self.ws)
+    def __new__(cls, taus, ws) -> "FactorList":
+        taus = tuple(complex(t) for t in taus)
+        ws = tuple(complex(w) for w in ws)
         if len(taus) != len(ws):
             raise ValueError("taus and ws must have equal length")
         for i in range(len(ws)):
             for j in range(i + 1, len(ws)):
                 if abs(ws[i] - ws[j]) <= NODE_TOL:
                     raise DuplicateNodeError(f"nodes {ws[i]} and {ws[j]} coincide")
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "ws", ws)
+        return super().__new__(cls, zip(taus, ws))
 
-    def __len__(self) -> int:
-        return len(self.ws)
+    @property
+    def taus(self) -> tuple:
+        return tuple(t for t, _ in self)
+
+    @property
+    def ws(self) -> tuple:
+        return tuple(w for _, w in self)
 
 
 def lauricella_G(n: int, f: FactorList) -> complex:

@@ -10,7 +10,8 @@ class PoleError(LegdualError):
 
 
 class DivergenceError(LegdualError):
-    """A nonterminating series was requested outside its convergence disk."""
+    """A nonterminating series was requested outside its convergence disk,
+    or a series' terms overflow."""
 
 
 class MaxTermsError(LegdualError):

@@ -4,10 +4,9 @@ per-point convergence diagnostics."""
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .asympt import (
     darboux_G_leading,
@@ -35,31 +34,36 @@ REPORT_VERSION = 1
 # --------------------------------------------------------------------------
 # configuration and results
 
-@dataclass(frozen=True)
-class HarnessConfig:
+class HarnessConfig(NamedTuple("HarnessConfig", [("seed", int), ("sample_counts", dict)])):
     """Suite parameters.  `sample_counts` maps identity kinds to the number
     of parameter samples swept per identity of that kind; kinds left out are
     skipped entirely."""
 
-    seed: int = 0
-    sample_counts: dict = field(default_factory=lambda: {
-        Kind.INFINITE_SERIES: 30,
-        Kind.FINITE_SUM: 50,
-        Kind.VANISHING_SUM: 50,
-    })
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for kind, n in self.sample_counts.items():
+    def __new__(cls, seed: int = 0, sample_counts: "dict | None" = None) -> "HarnessConfig":
+        if sample_counts is None:
+            sample_counts = {
+                Kind.INFINITE_SERIES: 30,
+                Kind.FINITE_SUM: 50,
+                Kind.VANISHING_SUM: 50,
+            }
+        for kind, n in sample_counts.items():
             if int(n) < 1:
                 raise ValueError(f"sample count for {kind} must be >= 1, got {n}")
+        return super().__new__(cls, seed, sample_counts)
+
+    @classmethod
+    def _make(cls, iterable) -> "HarnessConfig":
+        # `_replace` builds through here: check its counts too
+        return cls(*iterable)
 
     def count_for(self, kind: Kind) -> "int | None":
         n = self.sample_counts.get(kind)
         return None if n is None else int(n)
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     pass_counts: dict
     failures: list
     asymptotic: dict
@@ -73,6 +77,8 @@ class SuiteResult:
         """Canonical JSON.  Wall time is reported separately on the object;
         the serialized form is a pure function of the configuration so that
         identical configs give byte-identical reports."""
+        import json  # here, so that importing the package does not load it
+
         doc = {
             "version": REPORT_VERSION,
             "ok": self.ok,

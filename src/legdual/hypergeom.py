@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DivergenceError,
@@ -39,8 +39,7 @@ INT_TOL = 1e-12
 ABS_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(NamedTuple):
     rel_tol: float = 1e-13
     consecutive_small: int = 3
     max_terms: int = 100000
@@ -49,8 +48,7 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
-@dataclass(frozen=True)
-class SeriesValue:
+class SeriesValue(NamedTuple):
     value: complex
     terms_used: int
     error_estimate: float
@@ -192,9 +190,13 @@ def gauss_2f1(
     rounding of both sums, whose relative error stays below 4 n eps over n
     terms.  So, for rel_tol >= 0, a term with |term| > rel_tol * bound fails
     the test and only resets the run, and the test decides every other
-    term.  While `bound` is finite |total| cannot overflow, so the value,
-    term count, error estimate and any error raised (abs's OverflowError
-    too) are those of testing every term.
+    term.
+
+    Overflow raises DivergenceError: in a nonterminating sum at the first
+    term where `bound` is no longer finite or abs overflows, in a
+    terminating one where the total is not finite.  For rel_tol >= 0,
+    `bound` leaves the finite range only on a term that fails the first
+    comparison, so it is checked there alone.
     """
     a, b, c = complex(a), complex(b), complex(c)
     t = float(t)
@@ -214,23 +216,30 @@ def gauss_2f1(
         for n in range(n_stop):
             term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * t
             total += term
+        if not cmath.isfinite(total):
+            raise DivergenceError(f"terminating 2F1 overflows to {total}")
         return SeriesValue(total, n_stop + 1, 0.0)
     rel_tol = policy.rel_tol
     bound = 2.0
     small_run = 0
-    for n in range(policy.max_terms):
-        term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * t
-        total += term
-        size = abs(term)
-        bound += size + size
-        if size > rel_tol * bound:
-            small_run = 0
-        elif size <= rel_tol * max(abs(total), ABS_FLOOR):
-            small_run += 1
-            if small_run >= policy.consecutive_small:
-                return SeriesValue(total, n + 2, size / max(1.0 - abs(t), 1e-16))
-        else:
-            small_run = 0
+    try:
+        for n in range(policy.max_terms):
+            term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * t
+            total += term
+            size = abs(term)
+            bound += size + size
+            if size > rel_tol * bound:
+                small_run = 0
+            elif not math.isfinite(bound):
+                raise DivergenceError(f"2F1 terms overflow at term {n + 1}")
+            elif size <= rel_tol * max(abs(total), ABS_FLOOR):
+                small_run += 1
+                if small_run >= policy.consecutive_small:
+                    return SeriesValue(total, n + 2, size / max(1.0 - abs(t), 1e-16))
+            else:
+                small_run = 0
+    except OverflowError:
+        raise DivergenceError(f"2F1 terms overflow at term {n + 1}") from None
     raise MaxTermsError(f"2F1 did not converge within {policy.max_terms} terms")
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, PoleError
 from .hypergeom import (
@@ -42,14 +42,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ParameterPoint:
-    nu: complex
-    mu: complex
+class ParameterPoint(NamedTuple("ParameterPoint", [("nu", complex), ("mu", complex)])):
+    """Degree nu and order mu, both stored as complex."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nu", complex(self.nu))
-        object.__setattr__(self, "mu", complex(self.mu))
+    __slots__ = ()
+
+    def __new__(cls, nu: complex, mu: complex) -> "ParameterPoint":
+        return super().__new__(cls, complex(nu), complex(mu))
+
+    @classmethod
+    def _make(cls, iterable) -> "ParameterPoint":
+        # `_replace` builds through here: convert its fields too
+        return cls(*iterable)
 
 
 def _f_over_gamma_c(

@@ -55,8 +55,8 @@ import itertools
 import math
 import random
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .coeffs import frak_N_seq, frak_p_seq, script_G_hat_seq, script_G_seq
 from .errors import ConvergenceError, DomainError, LegdualError, UnknownIdentityError
@@ -114,9 +114,7 @@ class Kind(Enum):
     VANISHING_SUM = "vanishing_sum"
 
 
-# records compare by identity: their fields are functions
-@dataclass(frozen=True, eq=False)
-class IdentityDescriptor:
+class IdentityDescriptor(NamedTuple):
     """One catalog entry.
 
     `lhs(p, x, pol)` is the closed-form side and `terms(p, x, pol)` the
@@ -162,8 +160,7 @@ class IdentityDescriptor:
         raise DomainError(f"{self.id}: x = {x} outside ({lo}, {hi})")
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     id: str
     params: dict
     x: float
@@ -231,7 +228,7 @@ def _P_chain(nu: complex, mu: complex, y: float, diag: int,
     _CHAIN_MAX_DEPTH, falls back to direct values."""
     # the head scales every value of the chain, so its series is summed to
     # the last bit rather than to the policy's tolerance
-    f = _P(nu, mu, y, replace(policy, rel_tol=min(policy.rel_tol, _EPS)))
+    f = _P(nu, mu, y, policy._replace(rel_tol=min(policy.rel_tol, _EPS)))
     yield f
     nu, mu = complex(nu), complex(mu)
     k = 1
@@ -431,8 +428,7 @@ def get_descriptor(identity_id: str) -> IdentityDescriptor:
 _get_impl = get_descriptor
 
 
-@dataclass(frozen=True)
-class _SeriesSum:
+class _SeriesSum(NamedTuple):
     value: complex
     terms_used: int
     max_mag: float

@@ -187,7 +187,9 @@ class TestGauss2F1:
 def _reference_2f1(a, b, c, t, policy=DEFAULT_POLICY):
     """`gauss_2f1` with one loop for both kinds of sum and the truncation
     test read at every term: the outcome `gauss_2f1` must match bit for
-    bit."""
+    bit.  Overflow raises DivergenceError at the first term where abs
+    overflows or 2 (1 + sum of |term|) is not finite, and at the end of a
+    terminating sum whose total is not finite."""
     a, b, c = complex(a), complex(b), complex(c)
     t = float(t)
     n_stop = terminating_index(a, b)
@@ -199,10 +201,13 @@ def _reference_2f1(a, b, c, t, policy=DEFAULT_POLICY):
 
     total = complex(1.0)
     term = complex(1.0)
+    bound = 2.0
     small_run = 0
     n = 0
     while True:
         if n_stop is not None and n >= n_stop:
+            if not cmath.isfinite(total):
+                raise DivergenceError(f"terminating 2F1 overflows to {total}")
             return SeriesValue(total, n + 1, 0.0)
         if n >= policy.max_terms:
             raise MaxTermsError(f"2F1 did not converge within {policy.max_terms} terms")
@@ -210,10 +215,17 @@ def _reference_2f1(a, b, c, t, policy=DEFAULT_POLICY):
         total += term
         n += 1
         if n_stop is None:
-            if abs(term) <= policy.rel_tol * max(abs(total), ABS_FLOOR):
+            try:
+                size = abs(term)
+            except OverflowError:
+                raise DivergenceError(f"2F1 terms overflow at term {n}") from None
+            bound += size + size
+            if not math.isfinite(bound):
+                raise DivergenceError(f"2F1 terms overflow at term {n}")
+            if size <= policy.rel_tol * max(abs(total), ABS_FLOOR):
                 small_run += 1
                 if small_run >= policy.consecutive_small:
-                    err = abs(term) / max(1.0 - abs(t), 1e-16)
+                    err = size / max(1.0 - abs(t), 1e-16)
                     return SeriesValue(total, n + 1, err)
             else:
                 small_run = 0
@@ -261,6 +273,14 @@ class TestGauss2F1MatchesEveryTermTest:
     # finite parts whose modulus overflows: abs raises OverflowError
     @example(a=1.3e154 + 1.3e154j, b=1.3e154, c=1.0, t=0.95, rel_tol=1e-13,
              consecutive_small=3, max_terms=50)
+    # both again at the default cap, where the first must not form every term
+    @example(a=1e200, b=1e200, c=1.0, t=0.5, rel_tol=1e-13,
+             consecutive_small=3, max_terms=100000)
+    @example(a=1.3e154 + 1.3e154j, b=1.3e154, c=1.0, t=0.95, rel_tol=1e-13,
+             consecutive_small=3, max_terms=100000)
+    # a terminating sum whose terms overflow
+    @example(a=-20.0, b=1e200, c=1.0, t=0.5, rel_tol=1e-13,
+             consecutive_small=3, max_terms=100000)
     # terminating at n_stop == max_terms returns; one past it raises
     @example(a=-5.0, b=0.7 + 0.1j, c=1.3, t=0.6, rel_tol=1e-13,
              consecutive_small=3, max_terms=5)
@@ -279,6 +299,17 @@ class TestGauss2F1MatchesEveryTermTest:
         with pytest.raises(MaxTermsError):
             gauss_2f1(-6.0, 0.7 + 0.1j, 1.3, 0.6, policy)
         assert gauss_2f1(0.3 + 0.2j, -1.7, 2.5, 0.0).terms_used == 4
+
+    @pytest.mark.parametrize("a,b,c,t,message", [
+        # the first term is inf
+        (1e200, 1e200, 1.0, 0.5, "overflow at term 1$"),
+        # the first term's modulus overflows in abs
+        (1.3e154 + 1.3e154j, 1.3e154, 1.0, 0.95, "overflow at term 1$"),
+        (-20.0, 1e200, 1.0, 0.5, "^terminating 2F1 overflows"),
+    ])
+    def test_overflow_raises_divergence_where_it_happens(self, a, b, c, t, message):
+        with pytest.raises(DivergenceError, match=message):
+            gauss_2f1(a, b, c, t)
 
 
 class TestPfqTerminating:

@@ -1,20 +1,45 @@
-"""The installed package: importing it needs nothing but the standard library."""
+"""The installed package: importing it needs nothing but the standard library,
+and its value types are immutable NamedTuples."""
 
 import ast
 import os
 import subprocess
 import sys
 
+import pytest
+
 import legdual
+from legdual import (
+    HarnessConfig,
+    IdentityReport,
+    ParameterPoint,
+    SeriesValue,
+    TruncationPolicy,
+    get_descriptor,
+)
+from legdual.asympt import AsymptoticEstimate
+from legdual.coeffs import FactorList
+from legdual.registry import Kind, _SeriesSum
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(legdual.__file__)))
+
+
+def _loaded_after_import(flags: tuple, modules: tuple) -> str:
+    """Which of `modules` a child interpreter started with `flags` has loaded
+    once `import legdual; legdual.list_identities()` has run."""
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); import legdual; "
+            f"legdual.list_identities(); "
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, *flags, "-c", code],
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
 
 
 def test_import_does_not_load_mpmath():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(legdual.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, legdual; print('mpmath' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _loaded_after_import((), ("mpmath",)) == "[]"
+    # without site nothing but the package can have loaded these
+    heavy = ("mpmath", "dataclasses", "inspect", "json")
+    assert _loaded_after_import(("-E", "-S"), heavy) == "[]"
 
 
 def test_no_module_imports_mpmath():
@@ -31,4 +56,45 @@ def test_no_module_imports_mpmath():
                 mods = [node.module or ""]
             else:
                 continue
-            assert not any(m.split(".")[0] == "mpmath" for m in mods), name
+            assert not any(m.split(".")[0] in ("mpmath", "dataclasses")
+                           for m in mods), name
+
+
+_VALUES = {
+    "TruncationPolicy": (TruncationPolicy(), "rel_tol"),
+    "SeriesValue": (SeriesValue(1j, 2, 0.0), "value"),
+    "AsymptoticEstimate": (AsymptoticEstimate(1j, None, -1.0), "leading"),
+    "FactorList": (FactorList((0.5,), (0.3,)), "taus"),
+    "ParameterPoint": (ParameterPoint(1, 2), "nu"),
+    "HarnessConfig": (HarnessConfig(), "sample_counts"),
+    "IdentityDescriptor": (get_descriptor("cor6"), "terms"),
+    "IdentityReport": (IdentityReport("cor6", {}, 0.5, 1j, 1j, 0.0, 0.0, 3,
+                                      True, 1e-11), "passed"),
+    "_SeriesSum": (_SeriesSum(1j, 3, 1.0, "direct", 0.0), "value"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALUES))
+def test_fields_are_read_only(name):
+    value, field = _VALUES[name]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+
+
+def test_parameter_point_holds_complex():
+    p = ParameterPoint(1, 2)
+    assert type(p.nu) is complex and type(p.mu) is complex
+    assert type(p._replace(mu=3).mu) is complex
+
+
+def test_harness_configs_do_not_share_counts():
+    a, b = HarnessConfig(), HarnessConfig()
+    assert a.sample_counts == b.sample_counts
+    assert a.sample_counts is not b.sample_counts
+    with pytest.raises(ValueError):
+        a._replace(sample_counts={Kind.FINITE_SUM: 0})
+
+
+def test_replace_keeps_the_other_fields():
+    policy = TruncationPolicy()._replace(rel_tol=1e-15)
+    assert policy == TruncationPolicy(1e-15, 3, 100000)

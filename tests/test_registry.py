@@ -1,6 +1,5 @@
 """Identity catalog behavior: descriptors, evaluation, sweeps, domain gates."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -287,7 +286,7 @@ class TestSweep:
             raise TypeError("bug in a term stream")
 
         monkeypatch.setitem(legdual.registry._REGISTRY, "cor6",
-                            dataclasses.replace(_get_impl("cor6"), terms=broken))
+                            _get_impl("cor6")._replace(terms=broken))
         with pytest.raises(TypeError):
             sweep_identity("cor6", param_sampler=[{"k": 3, "m": 2}])
 
