@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import re
 import sys
@@ -73,11 +74,6 @@ def _catalog_params() -> dict:
     return types
 
 
-def _add_policy(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rel-tol", type=float, help="series relative tolerance")
-    sub.add_argument("--max-terms", type=int, help="series term cap")
-
-
 def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sub.add_argument("--out", help="write output to this file instead of stdout")
@@ -100,21 +96,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--nu", required=True)
     p_eval.add_argument("--mu", required=True)
     p_eval.add_argument("--x", type=float, required=True)
-    _add_policy(p_eval)
+    p_eval.add_argument("--rel-tol", type=float, help="series relative tolerance")
+    p_eval.add_argument("--max-terms", type=int, help="series term cap")
     _add_output(p_eval)
 
     p_verify = subs.add_parser("verify", help="check one identity at one point")
     p_verify.add_argument("id")
     p_verify.add_argument("--x", type=float, required=True)
     _add_params(p_verify)
-    _add_policy(p_verify)
     _add_output(p_verify)
 
     p_sweep = subs.add_parser("sweep", help="check one identity over sampled points")
     p_sweep.add_argument("id")
     p_sweep.add_argument("--samples", type=int, default=30)
     p_sweep.add_argument("--seed", type=int, default=0)
-    _add_policy(p_sweep)
     _add_output(p_sweep)
 
     p_suite = subs.add_parser("suite", help="run the whole identity suite")
@@ -126,7 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--x", type=float, required=True)
     p_conv.add_argument("--n-max", type=int, default=40)
     _add_params(p_conv)
-    _add_policy(p_conv)
     _add_output(p_conv)
 
     p_asympt = subs.add_parser("asympt", help="run the asymptotic ratio checks")
@@ -139,6 +133,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _policy_from(args: argparse.Namespace) -> TruncationPolicy:
+    if args.rel_tol is not None and not 0.0 < args.rel_tol < math.inf:
+        raise ValueError(f"--rel-tol must be finite and positive, got {args.rel_tol}")
+    if args.max_terms is not None and args.max_terms < 1:
+        raise ValueError(f"--max-terms must be at least 1, got {args.max_terms}")
     given = {"rel_tol": args.rel_tol, "max_terms": args.max_terms}
     return DEFAULT_POLICY._replace(**{k: v for k, v in given.items() if v is not None})
 
@@ -236,7 +234,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     params = _collect_params(args, get_descriptor(args.id))
-    report = evaluate_identity(args.id, params, args.x, _policy_from(args))
+    report = evaluate_identity(args.id, params, args.x)
     doc = report.to_dict()
     _emit(args, doc, _csv_rows([doc]),
           [f"{report.id}: {'pass' if report.passed else 'FAIL'} "
@@ -246,8 +244,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     get_descriptor(args.id)
-    reports = sweep_identity(args.id, n_samples=args.samples, seed=args.seed,
-                             policy=_policy_from(args))
+    reports = sweep_identity(args.id, n_samples=args.samples, seed=args.seed)
     n_fail = sum(1 for r in reports if not r.passed)
     doc = {"id": args.id, "samples": args.samples, "seed": args.seed,
            "points": len(reports), "failures": n_fail,
@@ -267,11 +264,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
     params = _collect_params(args, get_descriptor(args.id))
-    policy = _policy_from(args)
-    rows = convergence_table(args.id, params, args.x, args.n_max, policy)
+    rows = convergence_table(args.id, params, args.x, args.n_max)
     # how the summed right-hand side stops; a sum that fails says why instead
     try:
-        report = evaluate_identity(args.id, params, args.x, policy)
+        report = evaluate_identity(args.id, params, args.x)
         stop = {"stop_reason": report.stop_reason,
                 "extrap_err": report.extrap_err,
                 "terms_used": report.terms_used}

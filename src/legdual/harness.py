@@ -15,7 +15,7 @@ from .asympt import (
     watson_mu_leading,
 )
 from .coeffs import FactorList, frak_p, lauricella_G
-from .hypergeom import DEFAULT_POLICY, TruncationPolicy, gamma
+from .hypergeom import gamma
 from .legendre import ParameterPoint, ferrers_p, legendre_p
 from .polys import gegenbauer
 from .registry import Kind, _running_sums, get_descriptor, list_identities, sweep_identity
@@ -188,8 +188,7 @@ def run_suite(cfg: HarnessConfig = HarnessConfig()) -> SuiteResult:
 # --------------------------------------------------------------------------
 # per-point convergence diagnostics
 
-def convergence_table(identity_id: str, params: dict, x: float,
-                      n_max: int, policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+def convergence_table(identity_id: str, params: dict, x: float, n_max: int) -> list:
     """Rows (n, |term|, |partial sum - reference|) for n = 0..n_max, where
     the reference is the identity's closed-form left-hand side and the
     partial sums are the ones evaluate_identity sums.  Terms past a
@@ -198,7 +197,7 @@ def convergence_table(identity_id: str, params: dict, x: float,
     p = dict(params)
     x = float(x)
     entry.check_domain(p, x)
-    reference = complex(entry.lhs(p, x, policy))
-    sums = itertools.islice(_running_sums(entry, p, x, policy), n_max + 1)
+    reference = complex(entry.lhs(p, x))
+    sums = itertools.islice(_running_sums(entry, p, x), n_max + 1)
     return [(n, abs(t), abs(partial - reference))
             for n, (t, partial) in enumerate(sums)]

@@ -37,11 +37,11 @@ POLE_TOL = 1e-14
 INT_TOL = 1e-12
 # the direct tolerance test compares a term with |partial sum|, never below this
 ABS_FLOOR = 1e-300
+SMALL_RUN = 3
 
 
 class TruncationPolicy(NamedTuple):
     rel_tol: float = 1e-13
-    consecutive_small: int = 3
     max_terms: int = 100000
 
 
@@ -183,7 +183,7 @@ def gauss_2f1(
     denominator within 1e-14 of a pole that the sum reaches raises
     PoleError; callers take the limit there (`legendre._f_over_gamma_c`).
 
-    A nonterminating sum stops after `consecutive_small` terms in a row with
+    A nonterminating sum stops after SMALL_RUN (3) terms in a row with
     |term| <= rel_tol * max(|total|, ABS_FLOOR).  That test is read only
     where a term can pass it.  `bound` runs as 2 (1 + sum of |term|), which
     is at least |total| and at least ABS_FLOOR; the factor 2 covers the
@@ -234,7 +234,7 @@ def gauss_2f1(
                 raise DivergenceError(f"2F1 terms overflow at term {n + 1}")
             elif size <= rel_tol * max(abs(total), ABS_FLOOR):
                 small_run += 1
-                if small_run >= policy.consecutive_small:
+                if small_run >= SMALL_RUN:
                     return SeriesValue(total, n + 2, size / max(1.0 - abs(t), 1e-16))
             else:
                 small_run = 0

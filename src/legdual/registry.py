@@ -3,7 +3,7 @@
 Each entry is one `IdentityDescriptor` record holding all the catalog knows
 of an identity: its kind, both sides, termination index, sampler, x grid,
 domain gates and tail law.  It pairs a closed-form left-hand side with a
-right-hand-side term stream: `terms(p, x, pol)` is created once per identity
+right-hand-side term stream: `terms(p, x)` is created once per identity
 point and yields the terms n = 0, 1, ... in order.  A stream holds the
 point's coefficient sequences (the generating-coefficient families of
 `coeffs` and `polys`), so every coefficient is built once per point.  Terms
@@ -98,6 +98,12 @@ _SERIES_CAP = 160
 _TINY = 1e-300
 _EPS = 2.0**-52
 
+# direct stop: _DIRECT_RUN terms in a row within _DIRECT_TOL of the partial sum
+_DIRECT_TOL = 1e-13
+_DIRECT_RUN = 3
+# a chain head scales every value of its chain, so it is summed to the last bit
+_HEAD_POLICY = TruncationPolicy(rel_tol=_EPS)
+
 # P chains: values in the first block, deepest sweep
 _CHAIN_BLOCK = 16
 _CHAIN_MAX_DEPTH = 4096
@@ -117,7 +123,7 @@ class Kind(Enum):
 class IdentityDescriptor(NamedTuple):
     """One catalog entry.
 
-    `lhs(p, x, pol)` is the closed-form side and `terms(p, x, pol)` the
+    `lhs(p, x)` is the closed-form side and `terms(p, x)` the
     right-hand side's term stream; an infinite series' stream is
     `_product(c, r, *streams)`, c r^n times its factor streams.  The stream
     yields at least n_top(p) + 1 terms, where `n_top(p)` is the index of the
@@ -207,8 +213,7 @@ def _cpow(base: float, expo: complex) -> complex:
     return cmath.exp(complex(expo) * math.log(base))
 
 
-def _P_chain(nu: complex, mu: complex, y: float, diag: int,
-             policy: TruncationPolicy = DEFAULT_POLICY) -> Iterator[complex]:
+def _P_chain(nu: complex, mu: complex, y: float, diag: int) -> Iterator[complex]:
     """P(nu + k*diag, mu + k, y) for k = 0, 1, ... with diag 0 (fixed degree)
     or 1 (degree and order shifted together).
 
@@ -226,9 +231,7 @@ def _P_chain(nu: complex, mu: complex, y: float, diag: int,
     consumer passes it.  A chain whose k = 0 value is zero, where P is not
     the minimal solution (q >= 1), or whose bound asks for a sweep past
     _CHAIN_MAX_DEPTH, falls back to direct values."""
-    # the head scales every value of the chain, so its series is summed to
-    # the last bit rather than to the policy's tolerance
-    f = _P(nu, mu, y, policy._replace(rel_tol=min(policy.rel_tol, _EPS)))
+    f = _P(nu, mu, y, _HEAD_POLICY)
     yield f
     nu, mu = complex(nu), complex(mu)
     k = 1
@@ -299,15 +302,14 @@ def _P_chain(nu: complex, mu: complex, y: float, diag: int,
             need *= 2
             depth = n + k
     for k in itertools.count(k):
-        yield _P(nu + k * diag, mu + k, y, policy)
+        yield _P(nu + k * diag, mu + k, y)
 
 
-def _P_half_chain(nu: complex, mu: complex, y: float, diag: int,
-                  policy: TruncationPolicy = DEFAULT_POLICY) -> Iterator[complex]:
+def _P_half_chain(nu: complex, mu: complex, y: float, diag: int) -> Iterator[complex]:
     """P(nu + n*diag/2, mu + n/2, y) for n = 0, 1, ...: the even and the odd
     n are two chains, interleaved."""
-    even = _P_chain(nu, mu, y, diag, policy)
-    odd = _P_chain(complex(nu) + 0.5 * diag, complex(mu) + 0.5, y, diag, policy)
+    even = _P_chain(nu, mu, y, diag)
+    odd = _P_chain(complex(nu) + 0.5 * diag, complex(mu) + 0.5, y, diag)
     for e, o in zip(even, odd):
         yield e
         yield o
@@ -360,11 +362,11 @@ def _inv_sqrt2_window(n_top):
 
 
 def _indexed(term):
-    """Term stream of an entry whose n-th term term(p, x, n, pol) is a
+    """Term stream of an entry whose n-th term term(p, x, n) is a
     closed expression in n."""
 
-    def terms(p, x, pol):
-        return (term(p, x, n, pol) for n in itertools.count())
+    def terms(p, x):
+        return (term(p, x, n) for n in itertools.count())
 
     return terms
 
@@ -411,10 +413,18 @@ def _terms_grow(mags: list) -> bool:
 _REGISTRY: "dict[str, IdentityDescriptor]" = {}
 
 
+def _default_only(policy: TruncationPolicy) -> None:
+    """The catalog sums to fixed settings: refuse, not drop, any other policy."""
+    if policy != DEFAULT_POLICY:
+        raise ValueError(f"the catalog sums to fixed settings, not {policy}")
+
+
 def _register(entry: IdentityDescriptor) -> None:
     if entry.id in _REGISTRY:
         raise ValueError(f"duplicate identity id {entry.id}")
-    _REGISTRY[entry.id] = entry
+    # lhs(p, x) and terms(p, x) also take a trailing DEFAULT_POLICY
+    fixed = lambda fn: lambda p, x, policy=DEFAULT_POLICY: _default_only(policy) or fn(p, x)
+    _REGISTRY[entry.id] = entry._replace(lhs=fixed(entry.lhs), terms=fixed(entry.terms))
 
 
 def get_descriptor(identity_id: str) -> IdentityDescriptor:
@@ -436,11 +446,10 @@ class _SeriesSum(NamedTuple):
     extrap_err: float
 
 
-def _running_sums(entry: IdentityDescriptor, p, x: float,
-                  policy: TruncationPolicy) -> Iterator[tuple]:
+def _running_sums(entry: IdentityDescriptor, p, x: float) -> Iterator[tuple]:
     """(term, compensated partial sum) for n = 0, 1, ...: the entry's term
     stream, followed by exact zeros past its termination index."""
-    stream = entry.terms(p, x, policy)
+    stream = entry.terms(p, x)
     n_top = entry.n_top(p)
     if n_top is not None:
         stream = itertools.chain(itertools.islice(stream, n_top + 1),
@@ -452,7 +461,7 @@ def _running_sums(entry: IdentityDescriptor, p, x: float,
 
 
 def _sum_terms(entry: IdentityDescriptor, p, x: float,
-               policy: TruncationPolicy) -> _SeriesSum:
+               policy: TruncationPolicy = DEFAULT_POLICY) -> _SeriesSum:
     """Sum the right-hand side and say how the sum stopped: "terminated" at
     the termination index, "direct" when the tolerance test on the terms
     passed, or "wynn" from the epsilon table (with its error estimate as
@@ -467,8 +476,9 @@ def _sum_terms(entry: IdentityDescriptor, p, x: float,
     W_n.  At the term cap, growing terms raise ConvergenceError; otherwise
     the estimate with the smallest agreement is returned.  Estimates that are
     not finite neither stop the sum nor are returned."""
+    _default_only(policy)
     n_top = entry.n_top(p)
-    sums = _running_sums(entry, p, x, policy)
+    sums = _running_sums(entry, p, x)
     max_mag = 0.0
     if n_top is not None:
         value = 0j
@@ -480,14 +490,13 @@ def _sum_terms(entry: IdentityDescriptor, p, x: float,
     estimates = []
     best = None
     small = 0
-    cap = min(_SERIES_CAP, policy.max_terms)
     for n, (t, partial) in enumerate(sums, 1):
         m = abs(t)
         max_mag = max(max_mag, m)
         mags.append(m)
-        if m <= policy.rel_tol * max(abs(partial), ABS_FLOOR):
+        if m <= _DIRECT_TOL * max(abs(partial), ABS_FLOOR):
             small += 1
-            if small >= policy.consecutive_small:
+            if small >= _DIRECT_RUN:
                 return _SeriesSum(partial, n, max_mag, "direct", 0.0)
         else:
             small = 0
@@ -503,7 +512,7 @@ def _sum_terms(entry: IdentityDescriptor, p, x: float,
                     return _SeriesSum(w, n, max_mag, "wynn", err)
                 if best is None or err < best[1]:
                     best = (w, err)
-        if n >= cap:
+        if n >= _SERIES_CAP:
             break
     if _terms_grow(mags):
         raise ConvergenceError(f"{entry.id}: series terms do not decay at x = {x}")
@@ -512,14 +521,13 @@ def _sum_terms(entry: IdentityDescriptor, p, x: float,
     return _SeriesSum(best[0], n, max_mag, "wynn", best[1])
 
 
-def evaluate_identity(identity_id: str, params: dict, x: float,
-                      policy: TruncationPolicy = DEFAULT_POLICY) -> IdentityReport:
+def evaluate_identity(identity_id: str, params: dict, x: float) -> IdentityReport:
     entry = get_descriptor(identity_id)
     p = dict(params)
     x = float(x)
     at_boundary = entry.check_domain(p, x)
-    lhs = complex(entry.lhs(p, x, policy))
-    rhs_sum = _sum_terms(entry, p, x, policy)
+    lhs = complex(entry.lhs(p, x))
+    rhs_sum = _sum_terms(entry, p, x)
     rhs, max_mag = rhs_sum.value, rhs_sum.max_mag
     abs_err = abs(lhs - rhs)
     if entry.kind is Kind.VANISHING_SUM:
@@ -551,7 +559,6 @@ def evaluate_identity(identity_id: str, params: dict, x: float,
 
 
 def sweep_identity(identity_id: str, param_sampler=None, x_grid=None,
-                   policy: TruncationPolicy = DEFAULT_POLICY,
                    n_samples: int = 30, seed: int = 0) -> list:
     """Evaluate an identity over sampled parameters and an x grid.
 
@@ -573,7 +580,7 @@ def sweep_identity(identity_id: str, param_sampler=None, x_grid=None,
     for p in samples:
         for x in grid:
             try:
-                reports.append(evaluate_identity(identity_id, p, x, policy))
+                reports.append(evaluate_identity(identity_id, p, x))
             except (LegdualError, ArithmeticError) as exc:
                 reports.append(IdentityReport(
                     id=identity_id, params=dict(p), x=float(x),
@@ -683,9 +690,9 @@ def _build_catalog() -> None:
     # ---- direct argument-transform relations (single-term) ------------
     _register(IdentityDescriptor(
         "intro.1", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: _P(p["nu"], 2.0 * p["nu"] + 1.0, (1.0 + x) / (1.0 - x), pol),
-        terms=_indexed(lambda p, x, n, pol: (
-            math.sqrt(1.0 - x) * _P(p["nu"], 2.0 * p["nu"] + 1.0, 1.0 - 2.0 * x, pol)
+        lhs=lambda p, x: _P(p["nu"], 2.0 * p["nu"] + 1.0, (1.0 + x) / (1.0 - x)),
+        terms=_indexed(lambda p, x, n: (
+            math.sqrt(1.0 - x) * _P(p["nu"], 2.0 * p["nu"] + 1.0, 1.0 - 2.0 * x)
         )),
         n_top=lambda p: 0,
         sampler=lambda rng: {"nu": _offaxis(rng)},
@@ -696,10 +703,10 @@ def _build_catalog() -> None:
     # typeset displays disagree with them numerically
     _register(IdentityDescriptor(
         "intro.2", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: _P(2.0 * p["mu"] - 0.5, p["mu"], (1.0 + x) / (2.0 * math.sqrt(x)), pol),
-        terms=_indexed(lambda p, x, n, pol: (
+        lhs=lambda p, x: _P(2.0 * p["mu"] - 0.5, p["mu"], (1.0 + x) / (2.0 * math.sqrt(x))),
+        terms=_indexed(lambda p, x, n: (
             gamma(p["mu"] + 0.5) / SQRT_PI * x ** 0.25
-            * _P(p["mu"] - 0.5, 2.0 * p["mu"], 2.0 * x - 1.0, pol)
+            * _P(p["mu"] - 0.5, 2.0 * p["mu"], 2.0 * x - 1.0)
         )),
         n_top=lambda p: 0,
         sampler=mu_sampler,
@@ -708,10 +715,10 @@ def _build_catalog() -> None:
     ))
     _register(IdentityDescriptor(
         "intro.3", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: _P(p["mu"] - 0.5, p["mu"], 1.0 / math.sqrt(1.0 - x), pol),
-        terms=_indexed(lambda p, x, n, pol: (
+        lhs=lambda p, x: _P(p["mu"] - 0.5, p["mu"], 1.0 / math.sqrt(1.0 - x)),
+        terms=_indexed(lambda p, x, n: (
             _cpow(2.0, -p["mu"]) * (1.0 - x) ** 0.25
-            * _P(-0.25, p["mu"], 1.0 - 2.0 * x, pol)
+            * _P(-0.25, p["mu"], 1.0 - 2.0 * x)
         )),
         n_top=lambda p: 0,
         sampler=mu_sampler,
@@ -736,10 +743,10 @@ def _build_catalog() -> None:
 
     _register(IdentityDescriptor(
         "thm4.fwd", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol),
-        terms=lambda p, x, pol: _product(
+        lhs=lambda p, x: _P(p["nu"], p["mu"], x),
+        terms=lambda p, x: _product(
             1.0 / _cpow(x, p["nu"] + 1.0), -2.0 * math.sqrt(1.0 - x * x) / x,
-            t4_coeffs(p), _P_chain(p["nu"], p["mu"], 1.0 / x, 1, pol)),
+            t4_coeffs(p), _P_chain(p["nu"], p["mu"], 1.0 / x, 1)),
         n_top=t4_ntop, sampler=t4_sampler,
         x_grid=(0.75, 0.8, 0.9),
         x_window=_inv_sqrt2_window(t4_ntop),
@@ -748,10 +755,10 @@ def _build_catalog() -> None:
     ))
     _register(IdentityDescriptor(
         "thm4.inv", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: _P(p["nu"], p["mu"], 1.0 / x, pol) / _cpow(x, p["nu"] + 1.0),
-        terms=lambda p, x, pol: _product(
+        lhs=lambda p, x: _P(p["nu"], p["mu"], 1.0 / x) / _cpow(x, p["nu"] + 1.0),
+        terms=lambda p, x: _product(
             1.0, 2.0 * math.sqrt(1.0 - x * x),
-            t4_coeffs(p), _P_chain(p["nu"], p["mu"], x, 1, pol)),
+            t4_coeffs(p), _P_chain(p["nu"], p["mu"], x, 1)),
         n_top=t4_ntop, sampler=t4_sampler,
         # below x ~ 0.6 the tail outlives the accurate-term window in doubles
         x_grid=(0.6, 0.7, 0.8),
@@ -770,21 +777,21 @@ def _build_catalog() -> None:
 
     _register(IdentityDescriptor(
         "cor2.a", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: (
+        lhs=lambda p, x: (
             _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, x)
             / (2.0 ** (2 * p["k"]) * _fact(p["k"]) * (1.0 - x * x) ** p["k"])
         ),
-        terms=_indexed(lambda p, x, r, pol: cor2_term(p, x, r, True)),
+        terms=_indexed(lambda p, x, r: cor2_term(p, x, r, True)),
         n_top=lambda p: p["k"],
         sampler=k_mu_sampler,
     ))
     _register(IdentityDescriptor(
         "cor2.b", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: (
+        lhs=lambda p, x: (
             _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, 1.0 / x)
             / (2.0 ** (2 * p["k"]) * _fact(p["k"]) * (1.0 - 1.0 / (x * x)) ** p["k"])
         ),
-        terms=_indexed(lambda p, x, r, pol: cor2_term(p, x, r, False)),
+        terms=_indexed(lambda p, x, r: cor2_term(p, x, r, False)),
         n_top=lambda p: p["k"],
         sampler=k_mu_sampler,
     ))
@@ -795,20 +802,20 @@ def _build_catalog() -> None:
 
     _register(IdentityDescriptor(
         "cor3.a", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: _P(p["k"], p["k"] - 2 * p["m"], x, pol),
-        terms=_indexed(lambda p, x, n, pol: (
+        lhs=lambda p, x: _P(p["k"], p["k"] - 2 * p["m"], x),
+        terms=_indexed(lambda p, x, n: (
             cor3_coeff(p, n) * (-2.0) ** n * (1.0 - x * x) ** (0.5 * n)
-            * x ** (p["k"] - n) * _P(p["k"] - n, p["k"] + n - 2 * p["m"], 1.0 / x, pol)
+            * x ** (p["k"] - n) * _P(p["k"] - n, p["k"] + n - 2 * p["m"], 1.0 / x)
         )),
         n_top=lambda p: p["m"],
         sampler=k_m_sampler,
     ))
     _register(IdentityDescriptor(
         "cor3.b", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: x ** p["k"] * _P(p["k"], p["k"] - 2 * p["m"], 1.0 / x, pol),
-        terms=_indexed(lambda p, x, n, pol: (
+        lhs=lambda p, x: x ** p["k"] * _P(p["k"], p["k"] - 2 * p["m"], 1.0 / x),
+        terms=_indexed(lambda p, x, n: (
             cor3_coeff(p, n) * 2.0 ** n * (1.0 - x * x) ** (0.5 * n)
-            * _P(p["k"] - n, p["k"] + n - 2 * p["m"], x, pol)
+            * _P(p["k"] - n, p["k"] + n - 2 * p["m"], x)
         )),
         n_top=lambda p: p["m"],
         sampler=k_m_sampler,
@@ -819,18 +826,18 @@ def _build_catalog() -> None:
     t5_tail = lambda p, x: (_u(x), abs(p["nu"].real) - p["nu"].real - 2.0)
     _register(IdentityDescriptor(
         "thm5.fwd", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol) / _cpow(x, p["nu"]),
-        terms=lambda p, x, pol: _product(
+        lhs=lambda p, x: _P(p["nu"], p["mu"], x) / _cpow(x, p["nu"]),
+        terms=lambda p, x: _product(
             1.0, math.sqrt(_u(x)), _rising(p["mu"] - p["nu"]),
-            mittag_leffler_g_seq(p["nu"]), _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol)),
+            mittag_leffler_g_seq(p["nu"]), _P_chain(p["nu"], p["mu"], 1.0 / x, 0)),
         n_top=_poch_top, sampler=t5_sampler, tail=t5_tail,
     ))
     _register(IdentityDescriptor(
         "thm5.inv", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: _P(p["nu"], p["mu"], 1.0 / x, pol),
-        terms=lambda p, x, pol: _product(
+        lhs=lambda p, x: _P(p["nu"], p["mu"], 1.0 / x),
+        terms=lambda p, x: _product(
             1.0 / _cpow(x, p["nu"]), math.sqrt(_u(x)), _rising(p["mu"] - p["nu"]),
-            mittag_leffler_g_seq(-p["nu"]), _P_chain(p["nu"], p["mu"], x, 0, pol)),
+            mittag_leffler_g_seq(-p["nu"]), _P_chain(p["nu"], p["mu"], x, 0)),
         n_top=_poch_top, sampler=t5_sampler, tail=t5_tail,
     ))
 
@@ -850,18 +857,18 @@ def _build_catalog() -> None:
 
     _register(IdentityDescriptor(
         "cor4.a", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: gegenbauer(p["k"], p["lam"], x) / (2.0 ** p["k"] * (x - 1.0) ** p["k"]),
-        terms=lambda p, x, pol: cor4_terms(p, x, True),
+        lhs=lambda p, x: gegenbauer(p["k"], p["lam"], x) / (2.0 ** p["k"] * (x - 1.0) ** p["k"]),
+        terms=lambda p, x: cor4_terms(p, x, True),
         n_top=lambda p: p["k"],
         sampler=k_lam_sampler,
     ))
     _register(IdentityDescriptor(
         "cor4.b", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: (
+        lhs=lambda p, x: (
             gegenbauer(p["k"], p["lam"], 1.0 / x)
             / (2.0 ** p["k"] * (1.0 - 1.0 / x) ** p["k"])
         ),
-        terms=lambda p, x, pol: cor4_terms(p, x, False),
+        terms=lambda p, x: cor4_terms(p, x, False),
         n_top=lambda p: p["k"],
         sampler=k_lam_sampler,
     ))
@@ -874,13 +881,13 @@ def _build_catalog() -> None:
 
     _register(IdentityDescriptor(
         "thm6.p1a", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol) / _cpow(1.0 + x, p["mu"]),
+        lhs=lambda p, x: _P(p["nu"], p["mu"], x) / _cpow(1.0 + x, p["mu"]),
         # P of degree nu - mu - n is P of degree mu - nu - 1 + n
-        terms=lambda p, x, pol: _product(
+        terms=lambda p, x: _product(
             _cpow(2.0, -p["mu"]) * _cpow(x, p["nu"] - p["mu"]),
             -2.0 * math.sqrt(1.0 - x * x) / x, _rising(p["mu"] - p["nu"]),
             frak_p_seq(-0.5 * p["nu"], 2.0 * p["mu"], 1.0),
-            _P_chain(p["mu"] - p["nu"] - 1.0, p["mu"], 1.0 / x, 1, pol)),
+            _P_chain(p["mu"] - p["nu"] - 1.0, p["mu"], 1.0 / x, 1)),
         n_top=_poch_top,
         sampler=_guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu,
                                       lambda nu, mu: nu - mu],
@@ -892,39 +899,39 @@ def _build_catalog() -> None:
     ))
     _register(IdentityDescriptor(
         "thm6.p1b", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: (
-            _P(p["nu"] - p["mu"], p["mu"], 1.0 / x, pol)
+        lhs=lambda p, x: (
+            _P(p["nu"] - p["mu"], p["mu"], 1.0 / x)
             / (_cpow(2.0, p["mu"]) * _cpow(x, p["mu"] - p["nu"]))
         ),
-        terms=lambda p, x, pol: _product(
+        terms=lambda p, x: _product(
             1.0 / _cpow(1.0 + x, p["mu"]), -math.sqrt(_u(x)), _rising(p["mu"] - p["nu"]),
-            bateman_g_seq(p["nu"], -2.0 * p["mu"]), _P_chain(p["nu"], p["mu"], x, 0, pol)),
+            bateman_g_seq(p["nu"], -2.0 * p["mu"]), _P_chain(p["nu"], p["mu"], x, 0)),
         n_top=_poch_top, sampler=t6_sampler, tail=t6_tail_b,
     ))
     _register(IdentityDescriptor(
         "thm6.p2a", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: (
-            _cpow(x, p["nu"]) * _P(p["nu"], p["mu"], 1.0 / x, pol)
+        lhs=lambda p, x: (
+            _cpow(x, p["nu"]) * _P(p["nu"], p["mu"], 1.0 / x)
             / _cpow(1.0 + x, p["mu"])
         ),
         # P of degree nu - mu - n is P of degree mu - nu - 1 + n
-        terms=lambda p, x, pol: _product(
+        terms=lambda p, x: _product(
             _cpow(2.0, -p["mu"]), 2.0 * math.sqrt(1.0 - x * x), _rising(p["mu"] - p["nu"]),
             frak_p_seq(-0.5 * p["nu"], 2.0 * p["mu"], 1.0),
-            _P_chain(p["mu"] - p["nu"] - 1.0, p["mu"], x, 1, pol)),
+            _P_chain(p["mu"] - p["nu"] - 1.0, p["mu"], x, 1)),
         n_top=_poch_top, sampler=t6_sampler,
         x_grid=(0.5, 0.65, 0.8),
         tail=lambda p, x: (1.0 - x * x, t6_expo(p)),
     ))
     _register(IdentityDescriptor(
         "thm6.p2b", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: (
-            _P(p["nu"] - p["mu"], p["mu"], x, pol)
+        lhs=lambda p, x: (
+            _P(p["nu"] - p["mu"], p["mu"], x)
             / (_cpow(2.0, p["mu"]) * _cpow(x, p["nu"]))
         ),
-        terms=lambda p, x, pol: _product(
+        terms=lambda p, x: _product(
             1.0 / _cpow(1.0 + x, p["mu"]), math.sqrt(_u(x)), _rising(p["mu"] - p["nu"]),
-            bateman_g_seq(p["nu"], -2.0 * p["mu"]), _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol)),
+            bateman_g_seq(p["nu"], -2.0 * p["mu"]), _P_chain(p["nu"], p["mu"], 1.0 / x, 0)),
         n_top=_poch_top, sampler=t6_sampler, tail=t6_tail_b,
     ))
 
@@ -945,50 +952,50 @@ def _build_catalog() -> None:
 
     _register(IdentityDescriptor(
         "cor5.a", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: (
-            _P(p["k"], p["m"], x, pol) / (2.0 ** p["m"] * _fact(p["k"]) * x ** (p["k"] + p["m"]))
+        lhs=lambda p, x: (
+            _P(p["k"], p["m"], x) / (2.0 ** p["m"] * _fact(p["k"]) * x ** (p["k"] + p["m"]))
         ),
-        terms=lambda p, x, pol: cor5_terms(p, x, True, True, True),
+        terms=lambda p, x: cor5_terms(p, x, True, True, True),
         n_top=lambda p: p["k"],
         sampler=k_m_sampler,
     ))
     _register(IdentityDescriptor(
         "cor5.b", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: (
-            _P(p["k"], p["m"], 1.0 / x, pol) * x ** p["k"] / (2.0 ** p["m"] * _fact(p["k"]))
+        lhs=lambda p, x: (
+            _P(p["k"], p["m"], 1.0 / x) * x ** p["k"] / (2.0 ** p["m"] * _fact(p["k"]))
         ),
-        terms=lambda p, x, pol: cor5_terms(p, x, False, True, False),
+        terms=lambda p, x: cor5_terms(p, x, False, True, False),
         n_top=lambda p: p["k"],
         sampler=k_m_sampler,
     ))
     _register(IdentityDescriptor(
         "cor5.c", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: (
-            _P(p["k"], -p["m"], x, pol) * 2.0 ** p["m"]
+        lhs=lambda p, x: (
+            _P(p["k"], -p["m"], x) * 2.0 ** p["m"]
             / (_fact(p["k"]) * x ** (p["k"] - p["m"]))
         ),
-        terms=lambda p, x, pol: cor5_terms(p, x, True, False, True),
+        terms=lambda p, x: cor5_terms(p, x, True, False, True),
         n_top=lambda p: p["k"],
         sampler=k_m_sampler,
     ))
     _register(IdentityDescriptor(
         "cor5.d", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: (
-            _P(p["k"], -p["m"], 1.0 / x, pol) * 2.0 ** p["m"] * x ** p["k"] / _fact(p["k"])
+        lhs=lambda p, x: (
+            _P(p["k"], -p["m"], 1.0 / x) * 2.0 ** p["m"] * x ** p["k"] / _fact(p["k"])
         ),
-        terms=lambda p, x, pol: cor5_terms(p, x, False, False, False),
+        terms=lambda p, x: cor5_terms(p, x, False, False, False),
         n_top=lambda p: p["k"],
         sampler=k_m_sampler,
     ))
 
     _register(IdentityDescriptor(
         "cor6", Kind.VANISHING_SUM,
-        lhs=lambda p, x, pol: 0j,
-        terms=lambda p, x, pol: (
+        lhs=lambda p, x: 0j,
+        terms=lambda p, x: (
             2.0 ** n * c
             / _fact(p["k"] - n) * (x - 1.0) ** n
             * abs((1.0 + x) / (1.0 - x)) ** (0.5 * n)
-            * _P(p["k"] - n, n - p["m"], x, pol)
+            * _P(p["k"] - n, n - p["m"], x)
             for n, c in enumerate(frak_p_seq(0.5 * (p["m"] - p["k"]), -2.0 * p["m"], 1.0))
         ),
         n_top=lambda p: p["k"],
@@ -1012,55 +1019,55 @@ def _build_catalog() -> None:
 
     _register(IdentityDescriptor(
         "thm7.q1", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: (
-            _P(p["nu"], p["mu"], 1.0 / x, pol) * _cpow(x, p["nu"])
+        lhs=lambda p, x: (
+            _P(p["nu"], p["mu"], 1.0 / x) * _cpow(x, p["nu"])
             / (SQRT_PI * _cpow(2.0, p["nu"] - p["mu"]))
         ),
-        terms=lambda p, x, pol: _product(
+        terms=lambda p, x: _product(
             _cpow(_u(x), 0.25 * (p["mu"] - p["nu"])), 0.5 * _u(x) ** 0.25,
             _rising(p["mu"] - p["nu"]), script_G_seq(p["nu"], p["nu"], math.sqrt(_u(x))),
             _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
-            _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), x, 0, pol)),
+            _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), x, 0)),
         n_top=_poch_top, sampler=t7_sampler, tail=t7_tail_fixed,
     ))
     _register(IdentityDescriptor(
         "thm7.q2", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: (
+        lhs=lambda p, x: (
             _cpow(_u(x), 0.25 * (p["mu"] - p["nu"]))
-            * _P(p["nu"], 0.5 * (p["mu"] + p["nu"]), x, pol)
+            * _P(p["nu"], 0.5 * (p["mu"] + p["nu"]), x)
             * recip_gamma(0.5 * (p["mu"] - p["nu"] + 1.0))
         ),
-        terms=lambda p, x, pol: _product(
+        terms=lambda p, x: _product(
             _cpow(x, p["nu"]) / (SQRT_PI * _cpow(2.0, p["nu"] - p["mu"])), 1.0,
             _rising(p["mu"] - p["nu"]), script_G_seq(-p["nu"], -p["nu"], math.sqrt(_u(x))),
-            _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol)),
+            _P_chain(p["nu"], p["mu"], 1.0 / x, 0)),
         n_top=_poch_top, sampler=t7_sampler_cond, param_check=q_cond_check,
         tail=t7_tail_nu,
     ))
     _register(IdentityDescriptor(
         "thm7.q3", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: (
-            _P(p["nu"], p["mu"], x, pol)
+        lhs=lambda p, x: (
+            _P(p["nu"], p["mu"], x)
             / (SQRT_PI * _cpow(2.0, p["nu"] - p["mu"]) * _cpow(x, p["nu"]))
         ),
-        terms=lambda p, x, pol: _product(
+        terms=lambda p, x: _product(
             _cpow(_u(x), 0.25 * (p["mu"] - p["nu"])), 0.5 * _u(x) ** 0.25,
             _rising(p["mu"] - p["nu"]), script_G_hat_seq(p["nu"], p["nu"], math.sqrt(_u(x))),
             _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
-            _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), 1.0 / x, 0, pol)),
+            _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), 1.0 / x, 0)),
         n_top=_poch_top, sampler=t7_sampler, tail=t7_tail_fixed,
     ))
     _register(IdentityDescriptor(
         "thm7.q4", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: (
+        lhs=lambda p, x: (
             _cpow(_u(x), 0.25 * (p["mu"] - p["nu"]))
-            * _P(p["nu"], 0.5 * (p["mu"] + p["nu"]), 1.0 / x, pol)
+            * _P(p["nu"], 0.5 * (p["mu"] + p["nu"]), 1.0 / x)
             * recip_gamma(0.5 * (p["mu"] - p["nu"] + 1.0))
         ),
-        terms=lambda p, x, pol: _product(
+        terms=lambda p, x: _product(
             1.0 / (SQRT_PI * _cpow(2.0, p["nu"] - p["mu"]) * _cpow(x, p["nu"])), 1.0,
             _rising(p["mu"] - p["nu"]), script_G_hat_seq(-p["nu"], -p["nu"], math.sqrt(_u(x))),
-            _P_chain(p["nu"], p["mu"], x, 0, pol)),
+            _P_chain(p["nu"], p["mu"], x, 0)),
         n_top=_poch_top, sampler=t7_sampler_cond, param_check=q_cond_check,
         tail=t7_tail_nu,
     ))
@@ -1108,39 +1115,39 @@ def _build_catalog() -> None:
 
     _register(IdentityDescriptor(
         "cor7.a", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: (
+        lhs=lambda p, x: (
             gegenbauer(p["k"], p["lam"], 1.0 / x) * x ** p["k"]
             / (1.0 - x * x) ** (0.5 * p["k"])
         ),
-        terms=lambda p, x, pol: cor7_narrow(p, x, False),
+        terms=lambda p, x: cor7_narrow(p, x, False),
         n_top=lambda p: p["k"] // 2,
         sampler=k_lam_sampler,
     ))
     _register(IdentityDescriptor(
         "cor7.b", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: (
+        lhs=lambda p, x: (
             gegenbauer(p["k"], p["k"] + p["lam"], x) / (1.0 - x) ** p["k"]
         ),
-        terms=lambda p, x, pol: cor7_wide(p, x, False),
+        terms=lambda p, x: cor7_wide(p, x, False),
         n_top=lambda p: 2 * p["k"],
         sampler=k_lam_sampler,
     ))
     _register(IdentityDescriptor(
         "cor7.c", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: (
+        lhs=lambda p, x: (
             gegenbauer(p["k"], p["lam"], x) / (1.0 - x * x) ** (0.5 * p["k"])
         ),
-        terms=lambda p, x, pol: cor7_narrow(p, x, True),
+        terms=lambda p, x: cor7_narrow(p, x, True),
         n_top=lambda p: p["k"] // 2,
         sampler=k_lam_sampler,
     ))
     _register(IdentityDescriptor(
         "cor7.d", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: (
+        lhs=lambda p, x: (
             gegenbauer(p["k"], p["k"] + p["lam"], 1.0 / x) * x ** p["k"]
             / (1.0 - x) ** p["k"]
         ),
-        terms=lambda p, x, pol: cor7_wide(p, x, True),
+        terms=lambda p, x: cor7_wide(p, x, True),
         n_top=lambda p: 2 * p["k"],
         sampler=k_lam_sampler,
     ))
@@ -1163,32 +1170,32 @@ def _build_catalog() -> None:
 
     _register(IdentityDescriptor(
         "cor8.a", Kind.VANISHING_SUM,
-        lhs=lambda p, x, pol: 0j,
-        terms=lambda p, x, pol: cor89_terms(
+        lhs=lambda p, x: 0j,
+        terms=lambda p, x: cor89_terms(
             p, x, False, lambda k, lam: -2 * k - lam - 0.5),
         n_top=lambda p: 2 * p["k"] + 1,
         sampler=k_lam_sampler,
     ))
     _register(IdentityDescriptor(
         "cor8.b", Kind.VANISHING_SUM,
-        lhs=lambda p, x, pol: 0j,
-        terms=lambda p, x, pol: cor89_terms(
+        lhs=lambda p, x: 0j,
+        terms=lambda p, x: cor89_terms(
             p, x, True, lambda k, lam: -2 * k - lam - 0.5),
         n_top=lambda p: 2 * p["k"] + 1,
         sampler=k_lam_sampler,
     ))
     _register(IdentityDescriptor(
         "cor9.a", Kind.VANISHING_SUM,
-        lhs=lambda p, x, pol: 0j,
-        terms=lambda p, x, pol: cor89_terms(
+        lhs=lambda p, x: 0j,
+        terms=lambda p, x: cor89_terms(
             p, x, False, lambda k, lam: lam - 0.5),
         n_top=lambda p: 2 * p["k"] + 1,
         sampler=k_lam_sampler,
     ))
     _register(IdentityDescriptor(
         "cor9.b", Kind.VANISHING_SUM,
-        lhs=lambda p, x, pol: 0j,
-        terms=lambda p, x, pol: cor89_terms(
+        lhs=lambda p, x: 0j,
+        terms=lambda p, x: cor89_terms(
             p, x, True, lambda k, lam: lam - 0.5),
         n_top=lambda p: 2 * p["k"] + 1,
         sampler=k_lam_sampler,
@@ -1204,37 +1211,37 @@ def _build_catalog() -> None:
 
     _register(IdentityDescriptor(
         "thm8.g1", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: (
+        lhs=lambda p, x: (
             _cpow(1.0 - x * x, 0.25 * (p["mu"] + p["nu"]))
-            * _P(0.5 * (p["mu"] - p["nu"] - 2.0), 0.5 * (p["mu"] + p["nu"]), x, pol)
+            * _P(0.5 * (p["mu"] - p["nu"] - 2.0), 0.5 * (p["mu"] + p["nu"]), x)
             * recip_gamma(0.5 * (p["mu"] - p["nu"] + 1.0))
             / (_cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"])) * _cpow(x, p["nu"]))
         ),
-        terms=lambda p, x, pol: _product(
+        terms=lambda p, x: _product(
             _cpow(_u(x), 0.5 * p["nu"]) / SQRT_PI, 1.0,
             _rising(p["mu"] - p["nu"]), script_G_seq(-p["nu"], p["mu"], math.sqrt(_u(x))),
-            _P_chain(p["nu"], p["mu"], 1.0 / x, 0, pol)),
+            _P_chain(p["nu"], p["mu"], 1.0 / x, 0)),
         n_top=_poch_top, sampler=t7_sampler_cond, param_check=q_cond_check,
         tail=t7_tail_nu,
     ))
     _register(IdentityDescriptor(
         "thm8.r1", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: _P(p["nu"], p["mu"], 1.0 / x, pol) / SQRT_PI,
-        terms=lambda p, x, pol: _product(
+        lhs=lambda p, x: _P(p["nu"], p["mu"], 1.0 / x) / SQRT_PI,
+        terms=lambda p, x: _product(
             _cpow(1.0 - x * x, 0.25 * (p["mu"] - p["nu"]))
             / _cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"])),
             (1.0 - x * x) ** 0.25 / math.sqrt(2.0),
             _rising(p["mu"] - p["nu"]), frak_N_seq(p["nu"], p["mu"], x, -1),
             _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
             _P_half_chain(0.5 * (p["mu"] - p["nu"] - 2.0), 0.5 * (p["mu"] + p["nu"]),
-                          x, 1, pol)),
+                          x, 1)),
         n_top=_poch_top, sampler=t7_sampler,
         x_grid=(0.55, 0.7, 0.85), tail=t8_tail_r,
     ))
     _register(IdentityDescriptor(
         "thm8.r2", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol) / SQRT_PI,
-        terms=lambda p, x, pol: _product(
+        lhs=lambda p, x: _P(p["nu"], p["mu"], x) / SQRT_PI,
+        terms=lambda p, x: _product(
             _cpow(1.0 - x * x, 0.25 * (p["mu"] - p["nu"]))
             / (_cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"]))
                * _cpow(x, 0.5 * (p["mu"] - p["nu"]))),
@@ -1242,7 +1249,7 @@ def _build_catalog() -> None:
             _rising(p["mu"] - p["nu"]), frak_N_seq(p["nu"], p["mu"], x, 1),
             _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
             _P_half_chain(0.5 * (p["mu"] - p["nu"] - 2.0), 0.5 * (p["mu"] + p["nu"]),
-                          1.0 / x, 1, pol)),
+                          1.0 / x, 1)),
         n_top=_poch_top, sampler=t7_sampler,
         x_grid=(0.75, 0.8, 0.9),
         x_window=_inv_sqrt2_window(_poch_top),
@@ -1251,17 +1258,17 @@ def _build_catalog() -> None:
     ))
     _register(IdentityDescriptor(
         "thm8.g2", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: (
+        lhs=lambda p, x: (
             _cpow(1.0 - x * x, 0.25 * (p["mu"] + p["nu"]))
-            * _P(0.5 * (p["mu"] - p["nu"] - 2.0), 0.5 * (p["mu"] + p["nu"]), 1.0 / x, pol)
+            * _P(0.5 * (p["mu"] - p["nu"] - 2.0), 0.5 * (p["mu"] + p["nu"]), 1.0 / x)
             * recip_gamma(0.5 * (p["mu"] - p["nu"] + 1.0))
             / (_cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"]))
                * _cpow(x, 0.5 * (p["mu"] - p["nu"])))
         ),
-        terms=lambda p, x, pol: _product(
+        terms=lambda p, x: _product(
             _cpow(_u(x), 0.5 * p["nu"]) / SQRT_PI, 1.0,
             _rising(p["mu"] - p["nu"]), script_G_hat_seq(-p["nu"], p["mu"], math.sqrt(_u(x))),
-            _P_chain(p["nu"], p["mu"], x, 0, pol)),
+            _P_chain(p["nu"], p["mu"], x, 0)),
         n_top=_poch_top, sampler=t7_sampler_cond, param_check=g_cond_check,
         tail=t7_tail_nu,
     ))
@@ -1285,29 +1292,29 @@ def _build_catalog() -> None:
 
     _register(IdentityDescriptor(
         "cor10.a", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: _P(p["k"], p["m"], x, pol) / 2.0 ** p["m"],
-        terms=lambda p, x, pol: cor10_terms(p, x, False, True),
+        lhs=lambda p, x: _P(p["k"], p["m"], x) / 2.0 ** p["m"],
+        terms=lambda p, x: cor10_terms(p, x, False, True),
         n_top=lambda p: 2 * p["k"],
         sampler=k_m_sampler,
     ))
     _register(IdentityDescriptor(
         "cor10.b", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: _P(p["k"], p["m"], 1.0 / x, pol) * x ** p["k"] / 2.0 ** p["m"],
-        terms=lambda p, x, pol: cor10_terms(p, x, True, True),
+        lhs=lambda p, x: _P(p["k"], p["m"], 1.0 / x) * x ** p["k"] / 2.0 ** p["m"],
+        terms=lambda p, x: cor10_terms(p, x, True, True),
         n_top=lambda p: 2 * p["k"],
         sampler=k_m_sampler,
     ))
     _register(IdentityDescriptor(
         "cor10.c", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: _P(p["k"], -p["m"], x, pol) * 2.0 ** p["m"],
-        terms=lambda p, x, pol: cor10_terms(p, x, False, False),
+        lhs=lambda p, x: _P(p["k"], -p["m"], x) * 2.0 ** p["m"],
+        terms=lambda p, x: cor10_terms(p, x, False, False),
         n_top=lambda p: 2 * p["k"],
         sampler=k_m_sampler,
     ))
     _register(IdentityDescriptor(
         "cor10.d", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: _P(p["k"], -p["m"], 1.0 / x, pol) * 2.0 ** p["m"] * x ** p["k"],
-        terms=lambda p, x, pol: cor10_terms(p, x, True, False),
+        lhs=lambda p, x: _P(p["k"], -p["m"], 1.0 / x) * 2.0 ** p["m"] * x ** p["k"],
+        terms=lambda p, x: cor10_terms(p, x, True, False),
         n_top=lambda p: 2 * p["k"],
         sampler=k_m_sampler,
     ))
@@ -1324,29 +1331,29 @@ def _build_catalog() -> None:
 
     _register(IdentityDescriptor(
         "thm9.fwd", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: _P(p["nu"], p["mu"], x, pol),
-        terms=lambda p, x, pol: _product(
+        lhs=lambda p, x: _P(p["nu"], p["mu"], x),
+        terms=lambda p, x: _product(
             SQRT_PI * _cpow(2.0, 2.0 * p["nu"] - p["mu"]) * _cpow(x, p["nu"])
             / _cpow(1.0 - x * x, 0.5 * p["nu"]),
             0.25 / math.sqrt(1.0 - x * x),
             _rising(2.0 * p["nu"]), _rising(p["mu"] - p["nu"]),
             (1.0 / d for d in _rising(p["nu"] + 0.5)), gegenbauer_seq(0.5 - p["nu"], x),
             _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
-            _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), x2arg(x), 0, pol)),
+            _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), x2arg(x), 0)),
         n_top=t9_ntop, sampler=t9_sampler, tail=t9_tail,
     ))
     _register(IdentityDescriptor(
         "thm9.inv", Kind.INFINITE_SERIES,
-        lhs=lambda p, x, pol: (
-            SQRT_PI * _P(p["nu"], 0.5 * (p["mu"] + p["nu"]), x2arg(x), pol)
+        lhs=lambda p, x: (
+            SQRT_PI * _P(p["nu"], 0.5 * (p["mu"] + p["nu"]), x2arg(x))
             * _cpow(x, p["nu"]) * recip_gamma(0.5 * (p["mu"] - p["nu"] + 1.0))
             / _cpow(2.0, p["mu"] - 2.0 * p["nu"])
         ),
-        terms=lambda p, x, pol: _product(
+        terms=lambda p, x: _product(
             _cpow(1.0 - x * x, 0.5 * p["nu"]), 0.5 / math.sqrt(1.0 - x * x),
             _rising(-2.0 * p["nu"]), _rising(p["mu"] - p["nu"]),
             (1.0 / d for d in _rising(0.5 - p["nu"])), gegenbauer_seq(0.5 + p["nu"], x),
-            _P_chain(p["nu"], p["mu"], x, 0, pol)),
+            _P_chain(p["nu"], p["mu"], x, 0)),
         n_top=lambda p: terminating_index(-2.0 * p["nu"], p["mu"] - p["nu"]),
         sampler=t9_sampler, tail=t9_tail,
     ))
@@ -1381,7 +1388,7 @@ def _build_catalog() -> None:
             yield t
             t *= -(a + n) * (b + n) / ((c + n) * (d + n))
 
-    def cor11a_terms(p, x, pol):
+    def cor11a_terms(p, x):
         k, mu = p["k"], p["mu"]
         # C_{k-2m}^(1/2-2k+2m-mu): every other value of the diagonal
         # s = 1/2-k-mu, read backwards
@@ -1399,15 +1406,15 @@ def _build_catalog() -> None:
 
     _register(IdentityDescriptor(
         "cor11.a", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: gegenbauer(p["k"], p["mu"] + 0.5, x),
+        lhs=lambda p, x: gegenbauer(p["k"], p["mu"] + 0.5, x),
         terms=cor11a_terms,
         n_top=lambda p: p["k"] // 2,
         sampler=k_mu_sampler,
     ))
     _register(IdentityDescriptor(
         "cor11.b", Kind.FINITE_SUM,
-        lhs=lambda p, x, pol: x ** p["l"] * gegenbauer(p["l"], p["mu"] + p["l"] + 0.5, x2arg(x)),
-        terms=lambda p, x, pol: pair_terms(
+        lhs=lambda p, x: x ** p["l"] * gegenbauer(p["l"], p["mu"] + p["l"] + 0.5, x2arg(x)),
+        terms=lambda p, x: pair_terms(
             x, 0.5 + 2 * p["l"] + p["mu"], 2 * p["l"],
             (lam2(p["l"], n, p["mu"]) for n in itertools.count())),
         n_top=lambda p: 2 * p["l"],
@@ -1415,8 +1422,8 @@ def _build_catalog() -> None:
     ))
     _register(IdentityDescriptor(
         "lambda3", Kind.VANISHING_SUM,
-        lhs=lambda p, x, pol: 0j,
-        terms=lambda p, x, pol: pair_terms(
+        lhs=lambda p, x: 0j,
+        terms=lambda p, x: pair_terms(
             x, 1.5 + 2 * p["l"] + p["mu"], 2 * p["l"] + 1, lam3(p["l"], p["mu"])),
         n_top=lambda p: 2 * p["l"] + 1,
         sampler=l_mu_sampler,

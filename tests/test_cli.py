@@ -49,6 +49,27 @@ class TestEval:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    # ferrers_p(0.3, 0.2, 0.6) sums 19 terms
+    POINT = ["eval", "ferrers", "--nu", "0.3", "--mu", "0.2", "--x", "0.6"]
+
+    def test_max_terms_honoured(self, capsys):
+        assert main(self.POINT + ["--max-terms", "5"]) == 1
+        assert "did not converge within 5 terms" in capsys.readouterr().err
+        assert main(self.POINT + ["--max-terms", "19"]) == 0
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--rel-tol", "-1", "--rel-tol must be finite and positive"),
+        ("--rel-tol", "nan", "--rel-tol must be finite and positive"),
+        ("--rel-tol", "0", "--rel-tol must be finite and positive"),
+        ("--rel-tol", "inf", "--rel-tol must be finite and positive"),
+        ("--max-terms", "-5", "--max-terms must be at least 1"),
+        ("--max-terms", "0", "--max-terms must be at least 1"),
+    ])
+    def test_bad_policy_flag_named(self, capsys, flag, value, message):
+        assert main(self.POINT + [flag, value]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "converge" not in err
+
 
     def test_csv_has_the_json_fields(self, capsys):
         argv = ["eval", "legendre", "--nu", "0.3+0.2i", "--mu=-0.4", "--x", "1.5"]
@@ -260,10 +281,14 @@ class TestListCommand:
         )
 
     def test_rejects_series_options(self, capsys):
-        # list and asympt sum no series, so they take no policy flags
-        assert main(["list", "--max-terms", "5"]) == 1
-        assert main(["asympt", "--rel-tol", "1e-10"]) == 1
-        assert "unrecognized arguments" in capsys.readouterr().err
+        # only eval takes policy flags: the catalog sums to fixed settings,
+        # and list and asympt sum no series
+        for argv in (["list"], ["asympt"], ["sweep", "cor6", "--samples", "1"],
+                     ["verify", "cor6", "--k", "3", "--m", "2", "--x", "0.9"],
+                     ["convergence", "cor6", "--k", "3", "--m", "2", "--x", "0.9"]):
+            for flag in (["--rel-tol", "1e-10"], ["--max-terms", "5"]):
+                assert main(argv + flag) == 1
+                assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestAsymptCommand:

@@ -224,7 +224,7 @@ def _reference_2f1(a, b, c, t, policy=DEFAULT_POLICY):
                 raise DivergenceError(f"2F1 terms overflow at term {n}")
             if size <= policy.rel_tol * max(abs(total), ABS_FLOOR):
                 small_run += 1
-                if small_run >= policy.consecutive_small:
+                if small_run >= 3:
                     err = size / max(1.0 - abs(t), 1e-16)
                     return SeriesValue(total, n + 1, err)
             else:
@@ -255,46 +255,45 @@ class TestGauss2F1MatchesEveryTermTest:
     @given(a=_param, b=_param, c=_param,
            t=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
            rel_tol=st.sampled_from([1e-13, 2.0 ** -52, 1e-8]),
-           consecutive_small=st.sampled_from([1, 2, 3]),
            max_terms=st.sampled_from([5, 50, 100000]))
     # a numerator 1e-9 off -5 makes term 6 dip below the test mid-sum, and a
     # denominator 1e-3 off -6 lifts term 7 far above it: the run must reset
     # although term 7 is never tested
     @example(a=-5 + 1e-9, b=2.5, c=-6 + 1e-3, t=0.1, rel_tol=1e-13,
-             consecutive_small=3, max_terms=100000)
+             max_terms=100000)
     @example(a=0.3 + 0.2j, b=-1.7, c=2.5, t=0.0, rel_tol=1e-13,
-             consecutive_small=3, max_terms=100000)
+             max_terms=100000)
     # the first partial sum is exactly 0, so the test compares with ABS_FLOOR
     @example(a=2.0, b=1.0, c=1.0, t=-0.5, rel_tol=1e-13,
-             consecutive_small=3, max_terms=100000)
+             max_terms=100000)
     # the first term is inf, every later one nan
     @example(a=1e200, b=1e200, c=1.0, t=0.5, rel_tol=1e-13,
-             consecutive_small=3, max_terms=50)
+             max_terms=50)
     # finite parts whose modulus overflows: abs raises OverflowError
     @example(a=1.3e154 + 1.3e154j, b=1.3e154, c=1.0, t=0.95, rel_tol=1e-13,
-             consecutive_small=3, max_terms=50)
+             max_terms=50)
     # both again at the default cap, where the first must not form every term
     @example(a=1e200, b=1e200, c=1.0, t=0.5, rel_tol=1e-13,
-             consecutive_small=3, max_terms=100000)
+             max_terms=100000)
     @example(a=1.3e154 + 1.3e154j, b=1.3e154, c=1.0, t=0.95, rel_tol=1e-13,
-             consecutive_small=3, max_terms=100000)
+             max_terms=100000)
     # a terminating sum whose terms overflow
     @example(a=-20.0, b=1e200, c=1.0, t=0.5, rel_tol=1e-13,
-             consecutive_small=3, max_terms=100000)
+             max_terms=100000)
     # terminating at n_stop == max_terms returns; one past it raises
     @example(a=-5.0, b=0.7 + 0.1j, c=1.3, t=0.6, rel_tol=1e-13,
-             consecutive_small=3, max_terms=5)
+             max_terms=5)
     @example(a=-6.0, b=0.7 + 0.1j, c=1.3, t=0.6, rel_tol=1e-13,
-             consecutive_small=3, max_terms=5)
+             max_terms=5)
     @settings(max_examples=300, deadline=None)
-    def test_bit_identical(self, a, b, c, t, rel_tol, consecutive_small, max_terms):
-        policy = TruncationPolicy(rel_tol, consecutive_small, max_terms)
+    def test_bit_identical(self, a, b, c, t, rel_tol, max_terms):
+        policy = TruncationPolicy(rel_tol, max_terms)
         args = (a, b, c, t, policy)
         assert _outcome(gauss_2f1, *args) == _outcome(_reference_2f1, *args)
 
     def test_examples_reach_their_branches(self):
         assert gauss_2f1(-5 + 1e-9, 2.5, -6 + 1e-3, 0.1).terms_used == 11
-        policy = TruncationPolicy(1e-13, 3, 5)
+        policy = TruncationPolicy(1e-13, 5)
         assert gauss_2f1(-5.0, 0.7 + 0.1j, 1.3, 0.6, policy).terms_used == 6
         with pytest.raises(MaxTermsError):
             gauss_2f1(-6.0, 0.7 + 0.1j, 1.3, 0.6, policy)

@@ -97,4 +97,4 @@ def test_harness_configs_do_not_share_counts():
 
 def test_replace_keeps_the_other_fields():
     policy = TruncationPolicy()._replace(rel_tol=1e-15)
-    assert policy == TruncationPolicy(1e-15, 3, 100000)
+    assert policy == TruncationPolicy(1e-15, 100000)

@@ -40,8 +40,12 @@ from legdual.registry import (
 
 ALL = list_identities()
 
-# the direct test never passes, so every infinite sum ends in the epsilon table
-NO_DIRECT = TruncationPolicy(consecutive_small=10**6)
+
+@pytest.fixture
+def no_direct(monkeypatch):
+    """The direct test never passes, so every infinite sum ends in the
+    epsilon table."""
+    monkeypatch.setattr(legdual.registry, "_DIRECT_RUN", 10**6)
 
 
 def _count_calls(monkeypatch, name, modules):
@@ -60,7 +64,7 @@ def _series(term):
     """A synthetic infinite series whose n-th term is term(n)."""
     return IdentityDescriptor(
         "synthetic", Kind.INFINITE_SERIES, lhs=None,
-        terms=lambda p, x, pol: (complex(term(n)) for n in itertools.count()),
+        terms=lambda p, x: (complex(term(n)) for n in itertools.count()),
         n_top=lambda p: None)
 
 
@@ -88,6 +92,30 @@ class TestCatalog:
     def test_unknown_id(self):
         with pytest.raises(UnknownIdentityError):
             get_descriptor("thm99.zzz")
+
+
+class TestFixedSettings:
+    """The catalog sums to fixed settings; the trailing-policy call form is
+    kept for DEFAULT_POLICY alone."""
+
+    @pytest.mark.parametrize("ident", [d.id for d in ALL])
+    def test_default_policy_form_is_bit_identical(self, ident):
+        entry = get_descriptor(ident)
+        p = entry.sampler(random.Random(0))
+        x = entry.x_grid[0]
+        top = entry.n_top(p)
+        n = 24 if top is None else top + 1
+        assert repr(entry.lhs(p, x)) == repr(entry.lhs(p, x, DEFAULT_POLICY))
+        assert repr(list(itertools.islice(entry.terms(p, x), n))) == repr(
+            list(itertools.islice(entry.terms(p, x, DEFAULT_POLICY), n)))
+
+    def test_other_policy_refused(self):
+        entry = get_descriptor("thm4.inv")
+        p, x = {"nu": 0.3 + 0j, "mu": 1.2 + 0j}, 0.65
+        loose = TruncationPolicy(rel_tol=1e-6)
+        for call in (entry.lhs, entry.terms, lambda p, x, pol: _sum_terms(entry, p, x, pol)):
+            with pytest.raises(ValueError, match="fixed settings"):
+                call(p, x, loose)
         with pytest.raises(UnknownIdentityError):
             evaluate_identity("thm99.zzz", {"nu": 0.3}, 0.5)
 
@@ -194,16 +222,16 @@ class TestEvaluate:
         assert r.passed and r.stop_reason == "wynn"
         assert r.extrap_err > 0.0
 
-    def test_wynn_error_positive_on_stagnant_sums(self):
+    def test_wynn_error_positive_on_stagnant_sums(self, no_direct):
         # partial sums 1, 1.5, 1.75, 1.75, ...: the table ends where two
         # entries are equal and the estimates agree exactly
-        s = _sum_terms(_series(lambda n: 0.5 ** n if n < 3 else 0.0), {}, 0.5, NO_DIRECT)
+        s = _sum_terms(_series(lambda n: 0.5 ** n if n < 3 else 0.0), {}, 0.5)
         assert s.stop_reason == "wynn" and s.value == 1.75 and s.extrap_err > 0.0
 
 
 class TestWynnStop:
     def test_alternating_log2_stops_early(self):
-        s = _sum_terms(_series(lambda n: (-1.0) ** n / (n + 1)), {}, 0.5, DEFAULT_POLICY)
+        s = _sum_terms(_series(lambda n: (-1.0) ** n / (n + 1)), {}, 0.5)
         assert s.stop_reason == "wynn" and s.terms_used <= 40
         assert abs(s.value - math.log(2.0)) <= 1e-13
 
@@ -211,30 +239,30 @@ class TestWynnStop:
         # the table settles on the antilimit -1 of sum 2^n; that must not
         # be returned as a sum
         with pytest.raises(ConvergenceError):
-            _sum_terms(_series(lambda n: 2.0 ** n), {}, 0.5, DEFAULT_POLICY)
+            _sum_terms(_series(lambda n: 2.0 ** n), {}, 0.5)
 
     def test_unsettled_sum_returns_at_the_cap(self):
         # sum 1/(n+1)^2 converges too slowly for the table to settle to 1e-14
-        s = _sum_terms(_series(lambda n: 1.0 / (n + 1) ** 2), {}, 0.5, DEFAULT_POLICY)
+        s = _sum_terms(_series(lambda n: 1.0 / (n + 1) ** 2), {}, 0.5)
         assert s.stop_reason == "wynn" and s.terms_used == _SERIES_CAP
         assert math.isfinite(abs(s.value)) and s.extrap_err > 0.0
         # no farther from the limit than the partial sum at the cap
         assert abs(s.value - math.pi ** 2 / 6) < 1.0 / _SERIES_CAP
 
-    def test_cap_bounded_by_policy(self):
-        s = _sum_terms(_series(lambda n: 1.0 / (n + 1) ** 2), {}, 0.5,
-                       TruncationPolicy(max_terms=30))
+    def test_cap_read_from_series_cap(self, monkeypatch):
+        monkeypatch.setattr(legdual.registry, "_SERIES_CAP", 30)
+        s = _sum_terms(_series(lambda n: 1.0 / (n + 1) ** 2), {}, 0.5)
         assert s.terms_used == 30
 
-    def test_non_finite_entries_are_never_returned(self):
+    def test_non_finite_entries_are_never_returned(self, no_direct):
         # partial sums n * 1e-320 differ by a subnormal, so 1/d overflows:
         # the antidiagonal ends there and the estimate stays finite
-        s = _sum_terms(_series(lambda n: 1e-320), {}, 0.5, NO_DIRECT)
+        s = _sum_terms(_series(lambda n: 1e-320), {}, 0.5)
         assert s.stop_reason == "wynn" and s.terms_used == _SERIES_CAP
         assert math.isfinite(abs(s.value)) and s.extrap_err > 0.0
         # no estimate is finite: an error, not a value
         with pytest.raises(ConvergenceError):
-            _sum_terms(_series(lambda n: math.nan), {}, 0.5, NO_DIRECT)
+            _sum_terms(_series(lambda n: math.nan), {}, 0.5)
 
     def test_thm8_r1_sweep_cost(self):
         # each point stops once its estimates agree (51.7 terms on average);
@@ -281,13 +309,13 @@ class TestSweep:
     def test_programming_error_propagates(self, monkeypatch):
         # only library errors become failed points; a bug in a term stream
         # must surface
-        def broken(p, x, pol):
+        def broken(p, x):
             yield 1.0 + 0j
             raise TypeError("bug in a term stream")
 
         monkeypatch.setitem(legdual.registry._REGISTRY, "cor6",
                             _get_impl("cor6")._replace(terms=broken))
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="bug in a term stream"):
             sweep_identity("cor6", param_sampler=[{"k": 3, "m": 2}])
 
     def test_explicit_grid(self):
@@ -338,7 +366,7 @@ class TestTermStreams:
                     continue
                 for x in entry.x_grid:
                     entry.check_domain(p, x)
-                    terms = entry.terms(p, x, DEFAULT_POLICY)
+                    terms = entry.terms(p, x)
                     assert len(list(itertools.islice(terms, top + 1))) == top + 1, (
                         entry.id, p, x)
                     checked.add(entry.id)
@@ -358,7 +386,7 @@ class TestTermStreams:
         r = evaluate_identity("thm8.r1", self.R1, 0.55)
         assert r.passed and r.terms_used < 144
         full, calls[0] = calls[0], 0
-        terms = _get_impl("thm8.r1").terms(self.R1, 0.55, DEFAULT_POLICY)
+        terms = _get_impl("thm8.r1").terms(self.R1, 0.55)
         assert len(list(itertools.islice(terms, 8))) == 8
         assert 0 < calls[0] == full
 
@@ -371,13 +399,12 @@ class TestTermStreams:
     def test_convergence_table_sums_the_summed_stream(self, ident, params, x):
         impl = _get_impl(ident)
         n_max = 50
-        reference = complex(impl.lhs(params, x, DEFAULT_POLICY))
-        sums = list(itertools.islice(
-            _running_sums(impl, params, x, DEFAULT_POLICY), n_max + 1))
+        reference = complex(impl.lhs(params, x))
+        sums = list(itertools.islice(_running_sums(impl, params, x), n_max + 1))
         rows = convergence_table(ident, params, x, n_max)
         assert [(t, e) for _, t, e in rows] == [
             (abs(t), abs(partial - reference)) for t, partial in sums]
-        total = _sum_terms(impl, params, x, DEFAULT_POLICY)
+        total = _sum_terms(impl, params, x)
         if total.stop_reason != "wynn":
             assert total.value == sums[total.terms_used - 1][1]
 
