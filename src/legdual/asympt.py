@@ -14,6 +14,7 @@ from typing import NamedTuple
 from .coeffs import FactorList, lauricella_G
 from .errors import BoundUnavailableError, DegenerateError
 from .hypergeom import INT_TOL, nearest_int, pochhammer, recip_gamma
+from .series import binomial, nth
 
 __all__ = [
     "AsymptoticEstimate",
@@ -28,12 +29,11 @@ __all__ = [
 
 
 class AsymptoticEstimate(NamedTuple):
-    """Leading-term value, an explicit remainder bound when one is stated,
-    and the exponent of the error order."""
+    """Leading-term value and an explicit remainder bound when one is
+    stated."""
 
     leading: complex
     remainder_bound: float | None
-    order_hint: float
 
 
 def _node_prefactor(f: FactorList, m: int) -> complex:
@@ -56,14 +56,6 @@ def _reduced_factors(f: FactorList, m: int) -> FactorList:
         taus.append(f.taus[j])
         ws.append(f.ws[j] / (f.ws[j] - f.ws[m]))
     return FactorList(tuple(taus), tuple(ws))
-
-
-def _poch_over_factorial(a: complex, n: int) -> complex:
-    """(a)_n / n! as an interleaved product, safe for large n."""
-    acc = complex(1.0)
-    for l in range(n):
-        acc *= (a + l) / (l + 1)
-    return acc
 
 
 def darboux_G_leading(n: int, f: FactorList) -> AsymptoticEstimate:
@@ -93,34 +85,30 @@ def darboux_G_leading(n: int, f: FactorList) -> AsymptoticEstimate:
             * cmath.exp((f.taus[m] - 1.0) * math.log(n))
             * recip_gamma(f.taus[m])
         )
-    return AsymptoticEstimate(total, None, big_t - 1.0)
+    return AsymptoticEstimate(total, None)
 
 
-def darboux_G_refined(n: int, f: FactorList, K: "int | list[int]") -> AsymptoticEstimate:
-    """Refined large-n expansion including the correction coefficients from
-    the reduced factor lists and the exact finite contributions of
-    positive-integer exponents."""
+def darboux_G_refined(n: int, f: FactorList, K: int) -> AsymptoticEstimate:
+    """Refined large-n expansion including the correction coefficients of
+    orders 0..K from the reduced factor lists and the exact finite
+    contributions of positive-integer exponents."""
     if n < 1:
         raise ValueError("index must be positive for an asymptotic estimate")
-    if isinstance(K, int):
-        orders = [K] * len(f)
-    else:
-        orders = list(K)
-        if len(orders) != len(f):
-            raise ValueError("one correction order per factor is required")
     total = 0j
-    big_t = None
+    live = False
     for m in range(len(f)):
         k_int = nearest_int(f.taus[m], INT_TOL)
         if k_int is not None and k_int <= 0:
             continue
+        live = True
         a_m = _node_prefactor(f, m)
         reduced = _reduced_factors(f, m)
         wn = f.ws[m] ** n
         if k_int is None:
-            for r in range(orders[m] + 1):
+            for r in range(K + 1):
                 c_r = lauricella_G(r, reduced) if len(reduced) else (1.0 if r == 0 else 0.0)
-                total += a_m * c_r * _poch_over_factorial(f.taus[m] - r, n) * wn
+                # (tau_m - r)_n / n!
+                total += a_m * c_r * nth(binomial(f.taus[m] - r, 1.0), n) * wn
         else:
             # tau_m is a positive integer: its full contribution is finite
             for r in range(k_int):
@@ -128,11 +116,9 @@ def darboux_G_refined(n: int, f: FactorList, K: "int | list[int]") -> Asymptotic
                     1.0 if k_int - r - 1 == 0 else 0.0
                 )
                 total += a_m * wn * pochhammer(n + 1, r) * c / math.factorial(r)
-        t_here = f.taus[m].real
-        big_t = t_here if big_t is None else max(big_t, t_here)
-    if big_t is None:
+    if not live:
         raise DegenerateError("all exponents are nonpositive integers")
-    return AsymptoticEstimate(total, None, big_t - 1.0)
+    return AsymptoticEstimate(total, None)
 
 
 def gegenbauer_uniform_asympt(n: int, tau: complex, alpha: float) -> AsymptoticEstimate:
@@ -170,7 +156,7 @@ def gegenbauer_uniform_asympt(n: int, tau: complex, alpha: float) -> AsymptoticE
     if n % 2:
         r_cap /= abs(lam)
     bound = abs(base) * q * r_cap
-    return AsymptoticEstimate(leading, bound, -1.0)
+    return AsymptoticEstimate(leading, bound)
 
 
 def watson_mu_leading(nu: complex, mu: complex, alpha: float) -> complex:
@@ -201,7 +187,7 @@ def frak_p_asymptotic_sum(n: int, rho: complex, tau: complex, K: int) -> complex
     where the base tends to 2."""
     total = 0j
     for k in range(K + 1):
-        term = pochhammer(tau, k) / math.factorial(k) * _poch_over_factorial(rho - 0.5 * k, n)
+        term = pochhammer(tau, k) / math.factorial(k) * nth(binomial(rho - 0.5 * k, 1.0), n)
         total += -term if k % 2 else term
     return cmath.exp(tau * math.log(2.0)) * total
 

@@ -162,19 +162,16 @@ def _collect_params(args: argparse.Namespace, entry) -> dict:
     return params
 
 
-def _emit(args: argparse.Namespace, doc, csv_rows=None, text_lines=None) -> None:
+def _emit(args: argparse.Namespace, doc, csv_rows, text_lines) -> None:
     fmt = args.format
     if fmt == "json":
         payload = json.dumps(doc, sort_keys=True, indent=2)
     elif fmt == "csv":
-        if csv_rows is None:
-            raise ValueError("csv output is not available for this command")
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows)
         payload = buf.getvalue().rstrip("\n")
     else:
-        payload = "\n".join(text_lines if text_lines is not None
-                            else [json.dumps(doc, sort_keys=True)])
+        payload = "\n".join(text_lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
@@ -243,7 +240,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    get_descriptor(args.id)
     reports = sweep_identity(args.id, n_samples=args.samples, seed=args.seed)
     n_fail = sum(1 for r in reports if not r.passed)
     doc = {"id": args.id, "samples": args.samples, "seed": args.seed,
@@ -290,19 +286,17 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
 
 def _cmd_asympt(args: argparse.Namespace) -> int:
     outcomes = asymptotic_checks()
-    csv_rows = [["check", "passed"]]
-    csv_rows += [[k, str(v).lower()] for k, v in sorted(outcomes.items())]
-    text = [f"{k}: {'pass' if v else 'FAIL'}" for k, v in sorted(outcomes.items())]
-    _emit(args, outcomes, csv_rows, text)
+    rows = sorted(outcomes.items())
+    text = [f"{k}: {'pass' if v else 'FAIL'}" for k, v in rows]
+    _emit(args, outcomes, _csv_rows({"check": k, "passed": v} for k, v in rows), text)
     return 0 if all(outcomes.values()) else 2
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
     descs = list_identities()
     doc = [{"id": d.id, "kind": d.kind.value} for d in descs]
-    csv_rows = [["id", "kind"]] + [[d.id, d.kind.value] for d in descs]
     text = [f"{d.id:12s} {d.kind.value}" for d in descs]
-    _emit(args, doc, csv_rows, text)
+    _emit(args, doc, _csv_rows(doc), text)
     return 0
 
 

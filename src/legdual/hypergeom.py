@@ -40,9 +40,24 @@ ABS_FLOOR = 1e-300
 SMALL_RUN = 3
 
 
-class TruncationPolicy(NamedTuple):
-    rel_tol: float = 1e-13
-    max_terms: int = 100000
+class TruncationPolicy(NamedTuple("TruncationPolicy",
+                                   [("rel_tol", float), ("max_terms", int)])):
+    """A nonterminating 2F1's stopping rule: `rel_tol`, finite and positive,
+    and a term cap `max_terms` of at least 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, rel_tol: float = 1e-13, max_terms: int = 100000) -> "TruncationPolicy":
+        if not 0.0 < rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
+        if max_terms < 1:
+            raise ValueError(f"max_terms must be at least 1, got {max_terms}")
+        return super().__new__(cls, rel_tol, max_terms)
+
+    @classmethod
+    def _make(cls, iterable) -> "TruncationPolicy":
+        # `_replace` builds through here: check its fields too
+        return cls(*iterable)
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -188,15 +203,14 @@ def gauss_2f1(
     where a term can pass it.  `bound` runs as 2 (1 + sum of |term|), which
     is at least |total| and at least ABS_FLOOR; the factor 2 covers the
     rounding of both sums, whose relative error stays below 4 n eps over n
-    terms.  So, for rel_tol >= 0, a term with |term| > rel_tol * bound fails
-    the test and only resets the run, and the test decides every other
-    term.
+    terms.  So a term with |term| > rel_tol * bound fails the test and only
+    resets the run, and the test decides every other term.
 
     Overflow raises DivergenceError: in a nonterminating sum at the first
     term where `bound` is no longer finite or abs overflows, in a
-    terminating one where the total is not finite.  For rel_tol >= 0,
-    `bound` leaves the finite range only on a term that fails the first
-    comparison, so it is checked there alone.
+    terminating one where the total is not finite.  `bound` leaves the
+    finite range only on a term that fails the first comparison, so it is
+    checked there alone.
     """
     a, b, c = complex(a), complex(b), complex(c)
     t = float(t)
@@ -211,7 +225,7 @@ def gauss_2f1(
     if n_stop is not None:
         # the cap is read before each term is formed, so it is reached only
         # when at least one of the n_stop terms lies past it
-        if n_stop > max(policy.max_terms, 0):
+        if n_stop > policy.max_terms:
             raise MaxTermsError(f"2F1 did not converge within {policy.max_terms} terms")
         for n in range(n_stop):
             term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * t

@@ -8,7 +8,7 @@ they are the limit.
 
 Integer degree, k >= 0 or its reflection -k - 1 (the same function, DLMF
 14.9.5), with order -m, m <= k, takes one route from every first-kind entry
-point (`ferrers_p`, `legendre_p` and the dispatcher `_P`): the degree
+point (`ferrers_p`, `legendre_p` and `_P`, through `_first_kind`): the degree
 recurrence `_P_int`, stable where the terminating hypergeometric sum
 cancels.  All other parameters sum the hypergeometric series.
 """
@@ -89,11 +89,31 @@ def ferrers_p(p: ParameterPoint, x: float,
     """Ferrers function of the first kind, order -mu, degree nu, on (-1,1)."""
     if not -1.0 < x < 1.0:
         raise DomainError(f"ferrers_p requires -1 < x < 1, got {x}")
-    nu, mu = p.nu, p.mu
-    v = _P_int(nu, mu, x)
-    if v is not None:
-        # exact to rounding, counted as the k + 1 terms of the sum it replaces
-        return SeriesValue(v, _int_degree(nu) + 1, 0.0)
+    return _first_kind(p.nu, p.mu, x, policy)
+
+
+def legendre_p(p: ParameterPoint, x: float,
+               policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
+    """Associated Legendre function of the first kind, order -mu, on (1,inf).
+
+    Off `_P_int` this sums a Gauss series in t = (x-1)/(x+1) = 1 - 2/(x+1),
+    which takes O(x) terms: near x = 1e4 some parameters need more than the
+    default 100,000 and raise MaxTermsError."""
+    if not 1.0 < x < math.inf:
+        raise DomainError(f"legendre_p requires 1 < x < inf, got {x}")
+    return _first_kind(p.nu, p.mu, x, policy)
+
+
+def _first_kind(nu: complex, mu: complex, x: float,
+                policy: TruncationPolicy) -> SeriesValue:
+    """The first-kind function at x in (-1, 1) or (1, inf): `_P_int` where it
+    applies, else the series of the interval x lies in."""
+    if (sv := _P_int(nu, mu, x)) is not None:
+        return sv
+    nu, mu = complex(nu), complex(mu)
+    if x > 1.0:
+        return _legendre_p_series(nu, mu, (x - 1.0) / (x + 1.0),
+                                  math.log(x - 1.0), math.log(x + 1.0), policy)
     t = (1.0 - x) / 2.0
     a, b, c = -nu, nu + 1.0, 1.0 + mu
     if x <= 0.0:
@@ -112,22 +132,6 @@ def ferrers_p(p: ParameterPoint, x: float,
     base = (1.0 - x) / (1.0 + x)
     prefactor = cmath.exp(0.5 * mu * math.log(base))
     return _scaled(prefactor, sv)
-
-
-def legendre_p(p: ParameterPoint, x: float,
-               policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
-    """Associated Legendre function of the first kind, order -mu, on (1,inf).
-
-    Off `_P_int` this sums a Gauss series in t = (x-1)/(x+1) = 1 - 2/(x+1),
-    which takes O(x) terms: near x = 1e4 some parameters need more than the
-    default 100,000 and raise MaxTermsError."""
-    if not 1.0 < x < math.inf:
-        raise DomainError(f"legendre_p requires 1 < x < inf, got {x}")
-    v = _P_int(p.nu, p.mu, x)
-    if v is not None:
-        return SeriesValue(v, _int_degree(p.nu) + 1, 0.0)
-    return _legendre_p_series(p.nu, p.mu, (x - 1.0) / (x + 1.0),
-                              math.log(x - 1.0), math.log(x + 1.0), policy)
 
 
 def _legendre_p_series(nu: complex, mu: complex, t: float, log_xm1: float,
@@ -165,34 +169,26 @@ def legendre_q(p: ParameterPoint, x: float,
     return _scaled(prefactor, sv)
 
 
-def _int_degree(nu: complex) -> "int | None":
-    """The k >= 0 with nu = k or nu = -k - 1, where P takes the same value
-    (DLMF 14.9.5); None off the integers."""
-    k = nearest_int(nu, POLE_TOL)
-    return None if k is None else max(k, -k - 1)
-
-
-def _P_int(nu: complex, mu: complex, x: float) -> "complex | None":
-    """P of integer degree (`_int_degree` k) and order -m, m <= k, at x in
-    either interval, by the degree recurrence (DLMF 14.10.3); None for any
-    other parameters, DomainError for x outside both intervals.
+def _P_int(nu: complex, mu: complex, x: float) -> "SeriesValue | None":
+    """P of integer degree k >= 0, nu = k or nu = -k - 1 (the same function,
+    DLMF 14.9.5), and order -m, m <= k, at x in the interval its caller
+    checked, by the degree recurrence (DLMF 14.10.3): exact to rounding,
+    counted as the k + 1 terms of the sum it replaces.  None for any other
+    parameters.
 
     The recurrence is forward-stable where the terminating hypergeometric
     series cancels catastrophically (large degree, moderate x)."""
-    k = _int_degree(nu)
-    m = nearest_int(mu, POLE_TOL)
-    if k is None or m is None or m > k:
+    k, m = nearest_int(nu, POLE_TOL), nearest_int(mu, POLE_TOL)
+    if k is None or m is None or m > (k := max(k, -k - 1)):
         return None
     # seed P_n^n, n = |m|, then raise the degree to k
     n = abs(m)
-    if -1.0 < x < 1.0:
+    if x < 1.0:
         pnn = (-math.sqrt(1.0 - x * x)) ** n
-    elif 1.0 < x < math.inf:
-        pnn = math.sqrt(x * x - 1.0) ** n
     else:
-        raise DomainError(f"argument x = {x} outside (-1,1) union (1,inf)")
+        pnn = math.sqrt(x * x - 1.0) ** n
     if n > k:
-        return 0j
+        return SeriesValue(0j, k + 1, 0.0)
     for i in range(1, 2 * n, 2):
         pnn *= i
     cur = pnn
@@ -204,15 +200,14 @@ def _P_int(nu: complex, mu: complex, x: float) -> "complex | None":
         # P_k^(-m) from P_k^m by the factorial ratio (DLMF 14.9.3, 14.9.13)
         ratio = math.factorial(k - m) / math.factorial(k + m)
         cur *= -ratio if x < 1.0 and m % 2 else ratio
-    return complex(cur)
+    return SeriesValue(complex(cur), k + 1, 0.0)
 
 
 def _P(nu: complex, mu: complex, x: float,
        policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """First-kind function of degree nu and order -mu at x: `_P_int` where
-    it applies, else the series of the interval x lies in."""
-    v = _P_int(nu, mu, x)
-    if v is not None:
-        return v
-    series = ferrers_p if x < 1.0 else legendre_p
-    return series(ParameterPoint(nu, mu), x, policy).value
+    """First-kind function of degree nu and order -mu at x: the value of
+    `ferrers_p` below x = 1 and of `legendre_p` above it, from the evaluator
+    they share, which tries `_P_int` once."""
+    if not (-1.0 < x < 1.0 or 1.0 < x < math.inf):
+        raise DomainError(f"argument x = {x} outside (-1,1) union (1,inf)")
+    return _first_kind(nu, mu, x, policy).value

@@ -84,8 +84,6 @@ def gegenbauer(k: int, tau: complex, x: float) -> complex:
     if x == 0.0:
         if k % 2 == 1:
             return 0j
-        if j0 > jmax:
-            return 0j
         sign = -1.0 if jmax % 2 else 1.0
         return sign * _balanced_term(tau, k, jmax, 0.0)
 

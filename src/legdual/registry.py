@@ -27,8 +27,7 @@ still advance term to term: Pochhammer symbols as running products
 quotients as one quotient times their rational ratio, and Gegenbauer
 polynomials C_n^(s-n) whose degree plus parameter s is fixed along the sum
 from one `gegenbauer_seq` per diagonal (again read backwards from a list
-where the degree falls).  Entries whose n-th term is a closed expression in
-n are adapted by `_indexed`.
+where the degree falls).
 
 `_sum_terms` is the one summation loop.  It runs the direct tolerance test
 on every term and, alongside, Wynn's epsilon algorithm in progressive form:
@@ -46,6 +45,10 @@ the same index: a terminating series is admitted on all of (0, 1)
 
 Each infinite series also states its tail law, which `tail_order_predict`
 evaluates.
+
+Entries are stored as written, `lhs` and `terms` taking exactly (p, x);
+`_get_impl` returns a copy whose `lhs` and `terms` also take a trailing
+DEFAULT_POLICY.
 """
 
 from __future__ import annotations
@@ -361,16 +364,6 @@ def _inv_sqrt2_window(n_top):
     return lambda p: (0.0 if n_top(p) is not None else INV_SQRT2, 1.0)
 
 
-def _indexed(term):
-    """Term stream of an entry whose n-th term term(p, x, n) is a
-    closed expression in n."""
-
-    def terms(p, x):
-        return (term(p, x, n) for n in itertools.count())
-
-    return terms
-
-
 def _poch_signed(a: complex, n: int) -> complex:
     """Rising factorial extended to negative index: (a)_{-j} = 1/(a-j)_j."""
     if n >= 0:
@@ -422,9 +415,7 @@ def _default_only(policy: TruncationPolicy) -> None:
 def _register(entry: IdentityDescriptor) -> None:
     if entry.id in _REGISTRY:
         raise ValueError(f"duplicate identity id {entry.id}")
-    # lhs(p, x) and terms(p, x) also take a trailing DEFAULT_POLICY
-    fixed = lambda fn: lambda p, x, policy=DEFAULT_POLICY: _default_only(policy) or fn(p, x)
-    _REGISTRY[entry.id] = entry._replace(lhs=fixed(entry.lhs), terms=fixed(entry.terms))
+    _REGISTRY[entry.id] = entry
 
 
 def get_descriptor(identity_id: str) -> IdentityDescriptor:
@@ -434,8 +425,12 @@ def get_descriptor(identity_id: str) -> IdentityDescriptor:
         raise UnknownIdentityError(f"unknown identity id '{identity_id}'") from None
 
 
-# the internal name the acceptance tests read entries by
-_get_impl = get_descriptor
+def _get_impl(identity_id: str) -> IdentityDescriptor:
+    """The entry, with `lhs` and `terms` also taking a trailing
+    DEFAULT_POLICY: the form the acceptance tests call."""
+    entry = get_descriptor(identity_id)
+    fixed = lambda fn: lambda p, x, policy=DEFAULT_POLICY: _default_only(policy) or fn(p, x)
+    return entry._replace(lhs=fixed(entry.lhs), terms=fixed(entry.terms))
 
 
 class _SeriesSum(NamedTuple):
@@ -645,26 +640,6 @@ def _offaxis(rng: random.Random) -> complex:
     return complex(rng.uniform(-1.2, 1.8), im)
 
 
-def _int_sampler(**spec):
-    """spec values: (lo, hi) for an integer drawn from lo..hi, where either
-    end may be a function of the keys drawn before it, or 'complex' for an
-    off-axis continuous parameter."""
-
-    def sample(rng: random.Random) -> dict:
-        p = {}
-        for key, rule in spec.items():
-            if rule == "complex":
-                p[key] = _offaxis(rng)
-            else:
-                lo, hi = rule
-                lo = lo(p) if callable(lo) else lo
-                hi = hi(p) if callable(hi) else hi
-                p[key] = rng.randint(lo, hi)
-        return p
-
-    return sample
-
-
 # --------------------------------------------------------------------------
 # catalog construction
 
@@ -682,18 +657,21 @@ def _fact(n: int) -> float:
 def _build_catalog() -> None:
     # samplers shared within a family
     mu_sampler = lambda rng: {"mu": _offaxis(rng)}
-    k_mu_sampler = _int_sampler(k=(0, 8), mu="complex")
-    k_m_sampler = _int_sampler(k=(0, 8), m=(0, lambda p: p["k"]))
-    k_lam_sampler = _int_sampler(k=(0, 8), lam="complex")
-    l_mu_sampler = _int_sampler(l=(0, 8), mu="complex")
+    k_mu_sampler = lambda rng: {"k": rng.randint(0, 8), "mu": _offaxis(rng)}
+    k_lam_sampler = lambda rng: {"k": rng.randint(0, 8), "lam": _offaxis(rng)}
+    l_mu_sampler = lambda rng: {"l": rng.randint(0, 8), "mu": _offaxis(rng)}
+
+    def k_m_sampler(rng):
+        k = rng.randint(0, 8)
+        return {"k": k, "m": rng.randint(0, k)}
 
     # ---- direct argument-transform relations (single-term) ------------
     _register(IdentityDescriptor(
         "intro.1", Kind.FINITE_SUM,
         lhs=lambda p, x: _P(p["nu"], 2.0 * p["nu"] + 1.0, (1.0 + x) / (1.0 - x)),
-        terms=_indexed(lambda p, x, n: (
+        terms=lambda p, x: iter([
             math.sqrt(1.0 - x) * _P(p["nu"], 2.0 * p["nu"] + 1.0, 1.0 - 2.0 * x)
-        )),
+        ]),
         n_top=lambda p: 0,
         sampler=lambda rng: {"nu": _offaxis(rng)},
         x_grid=(0.15, 0.3, 0.45),
@@ -704,10 +682,10 @@ def _build_catalog() -> None:
     _register(IdentityDescriptor(
         "intro.2", Kind.FINITE_SUM,
         lhs=lambda p, x: _P(2.0 * p["mu"] - 0.5, p["mu"], (1.0 + x) / (2.0 * math.sqrt(x))),
-        terms=_indexed(lambda p, x, n: (
+        terms=lambda p, x: iter([
             gamma(p["mu"] + 0.5) / SQRT_PI * x ** 0.25
             * _P(p["mu"] - 0.5, 2.0 * p["mu"], 2.0 * x - 1.0)
-        )),
+        ]),
         n_top=lambda p: 0,
         sampler=mu_sampler,
         x_grid=(0.55, 0.7, 0.9),
@@ -716,10 +694,10 @@ def _build_catalog() -> None:
     _register(IdentityDescriptor(
         "intro.3", Kind.FINITE_SUM,
         lhs=lambda p, x: _P(p["mu"] - 0.5, p["mu"], 1.0 / math.sqrt(1.0 - x)),
-        terms=_indexed(lambda p, x, n: (
+        terms=lambda p, x: iter([
             _cpow(2.0, -p["mu"]) * (1.0 - x) ** 0.25
             * _P(-0.25, p["mu"], 1.0 - 2.0 * x)
-        )),
+        ]),
         n_top=lambda p: 0,
         sampler=mu_sampler,
         x_grid=(0.15, 0.3, 0.45),
@@ -781,7 +759,7 @@ def _build_catalog() -> None:
             _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, x)
             / (2.0 ** (2 * p["k"]) * _fact(p["k"]) * (1.0 - x * x) ** p["k"])
         ),
-        terms=_indexed(lambda p, x, r: cor2_term(p, x, r, True)),
+        terms=lambda p, x: (cor2_term(p, x, r, True) for r in itertools.count()),
         n_top=lambda p: p["k"],
         sampler=k_mu_sampler,
     ))
@@ -791,7 +769,7 @@ def _build_catalog() -> None:
             _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, 1.0 / x)
             / (2.0 ** (2 * p["k"]) * _fact(p["k"]) * (1.0 - 1.0 / (x * x)) ** p["k"])
         ),
-        terms=_indexed(lambda p, x, r: cor2_term(p, x, r, False)),
+        terms=lambda p, x: (cor2_term(p, x, r, False) for r in itertools.count()),
         n_top=lambda p: p["k"],
         sampler=k_mu_sampler,
     ))
@@ -803,20 +781,22 @@ def _build_catalog() -> None:
     _register(IdentityDescriptor(
         "cor3.a", Kind.FINITE_SUM,
         lhs=lambda p, x: _P(p["k"], p["k"] - 2 * p["m"], x),
-        terms=_indexed(lambda p, x, n: (
+        terms=lambda p, x: (
             cor3_coeff(p, n) * (-2.0) ** n * (1.0 - x * x) ** (0.5 * n)
             * x ** (p["k"] - n) * _P(p["k"] - n, p["k"] + n - 2 * p["m"], 1.0 / x)
-        )),
+            for n in itertools.count()
+        ),
         n_top=lambda p: p["m"],
         sampler=k_m_sampler,
     ))
     _register(IdentityDescriptor(
         "cor3.b", Kind.FINITE_SUM,
         lhs=lambda p, x: x ** p["k"] * _P(p["k"], p["k"] - 2 * p["m"], 1.0 / x),
-        terms=_indexed(lambda p, x, n: (
+        terms=lambda p, x: (
             cor3_coeff(p, n) * 2.0 ** n * (1.0 - x * x) ** (0.5 * n)
             * _P(p["k"] - n, p["k"] + n - 2 * p["m"], x)
-        )),
+            for n in itertools.count()
+        ),
         n_top=lambda p: p["m"],
         sampler=k_m_sampler,
     ))
@@ -988,6 +968,10 @@ def _build_catalog() -> None:
         sampler=k_m_sampler,
     ))
 
+    def cor6_sampler(rng):
+        k = rng.randint(1, 8)
+        return {"k": k, "m": rng.randint(k // 2 + 1, k)}
+
     _register(IdentityDescriptor(
         "cor6", Kind.VANISHING_SUM,
         lhs=lambda p, x: 0j,
@@ -999,7 +983,7 @@ def _build_catalog() -> None:
             for n, c in enumerate(frak_p_seq(0.5 * (p["m"] - p["k"]), -2.0 * p["m"], 1.0))
         ),
         n_top=lambda p: p["k"],
-        sampler=_int_sampler(k=(1, 8), m=(lambda p: p["k"] // 2 + 1, lambda p: p["k"])),
+        sampler=cor6_sampler,
     ))
 
     # ---- half-order family --------------------------------------------

@@ -183,7 +183,7 @@ class TestReportCsv:
             error="DomainError: x = 0.2 outside (0.5, 1)")
         ok = evaluate_identity("thm4.inv", {"nu": 0.3 + 0j, "mu": 1.2 + 0j}, 0.65)
         args = argparse.Namespace(format="csv", out=None)
-        cli._emit(args, None, cli._csv_rows([ok.to_dict(), bad.to_dict()]))
+        cli._emit(args, None, cli._csv_rows([ok.to_dict(), bad.to_dict()]), [])
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert rows[0]["error"] == "" and rows[0]["passed"] == "true"
         assert rows[1]["error"] == bad.error

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 
 import pytest
 
@@ -54,6 +55,19 @@ class TestRunSuite:
         doc = run_suite(HarnessConfig(seed=seed)).serialize()
         assert hashlib.sha256(doc.encode()).hexdigest() == (
             "ec79c7ef78a54e4879277b9500e1c005c18ea61f99875b37ed351dedfd3bd616")
+
+    def test_sweep_draws_hash(self):
+        # the report hash covers only pass counts; this pins the parameters
+        # themselves, drawn as sweep_identity draws them at the default
+        # counts: a fresh generator per entry and seed
+        cfg = HarnessConfig()
+        draws = ""
+        for seed in range(4):
+            for d in list_identities():
+                rng = random.Random(seed)
+                draws += repr([d.sampler(rng) for _ in range(cfg.count_for(d.kind))])
+        assert hashlib.sha256(draws.encode()).hexdigest() == (
+            "40a85b398807f6905e1e54c65038c283711b7ec271305fe75a04ea6b4249c7c3")
 
     def test_every_point_counted(self, monkeypatch):
         # a 12-term cap fails most series points; passing or failing, each

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import legdual.legendre
 from legdual.errors import DomainError, MaxTermsError, PoleError
 from legdual.legendre import (
     ParameterPoint,
@@ -67,6 +68,20 @@ class TestIntegerDegree:
         assert sv.value == _P(-k - 1, m, x) == _P(k, m, x)
         assert sv.error_estimate == 0.0
         assert sv.terms_used == k + 1
+
+    @pytest.mark.parametrize("nu,mu,x", [
+        (0.3 + 0.2j, 0.4, 0.5), (0.3 + 0.2j, 0.4, 1.5), (3, 1, 0.5), (3, 1, 1.5)])
+    def test_one_recurrence_attempt_per_call(self, monkeypatch, nu, mu, x):
+        # _P tries _P_int once, whatever the parameters, before any series
+        calls = [0]
+
+        def counted(*args, _f=legdual.legendre._P_int):
+            calls[0] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(legdual.legendre, "_P_int", counted)
+        _P(nu, mu, x)
+        assert calls[0] == 1
 
 
 class TestFerrersP:

@@ -63,7 +63,7 @@ def test_no_module_imports_mpmath():
 _VALUES = {
     "TruncationPolicy": (TruncationPolicy(), "rel_tol"),
     "SeriesValue": (SeriesValue(1j, 2, 0.0), "value"),
-    "AsymptoticEstimate": (AsymptoticEstimate(1j, None, -1.0), "leading"),
+    "AsymptoticEstimate": (AsymptoticEstimate(1j, None), "leading"),
     "FactorList": (FactorList((0.5,), (0.3,)), "taus"),
     "ParameterPoint": (ParameterPoint(1, 2), "nu"),
     "HarnessConfig": (HarnessConfig(), "sample_counts"),
@@ -98,3 +98,20 @@ def test_harness_configs_do_not_share_counts():
 def test_replace_keeps_the_other_fields():
     policy = TruncationPolicy()._replace(rel_tol=1e-15)
     assert policy == TruncationPolicy(1e-15, 100000)
+
+
+@pytest.mark.parametrize("fields", [
+    {"rel_tol": -1.0}, {"rel_tol": 0.0}, {"rel_tol": float("nan")},
+    {"rel_tol": float("inf")}, {"max_terms": 0}, {"max_terms": -5},
+])
+def test_truncation_policy_checks_its_fields(fields):
+    # a bad tolerance or cap is refused when the policy is built, on
+    # `_replace` as well, not after a sum has run to its cap
+    with pytest.raises(ValueError):
+        TruncationPolicy(**fields)
+    with pytest.raises(ValueError):
+        TruncationPolicy()._replace(**fields)
+
+
+def test_asymptotic_estimate_fields():
+    assert AsymptoticEstimate._fields == ("leading", "remainder_bound")

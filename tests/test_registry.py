@@ -96,11 +96,11 @@ class TestCatalog:
 
 class TestFixedSettings:
     """The catalog sums to fixed settings; the trailing-policy call form is
-    kept for DEFAULT_POLICY alone."""
+    kept, by `_get_impl`, for DEFAULT_POLICY alone."""
 
     @pytest.mark.parametrize("ident", [d.id for d in ALL])
     def test_default_policy_form_is_bit_identical(self, ident):
-        entry = get_descriptor(ident)
+        entry = _get_impl(ident)
         p = entry.sampler(random.Random(0))
         x = entry.x_grid[0]
         top = entry.n_top(p)
@@ -110,7 +110,7 @@ class TestFixedSettings:
             list(itertools.islice(entry.terms(p, x, DEFAULT_POLICY), n)))
 
     def test_other_policy_refused(self):
-        entry = get_descriptor("thm4.inv")
+        entry = _get_impl("thm4.inv")
         p, x = {"nu": 0.3 + 0j, "mu": 1.2 + 0j}, 0.65
         loose = TruncationPolicy(rel_tol=1e-6)
         for call in (entry.lhs, entry.terms, lambda p, x, pol: _sum_terms(entry, p, x, pol)):
@@ -118,6 +118,15 @@ class TestFixedSettings:
                 call(p, x, loose)
         with pytest.raises(UnknownIdentityError):
             evaluate_identity("thm99.zzz", {"nu": 0.3}, 0.5)
+
+    def test_entries_stored_as_written(self):
+        # get_descriptor and list_identities hand out the catalog's own
+        # callables, which take exactly (p, x)
+        assert all(d is get_descriptor(d.id) for d in ALL)
+        entry = get_descriptor("thm4.inv")
+        for call in (entry.lhs, entry.terms):
+            with pytest.raises(TypeError):
+                call({"nu": 0.3 + 0j, "mu": 1.2 + 0j}, 0.65, DEFAULT_POLICY)
 
 
 class TestEvaluate:
