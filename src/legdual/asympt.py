@@ -38,24 +38,14 @@ class AsymptoticEstimate(NamedTuple):
 
 def _node_prefactor(f: FactorList, m: int) -> complex:
     """A_m: product over j != m of (1 - w_j/w_m)^(-tau_j)."""
-    acc = complex(1.0)
-    for j in range(len(f)):
-        if j == m:
-            continue
-        acc *= cmath.exp(-f.taus[j] * cmath.log(1.0 - f.ws[j] / f.ws[m]))
-    return acc
+    return math.prod((cmath.exp(-t * cmath.log(1.0 - w / f.ws[m]))
+                      for j, (t, w) in enumerate(f) if j != m), start=complex(1.0))
 
 
 def _reduced_factors(f: FactorList, m: int) -> FactorList:
     """Nodes w_j/(w_j - w_m) and unchanged exponents, index m removed."""
-    taus = []
-    ws = []
-    for j in range(len(f)):
-        if j == m:
-            continue
-        taus.append(f.taus[j])
-        ws.append(f.ws[j] / (f.ws[j] - f.ws[m]))
-    return FactorList(tuple(taus), tuple(ws))
+    rest = [(t, w) for j, (t, w) in enumerate(f) if j != m]
+    return FactorList([t for t, _ in rest], [w / (w - f.ws[m]) for _, w in rest])
 
 
 def darboux_G_leading(n: int, f: FactorList) -> AsymptoticEstimate:

@@ -1,22 +1,21 @@
 """Generating-coefficient families.
 
 Maclaurin coefficients of products of powers of short series: binomial
-factors (1 - w z)^(-tau) and (1 -/+ z^2)^(-rho), the square roots
-sqrt(1 -/+ z) and sqrt(1 -/+ z^2), and affine shifts of them.  Each family is
-one expression over the `series` primitives (Cauchy products, binomial
-factors, and the power recurrence a g' = b g) and, for the half-root powers
-((1 + sqrt(1 -/+ u))/2)^(-a) of frak_p and omega_pm, a Gauss-function stream
-at O(1) per coefficient (`_half_root_power`), so no parameter value needs a
-form of its own.  A factor F(z^2) that is even in z is built in u = z^2, at half the
-length, and joins the odd factors through the strided product
+factors (1 - w z)^(-tau), the square roots sqrt(1 -/+ z) and
+sqrt(1 -/+ z^2), and affine shifts of them.  `lauricella_G`, `script_G` and
+`script_G_hat` are products of binomials, each one `series.binomial_product`
+call.  The others are expressions over the `series` primitives (Cauchy
+products and the power recurrence a g' = b g) and, for the half-root powers
+((1 + sqrt(1 -/+ u))/2)^(-a) of frak_p and omega_pm, a Gauss-function
+stream at O(1) per coefficient (`_half_root_power`).  A factor F(z^2) that
+is even in z is built in u = z^2 and joins the odd factors through
 `mul(odd, F, 2)`.  The generating functions are never evaluated here, so
 their values stay independent oracles.
 
 `<family>_seq(params)` yields the coefficients of z^0, z^1, ... and computes
-each once, so its first N coefficients cost O(N^2).  The scalar
-`<family>(n, params)` is the n-th element of that sequence.  Callers that
-need many indices at one parameter point, such as the registry's term
-streams, iterate the sequence instead.
+each once, so its first N coefficients cost at most O(N^2).  The scalar
+`<family>(n, params)` is the n-th element of that sequence; callers that
+need many indices at one parameter point iterate the sequence instead.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from collections.abc import Iterator
 from .errors import DuplicateNodeError, PoleError
 from .hypergeom import pochhammer
 from .polys import gegenbauer
-from .series import affine, binomial, mul, nth, power, solve, two_factor
+from .series import affine, binomial, binomial_product, mul, nth, power, solve
 
 __all__ = [
     "FactorList",
@@ -64,10 +63,9 @@ class FactorList(tuple):
         ws = tuple(complex(w) for w in ws)
         if len(taus) != len(ws):
             raise ValueError("taus and ws must have equal length")
-        for i in range(len(ws)):
-            for j in range(i + 1, len(ws)):
-                if abs(ws[i] - ws[j]) <= NODE_TOL:
-                    raise DuplicateNodeError(f"nodes {ws[i]} and {ws[j]} coincide")
+        for wi, wj in itertools.combinations(ws, 2):
+            if abs(wi - wj) <= NODE_TOL:
+                raise DuplicateNodeError(f"nodes {wi} and {wj} coincide")
         return super().__new__(cls, zip(taus, ws))
 
     @property
@@ -81,11 +79,7 @@ class FactorList(tuple):
 
 def lauricella_G(n: int, f: FactorList) -> complex:
     """Coefficient of z^n in the product of the factors of f."""
-    product = binomial(0.0, 0.0)  # the constant 1
-    # descending |w_j| keeps the largest factors first in the convolution
-    for j in sorted(range(len(f)), key=lambda j: -abs(f.ws[j])):
-        product = mul(product, binomial(f.taus[j], f.ws[j]))
-    return nth(product, n)
+    return nth(binomial_product(f), n)
 
 
 def frak_C(n: int, alpha: float, tau: complex) -> complex:
@@ -116,7 +110,7 @@ def script_G_seq(tau: complex, rho: complex, w: complex) -> Iterator[complex]:
     tau, rho, w = complex(tau), complex(rho), complex(w)
     if w == 0:
         raise ValueError("w must be nonzero")
-    return mul(two_factor(-tau, w, tau, -1.0 / w), binomial(rho, -1.0), 2)
+    return binomial_product(((-tau, w), (tau, -1.0 / w), (rho, 1j), (rho, -1j)))
 
 
 def script_G(n: int, tau: complex, rho: complex, w: complex) -> complex:
@@ -129,7 +123,7 @@ def script_G_hat_seq(tau: complex, rho: complex, eta: complex) -> Iterator[compl
     tau, rho, eta = complex(tau), complex(rho), complex(eta)
     if eta == 0:
         raise ValueError("eta must be nonzero")
-    return mul(two_factor(-tau, -eta, tau, -1.0 / eta), binomial(rho, 1.0), 2)
+    return binomial_product(((-tau, -eta), (tau, -1.0 / eta), (rho, 1.0), (rho, -1.0)))
 
 
 def script_G_hat(n: int, tau: complex, rho: complex, eta: complex) -> complex:

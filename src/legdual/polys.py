@@ -11,10 +11,9 @@ stays fixed; `gegenbauer_seq(s, x)` yields that diagonal C_n^(s-n)(x),
 n = 0, 1, ..., by a three-term recurrence at O(1) per value.
 
 The Mittag-Leffler, Gauss hypergeometric and Bateman coefficients are
-sequences in the degree (`<family>_seq`): each is a product of two binomial
-factors, and all its degrees come from one pass of their contiguous
-recurrence (`series.two_factor`).  The scalar `<family>(n, ...)` is the n-th
-element.
+sequences in the degree (`<family>_seq`), each a product of two binomial
+factors from one `series.binomial_product` call (their contiguous
+three-term recurrence).  The scalar `<family>(n, ...)` is the n-th element.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import sys
 from collections.abc import Iterator
 
 from .hypergeom import KahanSum, pfq_terminating, pochhammer, terminating_index
-from .series import nth, two_factor
+from .series import binomial_product, nth
 
 __all__ = [
     "gegenbauer",
@@ -157,7 +156,7 @@ def jacobi(n: int, a: complex, b: complex, x: float) -> complex:
 def mittag_leffler_g_seq(sigma: complex) -> Iterator[complex]:
     """Coefficients of z^0, z^1, ... in ((1+z)/(1-z))^sigma."""
     sigma = complex(sigma)
-    return two_factor(-sigma, -1.0, sigma, 1.0)
+    return binomial_product(((-sigma, -1.0), (sigma, 1.0)))
 
 
 def mittag_leffler_g(n: int, sigma: complex) -> complex:
@@ -168,7 +167,7 @@ def mittag_leffler_g(n: int, sigma: complex) -> complex:
 def gauss_hyper_poly_seq(tau: complex, rho: complex, s: complex) -> Iterator[complex]:
     """Coefficients of z^0, z^1, ... in (1-z)^{tau-rho} (1-(1-s)z)^{-tau}."""
     tau, rho, s = complex(tau), complex(rho), complex(s)
-    return two_factor(rho - tau, 1.0, tau, 1.0 - s)
+    return binomial_product(((rho - tau, 1.0), (tau, 1.0 - s)))
 
 
 def gauss_hyper_poly(n: int, tau: complex, rho: complex, s: complex) -> complex:
@@ -179,7 +178,7 @@ def gauss_hyper_poly(n: int, tau: complex, rho: complex, s: complex) -> complex:
 def bateman_g_seq(tau: complex, r: complex) -> Iterator[complex]:
     """Coefficients of u^0, u^1, ... in (1+u)^{tau+r} (1-u)^{-tau}."""
     tau, r = complex(tau), complex(r)
-    return two_factor(-(tau + r), -1.0, tau, 1.0)
+    return binomial_product(((-(tau + r), -1.0), (tau, 1.0)))
 
 
 def bateman_g(n: int, tau: complex, r: complex) -> complex:

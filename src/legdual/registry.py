@@ -54,6 +54,7 @@ DEFAULT_POLICY.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -62,7 +63,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .coeffs import frak_N_seq, frak_p_seq, script_G_hat_seq, script_G_seq
-from .errors import ConvergenceError, DomainError, LegdualError, UnknownIdentityError
+from .errors import ConvergenceError, DomainError, LegdualError, PoleError, UnknownIdentityError
 from .hypergeom import (
     ABS_FLOOR,
     DEFAULT_POLICY,
@@ -1066,6 +1067,14 @@ def _build_catalog() -> None:
             yield y
             y *= (lam + 2 * k - r - 1) / (2.0 * lam + 4 * k - r - 1)
 
+    def cor7_wide_check(p):
+        """cor7_Y divides by zero at a pole of Gamma(lam + 2k - r), r <= 2k
+        (integer lam in [1 - 2k, 0]), and at 2 lam + 4k - r - 1 = 0, r < 2k."""
+        k, lam = p["k"], p["lam"]
+        for j in (terminating_index(lam), terminating_index(2.0 * lam + 2 * k)):
+            if j is not None and j < 2 * k:
+                raise PoleError(f"cor7: a term has a pole at k = {k}, lam = {lam}")
+
     def cor7_narrow(p, x, hatted):
         k, lam = p["k"], p["lam"]
         w = math.sqrt(_u(x))
@@ -1114,7 +1123,7 @@ def _build_catalog() -> None:
         ),
         terms=lambda p, x: cor7_wide(p, x, False),
         n_top=lambda p: 2 * p["k"],
-        sampler=k_lam_sampler,
+        sampler=k_lam_sampler, param_check=cor7_wide_check,
     ))
     _register(IdentityDescriptor(
         "cor7.c", Kind.FINITE_SUM,
@@ -1133,7 +1142,7 @@ def _build_catalog() -> None:
         ),
         terms=lambda p, x: cor7_wide(p, x, True),
         n_top=lambda p: 2 * p["k"],
-        sampler=k_lam_sampler,
+        sampler=k_lam_sampler, param_check=cor7_wide_check,
     ))
 
     def cor89_terms(p, x, hatted, inner_tau2):
@@ -1152,38 +1161,18 @@ def _build_catalog() -> None:
             else:
                 yield val * x ** -n * diag[2 * k + 1 - n]
 
-    _register(IdentityDescriptor(
-        "cor8.a", Kind.VANISHING_SUM,
-        lhs=lambda p, x: 0j,
-        terms=lambda p, x: cor89_terms(
-            p, x, False, lambda k, lam: -2 * k - lam - 0.5),
-        n_top=lambda p: 2 * p["k"] + 1,
-        sampler=k_lam_sampler,
-    ))
-    _register(IdentityDescriptor(
-        "cor8.b", Kind.VANISHING_SUM,
-        lhs=lambda p, x: 0j,
-        terms=lambda p, x: cor89_terms(
-            p, x, True, lambda k, lam: -2 * k - lam - 0.5),
-        n_top=lambda p: 2 * p["k"] + 1,
-        sampler=k_lam_sampler,
-    ))
-    _register(IdentityDescriptor(
-        "cor9.a", Kind.VANISHING_SUM,
-        lhs=lambda p, x: 0j,
-        terms=lambda p, x: cor89_terms(
-            p, x, False, lambda k, lam: lam - 0.5),
-        n_top=lambda p: 2 * p["k"] + 1,
-        sampler=k_lam_sampler,
-    ))
-    _register(IdentityDescriptor(
-        "cor9.b", Kind.VANISHING_SUM,
-        lhs=lambda p, x: 0j,
-        terms=lambda p, x: cor89_terms(
-            p, x, True, lambda k, lam: lam - 0.5),
-        n_top=lambda p: 2 * p["k"] + 1,
-        sampler=k_lam_sampler,
-    ))
+    for ident, hatted, inner_tau2 in (
+            ("cor8.a", False, lambda k, lam: -2 * k - lam - 0.5),
+            ("cor8.b", True, lambda k, lam: -2 * k - lam - 0.5),
+            ("cor9.a", False, lambda k, lam: lam - 0.5),
+            ("cor9.b", True, lambda k, lam: lam - 0.5)):
+        _register(IdentityDescriptor(
+            ident, Kind.VANISHING_SUM,
+            lhs=lambda p, x: 0j,
+            terms=functools.partial(cor89_terms, hatted=hatted, inner_tau2=inner_tau2),
+            n_top=lambda p: 2 * p["k"] + 1,
+            sampler=k_lam_sampler,
+        ))
 
     # ---- mixed half-order family --------------------------------------
     t8_tail_r = lambda p, x: (1.0, p["nu"].real - 1.5)

@@ -105,6 +105,14 @@ class TestVerify:
         assert rc == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("ident", ["cor7.b", "cor7.d"])
+    def test_pole_exit_one(self, capsys, ident):
+        # lam = -1, k = 7: Gamma(lam + 2k - r) has its pole at r = 13
+        assert main(["verify", ident, "--k", "7", "--lam", "-1", "--x", "0.35"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unknown_id_rejected_before_computation(self, capsys):
         rc = main(["verify", "thm99.zzz", "--nu", "1", "--x", "0.5"])
         assert rc == 1

@@ -14,7 +14,7 @@ import legdual.hypergeom
 import legdual.legendre
 import legdual.polys
 import legdual.registry
-from legdual.errors import ConvergenceError, DomainError, UnknownIdentityError
+from legdual.errors import ConvergenceError, DomainError, PoleError, UnknownIdentityError
 from legdual.harness import HarnessConfig, convergence_table
 from legdual.hypergeom import DEFAULT_POLICY, TruncationPolicy, recip_gamma
 from legdual.registry import (
@@ -187,6 +187,19 @@ class TestEvaluate:
         swapped = {"nu": self.TERMINATING["mu"], "mu": self.TERMINATING["nu"]}
         with pytest.raises(DomainError):
             evaluate_identity(ident, swapped, 0.3)
+
+    # cor7_Y divides by zero: Gamma(lam + 2k - r) has a pole (integer lam in
+    # [1 - 2k, 0]), or 2 lam + 4k - r - 1 = 0 for some r < 2k
+    @pytest.mark.parametrize("ident", ["cor7.b", "cor7.d"])
+    @pytest.mark.parametrize("k,lam", [(7, -1.0), (1, 0.0), (8, -15.0), (1, -1.5), (2, -3.5)])
+    def test_cor7_poles_refused(self, ident, k, lam):
+        with pytest.raises(PoleError):
+            evaluate_identity(ident, {"k": k, "lam": complex(lam)}, 0.35)
+
+    @pytest.mark.parametrize("ident", ["cor7.b", "cor7.d"])
+    @pytest.mark.parametrize("k,lam", [(0, 0.0), (2, -4.0), (2, -4.5), (7, -1.0 + 0.2j)])
+    def test_cor7_next_to_the_poles(self, ident, k, lam):
+        assert evaluate_identity(ident, {"k": k, "lam": complex(lam)}, 0.35).passed
 
     @pytest.mark.parametrize("ident", ["thm7.q2", "thm7.q4", "thm8.g1"])
     @pytest.mark.parametrize("x", [0.2, 0.35, 0.5, 0.65])
@@ -386,7 +399,7 @@ class TestTermStreams:
         # frak_N is one expression of series streams, built once per point,
         # so the number of streams made does not grow with the terms summed
         calls = [0]
-        for name in ("binomial", "mul", "power", "affine", "two_factor"):
+        for name in ("binomial", "mul", "power", "affine", "binomial_product"):
             def counted(*args, _f=getattr(legdual.coeffs, name), **kwargs):
                 calls[0] += 1
                 return _f(*args, **kwargs)

@@ -292,3 +292,62 @@ def test_cancelling_script_G_hat_point():
                              * (1 + z / mp.mpf(eta)) ** -_c(tau)
                              * (1 - z * z) ** -_c(rho)), eta, 2 * k + 2)
     _check(coeffs.script_G_hat_seq(tau, rho, eta), ref)
+
+
+def _binomial_product_ref(pairs, n):
+    """The first n coefficients of prod (1 - w z)^(-tau), as mpmath numbers:
+    Cauchy products of the binomial series in 50 digits."""
+    with mp.workdps(50):
+        g = [mp.mpc(1)] + [mp.mpc(0)] * (n - 1)
+        for tau, w in pairs:
+            tau, w = _c(tau), _c(w)
+            b = [mp.mpc(1)]
+            for k in range(n - 1):
+                b.append(b[-1] * (tau + k) * w / (k + 1))
+            g = [mp.fsum(g[i] * b[j - i] for i in range(j + 1)) for j in range(n)]
+        return g
+
+
+class TestBinomialProduct:
+    # (tau, w) pairs; each product is checked to n = 159
+    CASES = {
+        "three": ((0.7 + 0.2j, 0.6), (-0.4 + 0.1j, -0.5 + 0.3j), (1.3, 0.2j)),
+        "four": ((0.7 + 0.2j, 0.6), (-0.4 + 0.1j, -0.5 + 0.3j), (1.3, 0.2j),
+                 (0.25 - 0.5j, -0.8)),
+        # a polynomial factor outside the others: away from the outermost
+        # node, the same way as an inner one, or across the outermost
+        "polynomial_away": ((-3.0, -1.5), (0.7 + 0.2j, 0.6), (0.4, -0.3)),
+        "polynomial_across": ((-3.0, -1.5), (0.7 + 0.2j, 0.6), (0.4, 0.3j)),
+        # within 1e-9 of an integer: the singular part weighs 1e-9
+        "near_integer_outside": ((-3.0 + 1e-9, -1.5), (0.7 + 0.2j, 0.6), (0.4, -0.3)),
+        "near_integer_complex": ((-3.0 + 1e-9j, -1.5), (0.7 + 0.2j, 0.6), (0.4, -0.3)),
+        "near_integer_inside": ((-3.0 + 1e-9, 0.4), (0.7 + 0.2j, 0.9), (0.4, -0.3)),
+        # mirrored pairs (tau, +/-w): polynomial, and not
+        "mirrored_polynomial": ((-2.0, 1.5), (0.7 + 0.2j, -0.6), (-4.0, 1j), (-4.0, -1j)),
+        "mirrored": ((0.3 + 0.1j, 0.5), (-0.7, -2.0), (0.45 - 0.2j, 1.0), (0.45 - 0.2j, -1.0)),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_mpmath(self, name):
+        pairs = self.CASES[name]
+        _check(series.binomial_product(pairs),
+               [complex(v) for v in _binomial_product_ref(pairs, 160)])
+
+    def test_unit_factors_dropped(self):
+        pairs = ((0.7 + 0.2j, 0.6), (0.0, 3.0), (1.5, 0.0), (-0.4, -0.5))
+        assert (list(itertools.islice(series.binomial_product(pairs), N))
+                == list(itertools.islice(series.binomial_product((pairs[0], pairs[3])), N)))
+
+    def test_same_direction_polynomial_error_curve(self):
+        # (3, -eta), (-3, -1/eta): script_G_hat at tau = -3, rho = 0.  The
+        # polynomial's node -1/eta lies outside -eta and points the same way,
+        # so the recurrence is kept and its minimal-solution loss grows past
+        # n = 2M = 6.  Its worst rel err up to n = 12, 24, 36, 48 is 1.1e-14,
+        # 1.08e-13, 3.09e-11 and 2.62e-8; the bounds keep it from growing
+        eta = 0.694
+        got = list(itertools.islice(coeffs.script_G_hat_seq(-3.0, 0.0, eta), 48))
+        with mp.workdps(50):
+            ref = _binomial_product_ref(((3, -eta), (-3, -1 / mp.mpf(eta))), 48)
+            errs = [abs(mp.mpc(a) - r) / abs(r) for a, r in zip(got, ref)]
+        for top, bound in ((12, 1.2e-14), (24, 1.1e-13), (36, 3.2e-11), (48, 2.7e-8)):
+            assert max(errs[:top]) <= bound, top
