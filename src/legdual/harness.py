@@ -192,8 +192,11 @@ def convergence_table(identity_id: str, params: dict, x: float, n_max: int) -> l
     """Rows (n, |term|, |partial sum - reference|) for n = 0..n_max, where
     the reference is the identity's closed-form left-hand side and the
     partial sums are the ones evaluate_identity sums.  Terms past a
-    termination index are exactly zero by definition of the sum."""
+    termination index are exactly zero by definition of the sum.  An n_max
+    below 0 raises ValueError."""
     entry = get_descriptor(identity_id)
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     p = dict(params)
     x = float(x)
     entry.check_domain(p, x)

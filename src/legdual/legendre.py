@@ -203,11 +203,17 @@ def _P_int(nu: complex, mu: complex, x: float) -> "SeriesValue | None":
     return SeriesValue(complex(cur), k + 1, 0.0)
 
 
-def _P(nu: complex, mu: complex, x: float,
-       policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+# the catalog's P values: each series summed to the last bit, since every
+# identity's left-hand side and every P chain's head carry its error
+_LAST_BIT = TruncationPolicy(rel_tol=2.0**-52)
+
+
+def _P(nu: complex, mu: complex, x: float) -> complex:
     """First-kind function of degree nu and order -mu at x: the value of
     `ferrers_p` below x = 1 and of `legendre_p` above it, from the evaluator
-    they share, which tries `_P_int` once."""
+    they share, which tries `_P_int` once.  The series is summed until its
+    terms fall below 2^-52 of the sum, where the public functions stop at
+    DEFAULT_POLICY's 1e-13."""
     if not (-1.0 < x < 1.0 or 1.0 < x < math.inf):
         raise DomainError(f"argument x = {x} outside (-1,1) union (1,inf)")
-    return _first_kind(nu, mu, x, policy).value
+    return _first_kind(nu, mu, x, _LAST_BIT).value

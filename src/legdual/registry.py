@@ -29,14 +29,15 @@ polynomials C_n^(s-n) whose degree plus parameter s is fixed along the sum
 from one `gegenbauer_seq` per diagonal (again read backwards from a list
 where the degree falls).
 
-`_sum_terms` is the one summation loop.  It runs the direct tolerance test
-on every term and, alongside, Wynn's epsilon algorithm in progressive form:
-each partial sum adds one ascending antidiagonal to the epsilon table, whose
-top even-column entry is the sum's current estimate.  An infinite series
-stops at the direct test or once successive estimates agree, so the term
-streams (and the coefficients and P chains behind them) are drawn only that
-far.  Each sum reports how it stopped.  All identities are stated for x in a
-subinterval of (0,1); reciprocal arguments are formed inside the streams.
+`_sum_terms` is the one summation loop, with one stopping rule: Wynn's
+epsilon algorithm in progressive form.  Each partial sum adds one ascending
+antidiagonal to the epsilon table, whose top even-column entry is the sum's
+current estimate.  An infinite series stops once successive estimates agree,
+so the term streams (and the coefficients and P chains behind them) are
+drawn only that far.  Each sum reports how it stopped.  Every P value, on
+either side, is summed to the last bit (`_P`).  All identities are stated
+for x in a subinterval of (0,1); reciprocal arguments are formed inside the
+streams.
 
 Most inverse series carry the factor (mu - nu)_n and terminate where
 nu - mu is in N0, at the index `_poch_top` gives.  Their domain gates read
@@ -65,7 +66,6 @@ from typing import NamedTuple
 from .coeffs import frak_N_seq, frak_p_seq, script_G_hat_seq, script_G_seq
 from .errors import ConvergenceError, DomainError, LegdualError, PoleError, UnknownIdentityError
 from .hypergeom import (
-    ABS_FLOOR,
     DEFAULT_POLICY,
     KahanSum,
     TruncationPolicy,
@@ -101,12 +101,6 @@ TOL_BOUNDARY = 1e-6
 _SERIES_CAP = 160
 _TINY = 1e-300
 _EPS = 2.0**-52
-
-# direct stop: _DIRECT_RUN terms in a row within _DIRECT_TOL of the partial sum
-_DIRECT_TOL = 1e-13
-_DIRECT_RUN = 3
-# a chain head scales every value of its chain, so it is summed to the last bit
-_HEAD_POLICY = TruncationPolicy(rel_tol=_EPS)
 
 # P chains: values in the first block, deepest sweep
 _CHAIN_BLOCK = 16
@@ -182,7 +176,7 @@ class IdentityReport(NamedTuple):
     passed: bool
     tolerance_used: float
     error: "str | None" = None
-    # how the right-hand side stopped: "terminated", "direct" or "wynn"
+    # how the right-hand side stopped: "terminated" or "wynn"
     stop_reason: "str | None" = None
     extrap_err: "float | None" = None
 
@@ -235,7 +229,7 @@ def _P_chain(nu: complex, mu: complex, y: float, diag: int) -> Iterator[complex]
     consumer passes it.  A chain whose k = 0 value is zero, where P is not
     the minimal solution (q >= 1), or whose bound asks for a sweep past
     _CHAIN_MAX_DEPTH, falls back to direct values."""
-    f = _P(nu, mu, y, _HEAD_POLICY)
+    f = _P(nu, mu, y)
     yield f
     nu, mu = complex(nu), complex(mu)
     k = 1
@@ -459,9 +453,8 @@ def _running_sums(entry: IdentityDescriptor, p, x: float) -> Iterator[tuple]:
 def _sum_terms(entry: IdentityDescriptor, p, x: float,
                policy: TruncationPolicy = DEFAULT_POLICY) -> _SeriesSum:
     """Sum the right-hand side and say how the sum stopped: "terminated" at
-    the termination index, "direct" when the tolerance test on the terms
-    passed, or "wynn" from the epsilon table (with its error estimate as
-    extrap_err).
+    the termination index, or "wynn" from the epsilon table (with its error
+    estimate as extrap_err).
 
     Each partial sum extends the table by one antidiagonal (`_wynn_diagonal`)
     and its top even-column entry is the estimate W_n.  The agreement at n is
@@ -485,17 +478,10 @@ def _sum_terms(entry: IdentityDescriptor, p, x: float,
     diag = []
     estimates = []
     best = None
-    small = 0
     for n, (t, partial) in enumerate(sums, 1):
         m = abs(t)
         max_mag = max(max_mag, m)
         mags.append(m)
-        if m <= _DIRECT_TOL * max(abs(partial), ABS_FLOOR):
-            small += 1
-            if small >= _DIRECT_RUN:
-                return _SeriesSum(partial, n, max_mag, "direct", 0.0)
-        else:
-            small = 0
         diag = _wynn_diagonal(diag, partial)
         w = diag[(len(diag) - 1) & ~1]
         estimates.append(w)
@@ -561,9 +547,12 @@ def sweep_identity(identity_id: str, param_sampler=None, x_grid=None,
     `param_sampler` may be an explicit list of parameter dicts or a callable
     taking a random.Random; by default the identity's own sampler is used.
     Library errors and floating-point faults at a point are collected into
-    failed reports; any other exception is a bug and propagates.
+    failed reports; any other exception is a bug and propagates.  A count
+    below 1 raises ValueError: a sweep of no points checks nothing.
     """
     entry = get_descriptor(identity_id)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = random.Random(seed)
     if param_sampler is None:
         param_sampler = entry.sampler

@@ -158,6 +158,18 @@ class TestSweepCommand:
         assert rc == 0
         assert "points pass" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "cor6", "--samples", "0"],
+        ["sweep", "cor6", "--samples", "-3"],
+        ["convergence", "thm4.inv", "--nu", "0.3", "--mu", "1.2", "--x", "0.5",
+         "--n-max", "-1"],
+    ])
+    def test_empty_check_exit_one(self, capsys, argv):
+        # a run that would check no point fails instead of passing
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestReportCsv:
     def test_header_covers_every_report_field(self, capsys):

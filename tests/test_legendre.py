@@ -25,6 +25,10 @@ def _mp(z):
     return mp.mpf(z.real) if z.imag == 0.0 else mp.mpc(z)
 
 
+# multiples of 2^-40 in [-3, 3]
+_ON_2M40 = st.integers(-3 * 2**40, 3 * 2**40).map(lambda k: k * 2.0**-40)
+
+
 def _close(ours, theirs, rel=1e-13):
     theirs = complex(theirs)
     assert abs(complex(ours) - theirs) <= rel * max(abs(theirs), 1e-300)
@@ -148,14 +152,19 @@ class TestFerrersP:
             ferrers_p(ParameterPoint(0.5, 0.5), 1.5)
 
     @given(
-        st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+        st.builds(complex, _ON_2M40, _ON_2M40),
         st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
         st.floats(0.05, 0.95),
     )
     @example(1j, -1, 0.5)
+    # 1e-5 snapped to the grid: for the double 1e-5, -1 - nu rounds so
+    # that nu + 1 is off by 6.6e-12 relative, which the test would read as
+    # an error of ferrers_p
+    @example(10995116 * 2.0**-40, -1, 0.5)
     @settings(max_examples=60, deadline=None)
     def test_degree_symmetry(self, nu, mu, x):
-        # the series depends on nu only through nu(nu+1)
+        # the series depends on nu only through nu(nu+1); nu's parts are
+        # multiples of 2^-40 in [-3, 3], so -1 - nu is exact
         a = ferrers_p(ParameterPoint(nu, mu), x).value
         b = ferrers_p(ParameterPoint(-1.0 - nu, mu), x).value
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-30)

@@ -70,7 +70,7 @@ _VALUES = {
     "IdentityDescriptor": (get_descriptor("cor6"), "terms"),
     "IdentityReport": (IdentityReport("cor6", {}, 0.5, 1j, 1j, 0.0, 0.0, 3,
                                       True, 1e-11), "passed"),
-    "_SeriesSum": (_SeriesSum(1j, 3, 1.0, "direct", 0.0), "value"),
+    "_SeriesSum": (_SeriesSum(1j, 3, 1.0, "wynn", 0.0), "value"),
 }
 
 

@@ -16,7 +16,7 @@ import legdual.polys
 import legdual.registry
 from legdual.errors import ConvergenceError, DomainError, PoleError, UnknownIdentityError
 from legdual.harness import HarnessConfig, convergence_table
-from legdual.hypergeom import DEFAULT_POLICY, TruncationPolicy, recip_gamma
+from legdual.hypergeom import DEFAULT_POLICY, TruncationPolicy, recip_gamma, terminating_index
 from legdual.registry import (
     INV_SQRT2,
     Kind,
@@ -39,13 +39,6 @@ from legdual.registry import (
 )
 
 ALL = list_identities()
-
-
-@pytest.fixture
-def no_direct(monkeypatch):
-    """The direct test never passes, so every infinite sum ends in the
-    epsilon table."""
-    monkeypatch.setattr(legdual.registry, "_DIRECT_RUN", 10**6)
 
 
 def _count_calls(monkeypatch, name, modules):
@@ -127,6 +120,26 @@ class TestFixedSettings:
         for call in (entry.lhs, entry.terms):
             with pytest.raises(TypeError):
                 call({"nu": 0.3 + 0j, "mu": 1.2 + 0j}, 0.65, DEFAULT_POLICY)
+
+    def test_every_series_P_summed_to_the_last_bit(self, monkeypatch):
+        # one precision: every nonterminating 2F1 behind a catalog P value,
+        # left-hand side, chain head or fallback, stops at 2^-52
+        tols = {}
+
+        def recorded(a, b, c, t, policy=DEFAULT_POLICY, _f=legdual.legendre.gauss_2f1):
+            if terminating_index(complex(a), complex(b)) is None:
+                tols[ident].add(policy.rel_tol)
+            return _f(a, b, c, t, policy)
+
+        monkeypatch.setattr(legdual.legendre, "gauss_2f1", recorded)
+        for entry in ALL:
+            ident = entry.id
+            tols[ident] = set()
+            evaluate_identity(ident, entry.sampler(random.Random(0)), entry.x_grid[0])
+        assert set().union(*tols.values()) == {2.0**-52}
+        assert all(tols[d.id] for d in ALL if d.kind is Kind.INFINITE_SERIES)
+        with pytest.raises(TypeError):
+            _P(0.3, 1.2, 0.65, DEFAULT_POLICY)
 
 
 class TestEvaluate:
@@ -220,9 +233,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("ident,params,x,reason", [
         ("thm4.fwd", {"nu": -2.0, "mu": 0.7}, 0.4, "terminated"),
-        # small nu: the terms pass the direct test at 15, the Wynn
-        # estimates would agree only at 21
-        ("thm5.fwd", {"nu": 0.001, "mu": 0.5 + 0.3j}, 0.6, "direct"),
+        # small nu: the Wynn estimates agree at 21 terms
+        ("thm5.fwd", {"nu": 0.001, "mu": 0.5 + 0.3j}, 0.6, "wynn"),
         ("thm8.r1", {"nu": -0.3726486224011847 + 0.5116084083144479j,
                      "mu": 0.9734759867013265 - 0.4989873172751189j}, 0.55, "wynn"),
     ])
@@ -244,7 +256,7 @@ class TestEvaluate:
         assert r.passed and r.stop_reason == "wynn"
         assert r.extrap_err > 0.0
 
-    def test_wynn_error_positive_on_stagnant_sums(self, no_direct):
+    def test_wynn_error_positive_on_stagnant_sums(self):
         # partial sums 1, 1.5, 1.75, 1.75, ...: the table ends where two
         # entries are equal and the estimates agree exactly
         s = _sum_terms(_series(lambda n: 0.5 ** n if n < 3 else 0.0), {}, 0.5)
@@ -276,7 +288,7 @@ class TestWynnStop:
         s = _sum_terms(_series(lambda n: 1.0 / (n + 1) ** 2), {}, 0.5)
         assert s.terms_used == 30
 
-    def test_non_finite_entries_are_never_returned(self, no_direct):
+    def test_non_finite_entries_are_never_returned(self):
         # partial sums n * 1e-320 differ by a subnormal, so 1/d overflows:
         # the antidiagonal ends there and the estimate stays finite
         s = _sum_terms(_series(lambda n: 1e-320), {}, 0.5)
@@ -339,6 +351,11 @@ class TestSweep:
                             _get_impl("cor6")._replace(terms=broken))
         with pytest.raises(TypeError, match="bug in a term stream"):
             sweep_identity("cor6", param_sampler=[{"k": 3, "m": 2}])
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_samples_refused(self, n):
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            sweep_identity("cor6", n_samples=n)
 
     def test_explicit_grid(self):
         reps = sweep_identity("cor6", param_sampler=[{"k": 3, "m": 2}],
