@@ -43,4 +43,5 @@ class UnknownIdentityError(LegdualError):
 
 
 class ConvergenceError(LegdualError):
-    """Series tail is not decaying; the policy cannot be satisfied."""
+    """A series' terms still grow at the term cap, or it has no finite
+    Wynn estimate."""

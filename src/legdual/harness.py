@@ -37,7 +37,8 @@ REPORT_VERSION = 1
 class HarnessConfig(NamedTuple("HarnessConfig", [("seed", int), ("sample_counts", dict)])):
     """Suite parameters.  `sample_counts` maps identity kinds to the number
     of parameter samples swept per identity of that kind; kinds left out are
-    skipped entirely."""
+    skipped entirely.  An empty map, or a key that is not a `Kind`, raises
+    ValueError: a suite of no identities checks nothing."""
 
     __slots__ = ()
 
@@ -48,7 +49,11 @@ class HarnessConfig(NamedTuple("HarnessConfig", [("seed", int), ("sample_counts"
                 Kind.FINITE_SUM: 50,
                 Kind.VANISHING_SUM: 50,
             }
+        if not sample_counts:
+            raise ValueError("sample_counts is empty: a suite of no identities checks nothing")
         for kind, n in sample_counts.items():
+            if not isinstance(kind, Kind):
+                raise ValueError(f"sample_counts key {kind!r} is not a Kind")
             if int(n) < 1:
                 raise ValueError(f"sample count for {kind} must be >= 1, got {n}")
         return super().__new__(cls, seed, sample_counts)
@@ -172,17 +177,15 @@ def run_suite(cfg: HarnessConfig = HarnessConfig()) -> SuiteResult:
     t0 = time.perf_counter()
     pass_counts = {}
     failures = []
-    ran_any = False
     for desc in list_identities():
         n = cfg.count_for(desc.kind)
         if n is None:
             continue
-        ran_any = True
         reports = sweep_identity(desc.id, n_samples=n, seed=cfg.seed)
         pass_counts[desc.id] = sum(1 for r in reports if r.passed)
         failures.extend(r for r in reports if not r.passed)
-    asym = asymptotic_checks() if ran_any else {}
-    return SuiteResult(pass_counts, failures, asym, time.perf_counter() - t0)
+    return SuiteResult(pass_counts, failures, asymptotic_checks(),
+                       time.perf_counter() - t0)
 
 
 # --------------------------------------------------------------------------

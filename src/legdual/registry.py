@@ -27,7 +27,10 @@ still advance term to term: Pochhammer symbols as running products
 quotients as one quotient times their rational ratio, and Gegenbauer
 polynomials C_n^(s-n) whose degree plus parameter s is fixed along the sum
 from one `gegenbauer_seq` per diagonal (again read backwards from a list
-where the degree falls).
+where the degree falls).  The corollaries come in twins, stated at x and at
+1/x (cor5 and cor10 also at both signs of the order); each family registers
+them from one table whose rows hold the id, the term generator's flags
+(`at_recip`: the terms' P or C at 1/x) and the closed-form side.
 
 `_sum_terms` is the one summation loop, with one stopping rule: Wynn's
 epsilon algorithm in progressive form.  Each partial sum adds one ascending
@@ -128,11 +131,11 @@ class IdentityDescriptor(NamedTuple):
     last term the sum takes, or None where the series does not terminate.
     `sampler(rng)` draws the sweeps' parameters and `x_grid` their
     arguments.  The argument window is (0, 1) unless `x_window(p)` gives
-    one; at a window's positive lower end the point is admitted only where
-    `boundary_ok(p)`.  `param_check(p)` raises DomainError outside the
-    stated parameter condition.  An infinite series states its tail law
-    `tail(p, x) -> (rate, exponent)`: the n-th term decays (or grows) like
-    rate^n n^exponent."""
+    one.  An entry that states `boundary_ok` also admits the window's
+    positive lower end, where `boundary_ok(p)`.  `param_check(p)` raises
+    DomainError outside the stated parameter condition.  An infinite series
+    states its tail law `tail(p, x) -> (rate, exponent)`: the n-th term
+    decays (or grows) like rate^n n^exponent."""
 
     id: str
     kind: Kind
@@ -148,15 +151,16 @@ class IdentityDescriptor(NamedTuple):
 
     def check_domain(self, p, x: float) -> bool:
         """Raise DomainError outside the entry's domain; otherwise say
-        whether x is within 1e-12 of the window's positive lower end."""
+        whether x is at a boundary: within 1e-12 of the window's positive
+        lower end, in an entry that states `boundary_ok`."""
         if self.param_check is not None:
             self.param_check(p)
         lo, hi = (0.0, 1.0) if self.x_window is None else self.x_window(p)
-        at_lo = lo > 0.0 and abs(x - lo) <= 1e-12
+        at_lo = self.boundary_ok is not None and lo > 0.0 and abs(x - lo) <= 1e-12
         if lo < x < hi:
             return at_lo
         if at_lo:
-            if self.boundary_ok is not None and self.boundary_ok(p):
+            if self.boundary_ok(p):
                 return True
             raise DomainError(
                 f"{self.id}: boundary x = {x} requires the stated parameter condition"
@@ -548,7 +552,8 @@ def sweep_identity(identity_id: str, param_sampler=None, x_grid=None,
     taking a random.Random; by default the identity's own sampler is used.
     Library errors and floating-point faults at a point are collected into
     failed reports; any other exception is a bug and propagates.  A count
-    below 1 raises ValueError: a sweep of no points checks nothing.
+    below 1, or an empty parameter list or x grid, raises ValueError: a
+    sweep of no points checks nothing.
     """
     entry = get_descriptor(identity_id)
     if n_samples < 1:
@@ -561,6 +566,8 @@ def sweep_identity(identity_id: str, param_sampler=None, x_grid=None,
     else:
         samples = [dict(s) for s in param_sampler]
     grid = tuple(x_grid) if x_grid is not None else entry.x_grid
+    if not samples or not grid:
+        raise ValueError(f"{identity_id}: a sweep of no points checks nothing")
     reports = []
     for p in samples:
         for x in grid:
@@ -733,63 +740,51 @@ def _build_catalog() -> None:
         tail=lambda p, x: (1.0 - x * x, t4_expo(p)),
     ))
 
-    def cor2_term(p, x, r, at_recip):
+    def cor2_terms(p, x, at_recip):
         k, mu = p["k"], p["mu"]
         y = 1.0 / x if at_recip else x
         base = (1.0 / (x * x) - 1.0) if at_recip else (x * x - 1.0)
-        return (
-            pochhammer(-2.0 * k - mu, k - r) * pochhammer(mu + 0.5, k - r) / _fact(k - r)
-            * _fact(2 * r) * gegenbauer(2 * r, mu + k - r + 0.5, y)
-            / (2.0 ** (2 * r) * _fact(r) * base ** r)
-        )
+        for r in range(k + 1):
+            yield (
+                pochhammer(-2.0 * k - mu, k - r) * pochhammer(mu + 0.5, k - r) / _fact(k - r)
+                * _fact(2 * r) * gegenbauer(2 * r, mu + k - r + 0.5, y)
+                / (2.0 ** (2 * r) * _fact(r) * base ** r)
+            )
 
-    _register(IdentityDescriptor(
-        "cor2.a", Kind.FINITE_SUM,
-        lhs=lambda p, x: (
-            _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, x)
-            / (2.0 ** (2 * p["k"]) * _fact(p["k"]) * (1.0 - x * x) ** p["k"])
-        ),
-        terms=lambda p, x: (cor2_term(p, x, r, True) for r in itertools.count()),
-        n_top=lambda p: p["k"],
-        sampler=k_mu_sampler,
-    ))
-    _register(IdentityDescriptor(
-        "cor2.b", Kind.FINITE_SUM,
-        lhs=lambda p, x: (
-            _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, 1.0 / x)
-            / (2.0 ** (2 * p["k"]) * _fact(p["k"]) * (1.0 - 1.0 / (x * x)) ** p["k"])
-        ),
-        terms=lambda p, x: (cor2_term(p, x, r, False) for r in itertools.count()),
-        n_top=lambda p: p["k"],
-        sampler=k_mu_sampler,
-    ))
+    for ident, at_recip, lhs in (
+            ("cor2.a", True, lambda p, x:
+                _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, x)
+                / (2.0 ** (2 * p["k"]) * _fact(p["k"]) * (1.0 - x * x) ** p["k"])),
+            ("cor2.b", False, lambda p, x:
+                _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, 1.0 / x)
+                / (2.0 ** (2 * p["k"]) * _fact(p["k"]) * (1.0 - 1.0 / (x * x)) ** p["k"]))):
+        _register(IdentityDescriptor(
+            ident, Kind.FINITE_SUM, lhs=lhs,
+            terms=functools.partial(cor2_terms, at_recip=at_recip),
+            n_top=lambda p: p["k"],
+            sampler=k_mu_sampler,
+        ))
 
-    def cor3_coeff(p, n):
+    def cor3_terms(p, x, at_recip):
         k, m = p["k"], p["m"]
-        return _fact(m) * _fact(k) / (_fact(m - n) * _fact(k - n) * _fact(n))
+        for n in range(m + 1):
+            c = (_fact(m) * _fact(k) / (_fact(m - n) * _fact(k - n) * _fact(n))
+                 * (-2.0 if at_recip else 2.0) ** n * (1.0 - x * x) ** (0.5 * n))
+            if at_recip:
+                yield c * x ** (k - n) * _P(k - n, k + n - 2 * m, 1.0 / x)
+            else:
+                yield c * _P(k - n, k + n - 2 * m, x)
 
-    _register(IdentityDescriptor(
-        "cor3.a", Kind.FINITE_SUM,
-        lhs=lambda p, x: _P(p["k"], p["k"] - 2 * p["m"], x),
-        terms=lambda p, x: (
-            cor3_coeff(p, n) * (-2.0) ** n * (1.0 - x * x) ** (0.5 * n)
-            * x ** (p["k"] - n) * _P(p["k"] - n, p["k"] + n - 2 * p["m"], 1.0 / x)
-            for n in itertools.count()
-        ),
-        n_top=lambda p: p["m"],
-        sampler=k_m_sampler,
-    ))
-    _register(IdentityDescriptor(
-        "cor3.b", Kind.FINITE_SUM,
-        lhs=lambda p, x: x ** p["k"] * _P(p["k"], p["k"] - 2 * p["m"], 1.0 / x),
-        terms=lambda p, x: (
-            cor3_coeff(p, n) * 2.0 ** n * (1.0 - x * x) ** (0.5 * n)
-            * _P(p["k"] - n, p["k"] + n - 2 * p["m"], x)
-            for n in itertools.count()
-        ),
-        n_top=lambda p: p["m"],
-        sampler=k_m_sampler,
-    ))
+    for ident, at_recip, lhs in (
+            ("cor3.a", True, lambda p, x: _P(p["k"], p["k"] - 2 * p["m"], x)),
+            ("cor3.b", False, lambda p, x:
+                x ** p["k"] * _P(p["k"], p["k"] - 2 * p["m"], 1.0 / x))):
+        _register(IdentityDescriptor(
+            ident, Kind.FINITE_SUM, lhs=lhs,
+            terms=functools.partial(cor3_terms, at_recip=at_recip),
+            n_top=lambda p: p["m"],
+            sampler=k_m_sampler,
+        ))
 
     # ---- Mittag-Leffler family ----------------------------------------
     t5_sampler = _guarded_pair(guards=[lambda nu, mu: mu])
@@ -825,23 +820,18 @@ def _build_catalog() -> None:
                 * c / (2.0 ** m * base ** m)
             )
 
-    _register(IdentityDescriptor(
-        "cor4.a", Kind.FINITE_SUM,
-        lhs=lambda p, x: gegenbauer(p["k"], p["lam"], x) / (2.0 ** p["k"] * (x - 1.0) ** p["k"]),
-        terms=lambda p, x: cor4_terms(p, x, True),
-        n_top=lambda p: p["k"],
-        sampler=k_lam_sampler,
-    ))
-    _register(IdentityDescriptor(
-        "cor4.b", Kind.FINITE_SUM,
-        lhs=lambda p, x: (
-            gegenbauer(p["k"], p["lam"], 1.0 / x)
-            / (2.0 ** p["k"] * (1.0 - 1.0 / x) ** p["k"])
-        ),
-        terms=lambda p, x: cor4_terms(p, x, False),
-        n_top=lambda p: p["k"],
-        sampler=k_lam_sampler,
-    ))
+    for ident, at_recip, lhs in (
+            ("cor4.a", True, lambda p, x:
+                gegenbauer(p["k"], p["lam"], x) / (2.0 ** p["k"] * (x - 1.0) ** p["k"])),
+            ("cor4.b", False, lambda p, x:
+                gegenbauer(p["k"], p["lam"], 1.0 / x)
+                / (2.0 ** p["k"] * (1.0 - 1.0 / x) ** p["k"]))):
+        _register(IdentityDescriptor(
+            ident, Kind.FINITE_SUM, lhs=lhs,
+            terms=functools.partial(cor4_terms, at_recip=at_recip),
+            n_top=lambda p: p["k"],
+            sampler=k_lam_sampler,
+        ))
 
     # ---- square-root generating-function family -----------------------
     t6_sampler = _guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu,
@@ -905,58 +895,38 @@ def _build_catalog() -> None:
         n_top=_poch_top, sampler=t6_sampler, tail=t6_tail_b,
     ))
 
-    def cor5_terms(p, x, signed, upper, at_recip):
+    def cor5_terms(p, x, upper, at_recip):
         k, m = p["k"], p["m"]
         tau = k + m if upper else k - m
         r = -2.0 * m if upper else 2.0 * m
-        deg = (k + m) if upper else (k - m)
         y = 1.0 / x if at_recip else x
         for n, b in zip(range(k + 1), bateman_g_seq(tau, r)):
             morder = (n + m) if upper else (n - m)
-            sgn = (-1.0) ** n if signed else 1.0
+            sgn = (-1.0) ** n if at_recip else 1.0
             yield (
                 sgn * b / _fact(k - n)
-                * (1.0 - x) ** (0.5 * n) * _P(deg, morder, y)
+                * (1.0 - x) ** (0.5 * n) * _P(tau, morder, y)
                 / _cpow(1.0 + x, 0.5 * n + (m if upper else -m))
             )
 
-    _register(IdentityDescriptor(
-        "cor5.a", Kind.FINITE_SUM,
-        lhs=lambda p, x: (
-            _P(p["k"], p["m"], x) / (2.0 ** p["m"] * _fact(p["k"]) * x ** (p["k"] + p["m"]))
-        ),
-        terms=lambda p, x: cor5_terms(p, x, True, True, True),
-        n_top=lambda p: p["k"],
-        sampler=k_m_sampler,
-    ))
-    _register(IdentityDescriptor(
-        "cor5.b", Kind.FINITE_SUM,
-        lhs=lambda p, x: (
-            _P(p["k"], p["m"], 1.0 / x) * x ** p["k"] / (2.0 ** p["m"] * _fact(p["k"]))
-        ),
-        terms=lambda p, x: cor5_terms(p, x, False, True, False),
-        n_top=lambda p: p["k"],
-        sampler=k_m_sampler,
-    ))
-    _register(IdentityDescriptor(
-        "cor5.c", Kind.FINITE_SUM,
-        lhs=lambda p, x: (
-            _P(p["k"], -p["m"], x) * 2.0 ** p["m"]
-            / (_fact(p["k"]) * x ** (p["k"] - p["m"]))
-        ),
-        terms=lambda p, x: cor5_terms(p, x, True, False, True),
-        n_top=lambda p: p["k"],
-        sampler=k_m_sampler,
-    ))
-    _register(IdentityDescriptor(
-        "cor5.d", Kind.FINITE_SUM,
-        lhs=lambda p, x: (
-            _P(p["k"], -p["m"], 1.0 / x) * 2.0 ** p["m"] * x ** p["k"] / _fact(p["k"])
-        ),
-        terms=lambda p, x: cor5_terms(p, x, False, False, False),
-        n_top=lambda p: p["k"],
-        sampler=k_m_sampler,
-    ))
+    # upper: cor5.a/b, at order +m; cor5.c/d are at -m
+    for ident, upper, at_recip, lhs in (
+            ("cor5.a", True, True, lambda p, x:
+                _P(p["k"], p["m"], x)
+                / (2.0 ** p["m"] * _fact(p["k"]) * x ** (p["k"] + p["m"]))),
+            ("cor5.b", True, False, lambda p, x:
+                _P(p["k"], p["m"], 1.0 / x) * x ** p["k"] / (2.0 ** p["m"] * _fact(p["k"]))),
+            ("cor5.c", False, True, lambda p, x:
+                _P(p["k"], -p["m"], x) * 2.0 ** p["m"]
+                / (_fact(p["k"]) * x ** (p["k"] - p["m"]))),
+            ("cor5.d", False, False, lambda p, x:
+                _P(p["k"], -p["m"], 1.0 / x) * 2.0 ** p["m"] * x ** p["k"] / _fact(p["k"]))):
+        _register(IdentityDescriptor(
+            ident, Kind.FINITE_SUM, lhs=lhs,
+            terms=functools.partial(cor5_terms, upper=upper, at_recip=at_recip),
+            n_top=lambda p: p["k"],
+            sampler=k_m_sampler,
+        ))
 
     def cor6_sampler(rng):
         k = rng.randint(1, 8)
@@ -1095,44 +1065,24 @@ def _build_catalog() -> None:
             else:
                 yield val * x ** r * c
 
-    _register(IdentityDescriptor(
-        "cor7.a", Kind.FINITE_SUM,
-        lhs=lambda p, x: (
-            gegenbauer(p["k"], p["lam"], 1.0 / x) * x ** p["k"]
-            / (1.0 - x * x) ** (0.5 * p["k"])
-        ),
-        terms=lambda p, x: cor7_narrow(p, x, False),
-        n_top=lambda p: p["k"] // 2,
-        sampler=k_lam_sampler,
-    ))
-    _register(IdentityDescriptor(
-        "cor7.b", Kind.FINITE_SUM,
-        lhs=lambda p, x: (
-            gegenbauer(p["k"], p["k"] + p["lam"], x) / (1.0 - x) ** p["k"]
-        ),
-        terms=lambda p, x: cor7_wide(p, x, False),
-        n_top=lambda p: 2 * p["k"],
-        sampler=k_lam_sampler, param_check=cor7_wide_check,
-    ))
-    _register(IdentityDescriptor(
-        "cor7.c", Kind.FINITE_SUM,
-        lhs=lambda p, x: (
-            gegenbauer(p["k"], p["lam"], x) / (1.0 - x * x) ** (0.5 * p["k"])
-        ),
-        terms=lambda p, x: cor7_narrow(p, x, True),
-        n_top=lambda p: p["k"] // 2,
-        sampler=k_lam_sampler,
-    ))
-    _register(IdentityDescriptor(
-        "cor7.d", Kind.FINITE_SUM,
-        lhs=lambda p, x: (
-            gegenbauer(p["k"], p["k"] + p["lam"], 1.0 / x) * x ** p["k"]
-            / (1.0 - x) ** p["k"]
-        ),
-        terms=lambda p, x: cor7_wide(p, x, True),
-        n_top=lambda p: 2 * p["k"],
-        sampler=k_lam_sampler, param_check=cor7_wide_check,
-    ))
+    # wide: the 2k + 1 terms of cor7.b/d, or the k // 2 + 1 of cor7.a/c
+    for ident, wide, hatted, lhs in (
+            ("cor7.a", False, False, lambda p, x:
+                gegenbauer(p["k"], p["lam"], 1.0 / x) * x ** p["k"]
+                / (1.0 - x * x) ** (0.5 * p["k"])),
+            ("cor7.b", True, False, lambda p, x:
+                gegenbauer(p["k"], p["k"] + p["lam"], x) / (1.0 - x) ** p["k"]),
+            ("cor7.c", False, True, lambda p, x:
+                gegenbauer(p["k"], p["lam"], x) / (1.0 - x * x) ** (0.5 * p["k"])),
+            ("cor7.d", True, True, lambda p, x:
+                gegenbauer(p["k"], p["k"] + p["lam"], 1.0 / x) * x ** p["k"]
+                / (1.0 - x) ** p["k"])):
+        _register(IdentityDescriptor(
+            ident, Kind.FINITE_SUM, lhs=lhs,
+            terms=functools.partial(cor7_wide if wide else cor7_narrow, hatted=hatted),
+            n_top=(lambda p: 2 * p["k"]) if wide else (lambda p: p["k"] // 2),
+            sampler=k_lam_sampler, param_check=cor7_wide_check if wide else None,
+        ))
 
     def cor89_terms(p, x, hatted, inner_tau2):
         k, lam = p["k"], p["lam"]
@@ -1252,34 +1202,19 @@ def _build_catalog() -> None:
             else:
                 yield val * x ** deg * _P(deg, morder, 1.0 / x)
 
-    _register(IdentityDescriptor(
-        "cor10.a", Kind.FINITE_SUM,
-        lhs=lambda p, x: _P(p["k"], p["m"], x) / 2.0 ** p["m"],
-        terms=lambda p, x: cor10_terms(p, x, False, True),
-        n_top=lambda p: 2 * p["k"],
-        sampler=k_m_sampler,
-    ))
-    _register(IdentityDescriptor(
-        "cor10.b", Kind.FINITE_SUM,
-        lhs=lambda p, x: _P(p["k"], p["m"], 1.0 / x) * x ** p["k"] / 2.0 ** p["m"],
-        terms=lambda p, x: cor10_terms(p, x, True, True),
-        n_top=lambda p: 2 * p["k"],
-        sampler=k_m_sampler,
-    ))
-    _register(IdentityDescriptor(
-        "cor10.c", Kind.FINITE_SUM,
-        lhs=lambda p, x: _P(p["k"], -p["m"], x) * 2.0 ** p["m"],
-        terms=lambda p, x: cor10_terms(p, x, False, False),
-        n_top=lambda p: 2 * p["k"],
-        sampler=k_m_sampler,
-    ))
-    _register(IdentityDescriptor(
-        "cor10.d", Kind.FINITE_SUM,
-        lhs=lambda p, x: _P(p["k"], -p["m"], 1.0 / x) * 2.0 ** p["m"] * x ** p["k"],
-        terms=lambda p, x: cor10_terms(p, x, True, False),
-        n_top=lambda p: 2 * p["k"],
-        sampler=k_m_sampler,
-    ))
+    for ident, hatted, upper, lhs in (
+            ("cor10.a", False, True, lambda p, x: _P(p["k"], p["m"], x) / 2.0 ** p["m"]),
+            ("cor10.b", True, True, lambda p, x:
+                _P(p["k"], p["m"], 1.0 / x) * x ** p["k"] / 2.0 ** p["m"]),
+            ("cor10.c", False, False, lambda p, x: _P(p["k"], -p["m"], x) * 2.0 ** p["m"]),
+            ("cor10.d", True, False, lambda p, x:
+                _P(p["k"], -p["m"], 1.0 / x) * 2.0 ** p["m"] * x ** p["k"])):
+        _register(IdentityDescriptor(
+            ident, Kind.FINITE_SUM, lhs=lhs,
+            terms=functools.partial(cor10_terms, hatted=hatted, upper=upper),
+            n_top=lambda p: 2 * p["k"],
+            sampler=k_m_sampler,
+        ))
 
     # ---- quadratic argument family ------------------------------------
     t9_ntop = lambda p: terminating_index(2.0 * p["nu"], p["mu"] - p["nu"])

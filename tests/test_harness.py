@@ -104,9 +104,16 @@ class TestRunSuite:
         r = run_suite(HarnessConfig(seed=9, sample_counts=self.CFG.sample_counts))
         assert r.ok
 
-    def test_empty_config_empty_result(self):
-        r = run_suite(HarnessConfig(sample_counts={}))
-        assert r.pass_counts == {} and r.failures == [] and r.asymptotic == {}
+    def test_empty_config_refused(self):
+        # a suite of no identities checks nothing
+        with pytest.raises(ValueError, match="checks nothing"):
+            HarnessConfig(sample_counts={})
+
+    @pytest.mark.parametrize("counts", [{"finite_sum": 4}, {Kind.FINITE_SUM: 4, None: 1}])
+    def test_key_not_a_kind_refused(self, counts):
+        # a key that is not a Kind matches no identity: it would sweep nothing
+        with pytest.raises(ValueError, match="is not a Kind"):
+            HarnessConfig(sample_counts=counts)
 
     def test_invalid_sample_count_rejected(self):
         with pytest.raises(ValueError):
@@ -115,8 +122,10 @@ class TestRunSuite:
     @pytest.mark.parametrize("seed", range(4))
     def test_default_report_hash(self, seed, monkeypatch):
         # the report at the default counts is pinned per report version: a
-        # change that moves it bumps REPORT_VERSION and the pin.  With every
-        # point passing it records no seed, so seeds 0-3 share one hash
+        # change that moves it bumps REPORT_VERSION and the pin, and the
+        # sha256 of `legdual suite --seed 0` (the report plus a newline) that
+        # the CI workflow checks.  With every point passing it records no
+        # seed, so seeds 0-3 share one hash
         swept, sweep = {}, legdual.harness.sweep_identity
 
         def recorded(identity_id, *args, **kwargs):

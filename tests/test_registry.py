@@ -77,6 +77,22 @@ class TestCatalog:
         ids = [d.id for d in ALL]
         assert len(set(ids)) == len(ids)
 
+    def test_catalog_order(self):
+        # the order `legdual list` prints and the suite sweeps in; the draws
+        # hash cannot see two twins swapped, as twins share a sampler
+        assert [d.id for d in ALL] == [
+            "intro.1", "intro.2", "intro.3", "thm4.fwd", "thm4.inv",
+            "cor2.a", "cor2.b", "cor3.a", "cor3.b", "thm5.fwd", "thm5.inv",
+            "cor4.a", "cor4.b", "thm6.p1a", "thm6.p1b", "thm6.p2a", "thm6.p2b",
+            "cor5.a", "cor5.b", "cor5.c", "cor5.d", "cor6",
+            "thm7.q1", "thm7.q2", "thm7.q3", "thm7.q4",
+            "cor7.a", "cor7.b", "cor7.c", "cor7.d",
+            "cor8.a", "cor8.b", "cor9.a", "cor9.b",
+            "thm8.g1", "thm8.r1", "thm8.r2", "thm8.g2",
+            "cor10.a", "cor10.b", "cor10.c", "cor10.d",
+            "thm9.fwd", "thm9.inv", "cor11.a", "cor11.b", "lambda3",
+        ]
+
     def test_descriptor_fields(self):
         d = get_descriptor("thm4.fwd")
         assert d.kind is Kind.INFINITE_SERIES
@@ -184,6 +200,12 @@ class TestEvaluate:
     def test_window_is_sharp_below_boundary(self):
         with pytest.raises(DomainError):
             evaluate_identity("thm4.fwd", {"nu": -0.8 + 0.3j, "mu": 0.5 - 0.2j}, 0.6)
+
+    def test_window_end_without_stated_boundary_is_outside(self):
+        # intro.2 states no boundary condition: its window (0.5, 1) is open
+        with pytest.raises(DomainError, match=r"x = 0.5 outside \(0.5, 1.0\)"):
+            evaluate_identity("intro.2", {"mu": 0.3 + 0.4j}, 0.5)
+        assert get_descriptor("intro.2").check_domain({"mu": 0.3 + 0.4j}, 0.5 + 5e-13) is False
 
     # nu - mu = 2: the series terminate, and hold on all of (0, 1)
     TERMINATING = {"nu": 2.3 + 0.2j, "mu": 0.3 + 0.2j}
@@ -356,6 +378,11 @@ class TestSweep:
     def test_no_samples_refused(self, n):
         with pytest.raises(ValueError, match="n_samples must be >= 1"):
             sweep_identity("cor6", n_samples=n)
+
+    @pytest.mark.parametrize("kwargs", [{"param_sampler": []}, {"x_grid": ()}])
+    def test_empty_list_or_grid_refused(self, kwargs):
+        with pytest.raises(ValueError, match="checks nothing"):
+            sweep_identity("cor6", **kwargs)
 
     def test_explicit_grid(self):
         reps = sweep_identity("cor6", param_sampler=[{"k": 3, "m": 2}],
