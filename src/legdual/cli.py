@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import random
 import re
 import sys
@@ -133,12 +132,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _policy_from(args: argparse.Namespace) -> TruncationPolicy:
-    if args.rel_tol is not None and not 0.0 < args.rel_tol < math.inf:
-        raise ValueError(f"--rel-tol must be finite and positive, got {args.rel_tol}")
-    if args.max_terms is not None and args.max_terms < 1:
-        raise ValueError(f"--max-terms must be at least 1, got {args.max_terms}")
     given = {"rel_tol": args.rel_tol, "max_terms": args.max_terms}
-    return DEFAULT_POLICY._replace(**{k: v for k, v in given.items() if v is not None})
+    try:
+        return DEFAULT_POLICY._replace(**{k: v for k, v in given.items() if v is not None})
+    except ValueError as exc:
+        # TruncationPolicy's message opens with the field: name its flag
+        raise ValueError("--" + str(exc).replace("_", "-", 1)) from None
 
 
 def _collect_params(args: argparse.Namespace, entry) -> dict:

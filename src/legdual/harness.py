@@ -110,24 +110,22 @@ def _gegenbauer_bound_ok() -> bool:
     return True
 
 
-def _watson_residual(nu: complex, mu: complex, alpha: float, domain: str) -> float:
-    pt = ParameterPoint(nu, mu)
+def _exact(pt: ParameterPoint, alpha: float, domain: str) -> complex:
+    """P at coth(alpha) (domain "coth") or the Ferrers P at tanh(alpha)."""
     if domain == "coth":
-        exact = legendre_p(pt, 1.0 / math.tanh(alpha)).value
-    else:
-        exact = ferrers_p(pt, math.tanh(alpha)).value
-    exact = exact * gamma(mu - nu)
+        return legendre_p(pt, 1.0 / math.tanh(alpha)).value
+    return ferrers_p(pt, math.tanh(alpha)).value
+
+
+def _watson_residual(nu: complex, mu: complex, alpha: float, domain: str) -> float:
+    exact = _exact(ParameterPoint(nu, mu), alpha, domain) * gamma(mu - nu)
     lead = watson_mu_leading(nu, mu, alpha)
     return abs(exact - lead) / abs(lead)
 
 
 def _large_degree_residual(sigma: complex, nu: complex, alpha: float,
                            domain: str) -> float:
-    pt = ParameterPoint(nu, sigma + nu)
-    if domain == "coth":
-        exact = legendre_p(pt, 1.0 / math.tanh(alpha)).value
-    else:
-        exact = ferrers_p(pt, math.tanh(alpha)).value
+    exact = _exact(ParameterPoint(nu, sigma + nu), alpha, domain)
     lead = large_degree_leading(sigma, nu, alpha, domain)
     return abs(exact - lead) / abs(lead)
 

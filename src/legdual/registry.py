@@ -131,8 +131,8 @@ class IdentityDescriptor(NamedTuple):
     last term the sum takes, or None where the series does not terminate.
     `sampler(rng)` draws the sweeps' parameters and `x_grid` their
     arguments.  The argument window is (0, 1) unless `x_window(p)` gives
-    one.  An entry that states `boundary_ok` also admits the window's
-    positive lower end, where `boundary_ok(p)`.  `param_check(p)` raises
+    one.  x within 1e-12 of its positive lower end is a boundary point
+    exactly where the entry's `boundary_ok(p)` holds.  `param_check(p)` raises
     DomainError outside the stated parameter condition.  An infinite series
     states its tail law `tail(p, x) -> (rate, exponent)`: the n-th term
     decays (or grows) like rate^n n^exponent."""
@@ -151,21 +151,16 @@ class IdentityDescriptor(NamedTuple):
 
     def check_domain(self, p, x: float) -> bool:
         """Raise DomainError outside the entry's domain; otherwise say
-        whether x is at a boundary: within 1e-12 of the window's positive
-        lower end, in an entry that states `boundary_ok`."""
+        whether x is a boundary point (within 1e-12 of the window's positive
+        lower end, where `boundary_ok(p)` holds) rather than inside it."""
         if self.param_check is not None:
             self.param_check(p)
         lo, hi = (0.0, 1.0) if self.x_window is None else self.x_window(p)
-        at_lo = self.boundary_ok is not None and lo > 0.0 and abs(x - lo) <= 1e-12
-        if lo < x < hi:
-            return at_lo
-        if at_lo:
-            if self.boundary_ok(p):
-                return True
-            raise DomainError(
-                f"{self.id}: boundary x = {x} requires the stated parameter condition"
-            )
-        raise DomainError(f"{self.id}: x = {x} outside ({lo}, {hi})")
+        at_lo = (lo > 0.0 and abs(x - lo) <= 1e-12
+                 and self.boundary_ok is not None and self.boundary_ok(p))
+        if not (at_lo or lo < x < hi):
+            raise DomainError(f"{self.id}: x = {x} outside ({lo}, {hi})")
+        return at_lo
 
 
 class IdentityReport(NamedTuple):
@@ -508,34 +503,29 @@ def _sum_terms(entry: IdentityDescriptor, p, x: float,
 
 
 def evaluate_identity(identity_id: str, params: dict, x: float) -> IdentityReport:
+    """Both sides at one point, judged by one rule: |lhs - rhs| within the
+    tolerance (TOL_FINITE for a finite or vanishing sum; for a series
+    TOL_BOUNDARY at a boundary point, else TOL_SERIES) relative to
+    max(|lhs|, |rhs|) or, for a finite or vanishing sum, to the largest
+    term.  rel_err is on the scale the kind is judged by: the largest term
+    for a vanishing sum (lhs = 0), the value otherwise."""
     entry = get_descriptor(identity_id)
     p = dict(params)
     x = float(x)
     at_boundary = entry.check_domain(p, x)
     lhs = complex(entry.lhs(p, x))
     rhs_sum = _sum_terms(entry, p, x)
-    rhs, max_mag = rhs_sum.value, rhs_sum.max_mag
+    rhs = rhs_sum.value
     abs_err = abs(lhs - rhs)
-    if entry.kind is Kind.VANISHING_SUM:
-        tol = TOL_FINITE
-        scale = max(max_mag, _TINY)
-        rel_err = abs_err / scale
-        passed = abs_err <= tol * scale
-    else:
-        if entry.kind is Kind.FINITE_SUM:
-            tol = TOL_FINITE
-        elif at_boundary:
-            tol = TOL_BOUNDARY
-        else:
-            tol = TOL_SERIES
-        scale = max(abs(lhs), abs(rhs), _TINY)
-        rel_err = abs_err / scale
-        passed = rel_err <= tol
-        if not passed and entry.kind is Kind.FINITE_SUM:
-            # alternating sums whose terms dwarf their value cannot beat
-            # the tolerance relative to the value in double precision;
-            # the max-term scale measures the identity itself
-            passed = abs_err <= tol * max(max_mag, _TINY)
+    series = entry.kind is Kind.INFINITE_SERIES
+    tol = TOL_FINITE if not series else TOL_BOUNDARY if at_boundary else TOL_SERIES
+    value_scale = max(abs(lhs), abs(rhs), _TINY)
+    # alternating sums whose terms dwarf their value cannot beat the
+    # tolerance relative to the value in double precision; the max-term
+    # scale measures the identity itself
+    term_scale = max(rhs_sum.max_mag, _TINY)
+    passed = abs_err / value_scale <= tol or (not series and abs_err <= tol * term_scale)
+    rel_err = abs_err / (term_scale if entry.kind is Kind.VANISHING_SUM else value_scale)
     return IdentityReport(
         id=identity_id, params=p, x=x, lhs=lhs, rhs=rhs,
         abs_err=abs_err, rel_err=rel_err, terms_used=rhs_sum.terms_used,
@@ -955,11 +945,8 @@ def _build_catalog() -> None:
     t7_tail_nu = lambda p, x: (1.0, -2.0 * p["nu"].real - 2.0)
 
     def q_cond_check(p):
-        if p["nu"].real > -1.0:
-            return
-        if _poch_top(p) is not None:
-            return
-        raise DomainError("requires Re nu > -1 or nu - mu a nonnegative integer")
+        if not p["nu"].real > -1.0 and _poch_top(p) is None:
+            raise DomainError("requires Re nu > -1 or nu - mu a nonnegative integer")
 
     _register(IdentityDescriptor(
         "thm7.q1", Kind.INFINITE_SERIES,
@@ -1117,9 +1104,8 @@ def _build_catalog() -> None:
     t8_tail_r = lambda p, x: (1.0, p["nu"].real - 1.5)
 
     def g_cond_check(p):
-        if p["nu"].real > -1.0:
-            return
-        raise DomainError("requires Re nu > -1")
+        if not p["nu"].real > -1.0:
+            raise DomainError("requires Re nu > -1")
 
     _register(IdentityDescriptor(
         "thm8.g1", Kind.INFINITE_SERIES,

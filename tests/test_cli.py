@@ -96,6 +96,13 @@ class TestVerify:
         assert doc["passed"] is True
         assert doc["params"]["nu"] == [0.3, 0.2]
 
+    def test_band_above_a_failed_boundary_is_a_series_point(self, capsys):
+        # thm4.fwd's boundary condition fails at this point: x just above
+        # 2^-1/2 is judged at the series tolerance, not the boundary one
+        assert main(["verify", "thm4.fwd", "--nu=0.9+0.3i", "--mu=0+0.5i",
+                     "--x", "0.7071067811865481"]) == 0
+        assert '"tolerance": 1e-09' in capsys.readouterr().out
+
     def test_integer_parameters(self, capsys):
         assert main(["verify", "cor6", "--k", "3", "--m", "2", "--x", "0.9"]) == 0
         capsys.readouterr()

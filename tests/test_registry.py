@@ -197,6 +197,16 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate_identity("thm4.fwd", {"nu": 0.9 + 0.3j, "mu": 0.5j}, INV_SQRT2)
 
+    def test_band_is_a_boundary_only_where_the_condition_holds(self):
+        # boundary_ok fails here: just above the window's end the point is
+        # inside and judged as a series, just below it is outside
+        p = {"nu": 0.9 + 0.3j, "mu": 0.5j}
+        assert get_descriptor("thm4.fwd").check_domain(p, INV_SQRT2 + 5e-13) is False
+        r = evaluate_identity("thm4.fwd", p, INV_SQRT2 + 5e-13)
+        assert r.tolerance_used == TOL_SERIES
+        with pytest.raises(DomainError, match="outside"):
+            evaluate_identity("thm4.fwd", p, INV_SQRT2 - 5e-13)
+
     def test_window_is_sharp_below_boundary(self):
         with pytest.raises(DomainError):
             evaluate_identity("thm4.fwd", {"nu": -0.8 + 0.3j, "mu": 0.5 - 0.2j}, 0.6)
