@@ -5,11 +5,9 @@ the uniform Gegenbauer estimate with its explicit remainder bound, and the
 leading terms of the large-order/large-degree function asymptotics.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .coeffs import FactorList, lauricella_G
 from .errors import BoundUnavailableError, DegenerateError
@@ -28,12 +26,11 @@ __all__ = [
 ]
 
 
-class AsymptoticEstimate(NamedTuple):
-    """Leading-term value and an explicit remainder bound when one is
-    stated."""
+class AsymptoticEstimate(namedtuple("AsymptoticEstimate", "leading remainder_bound")):
+    """Leading-term value `leading` (complex) and an explicit remainder
+    bound `remainder_bound` (float, or None where none is stated)."""
 
-    leading: complex
-    remainder_bound: float | None
+    __slots__ = ()
 
 
 def _node_prefactor(f: FactorList, m: int) -> complex:

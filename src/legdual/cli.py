@@ -5,8 +5,6 @@ or text.
 Exit codes: 0 success, 1 domain or usage error, 2 verification failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import io

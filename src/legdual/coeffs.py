@@ -18,8 +18,6 @@ each once, so its first N coefficients cost at most O(N^2).  The scalar
 need many indices at one parameter point iterate the sequence instead.
 """
 
-from __future__ import annotations
-
 import cmath
 import itertools
 import math

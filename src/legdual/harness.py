@@ -1,12 +1,10 @@
 """Suite orchestration: seeded identity sweeps, asymptotic ratio checks, and
 per-point convergence diagnostics."""
 
-from __future__ import annotations
-
 import itertools
 import math
 import time
-from typing import NamedTuple
+from collections import namedtuple
 
 from .asympt import (
     darboux_G_leading,
@@ -34,15 +32,18 @@ REPORT_VERSION = 1
 # --------------------------------------------------------------------------
 # configuration and results
 
-class HarnessConfig(NamedTuple("HarnessConfig", [("seed", int), ("sample_counts", dict)])):
-    """Suite parameters.  `sample_counts` maps identity kinds to the number
-    of parameter samples swept per identity of that kind; kinds left out are
-    skipped entirely.  An empty map, or a key that is not a `Kind`, raises
-    ValueError: a suite of no identities checks nothing."""
+class HarnessConfig(namedtuple("HarnessConfig", "seed sample_counts", defaults=(0, None))):
+    """Suite parameters: `seed` (int) and `sample_counts` (dict, or None for
+    the defaults), which maps identity kinds to the number of parameter
+    samples swept per identity of that kind; kinds left out are skipped
+    entirely.  An empty map, a key that is not a `Kind` or a count that is
+    not an integer of at least 1 raises ValueError: a suite of no
+    identities checks nothing."""
 
     __slots__ = ()
 
-    def __new__(cls, seed: int = 0, sample_counts: "dict | None" = None) -> "HarnessConfig":
+    def __new__(cls, *args, **kwargs) -> "HarnessConfig":
+        seed, sample_counts = super().__new__(cls, *args, **kwargs)
         if sample_counts is None:
             sample_counts = {
                 Kind.INFINITE_SERIES: 30,
@@ -54,8 +55,8 @@ class HarnessConfig(NamedTuple("HarnessConfig", [("seed", int), ("sample_counts"
         for kind, n in sample_counts.items():
             if not isinstance(kind, Kind):
                 raise ValueError(f"sample_counts key {kind!r} is not a Kind")
-            if int(n) < 1:
-                raise ValueError(f"sample count for {kind} must be >= 1, got {n}")
+            if not (1 <= n < math.inf and n % 1 == 0):
+                raise ValueError(f"sample count for {kind} must be an integer >= 1, got {n}")
         return super().__new__(cls, seed, sample_counts)
 
     @classmethod
@@ -68,11 +69,11 @@ class HarnessConfig(NamedTuple("HarnessConfig", [("seed", int), ("sample_counts"
         return None if n is None else int(n)
 
 
-class SuiteResult(NamedTuple):
-    pass_counts: dict
-    failures: list
-    asymptotic: dict
-    wall_time: float
+class SuiteResult(namedtuple("SuiteResult", "pass_counts failures asymptotic wall_time")):
+    """`pass_counts` (dict), `failures` (list), `asymptotic` (dict) and
+    `wall_time` (float)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

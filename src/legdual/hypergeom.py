@@ -5,11 +5,9 @@ series, and terminating generalized hypergeometric sums.  Everything here is
 a pure function of its inputs.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import (
     DivergenceError,
@@ -40,19 +38,23 @@ ABS_FLOOR = 1e-300
 SMALL_RUN = 3
 
 
-class TruncationPolicy(NamedTuple("TruncationPolicy",
-                                   [("rel_tol", float), ("max_terms", int)])):
-    """A nonterminating 2F1's stopping rule: `rel_tol`, finite and positive,
-    and a term cap `max_terms` of at least 1."""
+class TruncationPolicy(namedtuple("TruncationPolicy", "rel_tol max_terms",
+                                  defaults=(1e-13, 100000))):
+    """A nonterminating 2F1's stopping rule: `rel_tol` (float), finite and
+    positive, and a term cap `max_terms` (int) of at least 1."""
 
     __slots__ = ()
 
-    def __new__(cls, rel_tol: float = 1e-13, max_terms: int = 100000) -> "TruncationPolicy":
+    def __new__(cls, *args, **kwargs) -> "TruncationPolicy":
+        self = super().__new__(cls, *args, **kwargs)
+        rel_tol, max_terms = self
         if not 0.0 < rel_tol < math.inf:
             raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
+        if not isinstance(max_terms, int):
+            raise ValueError(f"max_terms must be an integer, got {max_terms}")
         if max_terms < 1:
             raise ValueError(f"max_terms must be at least 1, got {max_terms}")
-        return super().__new__(cls, rel_tol, max_terms)
+        return self
 
     @classmethod
     def _make(cls, iterable) -> "TruncationPolicy":
@@ -63,10 +65,10 @@ class TruncationPolicy(NamedTuple("TruncationPolicy",
 DEFAULT_POLICY = TruncationPolicy()
 
 
-class SeriesValue(NamedTuple):
-    value: complex
-    terms_used: int
-    error_estimate: float
+class SeriesValue(namedtuple("SeriesValue", "value terms_used error_estimate")):
+    """`value` (complex), `terms_used` (int) and `error_estimate` (float)."""
+
+    __slots__ = ()
 
 
 class KahanSum:

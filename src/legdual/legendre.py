@@ -13,11 +13,9 @@ recurrence `_P_int`, stable where the terminating hypergeometric sum
 cancels.  All other parameters sum the hypergeometric series.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DomainError, PoleError
 from .hypergeom import (
@@ -42,8 +40,8 @@ __all__ = [
 ]
 
 
-class ParameterPoint(NamedTuple("ParameterPoint", [("nu", complex), ("mu", complex)])):
-    """Degree nu and order mu, both stored as complex."""
+class ParameterPoint(namedtuple("ParameterPoint", "nu mu")):
+    """Degree `nu` and order `mu`, both stored as complex."""
 
     __slots__ = ()
 

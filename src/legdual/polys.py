@@ -16,8 +16,6 @@ factors from one `series.binomial_product` call (their contiguous
 three-term recurrence).  The scalar `<family>(n, ...)` is the n-th element.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import sys

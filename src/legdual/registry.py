@@ -55,16 +55,14 @@ Entries are stored as written, `lhs` and `terms` taking exactly (p, x);
 DEFAULT_POLICY.
 """
 
-from __future__ import annotations
-
 import cmath
 import functools
 import itertools
 import math
 import random
-from collections.abc import Callable, Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 from enum import Enum
-from typing import NamedTuple
 
 from .coeffs import frak_N_seq, frak_p_seq, script_G_hat_seq, script_G_seq
 from .errors import ConvergenceError, DomainError, LegdualError, PoleError, UnknownIdentityError
@@ -121,8 +119,13 @@ class Kind(Enum):
     VANISHING_SUM = "vanishing_sum"
 
 
-class IdentityDescriptor(NamedTuple):
-    """One catalog entry.
+class IdentityDescriptor(namedtuple(
+        "IdentityDescriptor",
+        "id kind lhs terms n_top sampler x_grid x_window boundary_ok param_check tail",
+        defaults=(None, (0.35, 0.6, 0.8), None, None, None, None))):
+    """One catalog entry: `id` (str), `kind` (Kind), `x_grid` (tuple), and
+    callables, of which `sampler`, `x_window`, `boundary_ok`, `param_check`
+    and `tail` may be None.
 
     `lhs(p, x)` is the closed-form side and `terms(p, x)` the
     right-hand side's term stream; an infinite series' stream is
@@ -137,17 +140,7 @@ class IdentityDescriptor(NamedTuple):
     states its tail law `tail(p, x) -> (rate, exponent)`: the n-th term
     decays (or grows) like rate^n n^exponent."""
 
-    id: str
-    kind: Kind
-    lhs: Callable
-    terms: Callable
-    n_top: Callable
-    sampler: "Callable | None" = None
-    x_grid: tuple = (0.35, 0.6, 0.8)
-    x_window: "Callable | None" = None
-    boundary_ok: "Callable | None" = None
-    param_check: "Callable | None" = None
-    tail: "Callable | None" = None
+    __slots__ = ()
 
     def check_domain(self, p, x: float) -> bool:
         """Raise DomainError outside the entry's domain; otherwise say
@@ -163,21 +156,18 @@ class IdentityDescriptor(NamedTuple):
         return at_lo
 
 
-class IdentityReport(NamedTuple):
-    id: str
-    params: dict
-    x: float
-    lhs: complex
-    rhs: complex
-    abs_err: float
-    rel_err: float
-    terms_used: int
-    passed: bool
-    tolerance_used: float
-    error: "str | None" = None
-    # how the right-hand side stopped: "terminated" or "wynn"
-    stop_reason: "str | None" = None
-    extrap_err: "float | None" = None
+class IdentityReport(namedtuple(
+        "IdentityReport",
+        "id params x lhs rhs abs_err rel_err terms_used passed tolerance_used "
+        "error stop_reason extrap_err",
+        defaults=(None, None, None))):
+    """One checked point: `id` (str), `params` (dict), `x` (float), `lhs` and
+    `rhs` (complex), `abs_err` and `rel_err` (float), `terms_used` (int),
+    `passed` (bool), `tolerance_used` (float), and, None where not set,
+    `error` (str), `stop_reason` (str: how the right-hand side stopped,
+    "terminated" or "wynn") and `extrap_err` (float)."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         out = {
@@ -427,12 +417,11 @@ def _get_impl(identity_id: str) -> IdentityDescriptor:
     return entry._replace(lhs=fixed(entry.lhs), terms=fixed(entry.terms))
 
 
-class _SeriesSum(NamedTuple):
-    value: complex
-    terms_used: int
-    max_mag: float
-    stop_reason: str
-    extrap_err: float
+class _SeriesSum(namedtuple("_SeriesSum", "value terms_used max_mag stop_reason extrap_err")):
+    """`value` (complex), `terms_used` (int), `max_mag` (float),
+    `stop_reason` (str) and `extrap_err` (float)."""
+
+    __slots__ = ()
 
 
 def _running_sums(entry: IdentityDescriptor, p, x: float) -> Iterator[tuple]:

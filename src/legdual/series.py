@@ -22,8 +22,6 @@ So the first N coefficients of a family cost O(N^2), or O(kN) for a
 product of k binomials, and the only pole to guard is a(0) = 0.
 """
 
-from __future__ import annotations
-
 import cmath
 import functools
 import itertools

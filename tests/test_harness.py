@@ -119,6 +119,14 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             HarnessConfig(sample_counts={Kind.FINITE_SUM: 0})
 
+    @pytest.mark.parametrize("n", [2.5, float("inf"), float("nan")])
+    def test_non_integral_sample_count_rejected(self, n):
+        # a fractional count would be cut silently, an infinite one overflow
+        with pytest.raises(ValueError, match="must be an integer"):
+            HarnessConfig(sample_counts={Kind.FINITE_SUM: n})
+        with pytest.raises(ValueError, match="must be an integer"):
+            HarnessConfig()._replace(sample_counts={Kind.FINITE_SUM: n})
+
     @pytest.mark.parametrize("seed", range(4))
     def test_default_report_hash(self, seed, monkeypatch):
         # the report at the default counts is pinned per report version: a

@@ -1,8 +1,9 @@
 """The installed package: importing it needs nothing but the standard library,
-and its value types are immutable NamedTuples."""
+and its value types are immutable `collections.namedtuple`s."""
 
 import ast
 import os
+import pickle
 import subprocess
 import sys
 
@@ -11,9 +12,11 @@ import pytest
 import legdual
 from legdual import (
     HarnessConfig,
+    IdentityDescriptor,
     IdentityReport,
     ParameterPoint,
     SeriesValue,
+    SuiteResult,
     TruncationPolicy,
     get_descriptor,
 )
@@ -37,8 +40,9 @@ def _loaded_after_import(flags: tuple, modules: tuple) -> str:
 
 def test_import_does_not_load_mpmath():
     assert _loaded_after_import((), ("mpmath",)) == "[]"
-    # without site nothing but the package can have loaded these
-    heavy = ("mpmath", "dataclasses", "inspect", "json")
+    # without site nothing but the package can have loaded these; `typing`
+    # (which imports `re`) and `__future__` would slow a cold start
+    heavy = ("mpmath", "dataclasses", "inspect", "json", "typing", "re", "__future__")
     assert _loaded_after_import(("-E", "-S"), heavy) == "[]"
 
 
@@ -103,6 +107,7 @@ def test_replace_keeps_the_other_fields():
 @pytest.mark.parametrize("fields", [
     {"rel_tol": -1.0}, {"rel_tol": 0.0}, {"rel_tol": float("nan")},
     {"rel_tol": float("inf")}, {"max_terms": 0}, {"max_terms": -5},
+    {"max_terms": 2.5}, {"max_terms": float("nan")},
 ])
 def test_truncation_policy_checks_its_fields(fields):
     # a bad tolerance or cap is refused when the policy is built, on
@@ -113,5 +118,44 @@ def test_truncation_policy_checks_its_fields(fields):
         TruncationPolicy()._replace(**fields)
 
 
-def test_asymptotic_estimate_fields():
-    assert AsymptoticEstimate._fields == ("leading", "remainder_bound")
+_TYPES = {
+    TruncationPolicy: (("rel_tol", "max_terms"), {"rel_tol": 1e-13, "max_terms": 100000}),
+    SeriesValue: (("value", "terms_used", "error_estimate"), {}),
+    ParameterPoint: (("nu", "mu"), {}),
+    IdentityDescriptor: (("id", "kind", "lhs", "terms", "n_top", "sampler", "x_grid",
+                          "x_window", "boundary_ok", "param_check", "tail"),
+                         {"sampler": None, "x_grid": (0.35, 0.6, 0.8), "x_window": None,
+                          "boundary_ok": None, "param_check": None, "tail": None}),
+    IdentityReport: (("id", "params", "x", "lhs", "rhs", "abs_err", "rel_err", "terms_used",
+                      "passed", "tolerance_used", "error", "stop_reason", "extrap_err"),
+                     {"error": None, "stop_reason": None, "extrap_err": None}),
+    _SeriesSum: (("value", "terms_used", "max_mag", "stop_reason", "extrap_err"), {}),
+    HarnessConfig: (("seed", "sample_counts"), {"seed": 0, "sample_counts": None}),
+    SuiteResult: (("pass_counts", "failures", "asymptotic", "wall_time"), {}),
+    AsymptoticEstimate: (("leading", "remainder_bound"), {}),
+}
+
+
+@pytest.mark.parametrize("cls", list(_TYPES), ids=lambda cls: cls.__name__)
+def test_value_type_fields(cls):
+    fields, defaults = _TYPES[cls]
+    assert cls._fields == fields
+    assert cls._field_defaults == defaults
+    assert cls.__slots__ == ()
+
+
+@pytest.mark.parametrize("value", [
+    TruncationPolicy(1e-15, 50),
+    SeriesValue(1j, 2, 0.0),
+    ParameterPoint(0.3 + 0.2j, 1.1),
+    IdentityReport("cor6", {"nu": 0.5j}, 0.5, 1j, 1j, 0.0, 0.0, 3, True, 1e-11,
+                   stop_reason="terminated", extrap_err=0.0),
+    _SeriesSum(1j, 3, 1.0, "wynn", 1e-16),
+    HarnessConfig(seed=4, sample_counts={Kind.FINITE_SUM: 3}),
+    SuiteResult({"cor6": 3}, [], {"gegenbauer_bound": True}, 0.25),
+    AsymptoticEstimate(1j, None),
+], ids=lambda value: type(value).__name__)
+def test_value_types_pickle(value):
+    # every value type but IdentityDescriptor, which holds callables
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is type(value) and back == value
