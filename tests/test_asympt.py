@@ -7,14 +7,11 @@ import pytest
 
 from legdual.asympt import (
     darboux_G_leading,
-    darboux_G_refined,
-    frak_N_leading,
-    frak_p_asymptotic_sum,
     gegenbauer_uniform_asympt,
     large_degree_leading,
     watson_mu_leading,
 )
-from legdual.coeffs import FactorList, frak_N, frak_p, lauricella_G
+from legdual.coeffs import FactorList, lauricella_G
 from legdual.errors import (
     BoundUnavailableError,
     DegenerateError,
@@ -61,13 +58,6 @@ class TestDarboux:
         assert errs[1] < errs[0]
         assert errs[1] < 0.01
 
-    def test_refined_beats_leading(self):
-        n = 50
-        exact = lauricella_G(n, self.F)
-        lead = abs(darboux_G_leading(n, self.F).leading / exact - 1.0)
-        refined = abs(darboux_G_refined(n, self.F, 2).leading / exact - 1.0)
-        assert refined < 1e-3 * lead
-
     def test_degenerate_exponents(self):
         f = FactorList((-1.0 + 0j, -2.0 + 0j), (0.8 + 0j, -0.4 + 0j))
         with pytest.raises(DegenerateError):
@@ -94,26 +84,6 @@ class TestResidualDecay:
     def test_large_degree_domain_validation(self):
         with pytest.raises(ValueError):
             large_degree_leading(0.4, 30.0, 0.9, "elsewhere")
-
-
-class TestSqrtFamilyAsymptotics:
-    def test_correction_orders_improve(self):
-        rho, tau, n = 0.6, 0.9, 400
-        exact = frak_p(n, rho, tau, 1.0)
-        errs = [abs(frak_p_asymptotic_sum(n, rho, tau, K) / exact - 1.0)
-                for K in (0, 2, 4)]
-        assert errs[2] < errs[1] < errs[0]
-        assert errs[2] < 1e-6
-
-    @pytest.mark.parametrize("sign,x", [(1, 0.8), (-1, 0.6)])
-    def test_cauchy_leading_ratio(self, sign, x):
-        nu, mu = 0.6, 0.9
-        e1 = abs(frak_N(80, nu, mu, x, sign)
-                 / frak_N_leading(80, nu, mu, x, sign) - 1.0)
-        e2 = abs(frak_N(160, nu, mu, x, sign)
-                 / frak_N_leading(160, nu, mu, x, sign) - 1.0)
-        assert e2 < e1
-        assert e2 < 0.01
 
 
 class TestTailOrderPredict:

@@ -45,6 +45,16 @@ class TestArgument:
             with pytest.raises(DomainError):
                 _P(nu, mu, x)
 
+    @pytest.mark.parametrize("nu,mu", [
+        (float("nan"), 0.2), (0.3, float("inf")), (complex(0.3, float("-inf")), 0.2),
+    ])
+    def test_rejects_non_finite_parameters(self, nu, mu):
+        # where they enter, not as a ValueError from round() deep inside
+        with pytest.raises(DomainError, match="finite"):
+            ferrers_p(ParameterPoint(nu, mu), 0.5)
+        with pytest.raises(DomainError, match="finite"):
+            ParameterPoint(0.3, 0.2)._replace(nu=nu, mu=mu)
+
 
 class TestIntegerDegree:
     @pytest.mark.parametrize("k,m,x", [
@@ -217,6 +227,15 @@ class TestLegendreQ:
     @pytest.mark.parametrize("nu,mu", [(0.8, 0.3), (1.2, 0.0), (0.5 + 0.2j, 0.4)])
     def test_large_x(self, nu, mu, x):
         # x/sqrt(x^2 - 1) - 1 would cost about eps x^2 relative
+        ours = legendre_q(ParameterPoint(nu, mu), x).value
+        ref = mp.legenq(mp.mpc(nu), mp.mpc(-mu), mp.mpf(x), type=3)
+        _close(ours, ref)
+
+    @pytest.mark.parametrize("x", [1.4e154, 1e200, 1e300])
+    def test_beyond_the_square_root_of_the_double_range(self, x):
+        # x^2 overflows above about 1.34e154; at 1e300 the value, 7e-391,
+        # underflows to 0
+        nu, mu = 0.3 + 0.2j, 0.2
         ours = legendre_q(ParameterPoint(nu, mu), x).value
         ref = mp.legenq(mp.mpc(nu), mp.mpc(-mu), mp.mpf(x), type=3)
         _close(ours, ref)

@@ -207,6 +207,11 @@ class TestEvaluate:
         with pytest.raises(DomainError, match="outside"):
             evaluate_identity("thm4.fwd", p, INV_SQRT2 - 5e-13)
 
+    @pytest.mark.parametrize("nu", [math.nan, -math.inf, complex(0.3, math.nan)])
+    def test_non_finite_parameter_refused(self, nu):
+        with pytest.raises(DomainError, match="finite"):
+            evaluate_identity("thm5.fwd", {"nu": nu, "mu": 0.2 + 0.3j}, 0.5)
+
     def test_window_is_sharp_below_boundary(self):
         with pytest.raises(DomainError):
             evaluate_identity("thm4.fwd", {"nu": -0.8 + 0.3j, "mu": 0.5 - 0.2j}, 0.6)
@@ -371,6 +376,11 @@ class TestSweep:
         reps = sweep_identity("thm7.q2", param_sampler=bad, n_samples=1)
         assert reps and all(not r.passed for r in reps)
         assert all(r.error is not None for r in reps)
+
+    def test_non_finite_parameter_is_a_failed_point(self):
+        reps = sweep_identity("thm5.fwd", param_sampler=[{"nu": math.nan, "mu": 0.2 + 0.3j}],
+                              n_samples=1)
+        assert reps and all(not r.passed and "finite" in r.error for r in reps)
 
     def test_programming_error_propagates(self, monkeypatch):
         # only library errors become failed points; a bug in a term stream

@@ -161,6 +161,10 @@ FAMILIES = {
     "frak_p": (
         coeffs.frak_p_seq, coeffs.frak_p, (RHO, TAU, 0.6),
         lambda z: (1 - 0.6 * z) ** -_c(RHO) * _half_root(z, 1) ** -_c(TAU), 1.0),
+    # at t = 1 both factors are singular at z = 1; checked to index 400
+    "frak_p_large_n": (
+        coeffs.frak_p_seq, coeffs.frak_p, (0.6, 0.9, 1.0),
+        lambda z: (1 - z) ** mp.mpf(-0.6) * _half_root(z, 1) ** mp.mpf(-0.9), 1.0, 401),
     "frak_p_unit_t": (
         coeffs.frak_p_seq, coeffs.frak_p, (-0.5 * NU, 2 * MU, 1.0),
         lambda z: (1 - z) ** (0.5 * _c(NU)) * _half_root(z, 1) ** (-2 * _c(MU)), 1.0),
@@ -211,9 +215,9 @@ class TestFamilies:
         _check((lauricella_G(n, f) for n in range(N)), ref)
 
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("x", [0.55, 0.65])
+    @pytest.mark.parametrize("x", [0.55, 0.65, 0.8])
     def test_frak_N(self, x, sign):
-        n = 144
+        n = 161
         t = abs(x ** (-2.0 if sign > 0 else 2.0) - 1.0) ** -0.5
         y = x if sign > 0 else 1.0 / x
 
