@@ -81,14 +81,10 @@ def gegenbauer_uniform_asympt(n: int, tau: complex, alpha: float) -> AsymptoticE
     half = n // 2
     omega = complex(1.0)
     # Gamma(1/2+tau+n)/Gamma(1/2+tau+[n/2]) / [n/2]!, interleaved
-    ni = di = 0
-    while ni < n - half or di < half:
-        if ni < n - half:
-            omega *= 0.5 + tau + half + ni
-            ni += 1
-        if di < half:
-            omega /= di + 1
-            di += 1
+    for i in range(n - half):
+        omega *= 0.5 + tau + half + i
+        if i < half:
+            omega /= i + 1
     if n % 2:
         omega = -omega
     sgn = 1.0 if n % 2 == 0 else -1.0

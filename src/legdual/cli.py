@@ -9,7 +9,6 @@ import argparse
 import csv
 import io
 import json
-import random
 import re
 import sys
 
@@ -17,7 +16,7 @@ from .errors import ConvergenceError, LegdualError
 from .harness import HarnessConfig, asymptotic_checks, convergence_table, run_suite
 from .hypergeom import DEFAULT_POLICY, TruncationPolicy
 from .legendre import ParameterPoint, ferrers_p, legendre_p, legendre_q
-from .registry import evaluate_identity, get_descriptor, list_identities, sweep_identity
+from .registry import _schema, evaluate_identity, list_identities, sweep_identity
 
 __all__ = ["main", "entry", "parse_complex", "format_complex"]
 
@@ -40,13 +39,9 @@ def parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex literal '{text}'")
     re_part = float(m.group("re"))
     if m.group("im") is None:
-        z = complex(re_part, 0.0)
-    else:
-        im = float(m.group("im"))
-        z = complex(re_part, im if m.group("sign") == "+" else -im)
-    if not (abs(z.real) < float("inf") and abs(z.imag) < float("inf")):
-        raise ValueError(f"complex literal '{text}' is not finite")
-    return z
+        return complex(re_part, 0.0)
+    im = float(m.group("im"))
+    return complex(re_part, im if m.group("sign") == "+" else -im)
 
 
 def _sig17(v: float) -> str:
@@ -58,17 +53,9 @@ def format_complex(z: complex) -> str:
     return f"{_sig17(z.real)}{sign}{_sig17(abs(z.imag))}i"
 
 
-def _param_types(entry) -> dict:
-    """The parameter names an entry's sampler draws, each with its type."""
-    return {k: type(v) for k, v in entry.sampler(random.Random(0)).items()}
-
-
 def _catalog_params() -> dict:
-    """The union of every entry's parameter names and types."""
-    types = {}
-    for d in list_identities():
-        types.update(_param_types(d))
-    return types
+    """The union of every entry's parameter names and kinds."""
+    return {k: v for d in list_identities() for k, v in _schema(d.id).items()}
 
 
 def _add_output(sub: argparse.ArgumentParser) -> None:
@@ -138,25 +125,10 @@ def _policy_from(args: argparse.Namespace) -> TruncationPolicy:
         raise ValueError("--" + str(exc).replace("_", "-", 1)) from None
 
 
-def _collect_params(args: argparse.Namespace, entry) -> dict:
-    """The entry's parameters from their flags: exactly the names its
-    sampler draws, a name drawn as an int integral."""
-    types = _param_types(entry)
-    given = [name for name in _catalog_params() if getattr(args, name) is not None]
-    if set(given) != types.keys():
-        expected = " ".join(f"--{name}" for name in types)
-        got = " ".join(f"--{name}" for name in given) or "none"
-        raise ValueError(f"{entry.id} takes {expected}; got {got}")
-    params = {}
-    for name, kind in types.items():
-        raw = getattr(args, name)
-        z = parse_complex(raw)
-        if kind is int:
-            if z.imag != 0.0 or z.real != int(z.real):
-                raise ValueError(f"--{name} must be an integer, got '{raw}'")
-            z = int(z.real)
-        params[name] = z
-    return params
+def _collect_params(args: argparse.Namespace) -> dict:
+    """The parameter flags given, parsed; the registry checks the point."""
+    return {name: parse_complex(getattr(args, name)) for name in _catalog_params()
+            if getattr(args, name) is not None}
 
 
 def _emit(args: argparse.Namespace, doc, csv_rows, text_lines) -> None:
@@ -227,7 +199,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    params = _collect_params(args, get_descriptor(args.id))
+    params = _collect_params(args)
     report = evaluate_identity(args.id, params, args.x)
     doc = report.to_dict()
     _emit(args, doc, _csv_rows([doc]),
@@ -256,7 +228,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
-    params = _collect_params(args, get_descriptor(args.id))
+    params = _collect_params(args)
     rows = convergence_table(args.id, params, args.x, args.n_max)
     # how the summed right-hand side stops; a sum that fails says why instead
     try:

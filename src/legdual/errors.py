@@ -10,8 +10,8 @@ class PoleError(LegdualError):
 
 
 class DivergenceError(LegdualError):
-    """A nonterminating series was requested outside its convergence disk,
-    or a series' terms overflow."""
+    """A nonterminating series was requested outside its convergence disk, or
+    a series' terms, gamma or 1/gamma overflow, or an identity's side is not finite."""
 
 
 class MaxTermsError(LegdualError):

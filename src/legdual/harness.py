@@ -16,7 +16,7 @@ from .coeffs import FactorList, frak_p, lauricella_G
 from .hypergeom import gamma
 from .legendre import ParameterPoint, ferrers_p, legendre_p
 from .polys import gegenbauer
-from .registry import Kind, _running_sums, get_descriptor, list_identities, sweep_identity
+from .registry import Kind, _point, _running_sums, get_descriptor, list_identities, sweep_identity
 
 __all__ = [
     "HarnessConfig",
@@ -195,13 +195,11 @@ def convergence_table(identity_id: str, params: dict, x: float, n_max: int) -> l
     the reference is the identity's closed-form left-hand side and the
     partial sums are the ones evaluate_identity sums.  Terms past a
     termination index are exactly zero by definition of the sum.  An n_max
-    below 0 raises ValueError."""
+    below 0 raises ValueError; a point `_point` refuses, DomainError."""
     entry = get_descriptor(identity_id)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    p = dict(params)
-    x = float(x)
-    entry.check_domain(p, x)
+    p, x, _ = _point(entry, params, x)
     reference = complex(entry.lhs(p, x))
     sums = itertools.islice(_running_sums(entry, p, x), n_max + 1)
     return [(n, abs(t), abs(partial - reference))

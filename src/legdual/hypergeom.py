@@ -168,14 +168,18 @@ def _loggamma_right(z: complex) -> complex:
 
 
 def gamma(z: complex) -> complex:
-    """Complex gamma, Lanczos approximation with reflection for Re z < 0.5."""
+    """Complex gamma, Lanczos approximation with reflection for Re z < 0.5;
+    DivergenceError where a step overflows (also 1/gamma's, where it is 0)."""
     z = complex(z)
     if is_nonpos_int(z):
         raise PoleError(f"gamma pole at z = {z}")
-    if z.real < 0.5:
-        # reflection keeps the Lanczos sum on its accurate half-plane
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
-    return cmath.exp(_loggamma_right(z))
+    try:
+        if z.real < 0.5:
+            # reflection keeps the Lanczos sum on its accurate half-plane
+            return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+        return cmath.exp(_loggamma_right(z))
+    except (OverflowError, DivergenceError):
+        raise DivergenceError(f"gamma at z = {z} overflows the range of doubles") from None
 
 
 def recip_gamma(z: complex) -> complex:
@@ -183,7 +187,10 @@ def recip_gamma(z: complex) -> complex:
     z = complex(z)
     if is_nonpos_int(z):
         return 0j
-    return 1.0 / gamma(z)
+    try:
+        return 1.0 / gamma(z)
+    except ZeroDivisionError:
+        raise DivergenceError(f"1/gamma at z = {z} overflows the range of doubles") from None
 
 
 def gauss_2f1(

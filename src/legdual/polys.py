@@ -38,26 +38,18 @@ __all__ = [
 
 
 def _balanced_term(tau: complex, k: int, j: int, two_x: float) -> complex:
-    """(tau)_{k-j} (2x)^{k-2j} / (j! (k-2j)!), factors interleaved to keep
-    intermediates in range."""
-    num = k - j
+    """(tau)_{k-j} (2x)^{k-2j} / (j! (k-2j)!) for j <= k/2: the others
+    interleaved with the k - j rising factors, to keep intermediates in range."""
     pw = k - 2 * j
-    steps = max(num, pw, j, k - 2 * j)
     term = complex(1.0)
-    ni = di1 = di2 = pi = 0
-    for _ in range(steps):
-        if ni < num:
-            term *= tau + ni
-            ni += 1
-        if pi < pw:
+    for i in range(k - j):
+        term *= tau + i
+        if i < pw:
             term *= two_x
-            pi += 1
-        if di1 < j:
-            term /= di1 + 1
-            di1 += 1
-        if di2 < k - 2 * j:
-            term /= di2 + 1
-            di2 += 1
+        if i < j:
+            term /= i + 1
+        if i < pw:
+            term /= i + 1
     return term
 
 

@@ -63,9 +63,11 @@ import random
 from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
+from types import MappingProxyType
 
 from .coeffs import frak_N_seq, frak_p_seq, script_G_hat_seq, script_G_seq
-from .errors import ConvergenceError, DomainError, LegdualError, PoleError, UnknownIdentityError
+from .errors import (ConvergenceError, DivergenceError, DomainError, LegdualError, PoleError,
+                     UnknownIdentityError)
 from .hypergeom import (
     DEFAULT_POLICY,
     KahanSum,
@@ -409,6 +411,33 @@ def get_descriptor(identity_id: str) -> IdentityDescriptor:
         raise UnknownIdentityError(f"unknown identity id '{identity_id}'") from None
 
 
+@functools.cache
+def _schema(identity_id: str) -> MappingProxyType:
+    """The parameters an entry takes, each name with its kind (int or
+    complex), read only: the types of its sampler's draw, drawn once per id."""
+    draw = _REGISTRY[identity_id].sampler(random.Random(0))
+    return MappingProxyType({k: type(v) for k, v in draw.items()})
+
+
+def _point(entry: IdentityDescriptor, params: dict, x: float) -> tuple:
+    """(p, x, at_boundary), the one check of a catalog point: DomainError
+    unless the names are exactly the entry's, each value is finite and each
+    integer one (made an int) nonnegative, and the point is in `check_domain`."""
+    kinds, p = _schema(entry.id), dict(params)
+    if p.keys() != kinds.keys():
+        raise DomainError(f"{entry.id} takes {', '.join(kinds)}; got {', '.join(p) or 'none'}")
+    if not all(map(cmath.isfinite, p.values())):
+        raise DomainError(f"{entry.id}: parameters must be finite, got {p}")
+    for name, kind in kinds.items():
+        if kind is int:
+            v = p[name]
+            if not v == int(v.real) >= 0:
+                raise DomainError(f"{entry.id}: {name} must be a nonnegative integer, got {v}")
+            p[name] = int(v.real)
+    x = float(x)
+    return p, x, entry.check_domain(p, x)
+
+
 def _get_impl(identity_id: str) -> IdentityDescriptor:
     """The entry, with `lhs` and `terms` also taking a trailing
     DEFAULT_POLICY: the form the acceptance tests call."""
@@ -497,17 +526,15 @@ def evaluate_identity(identity_id: str, params: dict, x: float) -> IdentityRepor
     TOL_BOUNDARY at a boundary point, else TOL_SERIES) relative to
     max(|lhs|, |rhs|) or, for a finite or vanishing sum, to the largest
     term.  rel_err is on the scale the kind is judged by: the largest term
-    for a vanishing sum (lhs = 0), the value otherwise.  A non-finite
-    parameter raises DomainError."""
+    for a vanishing sum (lhs = 0), the value otherwise.  A point `_point`
+    refuses raises DomainError, and a side that is not finite DivergenceError."""
     entry = get_descriptor(identity_id)
-    p = dict(params)
-    if not all(map(cmath.isfinite, p.values())):
-        raise DomainError(f"{identity_id}: parameters must be finite, got {p}")
-    x = float(x)
-    at_boundary = entry.check_domain(p, x)
+    p, x, at_boundary = _point(entry, params, x)
     lhs = complex(entry.lhs(p, x))
     rhs_sum = _sum_terms(entry, p, x)
     rhs = rhs_sum.value
+    if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
+        raise DivergenceError(f"{identity_id}: lhs = {lhs}, rhs = {rhs} at {p}, x = {x}")
     abs_err = abs(lhs - rhs)
     series = entry.kind is Kind.INFINITE_SERIES
     tol = TOL_FINITE if not series else TOL_BOUNDARY if at_boundary else TOL_SERIES
@@ -558,9 +585,8 @@ def sweep_identity(identity_id: str, param_sampler=None, x_grid=None,
             except (LegdualError, ArithmeticError) as exc:
                 reports.append(IdentityReport(
                     id=identity_id, params=dict(p), x=float(x),
-                    lhs=0j, rhs=0j, abs_err=float("nan"),
-                    rel_err=float("nan"), terms_used=0, passed=False,
-                    tolerance_used=0.0,
+                    lhs=0j, rhs=0j, abs_err=None, rel_err=None,
+                    terms_used=0, passed=False, tolerance_used=0.0,
                     error=f"{type(exc).__name__}: {exc}",
                 ))
     return reports
@@ -757,6 +783,10 @@ def _build_catalog() -> None:
             else:
                 yield c * _P(k - n, k + n - 2 * m, x)
 
+    def cor3_check(p):
+        if not p["m"] <= p["k"]:
+            raise DomainError("requires m <= k")
+
     for ident, at_recip, lhs in (
             ("cor3.a", True, lambda p, x: _P(p["k"], p["k"] - 2 * p["m"], x)),
             ("cor3.b", False, lambda p, x:
@@ -765,7 +795,7 @@ def _build_catalog() -> None:
             ident, Kind.FINITE_SUM, lhs=lhs,
             terms=functools.partial(cor3_terms, at_recip=at_recip),
             n_top=lambda p: p["m"],
-            sampler=k_m_sampler,
+            sampler=k_m_sampler, param_check=cor3_check,
         ))
 
     # ---- Mittag-Leffler family ----------------------------------------
@@ -914,6 +944,10 @@ def _build_catalog() -> None:
         k = rng.randint(1, 8)
         return {"k": k, "m": rng.randint(k // 2 + 1, k)}
 
+    def cor6_check(p):
+        if not p["k"] < 2 * p["m"] <= 2 * p["k"]:
+            raise DomainError("requires k/2 < m <= k")
+
     _register(IdentityDescriptor(
         "cor6", Kind.VANISHING_SUM,
         lhs=lambda p, x: 0j,
@@ -925,7 +959,7 @@ def _build_catalog() -> None:
             for n, c in enumerate(frak_p_seq(0.5 * (p["m"] - p["k"]), -2.0 * p["m"], 1.0))
         ),
         n_top=lambda p: p["k"],
-        sampler=cor6_sampler,
+        sampler=cor6_sampler, param_check=cor6_check,
     ))
 
     # ---- half-order family --------------------------------------------

@@ -11,7 +11,7 @@ from legdual import cli
 from legdual.cli import format_complex, main, parse_complex
 from legdual.errors import ConvergenceError
 from legdual.harness import SuiteResult
-from legdual.registry import IdentityReport, evaluate_identity, list_identities
+from legdual.registry import IdentityReport, _schema, evaluate_identity, list_identities
 
 
 class TestComplexLiterals:
@@ -48,6 +48,13 @@ class TestEval:
         rc = main(["eval", "ferrers", "--nu", "1", "--mu", "0", "--x", "1.5"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mu", ["200.5", "-200.5"])
+    def test_gamma_overflow_exit_one(self, capsys, mu):
+        assert main(["eval", "ferrers", "--nu", "0.3", f"--mu={mu}", "--x", "0.5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: gamma at z = ")
+        assert err.count("\n") == 1
 
     # ferrers_p(0.3, 0.2, 0.6) sums 19 terms
     POINT = ["eval", "ferrers", "--nu", "0.3", "--mu", "0.2", "--x", "0.6"]
@@ -126,29 +133,62 @@ class TestVerify:
         assert "unknown identity" in capsys.readouterr().err
 
     def test_missing_parameters_named(self, capsys):
-        # thm4.fwd takes nu and mu: --k alone is a usage error naming them
+        # thm4.fwd takes nu and mu: --k alone is refused by the registry,
+        # whose message names them
         assert main(["verify", "thm4.fwd", "--x", "0.8", "--k", "3"]) == 1
-        err = capsys.readouterr().err
-        assert "--nu" in err and "--mu" in err
+        assert capsys.readouterr().err == "error: thm4.fwd takes nu, mu; got k\n"
 
     def test_unused_parameter_refused(self, capsys):
         rc = main(["verify", "thm5.fwd", "--nu", "0.3+0.2i", "--mu", "1.1",
                    "--k", "2", "--x", "0.6"])
         assert rc == 1
-        assert "--k" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: thm5.fwd takes nu, mu; got nu, mu, k\n"
 
     def test_integer_parameter_must_be_integral(self, capsys):
         assert main(["verify", "cor6", "--k", "2.5", "--m", "2", "--x", "0.9"]) == 1
-        assert "--k must be an integer" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: cor6: k must be a nonnegative integer, got (2.5+0j)\n")
 
     def test_flags_are_the_catalog_parameters(self):
-        # one flag per name the entries' samplers draw, typed alike everywhere
+        # one flag per name in the registry's schema, typed alike everywhere
         types = {}
         for d in list_identities():
-            for name, kind in cli._param_types(d).items():
+            for name, kind in _schema(d.id).items():
                 assert types.setdefault(name, kind) is kind
         assert set(types) == {"nu", "mu", "k", "m", "lam", "l"}
         assert cli._catalog_params() == types
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "cor6", "--k", "3"], "error: cor6 takes k, m; got k\n"),
+        (["verify", "cor6", "--k", "-1", "--m", "0"],
+         "error: cor6: k must be a nonnegative integer, got (-1+0j)\n"),
+        (["verify", "cor6", "--k", "5", "--m", "2"], "error: requires k/2 < m <= k\n"),
+        (["verify", "cor3.a", "--k", "2", "--m", "5"], "error: requires m <= k\n"),
+        (["convergence", "cor6", "--k", "3", "--m", "2", "--nu", "1"],
+         "error: cor6 takes k, m; got nu, k, m\n"),
+    ])
+    def test_registry_refuses_the_point(self, capsys, argv, message):
+        # the CLI parses the flags it was given; the registry checks them
+        assert main(argv + ["--x", "0.5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == message
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "thm5.fwd", "--nu", "1e999", "--mu", "1.1"],
+        ["eval", "ferrers", "--nu", "1e999", "--mu", "1.1"],
+    ])
+    def test_literal_that_overflows_exit_one(self, capsys, argv):
+        # the literal parses to inf; the library refuses it
+        assert main(argv + ["--x", "0.6"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "must be finite" in err
+
+    def test_side_that_is_not_finite_exit_one(self, capsys):
+        # (-2k - mu)_r overflows: both sides are NaN, and no NaN is printed
+        assert main(["verify", "cor2.a", "--k", "3", "--mu", "1e308", "--x", "0.5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cor2.a: lhs = ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_failing_point_exit_two(self, capsys):
         # a slowly converging point the summation cannot resolve in doubles

@@ -101,7 +101,20 @@ class TestGamma:
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
+    # gamma(0.3 + 250j) is about 1e-171, but the reflection's sin overflows
+    @pytest.mark.parametrize("z", [200.0, 171.7, -200.5, 0.3 + 250j])
+    def test_overflow_is_a_divergence(self, z):
+        with pytest.raises(DivergenceError, match="gamma at z = .* overflows"):
+            gamma(z)
+
+
 class TestRecipGamma:
+    # gamma overflows at the first two and underflows to 0 at the third
+    @pytest.mark.parametrize("z", [1e6, 171.7, -151.6 - 32.2j])
+    def test_out_of_range_is_a_divergence(self, z):
+        with pytest.raises(DivergenceError, match="gamma at z = .* overflows"):
+            recip_gamma(z)
+
     def test_exact_zero_at_poles(self):
         for k in range(0, 8):
             assert recip_gamma(-k) == 0.0

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import legdual.legendre
-from legdual.errors import DomainError, MaxTermsError, PoleError
+from legdual.errors import DivergenceError, DomainError, MaxTermsError, PoleError
 from legdual.legendre import (
     ParameterPoint,
     _P,
@@ -54,6 +54,12 @@ class TestArgument:
             ferrers_p(ParameterPoint(nu, mu), 0.5)
         with pytest.raises(DomainError, match="finite"):
             ParameterPoint(0.3, 0.2)._replace(nu=nu, mu=mu)
+
+    @pytest.mark.parametrize("mu", [200.5, -200.5])
+    def test_gamma_overflow_is_a_divergence(self, mu):
+        # Gamma at |mu| ~ 200 leaves the range of doubles
+        with pytest.raises(DivergenceError, match="gamma at z = "):
+            ferrers_p(ParameterPoint(0.3, mu), 0.5)
 
 
 class TestIntegerDegree:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 
 import mpmath as mp
@@ -14,7 +15,8 @@ import legdual.hypergeom
 import legdual.legendre
 import legdual.polys
 import legdual.registry
-from legdual.errors import ConvergenceError, DomainError, PoleError, UnknownIdentityError
+from legdual.errors import (ConvergenceError, DivergenceError, DomainError, PoleError,
+                            UnknownIdentityError)
 from legdual.harness import HarnessConfig, convergence_table
 from legdual.hypergeom import DEFAULT_POLICY, TruncationPolicy, recip_gamma, terminating_index
 from legdual.registry import (
@@ -28,6 +30,7 @@ from legdual.registry import (
     _P_chain,
     _P_half_chain,
     _get_impl,
+    _point,
     _recip_gamma_half,
     _running_sums,
     _sum_terms,
@@ -358,6 +361,69 @@ class TestIntegerP:
         assert _P(2, -3, x) == 0
 
 
+class TestPointGate:
+    # every entry point reads a catalog point through one gate, `_point`
+    REFUSED = [
+        ({"k": 3}, "cor6 takes k, m; got k"),
+        ({"k": 3, "m": 2, "nu": 1}, "cor6 takes k, m; got k, m, nu"),
+        ({"k": 2.5, "m": 1}, "k must be a nonnegative integer, got 2.5"),
+        ({"k": 3, "m": 2 + 1j}, "m must be a nonnegative integer"),
+        ({"k": -1, "m": 0}, "k must be a nonnegative integer, got -1"),
+        ({"k": math.inf, "m": 0}, "parameters must be finite"),
+    ]
+
+    @pytest.mark.parametrize("params,message", REFUSED)
+    def test_evaluate_refuses(self, params, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            evaluate_identity("cor6", params, 0.5)
+
+    @pytest.mark.parametrize("params,message", REFUSED)
+    def test_convergence_table_refuses(self, params, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            convergence_table("cor6", params, 0.5, 3)
+
+    def test_convergence_table_refuses_non_finite(self):
+        with pytest.raises(DomainError, match="parameters must be finite"):
+            convergence_table("thm5.fwd", {"nu": math.nan, "mu": 0.2}, 0.5, 3)
+
+    def test_integral_value_becomes_int(self):
+        r = evaluate_identity("cor6", {"k": 3.0, "m": 2 + 0j}, 0.5)
+        assert r.passed and r.params == {"k": 3, "m": 2}
+        assert all(type(v) is int for v in r.params.values())
+        assert convergence_table("cor6", {"k": 3.0, "m": 2}, 0.5, 3)[-1][1] == 0.0
+
+    @pytest.mark.parametrize("ident", ["cor3.a", "cor3.b"])
+    @pytest.mark.parametrize("k,m", [(2, 5), (0, 1)])
+    def test_cor3_needs_m_at_most_k(self, ident, k, m):
+        with pytest.raises(DomainError, match="requires m <= k"):
+            evaluate_identity(ident, {"k": k, "m": m}, 0.5)
+
+    # cor6 holds for k/2 < m <= k; below, it fails at x = 0.5 with rel err
+    # 0.86 (5, 1), 0.12 (5, 2), 1.1e-2 (6, 3) and 1 (0, 0), and above its
+    # right-hand side is exactly 0
+    @pytest.mark.parametrize("k,m", [(5, 1), (5, 2), (6, 3), (0, 0), (3, 4)])
+    def test_cor6_condition(self, k, m):
+        with pytest.raises(DomainError, match=re.escape("requires k/2 < m <= k")):
+            evaluate_identity("cor6", {"k": k, "m": m}, 0.5)
+
+    @pytest.mark.parametrize("k,m", [(5, 3), (6, 4), (1, 1)])
+    def test_cor6_inside_its_condition(self, k, m):
+        assert evaluate_identity("cor6", {"k": k, "m": m}, 0.5).passed
+
+    def test_side_that_is_not_finite_refused(self):
+        # (-2k - mu)_r overflows to inf, and inf * 0 makes both sides NaN
+        with pytest.raises(DivergenceError, match="cor2.a: lhs = "):
+            evaluate_identity("cor2.a", {"k": 3, "mu": 1e308}, 0.5)
+
+    @pytest.mark.parametrize("entry", ALL, ids=lambda d: d.id)
+    def test_sampler_draws_pass_unchanged(self, entry):
+        rng = random.Random(5)
+        for _ in range(20):
+            p = entry.sampler(rng)
+            got = _point(entry, p, entry.x_grid[0])[0]
+            assert got == p and [type(v) for v in got.values()] == [type(v) for v in p.values()]
+
+
 class TestSweep:
     def test_reports_shape(self):
         reps = sweep_identity("thm9.fwd", n_samples=2, seed=1)
@@ -381,6 +447,21 @@ class TestSweep:
         reps = sweep_identity("thm5.fwd", param_sampler=[{"nu": math.nan, "mu": 0.2 + 0.3j}],
                               n_samples=1)
         assert reps and all(not r.passed and "finite" in r.error for r in reps)
+
+    def test_refused_points_are_failed_points(self):
+        bad = [{"k": 3}, {"k": 2.5, "m": 1}, {"k": 3, "m": 2, "nu": 1}, {"k": -1, "m": 0},
+               {"k": 5, "m": 1}]
+        reps = sweep_identity("cor6", param_sampler=bad, x_grid=(0.5,))
+        assert [r.params for r in reps] == bad
+        assert all(not r.passed and r.error.startswith("DomainError: ") for r in reps)
+
+    def test_failed_point_errors_are_null(self):
+        # a failed point has no error to report: JSON null, not NaN
+        (r,) = sweep_identity("cor2.a", param_sampler=[{"k": 3, "mu": 1e308}], x_grid=(0.5,))
+        assert r.error.startswith("DivergenceError: ")
+        assert r.abs_err is None and r.rel_err is None
+        doc = json.dumps(r.to_dict(), allow_nan=False)
+        assert '"abs_err": null' in doc and '"rel_err": null' in doc
 
     def test_programming_error_propagates(self, monkeypatch):
         # only library errors become failed points; a bug in a term stream

@@ -2,6 +2,8 @@
 against the Maclaurin coefficients of its generating function, computed by
 mpmath at 40 digits."""
 
+import cmath
+import functools
 import itertools
 import math
 
@@ -336,6 +338,34 @@ class TestBinomialProduct:
         pairs = self.CASES[name]
         _check(series.binomial_product(pairs),
                [complex(v) for v in _binomial_product_ref(pairs, 160)])
+
+    # the route guard: a factor whose tau lies within 1e-3 of an integer
+    # -M <= 0, with its node w outside the free nodes v, takes the binomials'
+    # Cauchy product where Re(w conj(v)) <= 0 against the outermost v, and
+    # the recurrence where the nodes point the same way
+    @staticmethod
+    def _routes(pairs, n=160):
+        got = list(itertools.islice(series.binomial_product(pairs), n))
+        cauchy = functools.reduce(series.mul, (series.binomial(t, w) for t, w in pairs))
+        return got, list(itertools.islice(cauchy, n))
+
+    def test_perpendicular_nodes_take_the_cauchy_product(self):
+        # Re(w conj(v)) = 0 exactly: "across", where the recurrence would
+        # err by 2.7e-9 at n = 159
+        pairs = ((0.7 + 0.2j, 1.0), (-3.0 + 1e-6, 2j))
+        got, cauchy = self._routes(pairs)
+        assert got == cauchy
+        _check(got, [complex(v) for v in _binomial_product_ref(pairs, 160)])
+
+    def test_direction_read_against_the_conjugate(self):
+        # Re(w conj(v)) > 0 but Re(w v) < 0: the same way, so the recurrence,
+        # which is round-off to n = 2M
+        v, w = cmath.exp(0.25j * math.pi), 2.0 * cmath.exp(1j * (0.5 * math.pi + 0.1))
+        assert (w * v.conjugate()).real > 0 > (w * v).real
+        pairs = ((0.7 + 0.2j, v), (-3.0 + 1e-4, w))
+        got, cauchy = self._routes(pairs, 7)
+        assert got != cauchy
+        _check(got, [complex(c) for c in _binomial_product_ref(pairs, 7)])
 
     def test_unit_factors_dropped(self):
         pairs = ((0.7 + 0.2j, 0.6), (0.0, 3.0), (1.5, 0.0), (-0.4, -0.5))
