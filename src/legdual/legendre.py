@@ -17,7 +17,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, MaxTermsError, PoleError
 from .hypergeom import (
     DEFAULT_POLICY,
     POLE_TOL,
@@ -109,7 +109,7 @@ def _first_kind(nu: complex, mu: complex, x: float,
                 policy: TruncationPolicy) -> SeriesValue:
     """The first-kind function at x in (-1, 1) or (1, inf): `_P_int` where it
     applies, else the series of the interval x lies in."""
-    if (sv := _P_int(nu, mu, x)) is not None:
+    if (sv := _P_int(nu, mu, x, policy)) is not None:
         return sv
     nu, mu = complex(nu), complex(mu)
     if x > 1.0:
@@ -171,18 +171,21 @@ def legendre_q(p: ParameterPoint, x: float,
     return _scaled(prefactor, sv)
 
 
-def _P_int(nu: complex, mu: complex, x: float) -> "SeriesValue | None":
+def _P_int(nu: complex, mu: complex, x: float,
+           policy: TruncationPolicy) -> "SeriesValue | None":
     """P of integer degree k >= 0, nu = k or nu = -k - 1 (the same function,
     DLMF 14.9.5), and order -m, m <= k, at x in the interval its caller
     checked, by the degree recurrence (DLMF 14.10.3): exact to rounding,
-    counted as the k + 1 terms of the sum it replaces.  None for any other
-    parameters.
+    counted as the k + 1 terms of the sum it replaces, and MaxTermsError
+    where those pass the policy's cap.  None for any other parameters.
 
     The recurrence is forward-stable where the terminating hypergeometric
     series cancels catastrophically (large degree, moderate x)."""
     k, m = nearest_int(nu, POLE_TOL), nearest_int(mu, POLE_TOL)
     if k is None or m is None or m > (k := max(k, -k - 1)):
         return None
+    if k + 1 > policy.max_terms:
+        raise MaxTermsError(f"degree {k:.6g} needs more than {policy.max_terms} terms")
     # seed P_n^n, n = |m|, then raise the degree to k
     n = abs(m)
     if x < 1.0:

@@ -13,13 +13,14 @@ The inverse series of thm4-thm9 share one form (`_product`): the n-th term
 is c r^n times the n-th value of each of a few factor streams.  The constant
 c holds the power factors with complex exponents, formed once per point; the
 real r folds every power base^(b n) and every sign (-1)^n.  The streams are
-the coefficient sequence, (mu - nu)_n (`_rising`), 1/Gamma((mu - nu + n +
-1)/2) (`_recip_gamma_half`), the reciprocals of a divisor such as
-(nu + 1/2)_n, and P at shifted order, some also at shifted degree: a P chain
-(`_P_chain`, `_P_half_chain` for half-step orders; thm4.fwd, thm6.p1a and
-thm8.r2 take the diagonal at y = 1/x) makes one direct evaluation and the
-other values by Olver's forward elimination on the order recurrence, one
-sweep whose tail bound also sets its depth.
+the coefficient sequence, (mu - nu)_n (`_rising`) or, in the half-order
+series, (mu - nu)_n/Gamma((mu - nu + n + 1)/2) (`_rising_half`), the
+reciprocals of a divisor such as (nu + 1/2)_n, and P at shifted order, some
+also at shifted degree: a P chain (`_P_chain`, `_P_half_chain` for
+half-step orders; thm4.fwd, thm6.p1a and thm8.r2 take the diagonal at
+y = 1/x) makes one direct evaluation and the other values by Olver's
+forward elimination on the order recurrence, one sweep whose tail bound
+also sets its depth.
 
 The finite sums write their terms out, but factors that move with the term
 still advance term to term: Pochhammer symbols as running products
@@ -73,6 +74,7 @@ from .hypergeom import (
     KahanSum,
     TruncationPolicy,
     gamma,
+    nearest_int,
     pochhammer,
     recip_gamma,
     terminating_index,
@@ -314,19 +316,15 @@ def _rising(a: complex) -> Iterator[complex]:
         poch *= a + n
 
 
-def _recip_gamma_half(z: complex) -> Iterator[complex]:
-    """1/Gamma(z + n/2) for n = 0, 1, ...: the even and the odd n are two
-    running quotients, 1/Gamma(w + 1) = (1/Gamma(w)) / w.  Values at w left
-    of 1/2, where `recip_gamma` reflects (its poles are exact zeros), and the
-    first value past them are taken directly: no quotient starts from a
-    reflected value."""
-    w = [complex(z), complex(z) + 0.5]
-    r = [recip_gamma(w[0]), recip_gamma(w[1])]
+def _rising_half(a: complex) -> Iterator[complex]:
+    """(a)_n / Gamma((a + n + 1)/2) for n = 0, 1, ...: the even and the odd n
+    are two running products, from 1/Gamma((a + 1)/2) and a/Gamma(a/2 + 1),
+    each step times 2(a + n) (Gamma(w + 1) = w Gamma(w), DLMF 5.5.1)."""
+    a = complex(a)
+    r = [recip_gamma(0.5 * (a + 1.0)), a * recip_gamma(0.5 * a + 1.0)]
     for n in itertools.count():
-        i = n & 1
-        yield r[i]
-        r[i] = r[i] / w[i] if w[i].real >= 0.5 else recip_gamma(w[i] + 1.0)
-        w[i] += 1.0
+        yield r[n & 1]
+        r[n & 1] *= 2.0 * (a + n)
 
 
 def _product(c: complex, r: float, *streams: Iterator[complex]) -> Iterator[complex]:
@@ -355,11 +353,6 @@ def _poch_signed(a: complex, n: int) -> complex:
     if n >= 0:
         return pochhammer(a, n)
     return 1.0 / pochhammer(complex(a) + n, -n)
-
-
-def _away_from_ints(z: complex, margin: float = 0.15) -> bool:
-    z = complex(z)
-    return abs(z.imag) >= margin or abs(z.real - round(z.real)) >= margin
 
 
 def _wynn_diagonal(prev: list, s: complex) -> list:
@@ -421,8 +414,9 @@ def _schema(identity_id: str) -> MappingProxyType:
 
 def _point(entry: IdentityDescriptor, params: dict, x: float) -> tuple:
     """(p, x, at_boundary), the one check of a catalog point: DomainError
-    unless the names are exactly the entry's, each value is finite and each
-    integer one (made an int) nonnegative, and the point is in `check_domain`."""
+    unless the names are exactly the entry's, each value is finite, each
+    integer one (made an int) in [0, _SERIES_CAP], and the point is in
+    `check_domain`.  The bound keeps a finite sum within a few hundred terms."""
     kinds, p = _schema(entry.id), dict(params)
     if p.keys() != kinds.keys():
         raise DomainError(f"{entry.id} takes {', '.join(kinds)}; got {', '.join(p) or 'none'}")
@@ -431,9 +425,11 @@ def _point(entry: IdentityDescriptor, params: dict, x: float) -> tuple:
     for name, kind in kinds.items():
         if kind is int:
             v = p[name]
-            if not v == int(v.real) >= 0:
+            if not v == (k := int(v.real)) >= 0:
                 raise DomainError(f"{entry.id}: {name} must be a nonnegative integer, got {v}")
-            p[name] = int(v.real)
+            if k > _SERIES_CAP:
+                raise DomainError(f"{entry.id}: {name} must be at most {_SERIES_CAP}, got {v}")
+            p[name] = k
     x = float(x)
     return p, x, entry.check_domain(p, x)
 
@@ -632,7 +628,7 @@ def _guarded_pair(*, guards, re_nu=None):
                 nu = complex(rng.uniform(*re_nu), nu.imag)
             mu = _draw_box(rng)
             p = {"nu": nu, "mu": mu}
-            if all(_away_from_ints(g(nu, mu)) for g in guards):
+            if all(nearest_int(g(nu, mu), 0.15) is None for g in guards):
                 return p
 
     return sample
@@ -982,8 +978,7 @@ def _build_catalog() -> None:
         ),
         terms=lambda p, x: _product(
             _cpow(_u(x), 0.25 * (p["mu"] - p["nu"])), 0.5 * _u(x) ** 0.25,
-            _rising(p["mu"] - p["nu"]), script_G_seq(p["nu"], p["nu"], math.sqrt(_u(x))),
-            _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
+            _rising_half(p["mu"] - p["nu"]), script_G_seq(p["nu"], p["nu"], math.sqrt(_u(x))),
             _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), x, 0)),
         n_top=_poch_top, sampler=t7_sampler, tail=t7_tail_fixed,
     ))
@@ -1009,8 +1004,7 @@ def _build_catalog() -> None:
         ),
         terms=lambda p, x: _product(
             _cpow(_u(x), 0.25 * (p["mu"] - p["nu"])), 0.5 * _u(x) ** 0.25,
-            _rising(p["mu"] - p["nu"]), script_G_hat_seq(p["nu"], p["nu"], math.sqrt(_u(x))),
-            _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
+            _rising_half(p["mu"] - p["nu"]), script_G_hat_seq(p["nu"], p["nu"], math.sqrt(_u(x))),
             _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), 1.0 / x, 0)),
         n_top=_poch_top, sampler=t7_sampler, tail=t7_tail_fixed,
     ))
@@ -1155,8 +1149,7 @@ def _build_catalog() -> None:
             _cpow(1.0 - x * x, 0.25 * (p["mu"] - p["nu"]))
             / _cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"])),
             (1.0 - x * x) ** 0.25 / math.sqrt(2.0),
-            _rising(p["mu"] - p["nu"]), frak_N_seq(p["nu"], p["mu"], x, -1),
-            _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
+            _rising_half(p["mu"] - p["nu"]), frak_N_seq(p["nu"], p["mu"], x, -1),
             _P_half_chain(0.5 * (p["mu"] - p["nu"] - 2.0), 0.5 * (p["mu"] + p["nu"]),
                           x, 1)),
         n_top=_poch_top, sampler=t7_sampler,
@@ -1170,8 +1163,7 @@ def _build_catalog() -> None:
             / (_cpow(2.0, 0.5 * (3.0 * p["mu"] - p["nu"]))
                * _cpow(x, 0.5 * (p["mu"] - p["nu"]))),
             (1.0 - x * x) ** 0.25 / math.sqrt(2.0 * x),
-            _rising(p["mu"] - p["nu"]), frak_N_seq(p["nu"], p["mu"], x, 1),
-            _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
+            _rising_half(p["mu"] - p["nu"]), frak_N_seq(p["nu"], p["mu"], x, 1),
             _P_half_chain(0.5 * (p["mu"] - p["nu"] - 2.0), 0.5 * (p["mu"] + p["nu"]),
                           1.0 / x, 1)),
         n_top=_poch_top, sampler=t7_sampler,
@@ -1245,9 +1237,8 @@ def _build_catalog() -> None:
             SQRT_PI * _cpow(2.0, 2.0 * p["nu"] - p["mu"]) * _cpow(x, p["nu"])
             / _cpow(1.0 - x * x, 0.5 * p["nu"]),
             0.25 / math.sqrt(1.0 - x * x),
-            _rising(2.0 * p["nu"]), _rising(p["mu"] - p["nu"]),
+            _rising(2.0 * p["nu"]), _rising_half(p["mu"] - p["nu"]),
             (1.0 / d for d in _rising(p["nu"] + 0.5)), gegenbauer_seq(0.5 - p["nu"], x),
-            _recip_gamma_half(0.5 * (p["mu"] - p["nu"] + 1.0)),
             _P_half_chain(p["nu"], 0.5 * (p["mu"] + p["nu"]), x2arg(x), 0)),
         n_top=t9_ntop, sampler=t9_sampler, tail=t9_tail,
     ))

@@ -56,9 +56,9 @@ _POINT_DIGESTS = {
     "cor5.c": ("198f7620d5041bcd", "600cd2044a8f5cb3", "f7bf28c9486e6d7a", "352c342f54ab4500"),
     "cor5.d": ("3283163e1fd01e8a", "4ffdab01495a2d09", "9ae7161bb48659a6", "352199cb7368a9d8"),
     "cor6": ("6f377aa8050ba153", "3dfe7e0f4f6f7af6", "ecec8bb557a17aab", "c51a230a266546b2"),
-    "thm7.q1": ("5f06aea4e7c47035", "d3df80e43eb26692", "300705c1a4f40105", "0bdf1c4b2adfb88b"),
+    "thm7.q1": ("71b710e19469a525", "716584025a8c8949", "3120291df685e720", "fdb5c047f885ac56"),
     "thm7.q2": ("ab9363de389de3b9", "e13496ad537ee643", "ef6cc1f1ff463e13", "b698c48e8e5d5a55"),
-    "thm7.q3": ("02b5d7137de8a3f2", "9e3c0f2dcb71d4ad", "9c2638f7b802dea3", "1d44a2c9129a03e4"),
+    "thm7.q3": ("295e962b20b87550", "0cd1c078816f9dde", "93d2a91642f1963a", "71cc56d586cd8c4a"),
     "thm7.q4": ("c335f439a386ce83", "eb47273c1c5dbc01", "94d9ab5c90d43e61", "3492a9bc4d59a18f"),
     "cor7.a": ("fe1d65482bc63894", "9ac1ea99ae2aa8b5", "7dd84e42166eab92", "526eb71911a13854"),
     "cor7.b": ("06c7bb678ffa09d2", "a02d116012063a32", "ec2137e5bb3e2213", "1ea5e875e7ae245f"),
@@ -69,14 +69,14 @@ _POINT_DIGESTS = {
     "cor9.a": ("9ed7e9c29048f38e", "a3a62cb40cfcbaa8", "d85dba1636dbff64", "0c466e49a33988df"),
     "cor9.b": ("e74b26c34b0223f3", "19f3e39131312e56", "a481efe9edef2e20", "e596b23bb54bd793"),
     "thm8.g1": ("34ecb02313a73848", "1b70c739ed3e9097", "125baf08a905a0bd", "9c944c2acae7ba24"),
-    "thm8.r1": ("af69c53148495eba", "429e953aa868dfc0", "49b1fdf7c7d83c06", "46ca3891d20d7cc3"),
-    "thm8.r2": ("89875abcff809b48", "a121c2a7bfee9b68", "465161bbdb9456a8", "afb7d812c0ecdd3e"),
+    "thm8.r1": ("c12b1d7b4d6b288c", "c6ef4909d80c9a47", "d1360ca613e4458f", "6cb3ef37c78c7c11"),
+    "thm8.r2": ("b5b003a61592bc84", "05252fbc2102fa2a", "753f850e8eb0c2fa", "bd340821acf41aca"),
     "thm8.g2": ("fad7c8a758b6dfb6", "09ecd50783423e08", "89efabe1e5c7b516", "728ba7ca4307ac52"),
     "cor10.a": ("5f347615dac1b9e2", "498cf1c534fec85a", "541d13a14f5a1bce", "1f41ebfafd26dfac"),
     "cor10.b": ("b28f2371e3ce90f7", "574da17cd4bd6876", "6181da68cee2940e", "5cf6076e0a41efe8"),
     "cor10.c": ("1beb861f27e18a1d", "79aeee25e6cc51ac", "0db30bed8a2aef88", "fff27485cda572f7"),
     "cor10.d": ("7ca0d76774f271e1", "f33b0c9de7cd73e0", "693fa59156fa54f3", "4f427c84ce0f1fa6"),
-    "thm9.fwd": ("169a58148fa80f39", "9af242697211d7ae", "614be9e1ef2e6402", "4c638aef56226625"),
+    "thm9.fwd": ("06d2f70da839c170", "3f51f5b3df955cad", "871429de942a6ccf", "c43f3ad197dbc652"),
     "thm9.inv": ("1766094c9f5cfc95", "bb94262fa1a62a8f", "d7baeb77bb36e294", "020dc82b42f93166"),
     "cor11.a": ("498a54ec189a4c56", "c2f11cc527816269", "9a358bbddd283d8d", "d9547aa1bc9416a1"),
     "cor11.b": ("ad3cf824cd82a9fe", "feac3cbe9834c5df", "44d772794e955884", "fa31ccca5b5e19b0"),

@@ -1,5 +1,7 @@
 """Function-level tests for the first- and second-kind evaluators."""
 
+import time
+
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import legdual.legendre
 from legdual.errors import DivergenceError, DomainError, MaxTermsError, PoleError
+from legdual.hypergeom import TruncationPolicy
 from legdual.legendre import (
     ParameterPoint,
     _P,
@@ -88,6 +91,26 @@ class TestIntegerDegree:
         assert sv.value == _P(-k - 1, m, x) == _P(k, m, x)
         assert sv.error_estimate == 0.0
         assert sv.terms_used == k + 1
+
+    @pytest.mark.parametrize("fn,x", [(ferrers_p, 0.5), (legendre_p, 1.5)])
+    def test_term_cap(self, fn, x):
+        # degree k counts k + 1 terms: at most the policy's max_terms, like
+        # the terminating sum it replaces; reflected degree -k - 1 alike
+        cap = TruncationPolicy(max_terms=41)
+        for nu in (40, -41):
+            assert fn(ParameterPoint(nu, 2), x, cap).terms_used == 41
+        for nu in (41, -42):
+            with pytest.raises(MaxTermsError, match="degree 41 needs more than 41 terms"):
+                fn(ParameterPoint(nu, 2), x, cap)
+
+    @pytest.mark.parametrize("nu", [1e6, 1e300, -1e300])
+    def test_huge_degree_refused_before_the_recurrence(self, nu):
+        # the default cap is 100,000 terms: raised at once, not after a
+        # recurrence of nu steps
+        t0 = time.perf_counter()
+        with pytest.raises(MaxTermsError, match="needs more than 100000 terms"):
+            ferrers_p(ParameterPoint(nu, 0), 0.5)
+        assert time.perf_counter() - t0 < 0.1
 
     @pytest.mark.parametrize("nu,mu,x", [
         (0.3 + 0.2j, 0.4, 0.5), (0.3 + 0.2j, 0.4, 1.5), (3, 1, 0.5), (3, 1, 1.5)])

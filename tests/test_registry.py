@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+import time
 
 import mpmath as mp
 import pytest
@@ -18,7 +19,7 @@ import legdual.registry
 from legdual.errors import (ConvergenceError, DivergenceError, DomainError, PoleError,
                             UnknownIdentityError)
 from legdual.harness import HarnessConfig, convergence_table
-from legdual.hypergeom import DEFAULT_POLICY, TruncationPolicy, recip_gamma, terminating_index
+from legdual.hypergeom import DEFAULT_POLICY, TruncationPolicy, terminating_index
 from legdual.registry import (
     INV_SQRT2,
     Kind,
@@ -31,7 +32,7 @@ from legdual.registry import (
     _P_half_chain,
     _get_impl,
     _point,
-    _recip_gamma_half,
+    _rising_half,
     _running_sums,
     _sum_terms,
     IdentityDescriptor,
@@ -370,6 +371,8 @@ class TestPointGate:
         ({"k": 3, "m": 2 + 1j}, "m must be a nonnegative integer"),
         ({"k": -1, "m": 0}, "k must be a nonnegative integer, got -1"),
         ({"k": math.inf, "m": 0}, "parameters must be finite"),
+        ({"k": 161, "m": 161}, "k must be at most 160, got 161"),
+        ({"k": 3, "m": 1e300}, "m must be at most 160, got 1e+300"),
     ]
 
     @pytest.mark.parametrize("params,message", REFUSED)
@@ -414,6 +417,25 @@ class TestPointGate:
         # (-2k - mu)_r overflows to inf, and inf * 0 makes both sides NaN
         with pytest.raises(DivergenceError, match="cor2.a: lhs = "):
             evaluate_identity("cor2.a", {"k": 3, "mu": 1e308}, 0.5)
+
+    # an integer parameter is a term count: past the series cap a finite sum
+    # would run for as many terms (10^300 at k = 1e300) before it failed
+    @pytest.mark.parametrize("k", [161, 10**300, 1e300])
+    def test_integer_parameter_bounded(self, k):
+        params = {"k": k, "mu": 0.3 + 0.2j}
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="cor2.a: k must be at most 160, got "):
+            evaluate_identity("cor2.a", params, 0.5)
+        with pytest.raises(DomainError, match="k must be at most 160"):
+            convergence_table("cor2.a", params, 0.5, 3)
+        [r] = sweep_identity("cor2.a", param_sampler=[params], x_grid=[0.5])
+        assert not r.passed and r.error.startswith("DomainError: cor2.a: k must be at most 160")
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_integer_parameter_at_the_bound(self):
+        # the gate takes k = 160; there the sides overflow, a typed error
+        with pytest.raises(DivergenceError, match="cor2.a: lhs = "):
+            evaluate_identity("cor2.a", {"k": 160, "mu": 0.3 + 0.2j}, 0.5)
 
     @pytest.mark.parametrize("entry", ALL, ids=lambda d: d.id)
     def test_sampler_draws_pass_unchanged(self, entry):
@@ -594,18 +616,26 @@ class TestTermStreams:
         assert r.passed and r.stop_reason != "terminated" and r.terms_used > 12
         assert 0 < calls[0] <= most
 
-    def test_recip_gamma_half_crosses_the_poles(self):
-        # nu - mu = 3: z = (mu - nu + 1)/2 = -1, so the even run starts on
-        # the poles at -1 and 0
-        z = 0.5 * ((0.3 + 0.2j) - (3.3 + 0.2j) + 1.0)
-        vals = list(itertools.islice(_recip_gamma_half(z), _SERIES_CAP))
-        assert vals[0] == 0 and vals[2] == 0
-        for n, v in enumerate(vals[:40]):
-            assert abs(v - recip_gamma(z + 0.5 * n)) <= 1e-14 * abs(v), n
+    @pytest.mark.parametrize("a", [
+        0.7 - 1.3j,
+        # 1e-9 from -1 and -2: the even and the odd run start 5e-10 from
+        # the pole of Gamma at 0
+        -1.0 + 1e-9, -2.0 + 1e-9,
+        # mu - nu = -3 and -2: the even and the odd run start on a pole, and
+        # every later value of that run is an exact zero too
+        -3.0, -2.0])
+    def test_rising_half(self, a):
+        # (a)_n / Gamma((a + n + 1)/2) as two running products, through the
+        # 160-term cap
+        vals = list(itertools.islice(_rising_half(a), _SERIES_CAP))
         with mp.workdps(30):
             for n, v in enumerate(vals):
-                ref = complex(mp.rgamma(mp.mpc(z) + mp.mpf(n) / 2))
+                ref = complex(mp.rf(a, n) * mp.rgamma((mp.mpc(a) + n + 1) / 2))
                 assert abs(v - ref) <= 1e-14 * abs(ref), n
+        if a in (-3.0, -2.0):
+            parity = int(-a) % 2
+            assert all(v == 0 for v in vals[1 - parity::2])
+            assert all(v != 0 for v in vals[parity:int(-a) + 1:2])
 
 
 class TestDiagonalStreams:
