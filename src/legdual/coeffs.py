@@ -5,12 +5,13 @@ factors (1 - w z)^(-tau), the square roots sqrt(1 -/+ z) and
 sqrt(1 -/+ z^2), and affine shifts of them.  `lauricella_G`, `script_G` and
 `script_G_hat` are products of binomials, each one `series.binomial_product`
 call.  The others are expressions over the `series` primitives (Cauchy
-products and the power recurrence a g' = b g) and, for the half-root powers
-((1 + sqrt(1 -/+ u))/2)^(-a) of frak_p and omega_pm, a Gauss-function
-stream at O(1) per coefficient (`_half_root_power`).  A factor F(z^2) that
-is even in z is built in u = z^2 and joins the odd factors through
-`mul(odd, F, 2)`.  The generating functions are never evaluated here, so
-their values stay independent oracles.
+products and the recurrence a g' = b g, one for frak_D and frak_N's even
+factor) and, for the half-root powers ((1 + sqrt(1 -/+ u))/2)^(-a) of frak_p
+and omega_pm, a Gauss-function stream at O(1) per coefficient
+(`_half_root_power`).  A factor F(z^2) that is even in z is built in u = z^2
+and joins the odd factors through `mul(odd, F, 2)`.  The generating
+functions are never evaluated here, so their values stay independent
+oracles.
 
 `<family>_seq(params)` yields the coefficients of z^0, z^1, ... and computes
 each once, so its first N coefficients cost at most O(N^2).  The scalar
@@ -26,7 +27,7 @@ from collections.abc import Iterator
 from .errors import DuplicateNodeError, PoleError
 from .hypergeom import pochhammer
 from .polys import gegenbauer
-from .series import affine, binomial, binomial_product, mul, nth, power, solve
+from .series import binomial, binomial_product, mul, nth, solve
 
 __all__ = [
     "FactorList",
@@ -185,7 +186,7 @@ def frak_D_seq(tau: complex, xarg: float, inverted: bool) -> Iterator[complex]:
     if not (0.0 < xarg <= 1.0):
         raise ValueError("xarg must lie in (0, 1]")
     y = 1.0 / xarg if inverted else float(xarg)
-    return power(affine(1.0, y, binomial(-0.5, 2.0)), -complex(tau))
+    return _even_factor(-complex(tau), 0j, y, -2)
 
 
 def frak_D(n: int, tau: complex, xarg: float, inverted: bool) -> complex:
@@ -194,28 +195,34 @@ def frak_D(n: int, tau: complex, xarg: float, inverted: bool) -> complex:
     return nth(frak_D_seq(tau, xarg, inverted), n)
 
 
+def _even_factor(nu: complex, mu: complex, y: float, s: int) -> Iterator[complex]:
+    """Coefficients of u^0, u^1, ... in (1 + y r)^nu ((1 + r)/2)^(-mu),
+    r = sqrt(1 + s u): one solve of a E' = b E, a = 2 r (1 + y r)(1 + r) and
+    b = s (nu y (1 + r) - mu (1 + y r)), both linear in r since r^2 = 1 + s u,
+    so no Cauchy product forms them."""
+    r0, r1, r2 = itertools.tee(binomial(-0.5, -s), 3)
+    # a = 2 ((1 + y)(1 + s u + r) + y s u r), b = c + d r
+    a = (2.0 * ((1.0 + y) * (c + v) + y * s * w) for c, v, w in zip(
+        itertools.chain((1.0, s), itertools.repeat(0.0)), r0, itertools.chain((0j,), r1)))
+    c, d = s * (nu * y - mu), s * y * (nu - mu)
+    b = itertools.chain((c + d * v for v in itertools.islice(r2, 1)), (d * v for v in r2))
+    return solve(a, b, cmath.exp(nu * math.log(1.0 + y)))
+
+
 def frak_N_seq(nu: complex, mu: complex, x: float, sign: int) -> Iterator[complex]:
     """Coefficients of z^0, z^1, ... in
     (1 + tz)^(-nu) (1 + y r)^nu ((1 + r)/2)^(-mu), r = sqrt(1 +/- z^2),
     with t = |x^(-/+2) - 1|^(-1/2) and y = x or 1/x: the Cauchy product
     tying frak_D and omega_pm together.  Both powers of r are even in z, so
-    their product E is built in u = z^2 and enters through one strided
-    product.  E is one solve of a E' = b E, a = 2 r (1 + y r)(1 + r) and
-    b = sign (nu y (1 + r) - mu (1 + y r)), both linear in r since
-    r^2 = 1 + sign u, so no Cauchy product forms them."""
+    their product is built in u = z^2 (`_even_factor`) and enters through
+    one strided product."""
     _check_sign(sign)
     if not (0.0 < x < 1.0):
         raise ValueError("x must lie in (0, 1)")
     nu, mu = complex(nu), complex(mu)
     t = abs(x ** (-2.0 if sign > 0 else 2.0) - 1.0) ** -0.5
     y = x if sign > 0 else 1.0 / x
-    r0, r1, r2 = itertools.tee(binomial(-0.5, -sign), 3)  # r in u = z^2
-    # a = 2 ((1 + y)(1 + sign u + r) + y sign u r)
-    a = (2.0 * ((1.0 + y) * (c + v) + y * sign * w) for c, v, w in zip(
-        itertools.chain((1.0, sign), itertools.repeat(0.0)), r0, itertools.chain((0j,), r1)))
-    b = affine(sign * (nu * y - mu), sign * y * (nu - mu), r2)
-    even = solve(a, b, cmath.exp(nu * math.log(1.0 + y)))
-    return mul(binomial(nu, -t), even, 2)
+    return mul(binomial(nu, -t), _even_factor(nu, mu, y, sign), 2)
 
 
 def frak_N(n: int, nu: complex, mu: complex, x: float, sign: int) -> complex:

@@ -11,6 +11,7 @@ from collections import namedtuple
 
 from .errors import (
     DivergenceError,
+    DomainError,
     MaxTermsError,
     NotTerminatingError,
     PoleError,
@@ -167,30 +168,83 @@ def _loggamma_right(z: complex) -> complex:
     return _HALF_LOG_2PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
+def _sin_pi(z: complex) -> complex:
+    """sin(pi z), as (-1)^n sin(pi (z - n)) within 1e-2 of an integer n,
+    where the rounding of pi z costs digits (2.8e-4 of gamma(-3 + 1e-12))."""
+    n = round(z.real)
+    if abs(z - n) >= 1e-2:
+        return cmath.sin(math.pi * z)
+    return cmath.sin(math.pi * (z - n)) * (1 - 2 * (n % 2))
+
+
+def _gamma_from_log(z: complex, sign: int) -> complex:
+    """gamma(z)^sign, sign = +/-1, from log gamma(z): 0 where it underflows,
+    DivergenceError unless it is a finite double.  Left of 1/2 it reflects,
+    with log sin(pi z) = log(pi (z - n)) + i pi n within POLE_TOL of an
+    integer n, and sin(u + iv) = (e^|v| / 2) i s e^(-i s u), s the sign of v,
+    past |v| = 300; past 2^1000 there, gamma(z) is 0 in doubles."""
+    if z.real >= 0.5:
+        log_value = _loggamma_right(z)
+    elif max(abs(z.real), abs(z.imag)) > 2.0**1000:
+        log_value = complex(-math.inf)
+    else:
+        n = round(z.real)
+        u, v = math.pi * z.real, math.pi * z.imag
+        if abs(z - n) <= POLE_TOL:
+            log_sin = math.log(math.pi) + cmath.log(z - n) + 1j * math.pi * (n % 2)
+        elif abs(v) <= 300.0:
+            log_sin = cmath.log(_sin_pi(z))
+        else:
+            log_sin = abs(v) - math.log(2.0) + 1j * math.copysign(1.0, v) * (math.pi / 2 - u)
+        log_value = math.log(math.pi) - log_sin - _loggamma_right(1.0 - z)
+    log_value = log_value if sign > 0 else -log_value
+    if log_value.real < -746.0:
+        return 0j
+    try:
+        value = cmath.exp(log_value)
+        if cmath.isfinite(value):
+            return value
+    except (OverflowError, ValueError):
+        pass
+    raise DivergenceError(f"gamma at z = {z}: gamma^{sign} overflows the range of doubles")
+
+
 def gamma(z: complex) -> complex:
-    """Complex gamma, Lanczos approximation with reflection for Re z < 0.5;
-    DivergenceError where a step overflows (also 1/gamma's, where it is 0)."""
+    """Complex gamma, Lanczos approximation with reflection for Re z < 0.5.
+    Where a step overflows or the value is not finite, log space decides: 0
+    below the doubles, DivergenceError above them.  A non-finite z raises
+    DomainError."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"gamma needs a finite argument, got z = {z}")
     if is_nonpos_int(z):
         raise PoleError(f"gamma pole at z = {z}")
     try:
         if z.real < 0.5:
             # reflection keeps the Lanczos sum on its accurate half-plane
-            return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
-        return cmath.exp(_loggamma_right(z))
-    except (OverflowError, DivergenceError):
-        raise DivergenceError(f"gamma at z = {z} overflows the range of doubles") from None
+            value = math.pi / (_sin_pi(z) * gamma(1.0 - z))
+        else:
+            value = cmath.exp(_loggamma_right(z))
+        if cmath.isfinite(value):
+            return value
+    except (ArithmeticError, ValueError, DivergenceError):
+        pass
+    return _gamma_from_log(z, 1)
 
 
 def recip_gamma(z: complex) -> complex:
-    """Entire reciprocal gamma: exact 0 at nonpositive integers."""
+    """Entire reciprocal gamma: exact 0 at nonpositive integers, else
+    1/gamma(z), from log space where gamma raises (within POLE_TOL of a pole
+    too).  A non-finite z raises DomainError."""
     z = complex(z)
-    if is_nonpos_int(z):
-        return 0j
     try:
-        return 1.0 / gamma(z)
-    except ZeroDivisionError:
-        raise DivergenceError(f"1/gamma at z = {z} overflows the range of doubles") from None
+        value = 1.0 / gamma(z)
+        if cmath.isfinite(value):
+            return value
+    except (ZeroDivisionError, PoleError, DivergenceError):
+        if is_nonpos_int(z, 0.0):
+            return 0j
+    return _gamma_from_log(z, -1)
 
 
 def gauss_2f1(

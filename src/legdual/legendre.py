@@ -10,7 +10,8 @@ Integer degree, k >= 0 or its reflection -k - 1 (the same function, DLMF
 14.9.5), with order -m, m <= k, takes one route from every first-kind entry
 point (`ferrers_p`, `legendre_p` and `_P`, through `_first_kind`): the degree
 recurrence `_P_int`, stable where the terminating hypergeometric sum
-cancels.  All other parameters sum the hypergeometric series.
+cancels.  All other parameters sum a hypergeometric series: in (1 - x)/2 on
+(0, 1), else in (x - 1)/(x + 1), which at x <= 0 must terminate.
 """
 
 import cmath
@@ -108,37 +109,30 @@ def legendre_p(p: ParameterPoint, x: float,
 def _first_kind(nu: complex, mu: complex, x: float,
                 policy: TruncationPolicy) -> SeriesValue:
     """The first-kind function at x in (-1, 1) or (1, inf): `_P_int` where it
-    applies, else the series of the interval x lies in."""
+    applies, else the series in (1-x)/2 on (0, 1) and in t = (x-1)/(x+1)
+    elsewhere.  At x <= 0, t <= -1, so that series must terminate: at degree
+    nu or, through -nu or mu - nu, at the reflected degree -nu - 1 (the same
+    function, DLMF 14.9.5)."""
     if (sv := _P_int(nu, mu, x, policy)) is not None:
         return sv
     nu, mu = complex(nu), complex(mu)
-    if x > 1.0:
-        return _legendre_p_series(nu, mu, (x - 1.0) / (x + 1.0),
-                                  math.log(x - 1.0), math.log(x + 1.0), policy)
-    t = (1.0 - x) / 2.0
-    a, b, c = -nu, nu + 1.0, 1.0 + mu
-    if x <= 0.0:
-        if terminating_index(a) is None:
-            a, b = b, a
-        k = terminating_index(a)
-        if k is None:
-            raise DomainError(
-                "x <= 0 is supported only when the hypergeometric series terminates"
-            )
-        # at t >= 1/2 the terms alternate and cancel; Pfaff's transformation
-        # (1-t)^k 2F1(-k, c-b; c; t/(t-1)) sums terms of one sign
-        sv = _scaled((1.0 - t) ** k, _f_over_gamma_c(a, c - b, c, t / (t - 1.0), policy))
-    else:
-        sv = _f_over_gamma_c(a, b, c, t, policy)
-    base = (1.0 - x) / (1.0 + x)
-    prefactor = cmath.exp(0.5 * mu * math.log(base))
-    return _scaled(prefactor, sv)
+    if 0.0 < x < 1.0:
+        sv = _f_over_gamma_c(-nu, nu + 1.0, 1.0 + mu, (1.0 - x) / 2.0, policy)
+        return _scaled(cmath.exp(0.5 * mu * math.log((1.0 - x) / (1.0 + x))), sv)
+    if x <= 0.0 and terminating_index(-nu, mu - nu) is None:
+        nu = -nu - 1.0
+        if terminating_index(-nu, mu - nu) is None:
+            raise DomainError("x <= 0 is supported only where the series in (x-1)/(x+1) ends")
+    return _legendre_p_series(nu, mu, (x - 1.0) / (x + 1.0),
+                              math.log(abs(x - 1.0)), math.log(x + 1.0), policy)
 
 
 def _legendre_p_series(nu: complex, mu: complex, t: float, log_xm1: float,
                        log_xp1: float, policy: TruncationPolicy) -> SeriesValue:
-    """legendre_p at the x > 1 given by t = (x-1)/(x+1), log(x-1) and
-    log(x+1), so that a caller who knows x - 1 better than x passes it on."""
+    """The first-kind function at the x given by t = (x-1)/(x+1), log|x-1|
+    and log(x+1), so that a caller who knows x - 1 better than x passes it
+    on: legendre_p at x > 1, ferrers_p at x < 1 (Pfaff's transformation of
+    its series in (1-x)/2, DLMF 15.8.1)."""
     sv = _f_over_gamma_c(-nu, mu - nu, 1.0 + mu, t, policy)
     prefactor = cmath.exp(
         -nu * math.log(2.0)

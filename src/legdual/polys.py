@@ -70,18 +70,12 @@ def gegenbauer(k: int, tau: complex, x: float) -> complex:
         if j0 > jmax:
             return 0j
 
-    if x == 0.0:
-        if k % 2 == 1:
-            return 0j
-        sign = -1.0 if jmax % 2 else 1.0
-        return sign * _balanced_term(tau, k, jmax, 0.0)
-
     term = _balanced_term(tau, k, j0, two_x)
     if j0 % 2:
         term = -term
     if abs(term) < sys.float_info.min:
-        # underflowed leading term, whose ratios to the next terms would
-        # overflow: evaluate each term independently
+        # a leading term that underflows, or is 0 at x = 0, whose ratios to
+        # the next terms would overflow: evaluate each term independently
         acc = KahanSum()
         for j in range(j0, jmax + 1):
             t = _balanced_term(tau, k, j, two_x)

@@ -11,25 +11,22 @@ term-ratio stream of a Gauss function):
   factor f(z^2) that is even in z is built in u = z^2, at half the length,
   and enters with k = 2;
 - `solve(a, b, g0)`: the g with a g' = b g and g(0) = g0, for a(0) != 0,
-  at O(deg) per coefficient when a and b are polynomials.  `power`
-  (a = f, b = alpha f') is J.C.P. Miller's recurrence for f^alpha (Knuth,
-  TAOCP vol. 2, 4.7);
+  at O(deg) per coefficient when a and b are polynomials;
 - `binomial_product(pairs)`: prod_j (1 - w_j z)^(-tau_j) by one `solve` of
   degree k, guarded where a polynomial factor dominates;
-- `affine(c, d, f)`: c + d f.
+- `nth(stream, n)`: element n of a stream.
 
 So the first N coefficients of a family cost O(N^2), or O(kN) for a
 product of k binomials, and the only pole to guard is a(0) = 0.
 """
 
-import cmath
 import functools
 import itertools
 from collections.abc import Iterable, Iterator
 
 from .hypergeom import is_nonpos_int
 
-__all__ = ["binomial", "mul", "solve", "affine", "power", "binomial_product", "nth"]
+__all__ = ["binomial", "mul", "solve", "binomial_product", "nth"]
 
 
 def nth(stream: Iterator[complex], n: int) -> complex:
@@ -99,24 +96,6 @@ def solve(a: Iterable[complex], b: Iterable[complex], g0: complex) -> Iterator[c
             acc += (bv[i] - (n - i) * av[i + 1]) * g[n - i]
         g.append(acc / ((n + 1) * a0))
         yield g[-1]
-
-
-def affine(c: complex, d: complex, f: Iterable[complex]) -> Iterator[complex]:
-    """c + d f."""
-    it = iter(f)
-    yield complex(c) + complex(d) * next(it)
-    for v in it:
-        yield complex(d) * v
-
-
-def power(f: Iterable[complex], alpha: complex) -> Iterator[complex]:
-    """f^alpha, principal branch at f(0) != 0, by Miller's recurrence:
-    solve(f, alpha f', f(0)^alpha)."""
-    alpha = complex(alpha)
-    a, rest = itertools.tee(f)
-    f0 = complex(next(rest))
-    deriv = (alpha * k * v for k, v in enumerate(rest, 1))
-    return solve(a, deriv, cmath.exp(alpha * cmath.log(f0)))
 
 
 def binomial_product(pairs: Iterable[tuple[complex, complex]]) -> Iterator[complex]:

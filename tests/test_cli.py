@@ -49,12 +49,19 @@ class TestEval:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mu", ["200.5", "-200.5"])
+    # P is about 1.2e421
+    @pytest.mark.parametrize("mu", ["-200.5"])
     def test_gamma_overflow_exit_one(self, capsys, mu):
         assert main(["eval", "ferrers", "--nu", "0.3", f"--mu={mu}", "--x", "0.5"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: gamma at z = ")
         assert err.count("\n") == 1
+
+    def test_gamma_underflow_answers_zero(self, capsys):
+        # P is about 1.3e-424: the double is 0
+        assert main(["eval", "ferrers", "--nu", "0.3", "--mu=200.5", "--x", "0.5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["value"] == [0.0, 0.0]
 
     # ferrers_p(0.3, 0.2, 0.6) sums 19 terms
     POINT = ["eval", "ferrers", "--nu", "0.3", "--mu", "0.2", "--x", "0.6"]

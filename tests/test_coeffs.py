@@ -137,7 +137,7 @@ class TestSqrtFamilies:
 
     def test_frak_D_integer_exponent_fallback(self):
         # a negative integer tau cubes a square root: no special case, the
-        # Miller power of 1 + y sqrt(1 + z) runs as at any other exponent
+        # solve for (1 + y sqrt(1 + z))^(-tau) runs as at any other exponent
         v = frak_D(5, -3.0, 0.7, False)
         z = 0.2
         lhs = (1 + 0.7 * math.sqrt(1 + z)) ** 3.0

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import mpmath as mp
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from legdual.errors import (
     DivergenceError,
+    DomainError,
+    LegdualError,
     MaxTermsError,
     NotTerminatingError,
     PoleError,
@@ -42,6 +45,37 @@ def _mp_close(ours, theirs, rel=1e-13):
 finite_complex = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=20.0, allow_nan=False, allow_infinity=False
 )
+
+# any double in either part, NaN and +/-inf included, and the real line
+any_complex = st.builds(complex, st.floats(), st.floats()) | st.floats().map(complex)
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), complex(0.5, float("inf")),
+              complex(float("nan"), 1.0)]
+
+
+def _answers_or_refuses(f, ref, z):
+    """f(z) is a finite double within 1e-10 of ref, relative to
+    max(|ref|, 2.2e-308), or a LegdualError."""
+    try:
+        value = f(z)
+    except LegdualError:
+        return
+    assert cmath.isfinite(value), (z, value)
+    theirs = ref(mp.mpc(z))
+    assert abs(mp.mpc(value) - theirs) <= 1e-10 * max(abs(theirs), mp.mpf(2.2e-308)), (z, value)
+
+
+def _divergence_exactly_where_out_of_range(f, ref, z):
+    """f(z) raises DivergenceError where |ref(z)| lies above the range of
+    doubles, is 0 where it lies below, and is ref(z) to 1e-12 in between."""
+    theirs = ref(mp.mpc(z))
+    if abs(theirs) > sys.float_info.max:
+        with pytest.raises(DivergenceError, match="gamma at z = .* overflows"):
+            f(z)
+    elif abs(theirs) < 2.0**-1075:
+        assert f(z) == 0
+    else:
+        _mp_close(f(z), theirs, rel=1e-12)
 
 
 class TestPochhammer:
@@ -101,27 +135,79 @@ class TestGamma:
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
-    # gamma(0.3 + 250j) is about 1e-171, but the reflection's sin overflows
-    @pytest.mark.parametrize("z", [200.0, 171.7, -200.5, 0.3 + 250j])
+    # where a step overflows, log space decides: Gamma overflows at 200,
+    # 171.7 and 1e308; it is about -2.8e-376 at -200.5 and 1e-(6.8e307) at
+    # 1 + 1e308i, and a double at the others, where the reflection's sin
+    # (0.3 + 250j, -0.5 + 300j), gamma(1 - z) (-170.9) or their product
+    # (-85.08 - 179.40i) overflows
+    @pytest.mark.parametrize("z", [
+        200.0, 171.7, -200.5, 0.3 + 250j, 1e308, 1 + 1e308j, -1e305 + 1e-3j,
+        -0.5 + 300j, -170.9, -85.0760961508376 - 179.39633271325965j,
+    ])
     def test_overflow_is_a_divergence(self, z):
-        with pytest.raises(DivergenceError, match="gamma at z = .* overflows"):
+        _divergence_exactly_where_out_of_range(gamma, mp.gamma, z)
+
+    # the plain sin(pi z) would cost up to 2.8e-4 here; -3.01 lies just
+    # outside the band where the reflection reduces it
+    @pytest.mark.parametrize("z", [-3 + 1e-12, -1 + 1e-9 * (1 + 1j),
+                                   -30 + 1e-12 * (1 + 1j), -100 + 1e-8, -3.01])
+    def test_near_negative_integers(self, z):
+        _mp_close(gamma(z), mp.gamma(mp.mpc(z)), rel=1e-13)
+        _mp_close(recip_gamma(z), mp.rgamma(mp.mpc(z)), rel=1e-13)
+
+    @pytest.mark.parametrize("z", NON_FINITE)
+    def test_non_finite_argument_is_a_domain_error(self, z):
+        with pytest.raises(DomainError, match="finite"):
             gamma(z)
+        with pytest.raises(DomainError, match="finite"):
+            recip_gamma(z)
+
+    @given(any_complex)
+    @example(-0.5 + 300j)
+    @example(-170.9)
+    @example(1 + 1e308j)
+    @example(1e308)
+    @example(complex(0.5, float("inf")))
+    @example(-200.5)
+    @settings(max_examples=200, deadline=None)
+    def test_answers_or_refuses_everywhere(self, z):
+        _answers_or_refuses(gamma, mp.gamma, z)
 
 
 class TestRecipGamma:
-    # gamma overflows at the first two and underflows to 0 at the third
-    @pytest.mark.parametrize("z", [1e6, 171.7, -151.6 - 32.2j])
+    # 1/Gamma overflows at -200.5, -171.5 and -151.6 - 40i, and is a double
+    # where Gamma overflows (171.7, 171.9) or underflows to 0
+    # (-151.6 - 32.2i); it underflows at 200, 1e6 and 1e308
+    @pytest.mark.parametrize("z", [
+        1e6, 171.7, -151.6 - 32.2j, -200.5, -171.5, -151.6 - 40j, 171.9, 200.0, 1e308,
+    ])
     def test_out_of_range_is_a_divergence(self, z):
-        with pytest.raises(DivergenceError, match="gamma at z = .* overflows"):
-            recip_gamma(z)
+        _divergence_exactly_where_out_of_range(recip_gamma, mp.rgamma, z)
 
     def test_exact_zero_at_poles(self):
         for k in range(0, 8):
             assert recip_gamma(-k) == 0.0
 
+    # within POLE_TOL of a pole, where gamma raises PoleError
+    @pytest.mark.parametrize("z", [3.5e-34, -3.0000000000000004, -7 + 1e-15j, -40 - 2.0**-47])
+    def test_next_to_a_pole(self, z):
+        assert is_nonpos_int(complex(z))
+        _mp_close(recip_gamma(z), mp.rgamma(mp.mpc(z)), rel=1e-12)
+
     def test_entire_elsewhere(self):
         for z in (0.5, 2.0 + 1.0j, -2.5):
             assert abs(recip_gamma(z) * gamma(z) - 1.0) < 1e-12
+
+    @given(any_complex)
+    @example(171.9)
+    @example(200.0)
+    @example(1e6)
+    @example(-200.5)
+    @example(-3.0000000000000004)
+    @example(float("nan"))
+    @settings(max_examples=200, deadline=None)
+    def test_answers_or_refuses_everywhere(self, z):
+        _answers_or_refuses(recip_gamma, mp.rgamma, z)
 
 
 class TestIntegerPredicates:

@@ -60,9 +60,16 @@ class TestArgument:
 
     @pytest.mark.parametrize("mu", [200.5, -200.5])
     def test_gamma_overflow_is_a_divergence(self, mu):
-        # Gamma at |mu| ~ 200 leaves the range of doubles
-        with pytest.raises(DivergenceError, match="gamma at z = "):
-            ferrers_p(ParameterPoint(0.3, mu), 0.5)
+        # 1/Gamma(1 + mu) at |mu| ~ 200 leaves the range of doubles, and P
+        # with it: about 1.2e421 at mu = -200.5, a divergence, and 1.3e-424
+        # at 200.5, the double 0
+        theirs = mp.legenp(0.3, -mu, 0.5, type=2)
+        if abs(theirs) > 1e308:
+            with pytest.raises(DivergenceError, match="gamma at z = "):
+                ferrers_p(ParameterPoint(0.3, mu), 0.5)
+        else:
+            assert abs(theirs) < 1e-323
+            assert ferrers_p(ParameterPoint(0.3, mu), 0.5).value == 0
 
 
 class TestIntegerDegree:
@@ -177,6 +184,18 @@ class TestFerrersP:
                 ref = mp.legenp(k, m, x, type=2)
                 for nu in (k, -k - 1):
                     _close(ferrers_p(ParameterPoint(nu, -m), x).value, ref, rel=1e-12)
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_degree_minus_order_in_n0_at_nonpositive_x(self, k):
+        # nu - mu = k ends the series in (x - 1)/(x + 1) at any degree, and
+        # mu + nu + 1 = -k ends it at the reflected degree -nu - 1.  x = 0 is
+        # left out: at odd k it is a zero of P (DLMF 14.5.1)
+        for nu in (0.3 + 0.2j, -1.45 - 0.7j, 2.6):
+            for mu in (nu - k, -nu - 1 - k):
+                for i in range(1, 20):
+                    x = -0.05 * i
+                    ref = mp.legenp(_mp(nu), -_mp(mu), mp.mpf(x), type=2)
+                    _close(ferrers_p(ParameterPoint(nu, mu), x).value, ref, rel=1e-12)
 
     def test_entire_limit_error(self):
         # 1 + mu in -N0: the limit of 2F1/Gamma(1 + mu), where the series

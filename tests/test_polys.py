@@ -49,6 +49,14 @@ class TestGegenbauer:
     def test_odd_degree_vanishes_at_origin(self):
         assert gegenbauer(7, 2.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("lam", [0.65, -2.0, -1.5 + 0.4j, 2.3 - 1.1j, 0.0, -7.0])
+    @pytest.mark.parametrize("x", [0.0, -0.0])
+    def test_closed_form_at_origin(self, lam, x):
+        # C_2j(0) = (-1)^j (lam)_j / j!, and C_odd(0) = 0 (DLMF 18.6.1 with 18.7.1)
+        for k in range(40):
+            want = 0 if k % 2 else (-1) ** (k // 2) * pochhammer(lam, k // 2) / math.factorial(k // 2)
+            _close(gegenbauer(k, lam, x), want, rel=1e-14)
+
     def test_negative_order_family(self):
         # lambda = 1/2 - tau - n, the shifted family of the uniform estimate
         n, tau, x = 9, 0.4, 0.7

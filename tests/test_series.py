@@ -76,7 +76,7 @@ class TestPrimitives:
 
         def factors():
             return (series.binomial(TAU, 0.6),
-                    series.affine(0.5, 0.5, series.binomial(-0.5, -1.0)))
+                    series.binomial_product(((-0.5, -1.0), (RHO, 0.3))))
 
         a, b = factors()
         got = list(itertools.islice(series.mul(a, b, k), N))
@@ -101,8 +101,8 @@ class TestPrimitives:
 
         def factors():
             return (series.binomial(TAU, 0.6),
-                    series.power(series.affine(2.0, 0.5, series.binomial(RHO, -0.7)),
-                                 0.3 - 0.4j))
+                    series.solve(series.binomial(1.0, 0.4),
+                                 ((0.3 - 0.4j) * v for v in series.binomial(3.0, 0.4)), 2.0))
 
         assert (list(itertools.islice(series.mul(*factors()), N))
                 == list(itertools.islice(dense_mul(*factors()), N)))
@@ -120,17 +120,6 @@ class TestPrimitives:
         b = (TAU * v for v in series.binomial(3.0, 0.4))
         _check(series.solve(series.binomial(1.0, 0.4), b, 1.0),
                _taylor(lambda z: mp.exp(_c(TAU) * z / (1 - 0.4 * z)), 2.5))
-
-    def test_affine(self):
-        _check(series.affine(3.0, -2.0, series.binomial(TAU, 0.6)),
-               _taylor(lambda z: 3 - 2 * (1 - 0.6 * z) ** -_c(TAU), 1 / 0.6))
-
-    def test_power(self):
-        # the base has no zero in |z| < 0.8
-        alpha = 0.3 - 0.4j
-        f = series.affine(2.0, 0.5, series.binomial(TAU, 0.6))
-        _check(series.power(f, alpha),
-               _taylor(lambda z: (2 + 0.5 * (1 - 0.6 * z) ** -_c(TAU)) ** _c(alpha), 0.8))
 
     def test_solve_needs_nonzero_lead(self):
         with pytest.raises(ValueError):
@@ -176,12 +165,19 @@ FAMILIES = {
     "omega_minus": (
         coeffs.omega_pm_seq, coeffs.omega_pm, (NU, MU, 0.7, -1),
         lambda z: (1 + 0.7 * z) ** -_c(NU) * _half_root(z * z, 1) ** -_c(MU), 1.0),
+    # frak_D to index 159, the series cap
     "frak_D": (
         coeffs.frak_D_seq, coeffs.frak_D, (TAU, 0.65, False),
-        lambda u: (1 + 0.65 * mp.sqrt(1 - 2 * u)) ** -_c(TAU), 0.5),
+        lambda u: (1 + 0.65 * mp.sqrt(1 - 2 * u)) ** -_c(TAU), 0.5, 160),
     "frak_D_inverted": (
         coeffs.frak_D_seq, coeffs.frak_D, (TAU, 0.65, True),
-        lambda u: (1 + mp.sqrt(1 - 2 * u) / mp.mpf(0.65)) ** -_c(TAU), 0.5),
+        lambda u: (1 + mp.sqrt(1 - 2 * u) / mp.mpf(0.65)) ** -_c(TAU), 0.5, 160),
+    "frak_D_inverted_small_xarg": (
+        coeffs.frak_D_seq, coeffs.frak_D, (TAU, 0.05, True),
+        lambda u: (1 + mp.sqrt(1 - 2 * u) / mp.mpf(0.05)) ** -_c(TAU), 0.5, 160),
+    "frak_D_tau-3": (
+        coeffs.frak_D_seq, coeffs.frak_D, (-3.0, 0.65, False),
+        lambda u: (1 + 0.65 * mp.sqrt(1 - 2 * u)) ** 3, 0.5, 160),
 }
 # the half-root power of sqrt(1 - z) (frak_p) and of sqrt(1 + z^2)
 # (omega_plus) at integer exponents, where its term ratio meets 0/0, and next
