@@ -12,7 +12,7 @@ import json
 import re
 import sys
 
-from .errors import ConvergenceError, LegdualError
+from .errors import ConvergenceError, DomainError, LegdualError
 from .harness import HarnessConfig, asymptotic_checks, convergence_table, run_suite
 from .hypergeom import DEFAULT_POLICY, TruncationPolicy
 from .legendre import ParameterPoint, ferrers_p, legendre_p, legendre_q
@@ -239,7 +239,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         stop_text = (f"stop_reason={report.stop_reason} "
                      f"extrap_err={report.extrap_err:.6e} "
                      f"terms_used={report.terms_used}")
-    except ConvergenceError as exc:
+    except (ConvergenceError, DomainError) as exc:
         stop = {"stop_reason": None, "extrap_err": None, "terms_used": None,
                 "error": f"{type(exc).__name__}: {exc}"}
         stop_text = f"error={stop['error']}"

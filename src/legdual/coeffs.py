@@ -98,9 +98,8 @@ def frak_C_scaled(n: int, alpha: float, tau: complex) -> complex:
     geg = gegenbauer(n, 0.5 - tau - n, math.tanh(alpha))
     # 2^(tau-n) (2tau)_n / (1/2+tau)_n cosh^n(alpha) e^(-alpha n), interleaved
     scale = 0.25 * (1.0 + math.exp(-2.0 * alpha))  # cosh(a) e^(-a) / 2
-    pre = cmath.exp(tau * math.log(2.0))
-    for l in range(n):
-        pre *= (2.0 * tau + l) / (0.5 + tau + l) * scale
+    pre = math.prod(((2.0 * tau + l) / (0.5 + tau + l) * scale for l in range(n)),
+                    start=cmath.exp(tau * math.log(2.0)))
     return pre * geg
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "gauss_2f1",
     "pfq_terminating",
     "KahanSum",
-    "is_nonpos_int",
     "nearest_int",
     "terminating_index",
 ]
@@ -102,13 +101,6 @@ def terminating_index(*params: complex, tol: float = INT_TOL) -> int | None:
     return least
 
 
-def is_nonpos_int(z: complex, tol: float = POLE_TOL) -> bool:
-    """terminating_index(z, tol=tol) is not None, unrolled for one
-    parameter: every gamma call asks it."""
-    k = round(-z.real)
-    return k >= 0 and abs(z + k) <= tol
-
-
 def nearest_int(z: complex, tol: float) -> int | None:
     """The integer within tol of both parts of z, else None."""
     if isinstance(z, int):
@@ -128,11 +120,8 @@ def pochhammer(a: complex, n: int) -> complex:
     """
     if n < 0:
         raise ValueError("pochhammer index must be nonnegative")
-    result = complex(1.0)
     a = complex(a)
-    for l in range(n):
-        result *= a + l
-    return result
+    return math.prod((a + l for l in range(n)), start=complex(1.0))
 
 
 # Lanczos coefficients, Godfrey's set for g = 607/128 (15 terms).
@@ -179,20 +168,16 @@ def _sin_pi(z: complex) -> complex:
 
 def _gamma_from_log(z: complex, sign: int) -> complex:
     """gamma(z)^sign, sign = +/-1, from log gamma(z): 0 where it underflows,
-    DivergenceError unless it is a finite double.  Left of 1/2 it reflects,
-    with log sin(pi z) = log(pi (z - n)) + i pi n within POLE_TOL of an
-    integer n, and sin(u + iv) = (e^|v| / 2) i s e^(-i s u), s the sign of v,
-    past |v| = 300; past 2^1000 there, gamma(z) is 0 in doubles."""
+    DivergenceError unless it is a finite double, real where z is.  Left of
+    1/2 it reflects, with sin(u + iv) = (e^|v| / 2) i s e^(-i s u), s the
+    sign of v, past |v| = 300; past 2^1000 there, gamma(z) is 0 in doubles."""
     if z.real >= 0.5:
         log_value = _loggamma_right(z)
     elif max(abs(z.real), abs(z.imag)) > 2.0**1000:
         log_value = complex(-math.inf)
     else:
-        n = round(z.real)
         u, v = math.pi * z.real, math.pi * z.imag
-        if abs(z - n) <= POLE_TOL:
-            log_sin = math.log(math.pi) + cmath.log(z - n) + 1j * math.pi * (n % 2)
-        elif abs(v) <= 300.0:
+        if abs(v) <= 300.0:
             log_sin = cmath.log(_sin_pi(z))
         else:
             log_sin = abs(v) - math.log(2.0) + 1j * math.copysign(1.0, v) * (math.pi / 2 - u)
@@ -203,7 +188,8 @@ def _gamma_from_log(z: complex, sign: int) -> complex:
     try:
         value = cmath.exp(log_value)
         if cmath.isfinite(value):
-            return value
+            # exp(i pi) is not exactly -1: a real z keeps a real value
+            return value if z.imag else complex(value.real)
     except (OverflowError, ValueError):
         pass
     raise DivergenceError(f"gamma at z = {z}: gamma^{sign} overflows the range of doubles")
@@ -217,7 +203,7 @@ def gamma(z: complex) -> complex:
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"gamma needs a finite argument, got z = {z}")
-    if is_nonpos_int(z):
+    if terminating_index(z, tol=POLE_TOL) is not None:
         raise PoleError(f"gamma pole at z = {z}")
     try:
         if z.real < 0.5:
@@ -235,14 +221,15 @@ def gamma(z: complex) -> complex:
 def recip_gamma(z: complex) -> complex:
     """Entire reciprocal gamma: exact 0 at nonpositive integers, else
     1/gamma(z), from log space where gamma raises (within POLE_TOL of a pole
-    too).  A non-finite z raises DomainError."""
+    too, where `_sin_pi` keeps the sine's digits).  A non-finite z raises
+    DomainError."""
     z = complex(z)
     try:
         value = 1.0 / gamma(z)
         if cmath.isfinite(value):
             return value
     except (ZeroDivisionError, PoleError, DivergenceError):
-        if is_nonpos_int(z, 0.0):
+        if terminating_index(z, tol=0.0) is not None:
             return 0j
     return _gamma_from_log(z, -1)
 

@@ -26,7 +26,6 @@ from .hypergeom import (
     TruncationPolicy,
     gamma,
     gauss_2f1,
-    is_nonpos_int,
     nearest_int,
     pochhammer,
     recip_gamma,
@@ -71,7 +70,7 @@ def _f_over_gamma_c(
     (a)_{m+1} (b)_{m+1} t^{m+1} / (m+1)! 2F1(a+m+1, b+m+1; m+2; t), zero
     where the series terminates below index m + 1.
     """
-    if not is_nonpos_int(c):
+    if terminating_index(c, tol=POLE_TOL) is None:
         return _scaled(recip_gamma(c), gauss_2f1(a, b, c, t, policy))
     m = int(round(-c.real))
     stop = terminating_index(a, b)
@@ -153,7 +152,7 @@ def legendre_q(p: ParameterPoint, x: float,
     if not 1.0 < x < math.inf:
         raise DomainError(f"legendre_q requires 1 < x < inf, got {x}")
     nu, mu = p.nu, p.mu
-    if is_nonpos_int(nu - mu + 1.0):
+    if terminating_index(nu - mu + 1.0, tol=POLE_TOL) is not None:
         raise PoleError(f"gamma prefactor pole at nu - mu + 1 = {nu - mu + 1.0}")
     # (x - 1)(x + 1) would overflow above about 1.34e154
     s = math.sqrt(x - 1.0) * math.sqrt(x + 1.0)
@@ -188,9 +187,7 @@ def _P_int(nu: complex, mu: complex, x: float,
         pnn = math.sqrt(x * x - 1.0) ** n
     if n > k:
         return SeriesValue(0j, k + 1, 0.0)
-    for i in range(1, 2 * n, 2):
-        pnn *= i
-    cur = pnn
+    cur = pnn = math.prod(range(1, 2 * n, 2), start=pnn)
     if k > n:
         prev, cur = pnn, (2.0 * n + 1.0) * x * pnn
         for deg in range(n + 1, k):

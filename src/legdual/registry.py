@@ -22,10 +22,11 @@ y = 1/x) makes one direct evaluation and the other values by Olver's
 forward elimination on the order recurrence, one sweep whose tail bound
 also sets its depth.
 
-The finite sums write their terms out, but factors that move with the term
-still advance term to term: Pochhammer symbols as running products
-(`_rising`, read backwards from a list where the index falls), gamma
-quotients as one quotient times their rational ratio, and Gegenbauer
+The finite sums write their terms out, but most factors that move with the
+term still advance term to term: Pochhammer symbols as running products
+(`_rising`, read backwards from a list where the index falls; cor2,
+cor11.a and cor11.b still call `pochhammer` per term), gamma quotients as
+one quotient times their rational ratio, and Gegenbauer
 polynomials C_n^(s-n) whose degree plus parameter s is fixed along the sum
 from one `gegenbauer_seq` per diagonal (again read backwards from a list
 where the degree falls).  The corollaries come in twins, stated at x and at
@@ -60,6 +61,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 import random
 from collections import namedtuple
 from collections.abc import Iterator
@@ -301,19 +303,15 @@ def _P_half_chain(nu: complex, mu: complex, y: float, diag: int) -> Iterator[com
     n are two chains, interleaved."""
     even = _P_chain(nu, mu, y, diag)
     odd = _P_chain(complex(nu) + 0.5 * diag, complex(mu) + 0.5, y, diag)
-    for e, o in zip(even, odd):
-        yield e
-        yield o
+    return itertools.chain.from_iterable(zip(even, odd))
 
 
 def _rising(a: complex) -> Iterator[complex]:
     """(a)_0, (a)_1, ...: each the one before times (a + n - 1), the product
     `pochhammer` forms, so each value is bit-identical to it."""
     a = complex(a)
-    poch = complex(1.0)
-    for n in itertools.count():
-        yield poch
-        poch *= a + n
+    return itertools.accumulate((a + n for n in itertools.count()), operator.mul,
+                                initial=complex(1.0))
 
 
 def _rising_half(a: complex) -> Iterator[complex]:
@@ -321,10 +319,11 @@ def _rising_half(a: complex) -> Iterator[complex]:
     are two running products, from 1/Gamma((a + 1)/2) and a/Gamma(a/2 + 1),
     each step times 2(a + n) (Gamma(w + 1) = w Gamma(w), DLMF 5.5.1)."""
     a = complex(a)
-    r = [recip_gamma(0.5 * (a + 1.0)), a * recip_gamma(0.5 * a + 1.0)]
-    for n in itertools.count():
-        yield r[n & 1]
-        r[n & 1] *= 2.0 * (a + n)
+    even = itertools.accumulate((2.0 * (a + n) for n in itertools.count(0, 2)), operator.mul,
+                                initial=recip_gamma(0.5 * (a + 1.0)))
+    odd = itertools.accumulate((2.0 * (a + n) for n in itertools.count(1, 2)), operator.mul,
+                               initial=a * recip_gamma(0.5 * a + 1.0))
+    return itertools.chain.from_iterable(zip(even, odd))
 
 
 def _product(c: complex, r: float, *streams: Iterator[complex]) -> Iterator[complex]:
@@ -523,7 +522,10 @@ def evaluate_identity(identity_id: str, params: dict, x: float) -> IdentityRepor
     max(|lhs|, |rhs|) or, for a finite or vanishing sum, to the largest
     term.  rel_err is on the scale the kind is judged by: the largest term
     for a vanishing sum (lhs = 0), the value otherwise.  A point `_point`
-    refuses raises DomainError, and a side that is not finite DivergenceError."""
+    refuses raises DomainError, and a side that is not finite DivergenceError.
+    A finite sum whose largest term times 2^-52 exceeds |lhs| raises
+    DomainError too: no sum of those terms in doubles holds a digit of the
+    value, so the term scale would pass it vacuously."""
     entry = get_descriptor(identity_id)
     p, x, at_boundary = _point(entry, params, x)
     lhs = complex(entry.lhs(p, x))
@@ -531,6 +533,9 @@ def evaluate_identity(identity_id: str, params: dict, x: float) -> IdentityRepor
     rhs = rhs_sum.value
     if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
         raise DivergenceError(f"{identity_id}: lhs = {lhs}, rhs = {rhs} at {p}, x = {x}")
+    if entry.kind is Kind.FINITE_SUM and rhs_sum.max_mag * _EPS > abs(lhs):
+        raise DomainError(f"{identity_id}: the largest term, {rhs_sum.max_mag:.3g}, leaves no "
+                          f"digit of |lhs| = {abs(lhs):.3g} in doubles at {p}, x = {x}")
     abs_err = abs(lhs - rhs)
     series = entry.kind is Kind.INFINITE_SERIES
     tol = TOL_FINITE if not series else TOL_BOUNDARY if at_boundary else TOL_SERIES
@@ -1028,10 +1033,9 @@ def _build_catalog() -> None:
         / (Gamma(lam+2k-r) Gamma(2lam+3k)) for r = 0, 1, ...:
         Y(0) = (2lam+3k)_k / (lam+k)_k, and each step multiplies by
         (lam+2k-r-1) / (2lam+4k-r-1)."""
-        y = pochhammer(2.0 * lam + 3 * k, k) / pochhammer(lam + k, k)
-        for r in itertools.count():
-            yield y
-            y *= (lam + 2 * k - r - 1) / (2.0 * lam + 4 * k - r - 1)
+        return itertools.accumulate(
+            ((lam + 2 * k - r - 1) / (2.0 * lam + 4 * k - r - 1) for r in itertools.count()),
+            operator.mul, initial=pochhammer(2.0 * lam + 3 * k, k) / pochhammer(lam + k, k))
 
     def cor7_wide_check(p):
         """cor7_Y divides by zero at a pole of Gamma(lam + 2k - r), r <= 2k
@@ -1283,10 +1287,9 @@ def _build_catalog() -> None:
         gamma quotient at n = 0, then its rational ratio from n to n + 1."""
         a, b = -4 * l - 2.0 * mu - 2.0, mu + 0.5
         c, d = -0.5 - 2 * l - mu, 2.0 * mu + 2 * l + 2.0
-        t = gamma(a) * gamma(b) / (gamma(c) * gamma(d))
-        for n in itertools.count():
-            yield t
-            t *= -(a + n) * (b + n) / ((c + n) * (d + n))
+        return itertools.accumulate(
+            (-(a + n) * (b + n) / ((c + n) * (d + n)) for n in itertools.count()),
+            operator.mul, initial=gamma(a) * gamma(b) / (gamma(c) * gamma(d)))
 
     def cor11a_terms(p, x):
         k, mu = p["k"], p["mu"]

@@ -22,9 +22,10 @@ product of k binomials, and the only pole to guard is a(0) = 0.
 
 import functools
 import itertools
+import operator
 from collections.abc import Iterable, Iterator
 
-from .hypergeom import is_nonpos_int
+from .hypergeom import terminating_index
 
 __all__ = ["binomial", "mul", "solve", "binomial_product", "nth"]
 
@@ -39,10 +40,8 @@ def nth(stream: Iterator[complex], n: int) -> complex:
 def binomial(tau: complex, w: complex) -> Iterator[complex]:
     """(1 - w z)^(-tau): (tau)_k w^k / k!."""
     tau, w = complex(tau), complex(w)
-    c = complex(1.0)
-    for k in itertools.count():
-        yield c
-        c *= (tau + k) * w / (k + 1)
+    return itertools.accumulate(((tau + k) * w / (k + 1) for k in itertools.count()),
+                                operator.mul, initial=complex(1.0))
 
 
 def mul(a: Iterable[complex], b: Iterable[complex], k: int = 1) -> Iterator[complex]:
@@ -124,7 +123,7 @@ def binomial_product(pairs: Iterable[tuple[complex, complex]]) -> Iterator[compl
             halves.append(rest.pop(rest.index((t, -w))))
         elif t != 0 and w != 0:
             rest.append((t, w))
-    near = [is_nonpos_int(t, 1e-3) for t, _ in rest]
+    near = [terminating_index(t, tol=1e-3) is not None for t, _ in rest]
     if any(near):
         free = [w for (_, w), n in zip(rest, near) if not n]
         reach = max(map(abs, free), default=0.0)

@@ -197,6 +197,13 @@ class TestVerify:
         assert out == "" and err.startswith("error: cor2.a: lhs = ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_finite_sum_that_holds_no_digit_exit_one(self, capsys):
+        # the largest term is 6.7e23 |lhs|: a refused point, not a pass
+        assert main(["verify", "cor2.a", "--k", "30", "--mu", "0.3+0.2i", "--x", "0.5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cor2.a: the largest term")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_failing_point_exit_two(self, capsys):
         # a slowly converging point the summation cannot resolve in doubles
         # values starting with a minus need the = form so argparse keeps them
@@ -336,6 +343,19 @@ class TestConvergenceCommand:
             assert r["failure"] == "ConvergenceError: no estimate is finite, at 160 terms"
             assert r["terms_used"] == r["stop_reason"] == r["extrap_err"] == ""
             assert float(r["error"]) > 0
+
+    def test_finite_sum_that_holds_no_digit_is_a_failure(self, capsys):
+        # the rows still print; the refusal takes the stop's place
+        argv = ["convergence", "cor2.a", "--k", "30", "--mu", "0.3+0.2i", "--x", "0.5",
+                "--n-max", "30"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["rows"]) == 31
+        assert doc["stop_reason"] is None and doc["terms_used"] is None
+        assert doc["error"].startswith("DomainError: cor2.a: the largest term")
+        assert main(argv + ["--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert all(r["failure"] == doc["error"] for r in rows)
 
     def test_terminated_sum(self, capsys):
         rc = main(["convergence", "thm4.fwd", "--nu=-2", "--mu", "0.7",

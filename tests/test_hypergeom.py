@@ -26,7 +26,6 @@ from legdual.hypergeom import (
     TruncationPolicy,
     gamma,
     gauss_2f1,
-    is_nonpos_int,
     nearest_int,
     pfq_terminating,
     pochhammer,
@@ -122,7 +121,7 @@ class TestGamma:
                               allow_nan=False, allow_infinity=False))
     @settings(max_examples=80, deadline=None)
     def test_recurrence(self, z):
-        if is_nonpos_int(z, 0.05) or is_nonpos_int(z + 1, 0.05):
+        if terminating_index(z, z + 1, tol=0.05) is not None:
             return
         lhs = gamma(z + 1)
         rhs = z * gamma(z)
@@ -191,8 +190,19 @@ class TestRecipGamma:
     # within POLE_TOL of a pole, where gamma raises PoleError
     @pytest.mark.parametrize("z", [3.5e-34, -3.0000000000000004, -7 + 1e-15j, -40 - 2.0**-47])
     def test_next_to_a_pole(self, z):
-        assert is_nonpos_int(complex(z))
+        assert terminating_index(complex(z), tol=POLE_TOL) is not None
         _mp_close(recip_gamma(z), mp.rgamma(mp.mpc(z)), rel=1e-12)
+
+    # exp(i pi) is not exactly -1: log space must still answer a real
+    # argument with a real value
+    @pytest.mark.parametrize("f,ref,z", [
+        (recip_gamma, mp.rgamma, -3.0000000000000004), (gamma, mp.gamma, -170.9),
+        (recip_gamma, mp.rgamma, 171.9), (gamma, mp.gamma, -171.5),
+    ])
+    def test_real_argument_answers_real_in_log_space(self, f, ref, z):
+        value, expect = f(z), float(ref(mp.mpf(z)))
+        assert value.imag == 0.0
+        assert abs(value.real - expect) <= 1e-10 * abs(expect)
 
     def test_entire_elsewhere(self):
         for z in (0.5, 2.0 + 1.0j, -2.5):
@@ -222,14 +232,13 @@ class TestIntegerPredicates:
     @settings(max_examples=100, deadline=None)
     def test_is_nonpos_int_is_distance_to_nonpositive_integers(self, z, tol):
         nearest = min(round(z.real), 0)
-        assert is_nonpos_int(z, tol) == (abs(z - nearest) <= tol)
-        assert is_nonpos_int(z, tol) == (terminating_index(z, tol=tol) is not None)
+        assert (terminating_index(z, tol=tol) is not None) == (abs(z - nearest) <= tol)
 
     def test_is_nonpos_int(self):
-        assert is_nonpos_int(0.0)
-        assert is_nonpos_int(-5.0 + 0j)
-        assert not is_nonpos_int(2.0)
-        assert not is_nonpos_int(-1.5)
+        assert terminating_index(0.0, tol=POLE_TOL) == 0
+        assert terminating_index(-5.0 + 0j, tol=POLE_TOL) == 5
+        assert terminating_index(2.0, tol=POLE_TOL) is None
+        assert terminating_index(-1.5, tol=POLE_TOL) is None
 
     def test_terminating_index(self):
         assert terminating_index(-4.0) == 4
@@ -281,6 +290,11 @@ class TestGauss2F1:
         policy = TruncationPolicy(rel_tol=1e-13, max_terms=5)
         with pytest.raises(MaxTermsError):
             gauss_2f1(0.3, 0.7, 1.2, 0.9, policy)
+
+    @pytest.mark.parametrize("t", [1.0, -1.5])
+    def test_nonterminating_outside_the_unit_disc_diverges(self, t):
+        with pytest.raises(DivergenceError, match=">= 1"):
+            gauss_2f1(0.3, 0.7, 1.2, t)
 
 
 def _reference_2f1(a, b, c, t, policy=DEFAULT_POLICY):

@@ -255,6 +255,29 @@ class TestEvaluate:
     def test_cor7_next_to_the_poles(self, ident, k, lam):
         assert evaluate_identity(ident, {"k": k, "lam": complex(lam)}, 0.35).passed
 
+    # the largest term is 5.5e15, 6.7e23, 2.7e50 and 1.3e81 times |lhs|: no
+    # sum of those terms in doubles holds a digit of the value
+    @pytest.mark.parametrize("ident,params", [
+        ("cor2.a", {"k": 20, "mu": 0.3 + 0.2j}),
+        ("cor2.a", {"k": 30, "mu": 0.3 + 0.2j}),
+        ("cor7.b", {"k": 40, "lam": 0.3 + 0.4j}),
+        ("cor10.a", {"k": 90, "m": 3}),
+    ])
+    def test_finite_sum_that_holds_no_digit_refused(self, ident, params):
+        with pytest.raises(DomainError, match="no digit"):
+            evaluate_identity(ident, params, 0.5)
+
+    # at k = 16 the largest term is 1.7e13 |lhs|, inside the doubles: the
+    # term scale still judges it
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_finite_sum_inside_the_doubles_judged_as_before(self, k):
+        r = evaluate_identity("cor2.a", {"k": k, "mu": 0.3 + 0.2j}, 0.5)
+        assert r.passed and r.tolerance_used == TOL_FINITE
+
+    def test_thm8_g2_needs_re_nu_above_minus_one(self):
+        with pytest.raises(DomainError, match="Re nu > -1"):
+            evaluate_identity("thm8.g2", {"nu": -1.2 + 0.3j, "mu": 0.4 - 0.2j}, 0.5)
+
     @pytest.mark.parametrize("ident", ["thm7.q2", "thm7.q4", "thm8.g1"])
     @pytest.mark.parametrize("x", [0.2, 0.35, 0.5, 0.65])
     def test_terminating_series_lift_the_degree_condition(self, ident, x):

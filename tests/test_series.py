@@ -66,6 +66,15 @@ class TestPrimitives:
         _check(series.mul(series.binomial(RHO, 0.6), series.binomial(TAU, -1.0), 2),
                _taylor(lambda z: (1 - 0.6 * z) ** -_c(RHO) * (1 + z * z) ** -_c(TAU), 1.0))
 
+    def test_mul_compensates_its_sums(self):
+        # (1 + 1e-16 z/(1 - z)) / (1 - z): the coefficient of z^n is
+        # 1 + n 1e-16, and each 1e-16 alone is under half an ulp of 1, so an
+        # uncompensated sum stays at 1
+        a = itertools.chain((1.0 + 0j,), itertools.repeat(1e-16 + 0j))
+        got = list(itertools.islice(series.mul(a, itertools.repeat(1.0 + 0j)), 41))
+        for n, c in enumerate(got):
+            assert c.imag == 0.0 and abs(c.real - float(1 + n * mp.mpf(1e-16))) <= 2.3e-16, n
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_strided_mul_is_dense_product_of_spread_stream(self, k):
         # b(z^k) spelled out with its zeros, multiplied densely
