@@ -92,10 +92,14 @@ class KahanSum:
 
 def terminating_index(*params: complex, tol: float = INT_TOL) -> int | None:
     """The least k >= 0 with one of params within tol of -k, else None: the
-    index at which a Pochhammer product over those params first vanishes."""
+    index at which a Pochhammer product over those params first vanishes.
+    A parameter with a non-finite real part raises DomainError."""
     least = None
     for a in params:
-        k = round(-a.real)
+        try:
+            k = round(-a.real)
+        except (ValueError, OverflowError):
+            raise DomainError(f"parameter {a} is not finite") from None
         if k >= 0 and abs(a + k) <= tol and (least is None or k < least):
             least = k
     return least
@@ -116,12 +120,18 @@ def pochhammer(a: complex, n: int) -> complex:
     """Rising factorial: product of (a+l) for l = 0..n-1.
 
     Exact product, never formed from gamma ratios, so nonpositive-integer a
-    gives an exact zero instead of a pole.
+    gives an exact zero instead of a pole.  A non-finite a raises
+    DomainError, a product past the doubles DivergenceError.
     """
     if n < 0:
         raise ValueError("pochhammer index must be nonnegative")
     a = complex(a)
-    return math.prod((a + l for l in range(n)), start=complex(1.0))
+    if not cmath.isfinite(a):
+        raise DomainError(f"pochhammer needs a finite argument, got a = {a}")
+    value = math.prod((a + l for l in range(n)), start=complex(1.0))
+    if not cmath.isfinite(value):
+        raise DivergenceError(f"pochhammer({a}, {n}) overflows the range of doubles")
+    return value
 
 
 # Lanczos coefficients, Godfrey's set for g = 607/128 (15 terms).
@@ -260,10 +270,12 @@ def gauss_2f1(
     term where `bound` is no longer finite or abs overflows, in a
     terminating one where the total is not finite.  `bound` leaves the
     finite range only on a term that fails the first comparison, so it is
-    checked there alone.
+    checked there alone.  Non-finite parameters or t raise DomainError.
     """
     a, b, c = complex(a), complex(b), complex(c)
     t = float(t)
+    if not all(map(cmath.isfinite, (a, b, c, t))):
+        raise DomainError(f"2F1 needs finite parameters and argument, got {a}, {b}, {c}, {t}")
     n_stop = terminating_index(a, b)
     nc = terminating_index(c, tol=POLE_TOL)
     if nc is not None and (n_stop is None or nc < n_stop):

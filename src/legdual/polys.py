@@ -16,13 +16,15 @@ factors from one `series.binomial_product` call (their contiguous
 three-term recurrence).  The scalar `<family>(n, ...)` is the n-th element.
 """
 
+import cmath
 import itertools
 import math
 import sys
 from collections.abc import Iterator
 
+from .errors import DomainError
 from .hypergeom import KahanSum, pfq_terminating, pochhammer, terminating_index
-from .series import binomial_product, nth
+from .series import binomial_product, nth, recurrence
 
 __all__ = [
     "gegenbauer",
@@ -54,11 +56,14 @@ def _balanced_term(tau: complex, k: int, j: int, two_x: float) -> complex:
 
 
 def gegenbauer(k: int, tau: complex, x: float) -> complex:
-    """Gegenbauer polynomial by its explicit alternating sum."""
+    """Gegenbauer polynomial by its explicit alternating sum.  A non-finite
+    parameter or x raises DomainError."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
     tau = complex(tau)
     x = float(x)
+    if not (cmath.isfinite(tau) and math.isfinite(x)):
+        raise DomainError(f"gegenbauer needs a finite parameter and x, got {tau}, {x}")
     jmax = k // 2
     two_x = 2.0 * x
 
@@ -107,24 +112,17 @@ def gegenbauer_seq(s: complex, x: float) -> Iterator[complex]:
     from the Gegenbauer differential equation and
     d/dx C_n^(lam) = 2 lam C_{n-1}^(lam+1) (DLMF 18.8-18.9).  For |x| < 1
     the diagonal grows like (2 + 2|x|)^n against (2 - 2|x|)^n for the other
-    solution, so the forward recurrence is stable.  The indices that
-    `_diagonal_unstable` names come from the explicit sum instead."""
+    solution, so the forward recurrence (`series.recurrence`) is stable.
+    The indices that `_diagonal_unstable` names come from the explicit sum
+    instead."""
     s = complex(s)
     x = float(x)
     w = 1.0 - x * x
-    d2 = complex(1.0)
-    yield d2
-    d1 = (s - 1.0) * (2.0 * x)
-    yield d1
-    for n in itertools.count(2):
-        a = s - n
-        if _diagonal_unstable(s, x, n):
-            d = gegenbauer(n, a, x)
-        else:
-            d = (2.0 * a * (2.0 * a + 1.0) * x * d1
-                 - 4.0 * a * (a + 1.0) * w * d2) / (n * (2.0 * s - n))
-        yield d
-        d2, d1 = d1, d
+    coefs = (None if _diagonal_unstable(s, x, n)
+             else (2.0 * a * (2.0 * a + 1.0) * x, 4.0 * a * (a + 1.0) * w, n * (2.0 * s - n))
+             for n, a in zip(itertools.count(2), map(s.__sub__, itertools.count(2))))
+    return recurrence(coefs, complex(1.0), (s - 1.0) * (2.0 * x),
+                      direct=lambda n: gegenbauer(n, s - n, x))
 
 
 def jacobi(n: int, a: complex, b: complex, x: float) -> complex:

@@ -16,11 +16,9 @@ real r folds every power base^(b n) and every sign (-1)^n.  The streams are
 the coefficient sequence, (mu - nu)_n (`_rising`) or, in the half-order
 series, (mu - nu)_n/Gamma((mu - nu + n + 1)/2) (`_rising_half`), the
 reciprocals of a divisor such as (nu + 1/2)_n, and P at shifted order, some
-also at shifted degree: a P chain (`_P_chain`, `_P_half_chain` for
+also at shifted degree: a P chain of `legendre` (`_P_half_chain` for
 half-step orders; thm4.fwd, thm6.p1a and thm8.r2 take the diagonal at
-y = 1/x) makes one direct evaluation and the other values by Olver's
-forward elimination on the order recurrence, one sweep whose tail bound
-also sets its depth.
+y = 1/x).
 
 The finite sums write their terms out, but most factors that move with the
 term still advance term to term: Pochhammer symbols as running products
@@ -81,7 +79,7 @@ from .hypergeom import (
     recip_gamma,
     terminating_index,
 )
-from .legendre import _P
+from .legendre import _P, _P_chain, _P_half_chain
 from .polys import bateman_g_seq, gegenbauer, gegenbauer_seq, mittag_leffler_g_seq
 
 __all__ = [
@@ -108,10 +106,6 @@ TOL_BOUNDARY = 1e-6
 _SERIES_CAP = 160
 _TINY = 1e-300
 _EPS = 2.0**-52
-
-# P chains: values in the first block, deepest sweep
-_CHAIN_BLOCK = 16
-_CHAIN_MAX_DEPTH = 4096
 
 # Wynn stop: estimates W_n, W_{n-2}, W_{n-4} agree to _WYNN_TOL relative,
 # tested from _WYNN_MIN_TERMS terms on
@@ -204,106 +198,6 @@ def _cpow(base: float, expo: complex) -> complex:
     if base <= 0.0:
         raise DomainError(f"power base {base} must be positive")
     return cmath.exp(complex(expo) * math.log(base))
-
-
-def _P_chain(nu: complex, mu: complex, y: float, diag: int) -> Iterator[complex]:
-    """P(nu + k*diag, mu + k, y) for k = 0, 1, ... with diag 0 (fixed degree)
-    or 1 (degree and order shifted together).
-
-    One direct value f_0; the others solve the order recurrence f_k = a_k
-    f_{k+1} + b_k f_{k+2} (DLMF 14.10.1/14.10.6; 14.10.1-14.10.3 for the
-    diagonal) from it by Olver's forward elimination.  One sweep keeps
-    sigma_i = p_i/p_{i+1} of the solution with p_0 = 0, p_1 = 1, and t_i =
-    e_i/(p_i p_{i+1}), e_i = f_0 prod_{j<i} (-1/b_j); then f_k = p_k z_k,
-    z_k = sum_{i>=k} t_i.  t decays like q^i, q = |1-y|/(1+y) at fixed
-    degree and |1 - y^2| on the diagonal (below 1 there exactly for y <
-    2^1/2: the reciprocal arguments of the window (2^-1/2, 1)).  The values
-    below `need` are yielded once the tail bound |t_N|/(1 - q) at the
-    sweep's depth N is at most eps |z_k| at each of them; its shortfall sets
-    how much deeper the sweep goes, and `need` doubles each time the
-    consumer passes it.  A chain whose k = 0 value is zero, where P is not
-    the minimal solution (q >= 1), or whose bound asks for a sweep past
-    _CHAIN_MAX_DEPTH, falls back to direct values."""
-    f = _P(nu, mu, y)
-    yield f
-    nu, mu = complex(nu), complex(mu)
-    k = 1
-    s = math.sqrt(abs(1.0 - y * y))
-    q = s * s if diag else abs(1.0 - y) / (1.0 + y)
-    if f != 0 and q < 1.0:
-        sign = 1.0 if y < 1.0 else -1.0
-        # a_j is linear in j and -b_j quadratic
-        if diag:
-            a0 = ((2.0 * nu + 3.0) * (1.0 - y * y) + 2.0 * (mu + 1.0)) / s
-            a1 = 2.0 * (2.0 - y * y) / s
-            c, b0, b1, b2 = sign, nu + mu + 3.0, nu + mu + 4.0, 2
-        else:
-            a0, a1 = 2.0 * (mu + 1.0) * y / s, 2.0 * y / s
-            c, b0, b1, b2 = -sign, nu + mu + 2.0, mu - nu + 1.0, 1
-        # sig[i] = sigma_i and t[i] = t_i up to scale: t_i = sigma_{i-1}
-        # t_{i-1}/w_{i-1} restarts as 1/w_{i-1} at i = 1, before it underflows
-        # and where b_{i-2} = 0 (terminating nu +- mu) makes sigma_{i-1} = 0.
-        # There z_{i-1} = t_{i-1} + links[i] z_i, links[i] = sigma_{i-1}
-        # t_{i-1} (0: the values below i are finite sums); elsewhere it is 1.
-        sig, t, links = [0j], [0j], {}
-        tol = (1.0 - q) * _EPS
-        need = depth = _CHAIN_BLOCK
-        while True:
-            sg, tj = sig[-1], t[-1]
-            for j in range(len(t) - 1, min(depth, _CHAIN_MAX_DEPTH)):
-                w = a0 + a1 * j - sg
-                if w == 0:
-                    break
-                u = sg * tj
-                if abs(u) < 1e-150:
-                    links[j + 1], u = u, 1.0
-                sg = c * (b0 + b2 * j) * (b1 + b2 * j) / w
-                tj = u / w
-                sig.append(sg)
-                t.append(tj)
-            n = len(t) - 1
-            if n < need:
-                break
-            # z_n, z_{n-1}, ..., z_k: running sums of t from n backwards,
-            # carried across each restart by its link, and beside each the
-            # last term t_n at the scale of its index
-            zs, tails, carry, tail, hi = [], [], 0j, t[n], n + 1
-            for lo in sorted((i for i in links if k < i <= n), reverse=True) + [k]:
-                zs.extend(itertools.islice(
-                    itertools.accumulate(reversed(t[lo:hi]), initial=carry), 1, None))
-                tails += [tail] * (hi - lo)
-                link = links.get(lo, 0j)
-                carry, tail, hi = link * zs[-1], link * tail, lo
-            block = zs[:n - need:-1]
-            short = max(abs(tl) / abs(z) if z else math.inf
-                        for z, tl in zip(block, tails[:n - need:-1])) / tol
-            if short > 1.0:
-                if short == math.inf or n < depth:
-                    break
-                depth = n + math.ceil(math.log(short) / -math.log(q))
-                if depth > _CHAIN_MAX_DEPTH:
-                    break
-                continue
-            # f_i = f_{i-1} z_i/(sigma_{i-1} z_{i-1}), the ratio formed first:
-            # f_{i-1} z_i alone can leave the range of doubles
-            for i, z in zip(range(k, need), block):
-                d = 1.0 + sig[i - 1] * z if i in links else sig[i - 1] * (t[i - 1] + z)
-                f = f * (z / d)
-                yield f
-            # the next block starts as far past its end as this one needed
-            k = need
-            need *= 2
-            depth = n + k
-    for k in itertools.count(k):
-        yield _P(nu + k * diag, mu + k, y)
-
-
-def _P_half_chain(nu: complex, mu: complex, y: float, diag: int) -> Iterator[complex]:
-    """P(nu + n*diag/2, mu + n/2, y) for n = 0, 1, ...: the even and the odd
-    n are two chains, interleaved."""
-    even = _P_chain(nu, mu, y, diag)
-    odd = _P_chain(complex(nu) + 0.5 * diag, complex(mu) + 0.5, y, diag)
-    return itertools.chain.from_iterable(zip(even, odd))
 
 
 def _rising(a: complex) -> Iterator[complex]:

@@ -14,7 +14,10 @@ term-ratio stream of a Gauss function):
   at O(deg) per coefficient when a and b are polynomials;
 - `binomial_product(pairs)`: prod_j (1 - w_j z)^(-tau_j) by one `solve` of
   degree k, guarded where a polynomial factor dominates;
-- `nth(stream, n)`: element n of a stream.
+- `nth(stream, n)`: element n of a stream;
+- `recurrence(coefs, y0, y1)`: a three-term recurrence's solution, forward
+  or by Olver's elimination, behind every P recurrence in `legendre` and
+  the Gegenbauer diagonals in `polys`.
 
 So the first N coefficients of a family cost O(N^2), or O(kN) for a
 product of k binomials, and the only pole to guard is a(0) = 0.
@@ -22,12 +25,19 @@ product of k binomials, and the only pole to guard is a(0) = 0.
 
 import functools
 import itertools
+import math
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .hypergeom import terminating_index
 
-__all__ = ["binomial", "mul", "solve", "binomial_product", "nth"]
+__all__ = ["binomial", "mul", "solve", "binomial_product", "nth", "recurrence"]
+
+_EPS = 2.0**-52
+# the elimination yields its values in blocks, the first of _BLOCK, and
+# sweeps no deeper than _MAX_DEPTH
+_BLOCK = 16
+_MAX_DEPTH = 4096
 
 
 def nth(stream: Iterator[complex], n: int) -> complex:
@@ -145,3 +155,95 @@ def binomial_product(pairs: Iterable[tuple[complex, complex]]) -> Iterator[compl
     for t, w in halves:
         product = mul(product, binomial(t, w * w), 2)
     return product
+
+
+def recurrence(coefs: Iterable, y0, y1=None, *, decay: float = 1.0,
+               direct: "Callable | None" = None) -> Iterator:
+    """y_0, y_1, ... of c_k y_{k+1} = a_k y_k - b_k y_{k-1}, k >= 1, with
+    (a_k, b_k, c_k) the k-th triple of `coefs`, each read once, in order.
+
+    Given y1, the solution through y0 and y1, forward (stable where it is
+    dominant), each step (a_k y_k - b_k y_{k-1}) / c_k in the number type of
+    the values; where a triple is None, y_{k+1} = direct(k + 1) instead.
+
+    Without y1, the minimal solution through y0 by Olver's forward
+    elimination (J. Res. NBS 71B, 1967) of y_{k-1} = a_k y_k - c_k y_{k+1}:
+    the recurrence divided through by b_k, so every b_k must be 1 and is
+    not read.  One sweep keeps sigma_i = p_i/p_{i+1} of the solution with
+    p_0 = 0, p_1 = 1, and t_i = e_i/(p_i p_{i+1}), e_i = y_0/(c_1 ... c_i);
+    then y_k = p_k z_k, z_k = sum_{i>=k} t_i, where t decays like decay^i
+    (decay < 1: the ratio of minimal to dominant solution).  The values
+    below `need` are yielded once the tail bound |t_N|/(1 - decay) at the
+    sweep's depth N is at most eps |z_k| at each; its shortfall sets how
+    much deeper the sweep goes, and `need` doubles each time the consumer
+    passes it.  Where the sweep cannot go on (y_0 = 0, decay >= 1, a zero
+    pivot, a depth past _MAX_DEPTH) every later value is direct(k)."""
+    yield y0
+    if y1 is not None:
+        yield y1
+        for k, abc in enumerate(coefs, 2):
+            if abc is None:
+                y0, y1 = y1, direct(k)
+            else:
+                a, b, c = abc
+                y0, y1 = y1, (a * y1 - b * y0) / c
+            yield y1
+    coefs, f, k = iter(coefs), y0, 1
+    if f != 0 and decay < 1.0:
+        # sig[i] = sigma_i and t[i] = t_i up to scale: t_i = sigma_{i-1}
+        # t_{i-1}/w_{i-1} restarts as 1/w_{i-1} at i = 1, before it underflows
+        # and where c_{i-1} = 0 (a terminating solution) makes sigma_{i-1} = 0.
+        # There z_{i-1} = t_{i-1} + links[i] z_i, links[i] = sigma_{i-1}
+        # t_{i-1} (0: the values below i are finite sums); elsewhere it is 1.
+        sig, t, links, sg, tj = [0j], [0j], {}, 0j, 0j
+        tol = (1.0 - decay) * _EPS
+        need = depth = _BLOCK
+        while True:
+            for j in range(len(t) - 1, min(depth, _MAX_DEPTH)):
+                a, _, c = abc = next(coefs)
+                w = a - sg
+                if w == 0:
+                    coefs = itertools.chain([abc], coefs)  # the next sweep stops here too
+                    break
+                u = sg * tj
+                if abs(u) < 1e-150:
+                    links[j + 1], u = u, 1.0
+                sg = c / w
+                tj = u / w
+                sig.append(sg)
+                t.append(tj)
+            n = len(t) - 1
+            if n < need:
+                break
+            # z_n, z_{n-1}, ..., z_k: running sums of t from n backwards,
+            # carried across each restart by its link, and beside each the
+            # last term t_n at the scale of its index
+            zs, tails, carry, tail, hi = [], [], 0j, t[n], n + 1
+            for lo in sorted((i for i in links if k < i <= n), reverse=True) + [k]:
+                zs.extend(itertools.islice(
+                    itertools.accumulate(reversed(t[lo:hi]), initial=carry), 1, None))
+                tails += [tail] * (hi - lo)
+                link = links.get(lo, 0j)
+                carry, tail, hi = link * zs[-1], link * tail, lo
+            block = zs[:n - need:-1]
+            short = max(abs(tl) / abs(z) if z else math.inf
+                        for z, tl in zip(block, tails[:n - need:-1])) / tol
+            if short > 1.0:
+                if short == math.inf or n < depth:
+                    break
+                depth = n + math.ceil(math.log(short) / -math.log(decay))
+                if depth > _MAX_DEPTH:
+                    break
+                continue
+            # y_i = y_{i-1} z_i/(sigma_{i-1} z_{i-1}), the ratio formed first:
+            # y_{i-1} z_i alone can leave the range of doubles
+            for i, z in zip(range(k, need), block):
+                d = 1.0 + sig[i - 1] * z if i in links else sig[i - 1] * (t[i - 1] + z)
+                f = f * (z / d)
+                yield f
+            # the next block starts as far past its end as this one needed
+            k = need
+            need *= 2
+            depth = n + k
+    for k in itertools.count(k):
+        yield direct(k)

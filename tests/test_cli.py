@@ -63,6 +63,24 @@ class TestEval:
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == [0.0, 0.0]
 
+    # integer degree: P^-2_160(1e3) is about 2.5e522, P^-2_3(1e200) about
+    # 1.2e599
+    @pytest.mark.parametrize("argv", [
+        ["eval", "legendre", "--nu", "160", "--mu", "2", "--x", "1e3"],
+        ["eval", "legendre", "--nu", "3", "--mu", "2", "--x", "1e200"],
+    ])
+    def test_integer_degree_overflow_exit_one(self, capsys, argv):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: P of degree ")
+        assert "above the range of doubles" in err and err.count("\n") == 1
+
+    def test_integer_degree_underflow_answers_zero(self, capsys):
+        # P^-160_160(0.5) is about 1.5e-343: finite JSON with the double 0
+        assert main(["eval", "ferrers", "--nu", "160", "--mu", "160", "--x", "0.5"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert doc["value"] == [0.0, 0.0]
+
     # ferrers_p(0.3, 0.2, 0.6) sums 19 terms
     POINT = ["eval", "ferrers", "--nu", "0.3", "--mu", "0.2", "--x", "0.6"]
 
@@ -191,10 +209,11 @@ class TestVerify:
         assert out == "" and err.startswith("error: ") and "must be finite" in err
 
     def test_side_that_is_not_finite_exit_one(self, capsys):
-        # (-2k - mu)_r overflows: both sides are NaN, and no NaN is printed
+        # (-2k - mu)_r overflows: pochhammer refuses it, and no NaN is printed
         assert main(["verify", "cor2.a", "--k", "3", "--mu", "1e308", "--x", "0.5"]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: cor2.a: lhs = ")
+        assert out == "" and err.startswith("error: pochhammer(")
+        assert "overflows the range of doubles" in err and "nan" not in err.lower()
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_finite_sum_that_holds_no_digit_exit_one(self, capsys):

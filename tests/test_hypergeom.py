@@ -101,6 +101,47 @@ class TestPochhammer:
     def test_matches_mpmath(self, a, n):
         _mp_close(pochhammer(a, n), mp.rf(mp.mpc(a), n), rel=1e-11)
 
+    @pytest.mark.parametrize("a", NON_FINITE)
+    def test_non_finite_argument_is_a_domain_error(self, a):
+        with pytest.raises(DomainError, match="finite"):
+            pochhammer(a, 3)
+
+    # (1e300)_3 = 1e900, and complex products past the doubles that were
+    # inf + nan j; (0.5)_2000 is about 1e5733
+    @pytest.mark.parametrize("a,n", [(1e300, 3), (-1e200 + 1e200j, 2), (0.5, 2000)])
+    def test_product_past_the_doubles_diverges(self, a, n):
+        with pytest.raises(DivergenceError, match="overflows the range of doubles"):
+            pochhammer(a, n)
+
+    @given(any_complex, st.integers(0, 2000))
+    @example(float("nan"), 3)
+    @example(1e300, 3)
+    @example(-1e200 + 1e200j, 2)
+    @example(complex(0.5, float("-inf")), 0)
+    @settings(max_examples=200, deadline=None)
+    def test_answers_or_refuses_everywhere(self, a, n):
+        # any double, NaN and +/-inf included: a finite value or a typed error
+        try:
+            value = pochhammer(a, n)
+        except LegdualError:
+            return
+        assert cmath.isfinite(value), (a, n, value)
+
+    @given(st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False),
+           st.integers(0, 2000))
+    @example(-7.5 + 1e-9j, 12)
+    @example(-0.5, 171)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_mpmath_where_a_double(self, a, n):
+        # within 1e-10 where (a)_n is a normal double, DivergenceError where
+        # it lies above the doubles
+        theirs = mp.rf(mp.mpc(a), n)
+        if abs(theirs) > sys.float_info.max:
+            with pytest.raises(DivergenceError):
+                pochhammer(a, n)
+        elif abs(theirs) >= sys.float_info.min:
+            _mp_close(pochhammer(a, n), theirs, rel=1e-10)
+
 
 class TestGamma:
     @pytest.mark.parametrize("z", [
@@ -253,6 +294,11 @@ class TestIntegerPredicates:
         assert terminating_index(-2.0 + 1e-13, -5.0, tol=1e-14) == 5
         assert terminating_index(-2.0 + 1e-15j, tol=0.0) is None
 
+    @pytest.mark.parametrize("z", [float("nan"), float("inf"), complex(float("-inf"), 1.0)])
+    def test_non_finite_parameter_is_a_domain_error(self, z):
+        with pytest.raises(DomainError, match="not finite"):
+            terminating_index(0.5, z)
+
     def test_nearest_int(self):
         assert nearest_int(3, 0.0) == 3
         assert nearest_int(3.0 + 1e-15j, 1e-14) == 3
@@ -295,6 +341,43 @@ class TestGauss2F1:
     def test_nonterminating_outside_the_unit_disc_diverges(self, t):
         with pytest.raises(DivergenceError, match=">= 1"):
             gauss_2f1(0.3, 0.7, 1.2, t)
+
+    @pytest.mark.parametrize("a,b,c,t", [
+        (float("nan"), 1, 1, 0.5), (float("inf"), 1, 1, 0.5), (0.3, complex(1, float("nan")), 1, 0.5),
+        (0.3, 1, float("-inf"), 0.5), (0.3, 1, 1, float("nan")), (-2, 1, 1, float("inf")),
+    ])
+    def test_non_finite_input_is_a_domain_error(self, a, b, c, t):
+        # round() in terminating_index raised a bare ValueError (NaN) or
+        # OverflowError (inf); a NaN imaginary part or t gave a NaN sum
+        with pytest.raises(DomainError, match="finite"):
+            gauss_2f1(a, b, c, t)
+
+    # a cap of 2,000 terms keeps each example short; past it, MaxTermsError
+    @given(any_complex, any_complex, any_complex, st.floats())
+    @example(float("nan"), 1.0, 1.0, 0.5)
+    @example(float("inf"), 1.0, 1.0, 0.5)
+    @example(complex(-1.7e308, 1.7e308), 1.0, 1.0, 0.5)
+    @example(1e300, 1e300, 1.0, 0.5)
+    @example(-3.0, 1e300, 1e-300, 0.5)
+    @settings(max_examples=200, deadline=None)
+    def test_answers_or_refuses_everywhere(self, a, b, c, t):
+        # any double, NaN and +/-inf included: a finite value or a typed error
+        try:
+            sv = gauss_2f1(a, b, c, t, TruncationPolicy(max_terms=2000))
+        except LegdualError:
+            return
+        assert cmath.isfinite(sv.value) and math.isfinite(sv.error_estimate), (a, b, c, t, sv)
+
+    @given(st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+           st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+           st.builds(complex, st.floats(0.5, 4.0), st.floats(-2.0, 2.0)),
+           st.floats(-0.7, 0.7))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_mpmath_on_a_box(self, a, b, c, t):
+        # within 1e-10 where the value is a normal double
+        theirs = mp.hyp2f1(mp.mpc(a), mp.mpc(b), mp.mpc(c), mp.mpf(t))
+        if abs(theirs) >= sys.float_info.min:
+            _mp_close(gauss_2f1(a, b, c, t).value, theirs, rel=1e-10)
 
 
 def _reference_2f1(a, b, c, t, policy=DEFAULT_POLICY):

@@ -1,5 +1,7 @@
 """Function-level tests for the first- and second-kind evaluators."""
 
+import decimal
+import sys
 import time
 
 import mpmath as mp
@@ -118,6 +120,37 @@ class TestIntegerDegree:
         with pytest.raises(MaxTermsError, match="needs more than 100000 terms"):
             ferrers_p(ParameterPoint(nu, 0), 0.5)
         assert time.perf_counter() - t0 < 0.1
+
+    # where a float step of the recurrence leaves the normal doubles, the
+    # decimal steps decide: DivergenceError above the doubles, 0 below them,
+    # and the value where only (k-m)!/(k+m)! = 20!/220! underflows
+    @pytest.mark.parametrize("fn,k,m,x", [
+        (legendre_p, 160, 2, 1e3),      # 2.5e522: the recurrence overflows
+        (legendre_p, 3, 2, 1e200),      # 1.2e599: x^2 - 1 overflows
+        (ferrers_p, 160, 160, 0.5),     # 1.5e-343: the seed overflows
+        (ferrers_p, 120, 100, 0.9),     # 7.1e-226: the ratio underflows
+        (legendre_p, 1, 1, 1e200),      # 5.0e199, though x^2 - 1 overflows
+        (legendre_p, 160, 150, 3.0),    # 4.4e-236 from a seed of 2.0e374
+    ])
+    def test_out_of_the_doubles(self, fn, k, m, x):
+        kind = 2 if x < 1.0 else 3
+        with mp.workdps(40):
+            ref = mp.legenp(k, -m, mp.mpf(x), type=kind)
+        if abs(ref) > sys.float_info.max:
+            with pytest.raises(DivergenceError, match=f"P of degree {k} and order {-m}"):
+                fn(ParameterPoint(k, m), x)
+        elif abs(ref) < 2.0**-1075:
+            assert fn(ParameterPoint(k, m), x).value == 0
+        else:
+            _close(fn(ParameterPoint(k, m), x).value, ref, rel=1e-14)
+
+    @pytest.mark.parametrize("k,m,x", [
+        (16, 3, 0.35), (16, -5, 0.8), (9, 4, 1.7), (12, 0, 2.857), (40, 2, -0.3)])
+    def test_decimal_steps_agree_with_the_float_steps(self, k, m, x):
+        # the same recurrence in both number types, where floats suffice
+        with decimal.localcontext(legdual.legendre._WIDE):
+            wide = float(legdual.legendre._degree_recurrence(k, m, decimal.Decimal(x)))
+        _close(legdual.legendre._degree_recurrence(k, m, x), wide, rel=1e-14)
 
     @pytest.mark.parametrize("nu,mu,x", [
         (0.3 + 0.2j, 0.4, 0.5), (0.3 + 0.2j, 0.4, 1.5), (3, 1, 0.5), (3, 1, 1.5)])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legdual.errors import DomainError
 from legdual.hypergeom import pfq_terminating, pochhammer
 from legdual.legendre import _P
 from legdual.polys import (
@@ -56,6 +57,15 @@ class TestGegenbauer:
         for k in range(40):
             want = 0 if k % 2 else (-1) ** (k // 2) * pochhammer(lam, k // 2) / math.factorial(k // 2)
             _close(gegenbauer(k, lam, x), want, rel=1e-14)
+
+    # a NaN parameter raised a bare ValueError from round(); a NaN x gave NaN
+    @pytest.mark.parametrize("lam,x", [
+        (float("nan"), 0.5), (float("inf"), 0.5), (complex(0.5, float("nan")), 0.5),
+        (0.5, float("nan")), (0.5, float("-inf")),
+    ])
+    def test_non_finite_input_is_a_domain_error(self, lam, x):
+        with pytest.raises(DomainError, match="finite"):
+            gegenbauer(3, lam, x)
 
     def test_negative_order_family(self):
         # lambda = 1/2 - tau - n, the shifted family of the uniform estimate

@@ -3,6 +3,7 @@ against the Maclaurin coefficients of its generating function, computed by
 mpmath at 40 digits."""
 
 import cmath
+import decimal
 import functools
 import itertools
 import math
@@ -390,3 +391,76 @@ class TestBinomialProduct:
             errs = [abs(mp.mpc(a) - r) / abs(r) for a, r in zip(got, ref)]
         for top, bound in ((12, 1.2e-14), (24, 1.1e-13), (36, 3.2e-11), (48, 2.7e-8)):
             assert max(errs[:top]) <= bound, top
+
+
+class TestRecurrence:
+    """The three-term driver c_k y_{k+1} = a_k y_k - b_k y_{k-1}, one mode
+    each, on a recurrence with a known solution."""
+
+    @staticmethod
+    def _bonnet(x):
+        # (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1} (DLMF 18.9.1)
+        return (((2 * k + 1) * x, k, k + 1) for k in itertools.count(1))
+
+    @pytest.mark.parametrize("x", [0.3, -0.85, 1.5])
+    def test_forward_is_bonnet(self, x):
+        # the Legendre polynomials from P_0 = 1 and P_1 = x: on (-1, 1) the
+        # two solutions are of one size, above 1 P_n dominates
+        got = list(itertools.islice(series.recurrence(self._bonnet(x), 1.0, x), 80))
+        for n, v in enumerate(got):
+            ref = mp.legendre(n, x)
+            assert abs(v - ref) <= 1e-13 * max(abs(ref), 1.0), n
+
+    def test_forward_takes_direct_values_where_a_triple_is_none(self):
+        # y_{k+1} = direct(k + 1) where triple k is None, and the recurrence
+        # goes on from it
+        x, asked = 0.3, []
+
+        def direct(k):
+            asked.append(k)
+            return float(mp.legendre(k, x))
+
+        coefs = (None if k % 3 == 0 else abc
+                 for k, abc in enumerate(self._bonnet(x), 1))
+        got = list(itertools.islice(series.recurrence(coefs, 1.0, x, direct=direct), 20))
+        assert asked == [4, 7, 10, 13, 16, 19]
+        for n, v in enumerate(got):
+            assert abs(v - mp.legendre(n, x)) <= 1e-14, n
+
+    def test_forward_in_the_number_type_of_its_values(self):
+        # Decimal values and coefficients: each step is decimal arithmetic
+        with decimal.localcontext(decimal.Context(prec=40)):
+            x = decimal.Decimal("0.3")
+            got = list(itertools.islice(series.recurrence(self._bonnet(x), 1, x), 60))
+        assert all(isinstance(v, decimal.Decimal) for v in got[1:])
+        with mp.workdps(50):
+            for n, v in enumerate(got):
+                assert abs(mp.mpf(str(v)) - mp.legendre(n, mp.mpf("0.3"))) <= 1e-35, n
+
+    @staticmethod
+    def _bessel():
+        # J_{k+1}(1) = 2k J_k(1) - J_{k-1}(1) (DLMF 10.6.1)
+        return ((2.0 * k, 1, 1) for k in itertools.count(1))
+
+    def test_minimal_is_bessel_j(self):
+        # J_n(1) is the minimal solution: from J_0(1) alone, the elimination
+        # gives every J_n(1) to rounding, down to J_79(1) = 1.8e-141
+        j0 = float(mp.besselj(0, 1))
+        got = list(itertools.islice(series.recurrence(self._bessel(), j0, decay=0.5), 80))
+        for n, v in enumerate(got):
+            ref = mp.besselj(n, 1)
+            assert abs(v - ref) <= 1e-14 * abs(ref), n
+
+    def test_forward_loses_the_minimal_solution(self):
+        # the same recurrence run forward from J_0(1), J_1(1): the dominant
+        # Y_n(1) swamps J_n(1) within 20 steps
+        j0, j1 = float(mp.besselj(0, 1)), float(mp.besselj(1, 1))
+        got = list(itertools.islice(series.recurrence(self._bessel(), j0, j1), 21))
+        assert abs(got[20] / mp.besselj(20, 1) - 1) > 1.0
+
+    @pytest.mark.parametrize("y0,decay", [(0.0, 0.5), (0.7, 1.0)])
+    def test_minimal_falls_back_to_direct_values(self, y0, decay):
+        # y_0 = 0 or a decay of 1: no sweep, every later value is direct(k)
+        got = list(itertools.islice(
+            series.recurrence(self._bessel(), y0, decay=decay, direct=lambda k: -k), 6))
+        assert got == [y0, -1, -2, -3, -4, -5]
