@@ -128,7 +128,9 @@ def pochhammer(a: complex, n: int) -> complex:
     a = complex(a)
     if not cmath.isfinite(a):
         raise DomainError(f"pochhammer needs a finite argument, got a = {a}")
-    value = math.prod((a + l for l in range(n)), start=complex(1.0))
+    value = complex(1.0)
+    for l in range(n):
+        value *= a + l
     if not cmath.isfinite(value):
         raise DivergenceError(f"pochhammer({a}, {n}) overflows the range of doubles")
     return value

@@ -22,8 +22,8 @@ y = 1/x).
 
 The finite sums write their terms out, but most factors that move with the
 term still advance term to term: Pochhammer symbols as running products
-(`_rising`, read backwards from a list where the index falls; cor2,
-cor11.a and cor11.b still call `pochhammer` per term), gamma quotients as
+(`_rising`, read backwards from a list where the index falls, and with
+`pochhammer`'s errors through `_poch_reader`), gamma quotients as
 one quotient times their rational ratio, and Gegenbauer
 polynomials C_n^(s-n) whose degree plus parameter s is fixed along the sum
 from one `gegenbauer_seq` per diagonal (again read backwards from a list
@@ -208,6 +208,14 @@ def _rising(a: complex) -> Iterator[complex]:
                                 initial=complex(1.0))
 
 
+def _poch_reader(a: complex, top: int):
+    """n -> (a)_n, n <= top, from one list of `_rising(a)`: `pochhammer(a, n)`
+    bit for bit, which raises its own error where a or (a)_n is not finite."""
+    values = list(itertools.islice(_rising(a), top + 1))
+    finite = cmath.isfinite(a)
+    return lambda n: values[n] if finite and cmath.isfinite(values[n]) else pochhammer(a, n)
+
+
 def _rising_half(a: complex) -> Iterator[complex]:
     """(a)_n / Gamma((a + n + 1)/2) for n = 0, 1, ...: the even and the odd n
     are two running products, from 1/Gamma((a + 1)/2) and a/Gamma(a/2 + 1),
@@ -239,13 +247,6 @@ def _inv_sqrt2_window(n_top):
     """x window (2^-1/2, 1) of a series that holds on all of (0, 1) where it
     terminates."""
     return lambda p: (0.0 if n_top(p) is not None else INV_SQRT2, 1.0)
-
-
-def _poch_signed(a: complex, n: int) -> complex:
-    """Rising factorial extended to negative index: (a)_{-j} = 1/(a-j)_j."""
-    if n >= 0:
-        return pochhammer(a, n)
-    return 1.0 / pochhammer(complex(a) + n, -n)
 
 
 def _wynn_diagonal(prev: list, s: complex) -> list:
@@ -647,9 +648,10 @@ def _build_catalog() -> None:
         k, mu = p["k"], p["mu"]
         y = 1.0 / x if at_recip else x
         base = (1.0 / (x * x) - 1.0) if at_recip else (x * x - 1.0)
+        a, b = _poch_reader(-2.0 * k - mu, k), _poch_reader(mu + 0.5, k)
         for r in range(k + 1):
             yield (
-                pochhammer(-2.0 * k - mu, k - r) * pochhammer(mu + 0.5, k - r) / _fact(k - r)
+                a(k - r) * b(k - r) / _fact(k - r)
                 * _fact(2 * r) * gegenbauer(2 * r, mu + k - r + 0.5, y)
                 / (2.0 ** (2 * r) * _fact(r) * base ** r)
             )
@@ -1156,24 +1158,21 @@ def _build_catalog() -> None:
         sampler=t9_sampler, tail=t9_tail,
     ))
 
-    def lam1(k, m, mu):
-        return (
-            (-1.0) ** (k + m) * 2.0 ** (2 * m)
-            * pochhammer(2 * k + 2.0 * mu, k - 2 * m) * pochhammer(mu + 0.5, k - m)
-            / (pochhammer(0.5 + mu + k, k - 2 * m) * pochhammer(2.0 * mu + k + 1.0, k - m))
-        )
-
     # both coefficient displays are reproduced from the terminating series
     # they specialize, with the indices under which cor11.b and lambda3 hold
     # at every point of seeds 0-3 (the tests pin each value by digest)
-    def lam2(l, n, mu):
-        return (
-            (-1.0) ** (n + l) * pochhammer(-4 * l - 2.0 * mu, n)
-            * _poch_signed(mu + l + 0.5, n - l)
-            * pochhammer(2.0 * mu + 2 * l + 1.0, l)
-            / (2.0 ** (2 * l) * pochhammer(0.5 - 2 * l - mu, n)
-               * pochhammer(2.0 * mu + 2 * l + 1.0, n))
-        )
+    def lam2(l, mu):
+        """lambda_2 for n = 0..2l.  Below n = l, (mu + l + 1/2)_(n-l) is
+        1/(mu + n + 1/2)_(l-n), formed afresh: no running product shares it."""
+        b = mu + l + 0.5
+        a, pb = _poch_reader(-4 * l - 2.0 * mu, 2 * l), _poch_reader(b, l)
+        c, d = _poch_reader(0.5 - 2 * l - mu, 2 * l), _poch_reader(2.0 * mu + 2 * l + 1.0, 2 * l)
+        for n in range(2 * l + 1):
+            yield (
+                (-1.0) ** (n + l) * a(n)
+                * (pb(n - l) if n >= l else 1.0 / pochhammer(complex(b) + (n - l), l - n))
+                * d(l) / (2.0 ** (2 * l) * c(n) * d(n))
+            )
 
     def lam3(l, mu):
         """(-1)^n Gamma(n-4l-2mu-2) Gamma(n+mu+1/2)
@@ -1188,11 +1187,14 @@ def _build_catalog() -> None:
     def cor11a_terms(p, x):
         k, mu = p["k"], p["mu"]
         # C_{k-2m}^(1/2-2k+2m-mu): every other value of the diagonal
-        # s = 1/2-k-mu, read backwards
+        # s = 1/2-k-mu, read backwards, as are lambda_1's Pochhammer products
         low = list(itertools.islice(gegenbauer_seq(0.5 - k - mu, x), k + 1))
         high = gegenbauer_seq(k + mu + 0.5, x2arg(x))
-        for m, c in zip(range(k // 2 + 1), high):
-            yield lam1(k, m, mu) * x ** m * low[k - 2 * m] * c
+        a, b = _poch_reader(2 * k + 2.0 * mu, k), _poch_reader(mu + 0.5, k)
+        c, d = _poch_reader(0.5 + mu + k, k), _poch_reader(2.0 * mu + k + 1.0, k)
+        for m, g in zip(range(k // 2 + 1), high):
+            yield ((-1.0) ** (k + m) * 2.0 ** (2 * m) * a(k - 2 * m) * b(k - m)
+                   / (c(k - 2 * m) * d(k - m)) * x ** m * low[k - 2 * m] * g)
 
     def pair_terms(x, s, top, coeffs):
         """c_n D_n D_{top-n} for n = 0..top and a coefficient sequence c,
@@ -1212,8 +1214,7 @@ def _build_catalog() -> None:
         "cor11.b", Kind.FINITE_SUM,
         lhs=lambda p, x: x ** p["l"] * gegenbauer(p["l"], p["mu"] + p["l"] + 0.5, x2arg(x)),
         terms=lambda p, x: pair_terms(
-            x, 0.5 + 2 * p["l"] + p["mu"], 2 * p["l"],
-            (lam2(p["l"], n, p["mu"]) for n in itertools.count())),
+            x, 0.5 + 2 * p["l"] + p["mu"], 2 * p["l"], lam2(p["l"], p["mu"])),
         n_top=lambda p: 2 * p["l"],
         sampler=l_mu_sampler,
     ))

@@ -56,17 +56,18 @@ def binomial(tau: complex, w: complex) -> Iterator[complex]:
 
 def mul(a: Iterable[complex], b: Iterable[complex], k: int = 1) -> Iterator[complex]:
     """a(z) b(z^k): the coefficient of z^n is the sum of a_i b_j over
-    i + k j = n, in ascending i, Kahan-compensated.  The zeros between the
-    powers of z^k are never formed, and b is read only to index n // k;
-    k = 1 is the plain Cauchy product."""
-    xs, ys = [], []
+    i + k j = n, in ascending i, Kahan-compensated, the a_i from the column
+    of i = n mod k.  The zeros between the powers of z^k are never formed,
+    and b is read only to index n // k; k = 1 is the plain Cauchy product."""
+    columns, ys = [[] for _ in range(k)], []
     b_more = iter(b)
     for n, x in enumerate(a):
-        xs.append(x)
+        column = columns[n % k]
+        column.append(x)
         if n % k == 0:
             ys.append(next(b_more))
         total = carry = 0j
-        for u, v in zip(xs[n % k::k], reversed(ys)):
+        for u, v in zip(column, reversed(ys)):
             d = u * v - carry
             t = total + d
             carry = (t - total) - d

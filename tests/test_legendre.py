@@ -121,6 +121,15 @@ class TestIntegerDegree:
             ferrers_p(ParameterPoint(nu, 0), 0.5)
         assert time.perf_counter() - t0 < 0.1
 
+    def test_underflow_screened_before_the_float_steps(self):
+        # 0.96^30000 underflows, and so does 39999!/159999!: the float route
+        # gives up before its 40,000 steps and the two factorials, and the
+        # decimal steps answer 0
+        t0 = time.perf_counter()
+        assert ferrers_p(ParameterPoint(99999, 60000), 0.2).value == 0
+        assert time.perf_counter() - t0 < 0.15
+        assert legdual.legendre._degree_recurrence(99999, 60000, 0.2) is None
+
     # where a float step of the recurrence leaves the normal doubles, the
     # decimal steps decide: DivergenceError above the doubles, 0 below them,
     # and the value where only (k-m)!/(k+m)! = 20!/220! underflows
