@@ -258,7 +258,7 @@ def gauss_2f1(
     Nonterminating use requires |t| < 1; a terminating numerator (within
     1e-12 of a nonpositive integer) is summed exactly regardless of t.  A
     denominator within 1e-14 of a pole that the sum reaches raises
-    PoleError; callers take the limit there (`legendre._f_over_gamma_c`).
+    PoleError; there P reflects its order (`legendre._order_reflected`).
 
     A nonterminating sum stops after SMALL_RUN (3) terms in a row with
     |term| <= rel_tol * max(|total|, ABS_FLOOR).  That test is read only

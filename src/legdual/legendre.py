@@ -3,8 +3,8 @@ the first and second kind on (1,infinity), complex degree and order.
 
 All fractional powers have positive real bases on the supported windows and
 are taken as principal values.  The reciprocal-gamma prefactor makes the
-values entire in the order parameter: where 1 + mu is a nonpositive integer
-they are the limit.
+values entire in the order parameter, and where 1 + mu = 1 - n is a pole
+the order reflection (`_order_reflected`) takes order n from order -n.
 
 Integer degree, k >= 0 or its reflection -k - 1 (the same function, DLMF
 14.9.5), with order -m, m <= k, takes one route from every first-kind entry
@@ -24,7 +24,7 @@ import itertools
 import math
 import sys
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .errors import DivergenceError, DomainError, MaxTermsError, PoleError
 from .hypergeom import (
@@ -35,7 +35,6 @@ from .hypergeom import (
     gamma,
     gauss_2f1,
     nearest_int,
-    pochhammer,
     recip_gamma,
     terminating_index,
 )
@@ -68,29 +67,6 @@ class ParameterPoint(namedtuple("ParameterPoint", "nu mu")):
         return cls(*iterable)
 
 
-def _f_over_gamma_c(
-    a: complex,
-    b: complex,
-    c: complex,
-    t: float,
-    policy: TruncationPolicy,
-) -> SeriesValue:
-    """2F1(a,b;c;t)/Gamma(c), entire in c.
-
-    At c = -m, m in N0, the value is the limit (DLMF 15.2.3_5)
-    (a)_{m+1} (b)_{m+1} t^{m+1} / (m+1)! 2F1(a+m+1, b+m+1; m+2; t), zero
-    where the series terminates below index m + 1.
-    """
-    if terminating_index(c, tol=POLE_TOL) is None:
-        return _scaled(recip_gamma(c), gauss_2f1(a, b, c, t, policy))
-    m = int(round(-c.real))
-    stop = terminating_index(a, b)
-    if stop is not None and stop <= m:
-        return SeriesValue(0j, 0, 0.0)
-    lead = pochhammer(a, m + 1) * pochhammer(b, m + 1) * t ** (m + 1) / math.factorial(m + 1)
-    return _scaled(lead, gauss_2f1(a + (m + 1), b + (m + 1), m + 2, t, policy))
-
-
 def _scaled(prefactor: complex, sv: SeriesValue) -> SeriesValue:
     return SeriesValue(prefactor * sv.value, sv.terms_used,
                        sv.error_estimate * abs(prefactor))
@@ -118,16 +94,19 @@ def legendre_p(p: ParameterPoint, x: float,
 
 def _first_kind(nu: complex, mu: complex, x: float,
                 policy: TruncationPolicy) -> SeriesValue:
-    """The first-kind function at x in (-1, 1) or (1, inf): `_P_int` where it
-    applies, else the series in (1-x)/2 on (0, 1) and in t = (x-1)/(x+1)
-    elsewhere.  At x <= 0, t <= -1, so that series must terminate: at degree
-    nu or, through -nu or mu - nu, at the reflected degree -nu - 1 (the same
-    function, DLMF 14.9.5)."""
+    """The first-kind function at x in (-1, 1) or (1, inf): `_P_int` or
+    `_order_reflected` where they apply, else the series in (1-x)/2 on (0, 1)
+    and in t = (x-1)/(x+1) elsewhere.  At x <= 0, t <= -1, so that series must
+    terminate: at degree nu or, through -nu or mu - nu, at -nu - 1 (DLMF 14.9.5)."""
     if (sv := _P_int(nu, mu, x, policy)) is not None:
         return sv
     nu, mu = complex(nu), complex(mu)
+    if (sv := _order_reflected(nu, mu, -1.0 if x < 1.0 else 1.0, policy,
+                               lambda n: _first_kind(nu, n, x, policy))) is not None:
+        return sv
     if 0.0 < x < 1.0:
-        sv = _f_over_gamma_c(-nu, nu + 1.0, 1.0 + mu, (1.0 - x) / 2.0, policy)
+        sv = _scaled(recip_gamma(1.0 + mu),
+                     gauss_2f1(-nu, nu + 1.0, 1.0 + mu, (1.0 - x) / 2.0, policy))
         return _scaled(cmath.exp(0.5 * mu * math.log((1.0 - x) / (1.0 + x))), sv)
     if x <= 0.0 and terminating_index(-nu, mu - nu) is None:
         nu = -nu - 1.0
@@ -137,19 +116,39 @@ def _first_kind(nu: complex, mu: complex, x: float,
                               math.log(abs(x - 1.0)), math.log(x + 1.0), policy)
 
 
+def _order_reflected(nu: complex, mu: complex, sign: float, policy: TruncationPolicy,
+                     at_order: Callable[[complex], SeriesValue]) -> "SeriesValue | None":
+    """P of degree nu and order n, where mu is within POLE_TOL of -n, n >= 1:
+    sign^n Gamma(nu+n+1)/Gamma(nu-n+1) times P of order -n, `at_order(n)`
+    (DLMF 14.9.3, sign -1 on (-1, 1); 14.9.13, sign 1 above), each factor
+    nu + j formed directly (a small nu - 1 keeps its digits) and multiplied
+    in.  MaxTermsError past the policy's cap, DomainError where P of order -n
+    is below the normal doubles, DivergenceError where the product is above."""
+    if (n := terminating_index(1.0 + mu, tol=POLE_TOL)) is None:
+        return None
+    n += 1
+    if 2 * n > policy.max_terms:
+        raise MaxTermsError(f"order {n:.6g} needs more than {policy.max_terms} factors")
+    sv = at_order(complex(n))
+    if not abs(value := sv.value) >= _TINY:
+        raise DomainError(f"P of order {-n} is below the normal doubles at degree {nu}")
+    for j in range(1 - n, n + 1):
+        value *= nu + j
+    if not cmath.isfinite(value):
+        raise DivergenceError(f"P of order {n} is above the range of doubles at degree {nu}")
+    return SeriesValue(sign ** n * value, sv.terms_used,
+                       sv.error_estimate / abs(sv.value) * abs(value))
+
+
 def _legendre_p_series(nu: complex, mu: complex, t: float, log_xm1: float,
                        log_xp1: float, policy: TruncationPolicy) -> SeriesValue:
     """The first-kind function at the x given by t = (x-1)/(x+1), log|x-1|
     and log(x+1), so that a caller who knows x - 1 better than x passes it
     on: legendre_p at x > 1, ferrers_p at x < 1 (Pfaff's transformation of
     its series in (1-x)/2, DLMF 15.8.1)."""
-    sv = _f_over_gamma_c(-nu, mu - nu, 1.0 + mu, t, policy)
-    prefactor = cmath.exp(
-        -nu * math.log(2.0)
-        + 0.5 * mu * log_xm1
-        + (nu - 0.5 * mu) * log_xp1
-    )
-    return _scaled(prefactor, sv)
+    sv = _scaled(recip_gamma(1.0 + mu), gauss_2f1(-nu, mu - nu, 1.0 + mu, t, policy))
+    return _scaled(cmath.exp(-nu * math.log(2.0) + 0.5 * mu * log_xm1
+                             + (nu - 0.5 * mu) * log_xp1), sv)
 
 
 def legendre_q(p: ParameterPoint, x: float,
@@ -168,8 +167,9 @@ def legendre_q(p: ParameterPoint, x: float,
     # (x - 1)(x + 1) would overflow above about 1.34e154
     s = math.sqrt(x - 1.0) * math.sqrt(x + 1.0)
     log_s, log_xs = math.log(s), math.log(x + s)
-    sv = _legendre_p_series(mu - 0.5, nu + 0.5, (x + s) ** -2.0,
-                            -log_s - log_xs, log_xs - log_s, policy)
+    series = lambda order: _legendre_p_series(mu - 0.5, order, (x + s) ** -2.0,
+                                              -log_s - log_xs, log_xs - log_s, policy)
+    sv = _order_reflected(mu - 0.5, nu + 0.5, 1.0, policy, series) or series(nu + 0.5)
     prefactor = (math.sqrt(math.pi / 2.0) * cmath.exp(-1j * math.pi * mu)
                  * gamma(nu - mu + 1.0) / math.sqrt(s))
     return _scaled(prefactor, sv)
