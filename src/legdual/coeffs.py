@@ -19,15 +19,14 @@ each once, so its first N coefficients cost at most O(N^2).  The scalar
 need many indices at one parameter point iterate the sequence instead.
 """
 
-import cmath
 import itertools
 import math
 from collections.abc import Iterator
 
 from .errors import DuplicateNodeError, PoleError
-from .hypergeom import pochhammer
+from .hypergeom import finite_exp, pochhammer
 from .polys import gegenbauer
-from .series import binomial, binomial_product, mul, nth, solve
+from .series import binomial, binomial_product, coefficient, mul, solve
 
 __all__ = [
     "FactorList",
@@ -78,7 +77,7 @@ class FactorList(tuple):
 
 def lauricella_G(n: int, f: FactorList) -> complex:
     """Coefficient of z^n in the product of the factors of f."""
-    return nth(binomial_product(f), n)
+    return coefficient(binomial_product(f), n)
 
 
 def frak_C(n: int, alpha: float, tau: complex) -> complex:
@@ -99,7 +98,7 @@ def frak_C_scaled(n: int, alpha: float, tau: complex) -> complex:
     # 2^(tau-n) (2tau)_n / (1/2+tau)_n cosh^n(alpha) e^(-alpha n), interleaved
     scale = 0.25 * (1.0 + math.exp(-2.0 * alpha))  # cosh(a) e^(-a) / 2
     pre = math.prod(((2.0 * tau + l) / (0.5 + tau + l) * scale for l in range(n)),
-                    start=cmath.exp(tau * math.log(2.0)))
+                    start=finite_exp(tau * math.log(2.0), "2^tau at tau = {}", tau))
     return pre * geg
 
 
@@ -113,7 +112,7 @@ def script_G_seq(tau: complex, rho: complex, w: complex) -> Iterator[complex]:
 
 def script_G(n: int, tau: complex, rho: complex, w: complex) -> complex:
     """Coefficient of z^n in (1-wz)^tau (1+z/w)^(-tau) (1+z^2)^(-rho)."""
-    return nth(script_G_seq(tau, rho, w), n)
+    return coefficient(script_G_seq(tau, rho, w), n)
 
 
 def script_G_hat_seq(tau: complex, rho: complex, eta: complex) -> Iterator[complex]:
@@ -126,7 +125,7 @@ def script_G_hat_seq(tau: complex, rho: complex, eta: complex) -> Iterator[compl
 
 def script_G_hat(n: int, tau: complex, rho: complex, eta: complex) -> complex:
     """Coefficient of z^n in (1+eta z)^tau (1+z/eta)^(-tau) (1-z^2)^(-rho)."""
-    return nth(script_G_hat_seq(tau, rho, eta), n)
+    return coefficient(script_G_hat_seq(tau, rho, eta), n)
 
 
 def _half_root_power(sign: int, a: complex) -> Iterator[complex]:
@@ -158,7 +157,7 @@ def frak_p_seq(rho: complex, tau: complex, t: complex) -> Iterator[complex]:
 
 def frak_p(n: int, rho: complex, tau: complex, t: complex) -> complex:
     """Coefficient of z^n in 2^tau (1-zt)^(-rho) (1+sqrt(1-z))^(-tau)."""
-    return nth(frak_p_seq(rho, tau, t), n)
+    return coefficient(frak_p_seq(rho, tau, t), n)
 
 
 def _check_sign(sign: int) -> None:
@@ -175,7 +174,7 @@ def omega_pm_seq(nu: complex, mu: complex, t: complex, sign: int) -> Iterator[co
 
 def omega_pm(n: int, nu: complex, mu: complex, t: complex, sign: int) -> complex:
     """Coefficient of z^n in (1+tz)^(-nu) ((1+sqrt(1 +/- z^2))/2)^(-mu)."""
-    return nth(omega_pm_seq(nu, mu, t, sign), n)
+    return coefficient(omega_pm_seq(nu, mu, t, sign), n)
 
 
 def frak_D_seq(tau: complex, xarg: float, inverted: bool) -> Iterator[complex]:
@@ -191,7 +190,7 @@ def frak_D_seq(tau: complex, xarg: float, inverted: bool) -> Iterator[complex]:
 def frak_D(n: int, tau: complex, xarg: float, inverted: bool) -> complex:
     """Square-root generating-function coefficients: coefficient of
     ((-/+)z)^n / 2^n in (1 + y sqrt(1 +/- z))^(-tau), y = xarg or 1/xarg."""
-    return nth(frak_D_seq(tau, xarg, inverted), n)
+    return coefficient(frak_D_seq(tau, xarg, inverted), n)
 
 
 def _even_factor(nu: complex, mu: complex, y: float, s: int) -> Iterator[complex]:
@@ -205,7 +204,7 @@ def _even_factor(nu: complex, mu: complex, y: float, s: int) -> Iterator[complex
         itertools.chain((1.0, s), itertools.repeat(0.0)), r0, itertools.chain((0j,), r1)))
     c, d = s * (nu * y - mu), s * y * (nu - mu)
     b = itertools.chain((c + d * v for v in itertools.islice(r2, 1)), (d * v for v in r2))
-    return solve(a, b, cmath.exp(nu * math.log(1.0 + y)))
+    return solve(a, b, finite_exp(nu * math.log(1.0 + y), "(1 + {})^{}", y, nu))
 
 
 def frak_N_seq(nu: complex, mu: complex, x: float, sign: int) -> Iterator[complex]:
@@ -226,4 +225,4 @@ def frak_N_seq(nu: complex, mu: complex, x: float, sign: int) -> Iterator[comple
 
 def frak_N(n: int, nu: complex, mu: complex, x: float, sign: int) -> complex:
     """Cauchy-product coefficients tying the square-root families together."""
-    return nth(frak_N_seq(nu, mu, x, sign), n)
+    return coefficient(frak_N_seq(nu, mu, x, sign), n)

@@ -27,6 +27,7 @@ __all__ = [
     "gauss_2f1",
     "pfq_terminating",
     "KahanSum",
+    "finite_exp",
     "nearest_int",
     "terminating_index",
 ]
@@ -178,6 +179,18 @@ def _sin_pi(z: complex) -> complex:
     return cmath.sin(math.pi * (z - n)) * (1 - 2 * (n % 2))
 
 
+def finite_exp(z: complex, what: str, *args) -> complex:
+    """exp(z) where it is a finite double, else DivergenceError: `what`,
+    formatted with args only then, overflows the range of doubles."""
+    try:
+        value = cmath.exp(z)
+        if cmath.isfinite(value):
+            return value
+    except (OverflowError, ValueError):
+        pass
+    raise DivergenceError(what.format(*args) + " overflows the range of doubles")
+
+
 def _gamma_from_log(z: complex, sign: int) -> complex:
     """gamma(z)^sign, sign = +/-1, from log gamma(z): 0 where it underflows,
     DivergenceError unless it is a finite double, real where z is.  Left of
@@ -197,14 +210,9 @@ def _gamma_from_log(z: complex, sign: int) -> complex:
     log_value = log_value if sign > 0 else -log_value
     if log_value.real < -746.0:
         return 0j
-    try:
-        value = cmath.exp(log_value)
-        if cmath.isfinite(value):
-            # exp(i pi) is not exactly -1: a real z keeps a real value
-            return value if z.imag else complex(value.real)
-    except (OverflowError, ValueError):
-        pass
-    raise DivergenceError(f"gamma at z = {z}: gamma^{sign} overflows the range of doubles")
+    value = finite_exp(log_value, "gamma at z = {}: gamma^{}", z, sign)
+    # exp(i pi) is not exactly -1: a real z keeps a real value
+    return value if z.imag else complex(value.real)
 
 
 def gamma(z: complex) -> complex:

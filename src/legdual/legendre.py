@@ -32,6 +32,7 @@ from .hypergeom import (
     POLE_TOL,
     SeriesValue,
     TruncationPolicy,
+    finite_exp,
     gamma,
     gauss_2f1,
     nearest_int,
@@ -107,7 +108,8 @@ def _first_kind(nu: complex, mu: complex, x: float,
     if 0.0 < x < 1.0:
         sv = _scaled(recip_gamma(1.0 + mu),
                      gauss_2f1(-nu, nu + 1.0, 1.0 + mu, (1.0 - x) / 2.0, policy))
-        return _scaled(cmath.exp(0.5 * mu * math.log((1.0 - x) / (1.0 + x))), sv)
+        return _scaled(finite_exp(0.5 * mu * math.log((1.0 - x) / (1.0 + x)),
+                                  "P's power ((1-x)/(1+x))^(mu/2) at mu = {}", mu), sv)
     if x <= 0.0 and terminating_index(-nu, mu - nu) is None:
         nu = -nu - 1.0
         if terminating_index(-nu, mu - nu) is None:
@@ -147,8 +149,8 @@ def _legendre_p_series(nu: complex, mu: complex, t: float, log_xm1: float,
     on: legendre_p at x > 1, ferrers_p at x < 1 (Pfaff's transformation of
     its series in (1-x)/2, DLMF 15.8.1)."""
     sv = _scaled(recip_gamma(1.0 + mu), gauss_2f1(-nu, mu - nu, 1.0 + mu, t, policy))
-    return _scaled(cmath.exp(-nu * math.log(2.0) + 0.5 * mu * log_xm1
-                             + (nu - 0.5 * mu) * log_xp1), sv)
+    log_pre = -nu * math.log(2.0) + 0.5 * mu * log_xm1 + (nu - 0.5 * mu) * log_xp1
+    return _scaled(finite_exp(log_pre, "P's power prefactor at nu = {}, mu = {}", nu, mu), sv)
 
 
 def legendre_q(p: ParameterPoint, x: float,
@@ -170,7 +172,8 @@ def legendre_q(p: ParameterPoint, x: float,
     series = lambda order: _legendre_p_series(mu - 0.5, order, (x + s) ** -2.0,
                                               -log_s - log_xs, log_xs - log_s, policy)
     sv = _order_reflected(mu - 0.5, nu + 0.5, 1.0, policy, series) or series(nu + 0.5)
-    prefactor = (math.sqrt(math.pi / 2.0) * cmath.exp(-1j * math.pi * mu)
+    prefactor = (math.sqrt(math.pi / 2.0) * finite_exp(-1j * math.pi * mu,
+                                                             "exp(-i pi mu) at mu = {}", mu)
                  * gamma(nu - mu + 1.0) / math.sqrt(s))
     return _scaled(prefactor, sv)
 

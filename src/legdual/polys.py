@@ -22,9 +22,9 @@ import math
 import sys
 from collections.abc import Iterator
 
-from .errors import DomainError
+from .errors import DivergenceError, DomainError
 from .hypergeom import KahanSum, pfq_terminating, pochhammer, terminating_index
-from .series import binomial_product, nth, recurrence
+from .series import binomial_product, coefficient, recurrence
 
 __all__ = [
     "gegenbauer",
@@ -57,7 +57,7 @@ def _balanced_term(tau: complex, k: int, j: int, two_x: float) -> complex:
 
 def gegenbauer(k: int, tau: complex, x: float) -> complex:
     """Gegenbauer polynomial by its explicit alternating sum.  A non-finite
-    parameter or x raises DomainError."""
+    parameter or x raises DomainError, a sum past the doubles DivergenceError."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
     tau = complex(tau)
@@ -78,21 +78,21 @@ def gegenbauer(k: int, tau: complex, x: float) -> complex:
     term = _balanced_term(tau, k, j0, two_x)
     if j0 % 2:
         term = -term
+    acc = KahanSum()
     if abs(term) < sys.float_info.min:
         # a leading term that underflows, or is 0 at x = 0, whose ratios to
         # the next terms would overflow: evaluate each term independently
-        acc = KahanSum()
         for j in range(j0, jmax + 1):
             t = _balanced_term(tau, k, j, two_x)
             acc.add(-t if j % 2 else t)
-        return acc.value()
-
-    acc = KahanSum()
-    acc.add(term)
-    for j in range(j0, jmax):
-        term *= -(k - 2 * j) * (k - 2 * j - 1) / ((j + 1) * (tau + k - j - 1) * two_x * two_x)
+    else:
         acc.add(term)
-    return acc.value()
+        for j in range(j0, jmax):
+            term *= -(k - 2 * j) * (k - 2 * j - 1) / ((j + 1) * (tau + k - j - 1) * two_x * two_x)
+            acc.add(term)
+    if not cmath.isfinite(value := acc.value()):
+        raise DivergenceError(f"gegenbauer({k}, {tau}, {x}) leaves the range of doubles")
+    return value
 
 
 def _diagonal_unstable(s: complex, x: float, n: int) -> bool:
@@ -143,7 +143,7 @@ def mittag_leffler_g_seq(sigma: complex) -> Iterator[complex]:
 
 def mittag_leffler_g(n: int, sigma: complex) -> complex:
     """Coefficient of z^n in ((1+z)/(1-z))^sigma."""
-    return nth(mittag_leffler_g_seq(sigma), n)
+    return coefficient(mittag_leffler_g_seq(sigma), n)
 
 
 def gauss_hyper_poly_seq(tau: complex, rho: complex, s: complex) -> Iterator[complex]:
@@ -154,7 +154,7 @@ def gauss_hyper_poly_seq(tau: complex, rho: complex, s: complex) -> Iterator[com
 
 def gauss_hyper_poly(n: int, tau: complex, rho: complex, s: complex) -> complex:
     """Coefficient of z^n in (1-z)^{tau-rho} (1-(1-s)z)^{-tau}."""
-    return nth(gauss_hyper_poly_seq(tau, rho, s), n)
+    return coefficient(gauss_hyper_poly_seq(tau, rho, s), n)
 
 
 def bateman_g_seq(tau: complex, r: complex) -> Iterator[complex]:
@@ -165,4 +165,4 @@ def bateman_g_seq(tau: complex, r: complex) -> Iterator[complex]:
 
 def bateman_g(n: int, tau: complex, r: complex) -> complex:
     """Coefficient of u^n in (1+u)^{tau+r} (1-u)^{-tau}."""
-    return nth(bateman_g_seq(tau, r), n)
+    return coefficient(bateman_g_seq(tau, r), n)

@@ -73,6 +73,7 @@ from .hypergeom import (
     DEFAULT_POLICY,
     KahanSum,
     TruncationPolicy,
+    finite_exp,
     gamma,
     nearest_int,
     pochhammer,
@@ -197,7 +198,7 @@ def _cpow(base: float, expo: complex) -> complex:
     base = float(base)
     if base <= 0.0:
         raise DomainError(f"power base {base} must be positive")
-    return cmath.exp(complex(expo) * math.log(base))
+    return finite_exp(complex(expo) * math.log(base), "the power {}^{}", base, expo)
 
 
 def _rising(a: complex) -> Iterator[complex]:

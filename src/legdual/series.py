@@ -14,7 +14,8 @@ term-ratio stream of a Gauss function):
   at O(deg) per coefficient when a and b are polynomials;
 - `binomial_product(pairs)`: prod_j (1 - w_j z)^(-tau_j) by one `solve` of
   degree k, guarded where a polynomial factor dominates;
-- `nth(stream, n)`: element n of a stream;
+- `nth(stream, n)`: element n of a stream, and `coefficient(stream, n)`
+  the same, refused where it is not finite;
 - `recurrence(coefs, y0, y1)`: a three-term recurrence's solution, forward
   or by Olver's elimination, behind every P recurrence in `legendre` and
   the Gegenbauer diagonals in `polys`.
@@ -23,15 +24,17 @@ So the first N coefficients of a family cost O(N^2), or O(kN) for a
 product of k binomials, and the only pole to guard is a(0) = 0.
 """
 
+import cmath
 import functools
 import itertools
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator
 
+from .errors import DivergenceError
 from .hypergeom import terminating_index
 
-__all__ = ["binomial", "mul", "solve", "binomial_product", "nth", "recurrence"]
+__all__ = ["binomial", "mul", "solve", "binomial_product", "nth", "coefficient", "recurrence"]
 
 _EPS = 2.0**-52
 # the elimination yields its values in blocks, the first of _BLOCK, and
@@ -45,6 +48,15 @@ def nth(stream: Iterator[complex], n: int) -> complex:
     if n < 0:
         raise ValueError("index must be nonnegative")
     return next(itertools.islice(stream, n, None))
+
+
+def coefficient(stream: Iterator[complex], n: int) -> complex:
+    """Element n of a coefficient stream, the value of every scalar
+    accessor in `coeffs` and `polys`: DivergenceError where it is not
+    finite (its parameters carry it past the range of doubles)."""
+    if not cmath.isfinite(value := nth(stream, n)):
+        raise DivergenceError(f"coefficient {n} is {value}: it leaves the range of doubles")
+    return value
 
 
 def binomial(tau: complex, w: complex) -> Iterator[complex]:

@@ -209,11 +209,11 @@ class TestVerify:
         assert out == "" and err.startswith("error: ") and "must be finite" in err
 
     def test_side_that_is_not_finite_exit_one(self, capsys):
-        # (-2k - mu)_r overflows: pochhammer refuses it, and no NaN is printed
+        # C_6^(mu + 1/2) overflows: gegenbauer refuses it, and no NaN is printed
         assert main(["verify", "cor2.a", "--k", "3", "--mu", "1e308", "--x", "0.5"]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: pochhammer(")
-        assert "overflows the range of doubles" in err and "nan" not in err.lower()
+        assert out == "" and err.startswith("error: gegenbauer(")
+        assert "leaves the range of doubles" in err and "nan" not in err.lower()
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_finite_sum_that_holds_no_digit_exit_one(self, capsys):

@@ -435,10 +435,15 @@ class TestPointGate:
         assert evaluate_identity("cor6", {"k": k, "m": m}, 0.5).passed
 
     def test_side_that_is_not_finite_refused(self):
-        # (-2k - mu)_r overflows: pochhammer refuses it before inf * 0 makes
-        # both sides NaN
+        # C_6^(mu + 1/2) overflows: gegenbauer refuses the left-hand side, and
+        # on the right (-2k - mu)_r overflows, which pochhammer refuses,
+        # before inf * 0 makes either side NaN
+        p = {"k": 3, "mu": 1e308}
+        with pytest.raises(DivergenceError,
+                           match=re.escape("gegenbauer(6, (1e+308+0j), 0.5) leaves the range")):
+            evaluate_identity("cor2.a", p, 0.5)
         with pytest.raises(DivergenceError, match=r"pochhammer\(\(-1e\+308\+0j\), 3\) overflows"):
-            evaluate_identity("cor2.a", {"k": 3, "mu": 1e308}, 0.5)
+            list(get_descriptor("cor2.a").terms(p, 0.5))
 
     # an integer parameter is a term count: past the series cap a finite sum
     # would run for as many terms (10^300 at k = 1e300) before it failed
