@@ -171,23 +171,12 @@ class IdentityReport(namedtuple(
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        out = {
-            "id": self.id,
-            "params": {
-                k: ([v.real, v.imag] if isinstance(v, complex) else v)
-                for k, v in self.params.items()
-            },
-            "x": self.x,
-            "lhs": [self.lhs.real, self.lhs.imag],
-            "rhs": [self.rhs.real, self.rhs.imag],
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "terms_used": self.terms_used,
-            "passed": self.passed,
-            "tolerance": self.tolerance_used,
-            "stop_reason": self.stop_reason,
-            "extrap_err": self.extrap_err,
-        }
+        """The fields in order, `tolerance_used` as "tolerance", complex values
+        as [re, im], and `error` last, only where it is set."""
+        pair = lambda v: [v.real, v.imag] if isinstance(v, complex) else v
+        out = {("tolerance" if k == "tolerance_used" else k):
+               {n: pair(u) for n, u in v.items()} if k == "params" else pair(v)
+               for k, v in self._asdict().items() if k != "error"}
         if self.error is not None:
             out["error"] = self.error
         return out
@@ -550,6 +539,11 @@ def _u(x: float) -> float:
     return (1.0 - x) / (1.0 + x)
 
 
+def _script_G_at(hatted: bool, tau: complex, rho: complex, x: float) -> Iterator[complex]:
+    """script_G_hat if `hatted`, else script_G, at w = sqrt(u(x))."""
+    return (script_G_hat_seq if hatted else script_G_seq)(tau, rho, math.sqrt(_u(x)))
+
+
 def _fact(n: int) -> float:
     if n > 170:
         return math.inf
@@ -657,15 +651,15 @@ def _build_catalog() -> None:
                 / (2.0 ** (2 * r) * _fact(r) * base ** r)
             )
 
-    for ident, at_recip, lhs in (
-            ("cor2.a", True, lambda p, x:
-                _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, x)
-                / (2.0 ** (2 * p["k"]) * _fact(p["k"]) * (1.0 - x * x) ** p["k"])),
-            ("cor2.b", False, lambda p, x:
-                _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, 1.0 / x)
-                / (2.0 ** (2 * p["k"]) * _fact(p["k"]) * (1.0 - 1.0 / (x * x)) ** p["k"]))):
+    def cor2_lhs(p, x, at_recip):
+        k = p["k"]
+        y, y2 = (x, x * x) if at_recip else (1.0 / x, 1.0 / (x * x))
+        return (_fact(2 * k) * gegenbauer(2 * k, p["mu"] + 0.5, y)
+                / (2.0 ** (2 * k) * _fact(k) * (1.0 - y2) ** k))
+
+    for ident, at_recip in (("cor2.a", True), ("cor2.b", False)):
         _register(IdentityDescriptor(
-            ident, Kind.FINITE_SUM, lhs=lhs,
+            ident, Kind.FINITE_SUM, lhs=functools.partial(cor2_lhs, at_recip=at_recip),
             terms=functools.partial(cor2_terms, at_recip=at_recip),
             n_top=lambda p: p["k"],
             sampler=k_mu_sampler,
@@ -744,8 +738,8 @@ def _build_catalog() -> None:
         ))
 
     # ---- square-root generating-function family -----------------------
-    t6_sampler = _guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu,
-                                       lambda nu, mu: nu - mu])
+    t6_guards = [lambda nu, mu: nu, lambda nu, mu: mu, lambda nu, mu: nu - mu]
+    t6_sampler = _guarded_pair(guards=t6_guards)
     t6_expo = lambda p: -1.5 * p["nu"].real - 2.0
     t6_tail_b = lambda p, x: (_u(x), -2.0)
 
@@ -759,9 +753,7 @@ def _build_catalog() -> None:
             frak_p_seq(-0.5 * p["nu"], 2.0 * p["mu"], 1.0),
             _P_chain(p["mu"] - p["nu"] - 1.0, p["mu"], 1.0 / x, 1)),
         n_top=_poch_top,
-        sampler=_guarded_pair(guards=[lambda nu, mu: nu, lambda nu, mu: mu,
-                                      lambda nu, mu: nu - mu],
-                              re_nu=(-0.55, 2.5)),
+        sampler=_guarded_pair(guards=t6_guards, re_nu=(-0.55, 2.5)),
         x_grid=(0.75, 0.8, 0.9),
         x_window=_inv_sqrt2_window(_poch_top),
         boundary_ok=lambda p: p["nu"].real > -2.0 / 3.0,
@@ -944,9 +936,7 @@ def _build_catalog() -> None:
 
     def cor7_narrow(p, x, hatted):
         k, lam = p["k"], p["lam"]
-        w = math.sqrt(_u(x))
-        fam = script_G_hat_seq if hatted else script_G_seq
-        gs = list(itertools.islice(fam(k + lam - 0.5, k + lam - 0.5, w), k + 1))
+        gs = list(itertools.islice(_script_G_at(hatted, k + lam - 0.5, k + lam - 0.5, x), k + 1))
         num = list(itertools.islice(_rising(lam), k + 1))
         den = list(itertools.islice(_rising(2.0 * lam + k), k + 1))
         diag = gegenbauer_seq(k + lam, 1.0 / x if hatted else x)
@@ -961,9 +951,8 @@ def _build_catalog() -> None:
 
     def cor7_wide(p, x, hatted):
         k, lam = p["k"], p["lam"]
-        w = math.sqrt(_u(x))
-        fam = script_G_hat_seq if hatted else script_G_seq
-        gs = list(itertools.islice(fam(0.5 - 2 * k - lam, 0.5 - 2 * k - lam, w), 2 * k + 1))
+        gs = list(itertools.islice(_script_G_at(hatted, 0.5 - 2 * k - lam, 0.5 - 2 * k - lam, x),
+                                   2 * k + 1))
         diag = gegenbauer_seq(2 * k + lam, x if hatted else 1.0 / x)
         for r, y, c in zip(range(2 * k + 1), cor7_Y(lam, k), diag):
             val = gs[2 * k - r] / ((-2.0) ** (r - k) * y
@@ -973,20 +962,19 @@ def _build_catalog() -> None:
             else:
                 yield val * x ** r * c
 
+    def cor7_lhs(p, x, wide, hatted):
+        """C_k^(lam) (narrow) or C_k^(k+lam) (wide), at 1/x times x^k where
+        wide is hatted, over (1 - x^2)^(k/2) or (1 - x)^k."""
+        k = p["k"]
+        c = gegenbauer(k, k + p["lam"] if wide else p["lam"], 1.0 / x if wide == hatted else x)
+        c = c * x ** k if wide == hatted else c
+        return c / ((1.0 - x) ** k if wide else (1.0 - x * x) ** (0.5 * k))
+
     # wide: the 2k + 1 terms of cor7.b/d, or the k // 2 + 1 of cor7.a/c
-    for ident, wide, hatted, lhs in (
-            ("cor7.a", False, False, lambda p, x:
-                gegenbauer(p["k"], p["lam"], 1.0 / x) * x ** p["k"]
-                / (1.0 - x * x) ** (0.5 * p["k"])),
-            ("cor7.b", True, False, lambda p, x:
-                gegenbauer(p["k"], p["k"] + p["lam"], x) / (1.0 - x) ** p["k"]),
-            ("cor7.c", False, True, lambda p, x:
-                gegenbauer(p["k"], p["lam"], x) / (1.0 - x * x) ** (0.5 * p["k"])),
-            ("cor7.d", True, True, lambda p, x:
-                gegenbauer(p["k"], p["k"] + p["lam"], 1.0 / x) * x ** p["k"]
-                / (1.0 - x) ** p["k"])):
+    for ident, wide, hatted in (("cor7.a", False, False), ("cor7.b", True, False),
+                                ("cor7.c", False, True), ("cor7.d", True, True)):
         _register(IdentityDescriptor(
-            ident, Kind.FINITE_SUM, lhs=lhs,
+            ident, Kind.FINITE_SUM, lhs=functools.partial(cor7_lhs, wide=wide, hatted=hatted),
             terms=functools.partial(cor7_wide if wide else cor7_narrow, hatted=hatted),
             n_top=(lambda p: 2 * p["k"]) if wide else (lambda p: p["k"] // 2),
             sampler=k_lam_sampler, param_check=cor7_wide_check if wide else None,
@@ -994,9 +982,7 @@ def _build_catalog() -> None:
 
     def cor89_terms(p, x, hatted, inner_tau2):
         k, lam = p["k"], p["lam"]
-        w = math.sqrt(_u(x))
-        fam = script_G_hat_seq if hatted else script_G_seq
-        gs = fam(-2 * k - lam - 0.5, inner_tau2(k, lam), w)
+        gs = _script_G_at(hatted, -2 * k - lam - 0.5, inner_tau2(k, lam), x)
         # C_{2k+1-n}^(lam+n), read backwards along the diagonal s = lam+2k+1
         diag = list(itertools.islice(
             gegenbauer_seq(lam + 2 * k + 1, x if hatted else 1.0 / x), 2 * k + 2))
@@ -1092,14 +1078,12 @@ def _build_catalog() -> None:
 
     def cor10_terms(p, x, hatted, upper):
         k, m = p["k"], p["m"]
-        w = math.sqrt(_u(x))
-        fam = script_G_hat_seq if hatted else script_G_seq
         tau1 = (-k - m) if upper else (-k + m)
         tau2 = (-k + m) if upper else (-k - m)
         pre = _fact(k) * (1.0 - x) ** (0.5 * k) \
             / _cpow(1.0 + x, 0.5 * k + (m if upper else -m))
         deg = (k + m) if upper else (k - m)
-        for n, g in zip(range(2 * k + 1), fam(tau1, tau2, w)):
+        for n, g in zip(range(2 * k + 1), _script_G_at(hatted, tau1, tau2, x)):
             morder = (n + m - k) if upper else (n - k - m)
             val = pre * g / ((-1.0) ** (n + k) * _fact(2 * k - n))
             if hatted:
@@ -1107,15 +1091,17 @@ def _build_catalog() -> None:
             else:
                 yield val * x ** deg * _P(deg, morder, 1.0 / x)
 
-    for ident, hatted, upper, lhs in (
-            ("cor10.a", False, True, lambda p, x: _P(p["k"], p["m"], x) / 2.0 ** p["m"]),
-            ("cor10.b", True, True, lambda p, x:
-                _P(p["k"], p["m"], 1.0 / x) * x ** p["k"] / 2.0 ** p["m"]),
-            ("cor10.c", False, False, lambda p, x: _P(p["k"], -p["m"], x) * 2.0 ** p["m"]),
-            ("cor10.d", True, False, lambda p, x:
-                _P(p["k"], -p["m"], 1.0 / x) * 2.0 ** p["m"] * x ** p["k"])):
+    def cor10_lhs(p, x, hatted, upper):
+        k, m = p["k"], p["m"]
+        v = _P(k, m if upper else -m, 1.0 / x if hatted else x)
+        v = v if upper else v * 2.0 ** m
+        v = v * x ** k if hatted else v
+        return v / 2.0 ** m if upper else v
+
+    for ident, hatted, upper in (("cor10.a", False, True), ("cor10.b", True, True),
+                                 ("cor10.c", False, False), ("cor10.d", True, False)):
         _register(IdentityDescriptor(
-            ident, Kind.FINITE_SUM, lhs=lhs,
+            ident, Kind.FINITE_SUM, lhs=functools.partial(cor10_lhs, hatted=hatted, upper=upper),
             terms=functools.partial(cor10_terms, hatted=hatted, upper=upper),
             n_top=lambda p: 2 * p["k"],
             sampler=k_m_sampler,

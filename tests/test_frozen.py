@@ -1,8 +1,10 @@
 """The O(1)-per-term forms of the finite sums' coefficients, `pochhammer`'s
-plain loop, the strided product's columns and the cached integer-degree P,
+plain loop, the strided product's columns, the cached integer-degree P and
+the closed forms of cor2, cor7 and cor10 (one function per twin family),
 each checked bit for bit against a frozen copy of the form it replaced:
 every value by `float.hex`, every error by type and message, at draws that
-reach past the doubles (|mu| up to 1e308, k and l up to the gate's 160)."""
+reach past the doubles (|mu| up to 1e308, k and l up to the gate's 160).
+`IdentityReport.to_dict` is checked against its field-by-field copy."""
 
 import cmath
 import decimal
@@ -17,7 +19,7 @@ from legdual import legendre, series
 from legdual.errors import DivergenceError, DomainError, MaxTermsError
 from legdual.hypergeom import POLE_TOL, SeriesValue, nearest_int, pochhammer
 from legdual.polys import gegenbauer, gegenbauer_seq
-from legdual.registry import _fact, get_descriptor
+from legdual.registry import _fact, evaluate_identity, get_descriptor, sweep_identity
 
 # ---- frozen copies of the replaced forms ------------------------------------
 
@@ -145,6 +147,56 @@ def old_P_int(nu, mu, x, max_terms):
     return SeriesValue(complex(value), k + 1, 0.0)
 
 
+# the closed forms that cor2, cor7 and cor10 registered, one lambda per twin
+OLD_LHS = {
+    "cor2.a": lambda p, x:
+        _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, x)
+        / (2.0 ** (2 * p["k"]) * _fact(p["k"]) * (1.0 - x * x) ** p["k"]),
+    "cor2.b": lambda p, x:
+        _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, 1.0 / x)
+        / (2.0 ** (2 * p["k"]) * _fact(p["k"]) * (1.0 - 1.0 / (x * x)) ** p["k"]),
+    "cor7.a": lambda p, x:
+        gegenbauer(p["k"], p["lam"], 1.0 / x) * x ** p["k"]
+        / (1.0 - x * x) ** (0.5 * p["k"]),
+    "cor7.b": lambda p, x:
+        gegenbauer(p["k"], p["k"] + p["lam"], x) / (1.0 - x) ** p["k"],
+    "cor7.c": lambda p, x:
+        gegenbauer(p["k"], p["lam"], x) / (1.0 - x * x) ** (0.5 * p["k"]),
+    "cor7.d": lambda p, x:
+        gegenbauer(p["k"], p["k"] + p["lam"], 1.0 / x) * x ** p["k"]
+        / (1.0 - x) ** p["k"],
+    "cor10.a": lambda p, x: legendre._P(p["k"], p["m"], x) / 2.0 ** p["m"],
+    "cor10.b": lambda p, x:
+        legendre._P(p["k"], p["m"], 1.0 / x) * x ** p["k"] / 2.0 ** p["m"],
+    "cor10.c": lambda p, x: legendre._P(p["k"], -p["m"], x) * 2.0 ** p["m"],
+    "cor10.d": lambda p, x:
+        legendre._P(p["k"], -p["m"], 1.0 / x) * 2.0 ** p["m"] * x ** p["k"],
+}
+
+
+def old_to_dict(r):
+    out = {
+        "id": r.id,
+        "params": {
+            k: ([v.real, v.imag] if isinstance(v, complex) else v)
+            for k, v in r.params.items()
+        },
+        "x": r.x,
+        "lhs": [r.lhs.real, r.lhs.imag],
+        "rhs": [r.rhs.real, r.rhs.imag],
+        "abs_err": r.abs_err,
+        "rel_err": r.rel_err,
+        "terms_used": r.terms_used,
+        "passed": r.passed,
+        "tolerance": r.tolerance_used,
+        "stop_reason": r.stop_reason,
+        "extrap_err": r.extrap_err,
+    }
+    if r.error is not None:
+        out["error"] = r.error
+    return out
+
+
 # ---- comparison -------------------------------------------------------------
 
 
@@ -246,3 +298,29 @@ class TestIntegerDegreeP:
         for _ in range(2):  # formed, then from the cache
             assert _outcome(legendre._P_int, nu, m, x, policy, key=_sv_bits) == old
             assert _outcome(legendre._P, nu, m, x) == old_value
+
+
+class TestFoldedClosedForms:
+    @given(st.sampled_from(sorted(OLD_LHS)), counts, orders, st.integers(0, 160),
+           st.floats(0.01, 0.99))
+    @example("cor2.a", 3, 1e308, 0, 0.5)
+    @example("cor7.d", 160, 0.3 + 0.4j, 0, 0.01)
+    @example("cor10.b", 160, 0j, 160, 0.01)
+    @example("cor10.d", 160, 0j, 160, 0.99)
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_is_the_lambda(self, ident, k, c, m, x):
+        p = {"k": k, **{"cor2": {"mu": c}, "cor7": {"lam": c}, "cor10": {"m": m}}[ident[:-2]]}
+        new = get_descriptor(ident).lhs
+        assert _outcome(new, p, x) == _outcome(OLD_LHS[ident], p, x)
+
+
+class TestReportDict:
+    def test_fields_in_order(self):
+        reports = [evaluate_identity(ident, p, x) for ident, p, x in (
+            ("thm5.fwd", {"nu": 0.3 + 0.2j, "mu": 1.1}, 0.6),
+            ("cor6", {"k": 5, "m": 3}, 0.5),
+            ("cor10.c", {"k": 4, "m": 2}, 0.35))]
+        reports += sweep_identity("cor2.a", param_sampler=[{"k": 3, "mu": 1e308}], x_grid=[0.5])
+        assert reports[-1].error is not None
+        for r in reports:
+            assert list(r.to_dict().items()) == list(old_to_dict(r).items())
