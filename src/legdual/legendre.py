@@ -3,8 +3,10 @@ the first and second kind on (1,infinity), complex degree and order.
 
 All fractional powers have positive real bases on the supported windows and
 are taken as principal values.  The reciprocal-gamma prefactor makes the
-values entire in the order parameter, and where 1 + mu = 1 - n is a pole
-the order reflection (`_order_reflected`) takes order n from order -n.
+values entire in the order parameter.  Where 1 + mu = 1 - n is a pole of
+the series, the first kind takes order n from order -n (`_order_reflected`),
+and `legendre_q`, whose inner P has order nu + 1/2, takes degree n - 1/2 for
+degree -1/2 - n: each region sums one Gauss series.
 
 Integer degree, k >= 0 or its reflection -k - 1 (the same function, DLMF
 14.9.5), with order -m, m <= k, takes one route from every first-kind entry
@@ -24,7 +26,7 @@ import itertools
 import math
 import sys
 from collections import namedtuple
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from .errors import DivergenceError, DomainError, MaxTermsError, PoleError
 from .hypergeom import (
@@ -102,9 +104,8 @@ def _first_kind(nu: complex, mu: complex, x: float,
     if (sv := _P_int(nu, mu, x, policy)) is not None:
         return sv
     nu, mu = complex(nu), complex(mu)
-    if (sv := _order_reflected(nu, mu, -1.0 if x < 1.0 else 1.0, policy,
-                               lambda n: _first_kind(nu, n, x, policy))) is not None:
-        return sv
+    if (n := terminating_index(1.0 + mu, tol=POLE_TOL)) is not None:
+        return _order_reflected(nu, n + 1, x, policy)
     if 0.0 < x < 1.0:
         sv = _scaled(recip_gamma(1.0 + mu),
                      gauss_2f1(-nu, nu + 1.0, 1.0 + mu, (1.0 - x) / 2.0, policy))
@@ -118,27 +119,23 @@ def _first_kind(nu: complex, mu: complex, x: float,
                               math.log(abs(x - 1.0)), math.log(x + 1.0), policy)
 
 
-def _order_reflected(nu: complex, mu: complex, sign: float, policy: TruncationPolicy,
-                     at_order: Callable[[complex], SeriesValue]) -> "SeriesValue | None":
-    """P of degree nu and order n, where mu is within POLE_TOL of -n, n >= 1:
-    sign^n Gamma(nu+n+1)/Gamma(nu-n+1) times P of order -n, `at_order(n)`
-    (DLMF 14.9.3, sign -1 on (-1, 1); 14.9.13, sign 1 above), each factor
-    nu + j formed directly (a small nu - 1 keeps its digits) and multiplied
-    in.  MaxTermsError past the policy's cap, DomainError where P of order -n
-    is below the normal doubles, DivergenceError where the product is above."""
-    if (n := terminating_index(1.0 + mu, tol=POLE_TOL)) is None:
-        return None
-    n += 1
+def _order_reflected(nu: complex, n: int, x: float, policy: TruncationPolicy) -> SeriesValue:
+    """P of degree nu and order n >= 1, where 1 + mu = 1 - n is a pole of the
+    series: Gamma(nu+n+1)/Gamma(nu-n+1) times P of order -n, and (-1)^n on
+    (-1, 1) (DLMF 14.9.3; 14.9.13 above 1), each factor nu + j formed directly
+    (a small nu - 1 keeps its digits) and multiplied in.  MaxTermsError past
+    the policy's cap, DomainError where P of order -n is below the normal
+    doubles, DivergenceError where the product is above them."""
     if 2 * n > policy.max_terms:
         raise MaxTermsError(f"order {n:.6g} needs more than {policy.max_terms} factors")
-    sv = at_order(complex(n))
+    sv = _first_kind(nu, complex(n), x, policy)
     if not abs(value := sv.value) >= _TINY:
         raise DomainError(f"P of order {-n} is below the normal doubles at degree {nu}")
     for j in range(1 - n, n + 1):
         value *= nu + j
     if not cmath.isfinite(value):
         raise DivergenceError(f"P of order {n} is above the range of doubles at degree {nu}")
-    return SeriesValue(sign ** n * value, sv.terms_used,
+    return SeriesValue(-value if x < 1.0 and n % 2 else value, sv.terms_used,
                        sv.error_estimate / abs(sv.value) * abs(value))
 
 
@@ -164,18 +161,20 @@ def legendre_q(p: ParameterPoint, x: float,
     if not 1.0 < x < math.inf:
         raise DomainError(f"legendre_q requires 1 < x < inf, got {x}")
     nu, mu = p.nu, p.mu
+    if terminating_index(nu + 1.5, tol=POLE_TOL) is not None:
+        # nu = -1/2 - n: the inner P's order n is a pole of its series, and its
+        # order reflection (DLMF 14.9.13) turns Gamma(nu - mu + 1) into
+        # Gamma(-nu - mu), so Q there is Q at degree n - 1/2
+        nu = -nu - 1.0
     if terminating_index(nu - mu + 1.0, tol=POLE_TOL) is not None:
         raise PoleError(f"gamma prefactor pole at nu - mu + 1 = {nu - mu + 1.0}")
     # (x - 1)(x + 1) would overflow above about 1.34e154
     s = math.sqrt(x - 1.0) * math.sqrt(x + 1.0)
     log_s, log_xs = math.log(s), math.log(x + s)
-    series = lambda order: _legendre_p_series(mu - 0.5, order, (x + s) ** -2.0,
-                                              -log_s - log_xs, log_xs - log_s, policy)
-    sv = _order_reflected(mu - 0.5, nu + 0.5, 1.0, policy, series) or series(nu + 0.5)
-    prefactor = (math.sqrt(math.pi / 2.0) * finite_exp(-1j * math.pi * mu,
-                                                             "exp(-i pi mu) at mu = {}", mu)
-                 * gamma(nu - mu + 1.0) / math.sqrt(s))
-    return _scaled(prefactor, sv)
+    sv = _legendre_p_series(mu - 0.5, nu + 0.5, (x + s) ** -2.0,
+                            -log_s - log_xs, log_xs - log_s, policy)
+    rotation = finite_exp(-1j * math.pi * mu, "exp(-i pi mu) at mu = {}", mu)
+    return _scaled(math.sqrt(math.pi / 2.0) * rotation * gamma(nu - mu + 1.0) / math.sqrt(s), sv)
 
 
 def _P_int(nu: complex, mu: complex, x: float,

@@ -670,10 +670,8 @@ def _build_catalog() -> None:
         for n in range(m + 1):
             c = (_fact(m) * _fact(k) / (_fact(m - n) * _fact(k - n) * _fact(n))
                  * (-2.0 if at_recip else 2.0) ** n * (1.0 - x * x) ** (0.5 * n))
-            if at_recip:
-                yield c * x ** (k - n) * _P(k - n, k + n - 2 * m, 1.0 / x)
-            else:
-                yield c * _P(k - n, k + n - 2 * m, x)
+            yield (c * x ** (k - n) * _P(k - n, k + n - 2 * m, 1.0 / x) if at_recip
+                   else c * _P(k - n, k + n - 2 * m, x))
 
     def cor3_check(p):
         if not p["m"] <= p["k"]:
@@ -945,9 +943,7 @@ def _build_catalog() -> None:
                 num[k - r] * gs[k - 2 * r]
                 / ((-2.0) ** (r - k) * den[k - r] * (1.0 - x) ** r)
             )
-            if hatted:
-                val *= x ** r
-            yield val * c
+            yield (val * x ** r if hatted else val) * c
 
     def cor7_wide(p, x, hatted):
         k, lam = p["k"], p["lam"]
@@ -957,10 +953,7 @@ def _build_catalog() -> None:
         for r, y, c in zip(range(2 * k + 1), cor7_Y(lam, k), diag):
             val = gs[2 * k - r] / ((-2.0) ** (r - k) * y
                                    * (1.0 - x * x) ** (0.5 * r))
-            if hatted:
-                yield val * c
-            else:
-                yield val * x ** r * c
+            yield val * c if hatted else val * x ** r * c
 
     def cor7_lhs(p, x, wide, hatted):
         """C_k^(lam) (narrow) or C_k^(k+lam) (wide), at 1/x times x^k where
@@ -989,10 +982,7 @@ def _build_catalog() -> None:
         for n, g, num, den in zip(range(2 * k + 2), gs, _rising(lam),
                                   _rising(2.0 * lam + 2 * k + 1.0)):
             val = num * g * (-2.0) ** n * (1.0 - x * x) ** (0.5 * n) / den
-            if hatted:
-                yield val * diag[2 * k + 1 - n]
-            else:
-                yield val * x ** -n * diag[2 * k + 1 - n]
+            yield (val if hatted else val * x ** -n) * diag[2 * k + 1 - n]
 
     for ident, hatted, inner_tau2 in (
             ("cor8.a", False, lambda k, lam: -2 * k - lam - 0.5),
@@ -1086,10 +1076,8 @@ def _build_catalog() -> None:
         for n, g in zip(range(2 * k + 1), _script_G_at(hatted, tau1, tau2, x)):
             morder = (n + m - k) if upper else (n - k - m)
             val = pre * g / ((-1.0) ** (n + k) * _fact(2 * k - n))
-            if hatted:
-                yield val * _P(deg, morder, x)
-            else:
-                yield val * x ** deg * _P(deg, morder, 1.0 / x)
+            yield (val * _P(deg, morder, x) if hatted
+                   else val * x ** deg * _P(deg, morder, 1.0 / x))
 
     def cor10_lhs(p, x, hatted, upper):
         k, m = p["k"], p["m"]

@@ -51,9 +51,8 @@ def nth(stream: Iterator[complex], n: int) -> complex:
 
 
 def coefficient(stream: Iterator[complex], n: int) -> complex:
-    """Element n of a coefficient stream, the value of every scalar
-    accessor in `coeffs` and `polys`: DivergenceError where it is not
-    finite (its parameters carry it past the range of doubles)."""
+    """Element n of a coefficient stream, as every scalar accessor of `coeffs`
+    and `polys` reads it: DivergenceError where it is not finite."""
     if not cmath.isfinite(value := nth(stream, n)):
         raise DivergenceError(f"coefficient {n} is {value}: it leaves the range of doubles")
     return value
