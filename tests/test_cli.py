@@ -1,9 +1,13 @@
 """Command-line behavior: parsing, serialization, exit codes."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import pathlib
+import re
+import signal
 
 import pytest
 
@@ -34,6 +38,70 @@ class TestComplexLiterals:
     def test_format_round_trip(self):
         z = 0.1234567890123456 - 9.87654321e-5j
         assert parse_complex(format_complex(z)) == z
+
+
+WORKFLOW = pathlib.Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+
+
+def _workflow_points() -> tuple:
+    """The workflow's refused points (its `for args in` loop) and its
+    finite-JSON points (each `out=$(legdual ...)` that it parses as JSON)."""
+    text = WORKFLOW.read_text()
+    start = text.index("for args in")
+    refused = re.findall(r'"([^"]+)"', text[start:text.index("; do", start)])
+    finite = re.findall(r"out=\$\(legdual ([^)]+)\)\n\s*python -c 'import json", text)
+    return refused, finite
+
+
+REFUSED, FINITE = _workflow_points()
+
+
+class _OverBudget(BaseException):
+    """Not an error `main` reports: it ends the test."""
+
+
+@contextlib.contextmanager
+def _budget(seconds: float):
+    """Fail a call that runs past `seconds` (the workflow's `timeout`)."""
+    def expire(*_):
+        raise _OverBudget(f"over the {seconds} s budget")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _no_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+class TestWorkflowPoints:
+    """.github/workflows/tier1.yml's CLI loops, run through `main` under a
+    time budget: the workflow has not run on a CI runner."""
+
+    def test_lists_read(self):
+        assert len(REFUSED) == 13 and len(FINITE) == 3
+        assert "eval ferrers --nu 0.3 --mu=-1e300 --x 0.5" in REFUSED
+        assert "eval ferrers --nu 0.3 --mu=-120 --x 0.5" in FINITE
+
+    @pytest.mark.parametrize("args", REFUSED)
+    def test_refused(self, capsys, args):
+        with _budget(10.0):
+            assert main(args.split()) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "NaN" not in out
+
+    @pytest.mark.parametrize("args", FINITE)
+    def test_finite_json(self, capsys, args):
+        with _budget(10.0):
+            assert main(args.split()) == 0
+        out = capsys.readouterr().out
+        json.loads(out, parse_constant=_no_constant)
+        assert "NaN" not in out
 
 
 class TestEval:

@@ -19,7 +19,9 @@ from legdual.coeffs import (
     script_G,
     script_G_hat,
 )
-from legdual.errors import DuplicateNodeError
+from legdual.errors import DivergenceError, DuplicateNodeError
+from legdual.legendre import ParameterPoint, legendre_q
+from legdual.polys import bateman_g, gauss_hyper_poly, gegenbauer, mittag_leffler_g
 
 TAU = 0.7 + 0.2j
 RHO = -0.4 + 0.1j
@@ -170,3 +172,30 @@ class TestSqrtFamilies:
                / (2.0**-mu * (1 + z / math.sqrt(ratio)) ** nu))
         rhs = sum(frak_N(n, nu, mu, x, sign) * z**n for n in range(80))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+class TestOutsideTheDoubles:
+    """Values past the range of doubles raise DivergenceError: where the
+    library exponentiates a log (these raised OverflowError), and where a
+    sum or a stream's coefficient is not finite (these were NaN)."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: legendre_q(ParameterPoint(0.3, 0.2 + 250j), 2.0), "exp(-i pi mu) at mu = "),
+        (lambda: frak_C(5, 0.5, 1e4), "2^tau at tau = "),
+        (lambda: frak_D(3, -1e4, 0.5, False), "(1 + 0.5)^"),
+        (lambda: frak_N(5, 2000, 1.0, 0.5, -1), "(1 + 2.0)^"),
+        (lambda: gegenbauer(40, 1e10, 0.5), "gegenbauer(40, "),
+        (lambda: mittag_leffler_g(5, 1e300), "coefficient 5 is "),
+        (lambda: bateman_g(5, 1e300, 1), "coefficient 5 is "),
+        (lambda: gauss_hyper_poly(5, 1e300, 1, 0.5), "coefficient 5 is "),
+        (lambda: frak_p(5, 1e300, 1, 1.0), "coefficient 5 is "),
+        (lambda: script_G(5, 1e300, 1, 0.5), "coefficient 5 is "),
+        (lambda: script_G_hat(5, 1e300, 1, 0.5), "coefficient 5 is "),
+        (lambda: omega_pm(5, 1e300, 1, 0.5, 1), "coefficient 5 is "),
+        (lambda: lauricella_G(5, FactorList((1e300,), (0.5,))), "coefficient 5 is "),
+    ])
+    def test_refused(self, call, message):
+        with pytest.raises(DivergenceError) as info:
+            call()
+        assert str(info.value).startswith(message)
+        assert "overflows the range of doubles" in str(info.value) or "leaves" in str(info.value)

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from legdual import legendre, series
 from legdual.errors import DivergenceError, DomainError, MaxTermsError
-from legdual.hypergeom import POLE_TOL, SeriesValue, nearest_int, pochhammer
+from legdual.hypergeom import POLE_TOL, SeriesValue, finite_exp, nearest_int, pochhammer
 from legdual.polys import gegenbauer, gegenbauer_seq
-from legdual.registry import _fact, evaluate_identity, get_descriptor, sweep_identity
+from legdual.registry import _cpow, _fact, evaluate_identity, get_descriptor, sweep_identity
 
 # ---- frozen copies of the replaced forms ------------------------------------
 
@@ -324,3 +324,21 @@ class TestReportDict:
         assert reports[-1].error is not None
         for r in reports:
             assert list(r.to_dict().items()) == list(old_to_dict(r).items())
+
+
+class TestCheckedExponentials:
+    @given(st.floats(-745.0, 709.0), st.floats(-1e6, 1e6), st.floats(1e-300, 1e300), small | huge)
+    @example(709.0, 0.0, 2.0, 1020.0)
+    @settings(max_examples=300, deadline=None)
+    def test_in_range_is_cmath_exp(self, re, im, base, expo):
+        z = complex(re, im)
+        assert _bits(finite_exp(z, "z")) == _bits(cmath.exp(z))
+        # where cmath.exp raised OverflowError or ValueError, or gave inf at
+        # an infinite exponent, the power is now a DivergenceError
+        try:
+            old = cmath.exp(complex(expo) * math.log(base))
+        except (OverflowError, ValueError):
+            old = math.inf
+        new = _outcome(_cpow, base, expo)
+        assert new == _bits(old) if cmath.isfinite(old) else (
+            new[0] is DivergenceError and new[1].startswith(f"the power {base}^"))

@@ -1,6 +1,8 @@
 """Function-level tests for the first- and second-kind evaluators."""
 
+import cmath
 import decimal
+import random
 import sys
 import time
 
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import legdual.legendre
-from legdual.errors import DivergenceError, DomainError, MaxTermsError, PoleError
+from legdual.errors import DivergenceError, DomainError, LegdualError, MaxTermsError, PoleError
 from legdual.hypergeom import TruncationPolicy
 from legdual.legendre import (
     ParameterPoint,
@@ -300,6 +302,95 @@ class TestOrderNearPole:
         nu, mu = 0.3 + 0.1j, -1.0 + eps
         ref = mp.legenp(mp.mpc(nu), -mp.mpf(mu), mp.mpf(x), type=kind)
         _close(fn(ParameterPoint(nu, mu), x).value, ref, rel=1e-12)
+
+
+def _box_or_real(rng, i):
+    """A draw from the registry's default box, or on the real line there."""
+    re = rng.uniform(-1.5, 2.5)
+    return complex(re, rng.uniform(-1.0, 1.0)) if i % 2 else complex(re, 0.0)
+
+
+class TestPositiveIntegerOrder:
+    """Order n >= 1 (mu = -n), where the Gauss series' c = 1 + mu is a pole:
+    the first kind by the order reflection from order -n, legendre_q at
+    degree -1/2 - n by its degree reflection, against 30-digit mpmath."""
+
+    @pytest.mark.parametrize("fn,kind,lo,hi", [
+        (ferrers_p, 2, 0.02, 0.97), (legendre_p, 3, 1.0, 10.0)])
+    def test_first_kind_matches_mpmath(self, fn, kind, lo, hi):
+        rng = random.Random(f"order-{fn.__name__}")
+        for i in range(30):
+            n, nu, x = rng.randint(1, 40), _box_or_real(rng, i), rng.uniform(lo, hi)
+            if x == 1.0:
+                continue
+            ours = fn(ParameterPoint(nu, -n), x)
+            _close(ours.value, mp.legenp(_mp(nu), n, mp.mpf(x), type=kind), rel=1e-12)
+            assert 0.0 <= ours.error_estimate <= 1e-12 * abs(ours.value)
+
+    def test_registry_P_takes_the_same_route(self):
+        for nu, n, x in [(0.3 + 0.2j, 3, 0.4), (-1.2, 7, 2.5), (2.0 + 5e-13, 1, -0.3)]:
+            assert _P(nu, -n, x) == (ferrers_p if x < 1 else legendre_p)(
+                ParameterPoint(nu, -n), x, legdual.legendre._LAST_BIT).value
+
+    def test_legendre_q_matches_mpmath(self):
+        rng = random.Random("order-legendre_q")
+        for i in range(20):
+            n, mu, x = rng.randint(1, 40), _box_or_real(rng, i), rng.uniform(1.0, 10.0)
+            if x == 1.0:
+                continue
+            nu = -0.5 - n
+            ours = legendre_q(ParameterPoint(nu, mu), x).value
+            _close(ours, mp.legenq(mp.mpf(nu), -_mp(mu), mp.mpf(x), type=3), rel=1e-12)
+
+    def test_legendre_q_near_its_gamma_pole(self):
+        # Gamma(nu - mu + 1) is near its pole -8 here: the route at degree
+        # n - 1/2 keeps the digits that rounding nu - mu + 1 would lose
+        nu, mu, x = -9.5, -0.4968336867868328, 4.57452329868998
+        ref = mp.legenq(mp.mpf(nu), -mp.mpf(mu), mp.mpf(x), type=3)
+        _close(legendre_q(ParameterPoint(nu, mu), x).value, ref, rel=1e-14)
+        assert legendre_q(ParameterPoint(nu, mu), x) == legendre_q(ParameterPoint(8.5, mu), x)
+
+    @pytest.mark.parametrize("fn,x", [(ferrers_p, 0.5), (legendre_p, 2.0)])
+    def test_order_past_the_term_cap_refused_at_once(self, fn, x):
+        # 2e300 factors: a MaxTermsError before any of them (this hung)
+        t0 = time.perf_counter()
+        with pytest.raises(MaxTermsError, match="order 1e\\+300 needs more than 100000"):
+            fn(ParameterPoint(0.3, -1e300), x)
+        assert time.perf_counter() - t0 < 1.0
+        with pytest.raises(MaxTermsError):
+            fn(ParameterPoint(0.3, -3), x, TruncationPolicy(max_terms=5))
+
+    @pytest.mark.parametrize("fn,x,kind,sign", [(ferrers_p, 0.5, 2, -1), (legendre_p, 2.0, 3, 1)])
+    def test_large_orders_answered_or_refused(self, fn, x, kind, sign):
+        # these were NaN from n = 99 on; mpmath gives -3.36e131 at n = 100.
+        # mpmath's legenp takes about 1 s a value at these orders, so past
+        # n = 100 the reference is its order -n value and DLMF 14.9.3/14.9.13
+        # in 30 digits
+        nu = mp.mpf(0.3)
+        _close(fn(ParameterPoint(0.3, -100), x).value, mp.legenp(nu, 100, x, type=kind),
+               rel=1e-12)
+        answered = []
+        for n in range(99, 171):
+            try:
+                value = fn(ParameterPoint(0.3, -n), x).value
+            except LegdualError as exc:
+                # P of order -n below the normal doubles holds no digit
+                assert isinstance(exc, DomainError) and "below the normal doubles" in str(exc)
+                continue
+            assert cmath.isfinite(value)
+            ref = (sign**n * mp.gamma(nu + n + 1) / mp.gamma(nu - n + 1)
+                   * mp.legenp(nu, -n, x, type=kind))
+            _close(value, ref, rel=1e-12)
+            answered.append(n)
+        assert answered == list(range(99, 154))
+
+    def test_small_factor_keeps_its_digits(self):
+        # nu - 1 = 5e-13 is one of the reflection's factors: the limit form
+        # answered an exact 0 here
+        nu = 1 + 5e-13
+        ours = ferrers_p(ParameterPoint(nu, -3), 0.3).value
+        _close(ours, mp.legenp(mp.mpf(nu), 3, mp.mpf(0.3), type=2), rel=1e-10)
+        assert abs(ours) > 6e-13
 
 
 class TestLegendreQ:
