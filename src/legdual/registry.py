@@ -30,7 +30,8 @@ from one `gegenbauer_seq` per diagonal (again read backwards from a list
 where the degree falls).  The corollaries come in twins, stated at x and at
 1/x (cor5 and cor10 also at both signs of the order); each family registers
 them from one table whose rows hold the id, the term generator's flags
-(`at_recip`: the terms' P or C at 1/x) and the closed-form side.
+(`at_recip`: the terms' P or C at 1/x) and the closed-form side, which
+cor2, cor7 and cor10 build from the same flags.
 
 `_sum_terms` is the one summation loop, with one stopping rule: Wynn's
 epsilon algorithm in progressive form.  Each partial sum adds one ascending
