@@ -3,10 +3,8 @@ the first and second kind on (1,infinity), complex degree and order.
 
 All fractional powers have positive real bases on the supported windows and
 are taken as principal values.  The reciprocal-gamma prefactor makes the
-values entire in the order parameter.  Where 1 + mu = 1 - n is a pole of
-the series, the first kind takes order n from order -n (`_order_reflected`),
-and `legendre_q`, whose inner P has order nu + 1/2, takes degree n - 1/2 for
-degree -1/2 - n: each region sums one Gauss series.
+values entire in the order parameter; at order n = -mu >= 1, a pole of
+the series, P comes from order -n (`_order_reflected`).
 
 Integer degree, k >= 0 or its reflection -k - 1 (the same function, DLMF
 14.9.5), with order -m, m <= k, takes one route from every first-kind entry
@@ -28,7 +26,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .errors import DivergenceError, DomainError, MaxTermsError, PoleError
+from .errors import DivergenceError, DomainError, MaxTermsError
 from .hypergeom import (
     DEFAULT_POLICY,
     POLE_TOL,
@@ -120,12 +118,10 @@ def _first_kind(nu: complex, mu: complex, x: float,
 
 
 def _order_reflected(nu: complex, n: int, x: float, policy: TruncationPolicy) -> SeriesValue:
-    """P of degree nu and order n >= 1, where 1 + mu = 1 - n is a pole of the
-    series: Gamma(nu+n+1)/Gamma(nu-n+1) times P of order -n, and (-1)^n on
-    (-1, 1) (DLMF 14.9.3; 14.9.13 above 1), each factor nu + j formed directly
-    (a small nu - 1 keeps its digits) and multiplied in.  MaxTermsError past
-    the policy's cap, DomainError where P of order -n is below the normal
-    doubles, DivergenceError where the product is above them."""
+    """P of order n >= 1 (DLMF 14.9.3, 14.9.13): P of order -n times its 2n
+    factors nu + j, each formed apart so that a small nu - 1 keeps its digits,
+    and (-1)^n on (-1, 1).  MaxTermsError past the cap, DomainError where P of
+    order -n is below the normal doubles, DivergenceError where P is above."""
     if 2 * n > policy.max_terms:
         raise MaxTermsError(f"order {n:.6g} needs more than {policy.max_terms} factors")
     sv = _first_kind(nu, complex(n), x, policy)
@@ -162,19 +158,17 @@ def legendre_q(p: ParameterPoint, x: float,
         raise DomainError(f"legendre_q requires 1 < x < inf, got {x}")
     nu, mu = p.nu, p.mu
     if terminating_index(nu + 1.5, tol=POLE_TOL) is not None:
-        # nu = -1/2 - n: the inner P's order n is a pole of its series, and its
-        # order reflection (DLMF 14.9.13) turns Gamma(nu - mu + 1) into
-        # Gamma(-nu - mu), so Q there is Q at degree n - 1/2
+        # at nu = -1/2 - n the inner P has order n; its reflection (DLMF 14.9.13)
+        # turns Gamma(nu - mu + 1) into Gamma(-nu - mu): Q is Q at degree n - 1/2
         nu = -nu - 1.0
-    if terminating_index(nu - mu + 1.0, tol=POLE_TOL) is not None:
-        raise PoleError(f"gamma prefactor pole at nu - mu + 1 = {nu - mu + 1.0}")
     # (x - 1)(x + 1) would overflow above about 1.34e154
     s = math.sqrt(x - 1.0) * math.sqrt(x + 1.0)
-    log_s, log_xs = math.log(s), math.log(x + s)
-    sv = _legendre_p_series(mu - 0.5, nu + 0.5, (x + s) ** -2.0,
-                            -log_s - log_xs, log_xs - log_s, policy)
     rotation = finite_exp(-1j * math.pi * mu, "exp(-i pi mu) at mu = {}", mu)
-    return _scaled(math.sqrt(math.pi / 2.0) * rotation * gamma(nu - mu + 1.0) / math.sqrt(s), sv)
+    # gamma raises PoleError at its poles before the series is summed
+    prefactor = math.sqrt(math.pi / 2.0) * rotation * gamma(nu - mu + 1.0) / math.sqrt(s)
+    log_s, log_xs = math.log(s), math.log(x + s)
+    return _scaled(prefactor, _legendre_p_series(mu - 0.5, nu + 0.5, (x + s) ** -2.0,
+                                                 -log_s - log_xs, log_xs - log_s, policy))
 
 
 def _P_int(nu: complex, mu: complex, x: float,

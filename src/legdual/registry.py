@@ -31,7 +31,7 @@ where the degree falls).  The corollaries come in twins, stated at x and at
 1/x (cor5 and cor10 also at both signs of the order); each family registers
 them from one table whose rows hold the id, the term generator's flags
 (`at_recip`: the terms' P or C at 1/x) and the closed-form side, which
-cor2, cor7 and cor10 build from the same flags.
+cor2, cor5, cor7 and cor10 build from the same flags.
 
 `_sum_terms` is the one summation loop, with one stopping rule: Wynn's
 epsilon algorithm in progressive form.  Each partial sum adds one ascending
@@ -671,8 +671,10 @@ def _build_catalog() -> None:
         for n in range(m + 1):
             c = (_fact(m) * _fact(k) / (_fact(m - n) * _fact(k - n) * _fact(n))
                  * (-2.0 if at_recip else 2.0) ** n * (1.0 - x * x) ** (0.5 * n))
-            yield (c * x ** (k - n) * _P(k - n, k + n - 2 * m, 1.0 / x) if at_recip
-                   else c * _P(k - n, k + n - 2 * m, x))
+            if at_recip:
+                yield c * x ** (k - n) * _P(k - n, k + n - 2 * m, 1.0 / x)
+            else:
+                yield c * _P(k - n, k + n - 2 * m, x)
 
     def cor3_check(p):
         if not p["m"] <= p["k"]:
@@ -811,19 +813,19 @@ def _build_catalog() -> None:
             )
 
     # upper: cor5.a/b, at order +m; cor5.c/d are at -m
-    for ident, upper, at_recip, lhs in (
-            ("cor5.a", True, True, lambda p, x:
-                _P(p["k"], p["m"], x)
-                / (2.0 ** p["m"] * _fact(p["k"]) * x ** (p["k"] + p["m"]))),
-            ("cor5.b", True, False, lambda p, x:
-                _P(p["k"], p["m"], 1.0 / x) * x ** p["k"] / (2.0 ** p["m"] * _fact(p["k"]))),
-            ("cor5.c", False, True, lambda p, x:
-                _P(p["k"], -p["m"], x) * 2.0 ** p["m"]
-                / (_fact(p["k"]) * x ** (p["k"] - p["m"]))),
-            ("cor5.d", False, False, lambda p, x:
-                _P(p["k"], -p["m"], 1.0 / x) * 2.0 ** p["m"] * x ** p["k"] / _fact(p["k"]))):
+    def cor5_lhs(p, x, upper, at_recip):
+        k, m = p["k"], p["m"]
+        v = _P(k, m if upper else -m, x if at_recip else 1.0 / x)
+        v = v if upper else v * 2.0 ** m
+        v = v if at_recip else v * x ** k
+        d = 2.0 ** m * _fact(k) if upper else _fact(k)
+        return v / (d * x ** (k + m if upper else k - m) if at_recip else d)
+
+    for ident, upper, at_recip in (("cor5.a", True, True), ("cor5.b", True, False),
+                                   ("cor5.c", False, True), ("cor5.d", False, False)):
         _register(IdentityDescriptor(
-            ident, Kind.FINITE_SUM, lhs=lhs,
+            ident, Kind.FINITE_SUM,
+            lhs=functools.partial(cor5_lhs, upper=upper, at_recip=at_recip),
             terms=functools.partial(cor5_terms, upper=upper, at_recip=at_recip),
             n_top=lambda p: p["k"],
             sampler=k_m_sampler,
@@ -957,8 +959,6 @@ def _build_catalog() -> None:
             yield val * c if hatted else val * x ** r * c
 
     def cor7_lhs(p, x, wide, hatted):
-        """C_k^(lam) (narrow) or C_k^(k+lam) (wide), at 1/x times x^k where
-        wide is hatted, over (1 - x^2)^(k/2) or (1 - x)^k."""
         k = p["k"]
         c = gegenbauer(k, k + p["lam"] if wide else p["lam"], 1.0 / x if wide == hatted else x)
         c = c * x ** k if wide == hatted else c
