@@ -326,6 +326,10 @@ class TestPositiveIntegerOrder:
             ours = fn(ParameterPoint(nu, -n), x)
             _close(ours.value, mp.legenp(_mp(nu), n, mp.mpf(x), type=kind), rel=1e-12)
             assert 0.0 <= ours.error_estimate <= 1e-12 * abs(ours.value)
+            # the product scales the estimate with the value
+            seed = fn(ParameterPoint(nu, n), x)
+            assert ours.error_estimate / abs(ours.value) == pytest.approx(
+                seed.error_estimate / abs(seed.value), rel=1e-9, abs=0.0)
 
     def test_registry_P_takes_the_same_route(self):
         for nu, n, x in [(0.3 + 0.2j, 3, 0.4), (-1.2, 7, 2.5), (2.0 + 5e-13, 1, -0.3)]:
@@ -383,6 +387,11 @@ class TestPositiveIntegerOrder:
             _close(value, ref, rel=1e-12)
             answered.append(n)
         assert answered == list(range(99, 154))
+
+    def test_order_above_the_doubles_refused(self):
+        # P of order 150 at degree 150.3 and x = 2 is about 1.73e343
+        with pytest.raises(DivergenceError, match="P of order 150 is above the range of doubles"):
+            legendre_p(ParameterPoint(150.3, -150), 2.0)
 
     def test_small_factor_keeps_its_digits(self):
         # nu - 1 = 5e-13 is one of the reflection's factors: the limit form
