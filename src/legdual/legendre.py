@@ -120,19 +120,30 @@ def _first_kind(nu: complex, mu: complex, x: float,
 def _order_reflected(nu: complex, n: int, x: float, policy: TruncationPolicy) -> SeriesValue:
     """P of order n >= 1 (DLMF 14.9.3, 14.9.13): P of order -n times its 2n
     factors nu + j, each formed apart so that a small nu - 1 keeps its digits,
-    and (-1)^n on (-1, 1).  MaxTermsError past the cap, DomainError where P of
-    order -n is below the normal doubles, DivergenceError where P is above."""
+    and (-1)^n on (-1, 1).  On (0, 1) order -n is the Euler transform (DLMF
+    15.8.1) of its series in (1-x)/2, whose terms keep one sign where nu < n.
+    MaxTermsError past the cap; DomainError where order -n is below the normal
+    doubles, DivergenceError where order n is above them."""
     if 2 * n > policy.max_terms:
         raise MaxTermsError(f"order {n:.6g} needs more than {policy.max_terms} factors")
-    sv = _first_kind(nu, complex(n), x, policy)
+    if 0.0 < x < 1.0:
+        # 1/n! exact to rounding (1/Gamma(1 + n) errs by up to 3e-14 at n < 40)
+        # and below the normal doubles past n = 170; then the power, so that no
+        # factor underflows first: ((1-x)/(1+x))^(n/2) ((1+x)/2)^n
+        sv = _scaled(1.0 / math.factorial(n) if n <= 170 else 0.0,
+                     gauss_2f1(n + 1.0 + nu, n - nu, 1.0 + n, (1.0 - x) / 2.0, policy))
+        sv = _scaled(((1.0 - x) * (1.0 + x) / 4.0) ** (0.5 * n), sv)
+    else:
+        sv = _first_kind(nu, complex(n), x, policy)
     if not abs(value := sv.value) >= _TINY:
         raise DomainError(f"P of order {-n} is below the normal doubles at degree {nu}")
     for j in range(1 - n, n + 1):
         value *= nu + j
     if not cmath.isfinite(value):
         raise DivergenceError(f"P of order {n} is above the range of doubles at degree {nu}")
+    # the 2n products round by up to one unit in the last place each
     return SeriesValue(-value if x < 1.0 and n % 2 else value, sv.terms_used,
-                       sv.error_estimate / abs(sv.value) * abs(value))
+                       (sv.error_estimate / abs(sv.value) + 2 * n * 2.0**-53) * abs(value))
 
 
 def _legendre_p_series(nu: complex, mu: complex, t: float, log_xm1: float,

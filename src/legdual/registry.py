@@ -31,7 +31,7 @@ where the degree falls).  The corollaries come in twins, stated at x and at
 1/x (cor5 and cor10 also at both signs of the order); each family registers
 them from one table whose rows hold the id, the term generator's flags
 (`at_recip`: the terms' P or C at 1/x) and the closed-form side, which
-cor2, cor5, cor7 and cor10 build from the same flags.
+cor2, cor7 and cor10 build from the same flags.
 
 `_sum_terms` is the one summation loop, with one stopping rule: Wynn's
 epsilon algorithm in progressive form.  Each partial sum adds one ascending
@@ -813,19 +813,19 @@ def _build_catalog() -> None:
             )
 
     # upper: cor5.a/b, at order +m; cor5.c/d are at -m
-    def cor5_lhs(p, x, upper, at_recip):
-        k, m = p["k"], p["m"]
-        v = _P(k, m if upper else -m, x if at_recip else 1.0 / x)
-        v = v if upper else v * 2.0 ** m
-        v = v if at_recip else v * x ** k
-        d = 2.0 ** m * _fact(k) if upper else _fact(k)
-        return v / (d * x ** (k + m if upper else k - m) if at_recip else d)
-
-    for ident, upper, at_recip in (("cor5.a", True, True), ("cor5.b", True, False),
-                                   ("cor5.c", False, True), ("cor5.d", False, False)):
+    for ident, upper, at_recip, lhs in (
+            ("cor5.a", True, True, lambda p, x:
+                _P(p["k"], p["m"], x)
+                / (2.0 ** p["m"] * _fact(p["k"]) * x ** (p["k"] + p["m"]))),
+            ("cor5.b", True, False, lambda p, x:
+                _P(p["k"], p["m"], 1.0 / x) * x ** p["k"] / (2.0 ** p["m"] * _fact(p["k"]))),
+            ("cor5.c", False, True, lambda p, x:
+                _P(p["k"], -p["m"], x) * 2.0 ** p["m"]
+                / (_fact(p["k"]) * x ** (p["k"] - p["m"]))),
+            ("cor5.d", False, False, lambda p, x:
+                _P(p["k"], -p["m"], 1.0 / x) * 2.0 ** p["m"] * x ** p["k"] / _fact(p["k"]))):
         _register(IdentityDescriptor(
-            ident, Kind.FINITE_SUM,
-            lhs=functools.partial(cor5_lhs, upper=upper, at_recip=at_recip),
+            ident, Kind.FINITE_SUM, lhs=lhs,
             terms=functools.partial(cor5_terms, upper=upper, at_recip=at_recip),
             n_top=lambda p: p["k"],
             sampler=k_m_sampler,
@@ -946,7 +946,9 @@ def _build_catalog() -> None:
                 num[k - r] * gs[k - 2 * r]
                 / ((-2.0) ** (r - k) * den[k - r] * (1.0 - x) ** r)
             )
-            yield (val * x ** r if hatted else val) * c
+            if hatted:
+                val *= x ** r
+            yield val * c
 
     def cor7_wide(p, x, hatted):
         k, lam = p["k"], p["lam"]
@@ -956,12 +958,17 @@ def _build_catalog() -> None:
         for r, y, c in zip(range(2 * k + 1), cor7_Y(lam, k), diag):
             val = gs[2 * k - r] / ((-2.0) ** (r - k) * y
                                    * (1.0 - x * x) ** (0.5 * r))
-            yield val * c if hatted else val * x ** r * c
+            if hatted:
+                yield val * c
+            else:
+                yield val * x ** r * c
 
     def cor7_lhs(p, x, wide, hatted):
-        k = p["k"]
-        c = gegenbauer(k, k + p["lam"] if wide else p["lam"], 1.0 / x if wide == hatted else x)
-        c = c * x ** k if wide == hatted else c
+        # cor7.a and cor7.d take C at 1/x, times x^k
+        k, at_recip = p["k"], wide == hatted
+        c = gegenbauer(k, k + p["lam"] if wide else p["lam"], 1.0 / x if at_recip else x)
+        if at_recip:
+            c *= x ** k
         return c / ((1.0 - x) ** k if wide else (1.0 - x * x) ** (0.5 * k))
 
     # wide: the 2k + 1 terms of cor7.b/d, or the k // 2 + 1 of cor7.a/c
@@ -983,7 +990,10 @@ def _build_catalog() -> None:
         for n, g, num, den in zip(range(2 * k + 2), gs, _rising(lam),
                                   _rising(2.0 * lam + 2 * k + 1.0)):
             val = num * g * (-2.0) ** n * (1.0 - x * x) ** (0.5 * n) / den
-            yield (val if hatted else val * x ** -n) * diag[2 * k + 1 - n]
+            if hatted:
+                yield val * diag[2 * k + 1 - n]
+            else:
+                yield val * x ** -n * diag[2 * k + 1 - n]
 
     for ident, hatted, inner_tau2 in (
             ("cor8.a", False, lambda k, lam: -2 * k - lam - 0.5),
@@ -1077,14 +1087,18 @@ def _build_catalog() -> None:
         for n, g in zip(range(2 * k + 1), _script_G_at(hatted, tau1, tau2, x)):
             morder = (n + m - k) if upper else (n - k - m)
             val = pre * g / ((-1.0) ** (n + k) * _fact(2 * k - n))
-            yield (val * _P(deg, morder, x) if hatted
-                   else val * x ** deg * _P(deg, morder, 1.0 / x))
+            if hatted:
+                yield val * _P(deg, morder, x)
+            else:
+                yield val * x ** deg * _P(deg, morder, 1.0 / x)
 
     def cor10_lhs(p, x, hatted, upper):
         k, m = p["k"], p["m"]
         v = _P(k, m if upper else -m, 1.0 / x if hatted else x)
-        v = v if upper else v * 2.0 ** m
-        v = v * x ** k if hatted else v
+        if not upper:
+            v *= 2.0 ** m
+        if hatted:
+            v *= x ** k
         return v / 2.0 ** m if upper else v
 
     for ident, hatted, upper in (("cor10.a", False, True), ("cor10.b", True, True),

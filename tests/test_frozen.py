@@ -1,6 +1,6 @@
 """The O(1)-per-term forms of the finite sums' coefficients, `pochhammer`'s
 plain loop, the strided product's columns, the cached integer-degree P and
-the closed forms of cor2, cor5, cor7 and cor10 (one function per twin family),
+the closed forms of cor2, cor7 and cor10 (one function per twin family),
 each checked bit for bit against a frozen copy of the form it replaced:
 every value by `float.hex`, every error by type and message, at draws that
 reach past the doubles (|mu| up to 1e308, k and l up to the gate's 160).
@@ -147,7 +147,7 @@ def old_P_int(nu, mu, x, max_terms):
     return SeriesValue(complex(value), k + 1, 0.0)
 
 
-# the closed forms that cor2, cor5, cor7 and cor10 registered, one lambda per twin
+# the closed forms that cor2, cor7 and cor10 registered, one lambda per twin
 OLD_LHS = {
     "cor2.a": lambda p, x:
         _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, x)
@@ -155,16 +155,6 @@ OLD_LHS = {
     "cor2.b": lambda p, x:
         _fact(2 * p["k"]) * gegenbauer(2 * p["k"], p["mu"] + 0.5, 1.0 / x)
         / (2.0 ** (2 * p["k"]) * _fact(p["k"]) * (1.0 - 1.0 / (x * x)) ** p["k"]),
-    "cor5.a": lambda p, x:
-        legendre._P(p["k"], p["m"], x)
-        / (2.0 ** p["m"] * _fact(p["k"]) * x ** (p["k"] + p["m"])),
-    "cor5.b": lambda p, x:
-        legendre._P(p["k"], p["m"], 1.0 / x) * x ** p["k"] / (2.0 ** p["m"] * _fact(p["k"])),
-    "cor5.c": lambda p, x:
-        legendre._P(p["k"], -p["m"], x) * 2.0 ** p["m"]
-        / (_fact(p["k"]) * x ** (p["k"] - p["m"])),
-    "cor5.d": lambda p, x:
-        legendre._P(p["k"], -p["m"], 1.0 / x) * 2.0 ** p["m"] * x ** p["k"] / _fact(p["k"]),
     "cor7.a": lambda p, x:
         gegenbauer(p["k"], p["lam"], 1.0 / x) * x ** p["k"]
         / (1.0 - x * x) ** (0.5 * p["k"]),
@@ -317,12 +307,9 @@ class TestFoldedClosedForms:
     @example("cor7.d", 160, 0.3 + 0.4j, 0, 0.01)
     @example("cor10.b", 160, 0j, 160, 0.01)
     @example("cor10.d", 160, 0j, 160, 0.99)
-    @example("cor5.a", 160, 0j, 160, 0.01)
-    @example("cor5.c", 160, 0j, 3, 0.01)
     @settings(max_examples=300, deadline=None)
     def test_closed_form_is_the_lambda(self, ident, k, c, m, x):
-        p = {"k": k, **{"cor2": {"mu": c}, "cor5": {"m": m}, "cor7": {"lam": c},
-                        "cor10": {"m": m}}[ident[:-2]]}
+        p = {"k": k, **{"cor2": {"mu": c}, "cor7": {"lam": c}, "cor10": {"m": m}}[ident[:-2]]}
         new = get_descriptor(ident).lhs
         assert _outcome(new, p, x) == _outcome(OLD_LHS[ident], p, x)
 

@@ -326,10 +326,21 @@ class TestPositiveIntegerOrder:
             ours = fn(ParameterPoint(nu, -n), x)
             _close(ours.value, mp.legenp(_mp(nu), n, mp.mpf(x), type=kind), rel=1e-12)
             assert 0.0 <= ours.error_estimate <= 1e-12 * abs(ours.value)
-            # the product scales the estimate with the value
-            seed = fn(ParameterPoint(nu, n), x)
-            assert ours.error_estimate / abs(ours.value) == pytest.approx(
-                seed.error_estimate / abs(seed.value), rel=1e-9, abs=0.0)
+            # the estimate holds the 2n products' rounding and, above 1, where
+            # order -n sums the same series, scales order -n's with the value
+            rel = ours.error_estimate / abs(ours.value)
+            assert rel >= 2 * n * 2.0**-53
+            if x > 1.0:
+                seed = fn(ParameterPoint(nu, n), x)
+                assert rel >= seed.error_estimate / abs(seed.value) * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("nu,n,x", [(40.3, 40, 0.5), (51.16, 51, 0.025)])
+    def test_large_degree_keeps_its_digits(self, nu, n, x):
+        # the series in (1-x)/2 at order -n cancels here (1.5e-8 and 1.3e7
+        # relative, each with an estimate near 1e-18); its Euler transform does not
+        ours = ferrers_p(ParameterPoint(nu, -n), x)
+        _close(ours.value, mp.legenp(mp.mpf(nu), n, mp.mpf(x), type=2), rel=1e-12)
+        assert ours.error_estimate <= 1e-12 * abs(ours.value)
 
     def test_registry_P_takes_the_same_route(self):
         for nu, n, x in [(0.3 + 0.2j, 3, 0.4), (-1.2, 7, 2.5), (2.0 + 5e-13, 1, -0.3)]:
