@@ -122,15 +122,17 @@ def _order_reflected(nu: complex, n: int, x: float, policy: TruncationPolicy) ->
     factors nu + j, each formed apart so that a small nu - 1 keeps its digits,
     and (-1)^n on (-1, 1).  On (0, 1) order -n is the Euler transform (DLMF
     15.8.1) of its series in (1-x)/2, whose terms keep one sign where nu < n.
-    MaxTermsError past the cap; DomainError where order -n is below the normal
-    doubles, DivergenceError where order n is above them."""
+    MaxTermsError past the cap; DomainError where order -n (or, on (0, 1), 1/n!)
+    is below the normal doubles, DivergenceError where order n is above them."""
     if 2 * n > policy.max_terms:
         raise MaxTermsError(f"order {n:.6g} needs more than {policy.max_terms} factors")
     if 0.0 < x < 1.0:
-        # 1/n! exact to rounding (1/Gamma(1 + n) errs by up to 3e-14 at n < 40)
-        # and below the normal doubles past n = 170; then the power, so that no
-        # factor underflows first: ((1-x)/(1+x))^(n/2) ((1+x)/2)^n
-        sv = _scaled(1.0 / math.factorial(n) if n <= 170 else 0.0,
+        if n > 170:
+            raise DomainError(f"P of order {-n} needs 1/{n}!, below the normal doubles")
+        # 1/n! exact to rounding (1/Gamma(1 + n) errs by up to 3e-14 for n < 60),
+        # then the power, so that no factor underflows first:
+        # ((1-x)/(1+x))^(n/2) ((1+x)/2)^n
+        sv = _scaled(1.0 / math.factorial(n),
                      gauss_2f1(n + 1.0 + nu, n - nu, 1.0 + n, (1.0 - x) / 2.0, policy))
         sv = _scaled(((1.0 - x) * (1.0 + x) / 4.0) ** (0.5 * n), sv)
     else:

@@ -399,6 +399,13 @@ class TestPositiveIntegerOrder:
             answered.append(n)
         assert answered == list(range(99, 154))
 
+    def test_order_past_170_refused_at_once_on_the_unit_interval(self):
+        # 1/n! is below the normal doubles there: refused before the series,
+        # whose terms overflow first at large n (at term 109 for n = 49999)
+        for n in (171, 3000, 49999):
+            with pytest.raises(DomainError, match=f"needs 1/{n}!, below the normal doubles"):
+                ferrers_p(ParameterPoint(0.3 + 0.5j, -n), 0.02)
+
     def test_order_above_the_doubles_refused(self):
         # P of order 150 at degree 150.3 and x = 2 is about 1.73e343
         with pytest.raises(DivergenceError, match="P of order 150 is above the range of doubles"):
